@@ -166,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ensemble", help="build an ensemble and report its predicates")
     p.add_argument("descriptor", help="descriptor JSON (inline, path, or '-')")
     p.add_argument("--tol", type=float, default=None, help="predicate tolerance (default 1e-10)")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(fn=_cmd_ensemble)
 
     p = sub.add_parser("synthesize", help="synthesize a one-way protocol")
@@ -177,14 +176,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="'auto' (default candidates) or an explicit basis matrix (JSON/path)",
     )
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(fn=_cmd_synthesize)
 
     p = sub.add_parser("evaluate", help="exact evaluation of a protocol on an ensemble")
     p.add_argument("--protocol", required=True, help="protocol tree or one-way spec (JSON/path)")
     p.add_argument("--ensemble", required=True)
     p.add_argument("--tol", type=float, default=None, help="POVM completeness tolerance (default 1e-10)")
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="Monte-Carlo runs of a protocol")
@@ -192,12 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("bounds", help="bounds report and distinguishability verdict")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--format", choices=["json"], default="json")
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

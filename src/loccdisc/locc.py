@@ -10,17 +10,22 @@ correspondence: with accumulated Alice product X and Bob product E along a
 root-to-leaf path, the branch weight for state B is ||E B X^T||_F^2 / dim_a.
 The Monte-Carlo sampler is an independent route: it propagates amplitude
 matrices directly and samples outcomes branch by branch with Born weights.
+
+Every synthesized protocol is one-way: Alice measures a basis, then Bob
+separates his conditional states.  :class:`OneWayProtocolSpec` is the single
+representation of such a protocol; :func:`one_way_protocol` derives Bob's
+vectors from the states and :meth:`OneWayProtocolSpec.as_protocol` expands a
+spec into a tree.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space, schur
 
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
-from .qstate import BipartiteState, as_matrix, frozen_array
+from .qstate import BipartiteState, as_matrix, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -155,8 +160,8 @@ def identity_round(dim: int) -> Povm:
 def orthonormal_completion(vectors, dim: int) -> np.ndarray:
     """Extend near-orthonormal vectors to an exactly orthonormal basis of C^dim.
 
-    The given vectors are tightened by QR (phases fixed so columns track the
-    inputs); the complement comes from an SVD null space, so the assembled
+    A complete QR factorization tightens the given vectors (phases fixed so
+    columns track the inputs) and supplies the complement, so the assembled
     basis is orthonormal to machine precision.
     """
     vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
@@ -167,39 +172,99 @@ def orthonormal_completion(vectors, dim: int) -> np.ndarray:
         raise DomainError("vector length does not match dimension")
     if v.shape[1] > dim:
         raise DomainError("more vectors than the dimension allows")
-    q, r = np.linalg.qr(v)
+    q, r = np.linalg.qr(v, mode="complete")
     d = np.diag(r)
     if np.any(np.abs(d) < 1e-6):
         raise DomainError("vectors are numerically dependent")
-    q = q * (d / np.abs(d))
-    if v.shape[1] == dim:
-        return q
-    comp = null_space(v.conj().T)
-    return np.column_stack([q, comp])
+    q[:, : d.size] *= d / np.abs(d)
+    return q
 
 
-def one_way_protocol(alice_basis, bob_groups, dim_b: int, fallback: int = 0) -> LoccProtocol:
-    """Two-round protocol: Alice measures a basis, Bob a per-outcome labeled basis.
+@dataclass(frozen=True, eq=False)
+class OneWayProtocolSpec:
+    """Alice's measurement basis plus, per outcome, Bob's labeled discriminators.
 
-    ``bob_groups[x]`` is a sequence of (label, vector) pairs for Alice
-    outcome x; Bob's vectors are completed to a full basis and completion
-    outcomes guess ``fallback``.
+    ``alice_basis`` columns are the vectors Alice projects onto;
+    ``bob_discriminators[x]`` holds (label, unit vector) pairs that are
+    pairwise orthogonal within the synthesis tolerance.
+    """
+
+    alice_basis: np.ndarray
+    bob_discriminators: tuple
+
+    def __post_init__(self):
+        ab = frozen_array(as_matrix(self.alice_basis))
+        if not is_unitary(ab, 1e-10):
+            raise DomainError("Alice basis is not orthonormal")
+        if len(self.bob_discriminators) != ab.shape[1]:
+            raise DomainError("need one Bob group per Alice outcome")
+        groups = tuple(
+            tuple((int(lab), frozen_array(np.asarray(v, dtype=complex).reshape(-1))) for lab, v in group)
+            for group in self.bob_discriminators
+        )
+        object.__setattr__(self, "alice_basis", ab)
+        object.__setattr__(self, "bob_discriminators", groups)
+
+    @property
+    def dim_a(self) -> int:
+        return self.alice_basis.shape[0]
+
+    @property
+    def dim_b(self) -> int:
+        for group in self.bob_discriminators:
+            for _, v in group:
+                return v.size
+        return self.dim_a
+
+    def max_bob_overlap(self) -> float:
+        """Largest |<v_i|v_j>| over distinct labeled vectors of one outcome."""
+        worst = 0.0
+        for group in self.bob_discriminators:
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    worst = max(worst, abs(np.vdot(group[i][1], group[j][1])))
+        return worst
+
+    def as_protocol(self, fallback: int = 0) -> LoccProtocol:
+        """Expand into an explicit two-round protocol tree.
+
+        Each outcome's Bob vectors are completed to a full basis; completion
+        outcomes guess ``fallback``.
+        """
+        children = []
+        for group in self.bob_discriminators:
+            basis = orthonormal_completion([v for _, v in group], self.dim_b)
+            leaves = tuple(
+                Leaf(group[i][0]) if i < len(group) else Leaf(fallback)
+                for i in range(self.dim_b)
+            )
+            children.append(ProtocolNode(BOB, projective_povm(basis), leaves))
+        root = ProtocolNode(ALICE, projective_povm(self.alice_basis), tuple(children))
+        return LoccProtocol(self.dim_a, self.dim_b, root)
+
+
+def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
+    """One-way spec in which Alice measures the columns of ``alice_basis``.
+
+    When Alice projects onto column c_x, state i leaves Bob holding
+    B_i conj(c_x) (unnormalized; B_i is its matrix picture).  Each such
+    vector is normalized and labeled i, or dropped when its norm is at most
+    1e-12 because state i cannot produce outcome x.  The spec separates the
+    states perfectly exactly when every outcome's vectors are orthogonal.
     """
     ab = as_matrix(alice_basis)
-    dim_a = ab.shape[0]
-    if ab.shape[1] != dim_a:
-        raise DomainError("Alice basis must be square")
-    children = []
-    for group in bob_groups:
-        labels = [int(lab) for lab, _ in group]
-        basis = orthonormal_completion([v for _, v in group], dim_b)
-        leaves = tuple(
-            Leaf(labels[i]) if i < len(labels) else Leaf(fallback)
-            for i in range(dim_b)
-        )
-        children.append(ProtocolNode(BOB, projective_povm(basis), leaves))
-    root = ProtocolNode(ALICE, projective_povm(ab), tuple(children))
-    return LoccProtocol(dim_a, dim_b, root)
+    b = [psi.b_matrix for psi in states]
+    groups = []
+    for x in range(ab.shape[1]):
+        col = ab[:, x].conj()
+        group = []
+        for label, bi in enumerate(b):
+            v = bi @ col
+            nrm = float(np.linalg.norm(v))
+            if nrm > 1e-12:
+                group.append((label, v / nrm))
+        groups.append(tuple(group))
+    return OneWayProtocolSpec(ab, tuple(groups))
 
 
 def _leaf_weights(protocol: LoccProtocol, b_matrices) -> list:
@@ -417,15 +482,21 @@ def _solve_compression(b2, target):
 
 
 def _vector_with_zero_value(mat, tol=1e-9):
-    """Unit w with <w|M|w> = 0, given 0 in the convex hull of the spectrum."""
+    """Unit w with <w|M|w> = 0 for a traceless square matrix M.
+
+    Each diagonal entry M_jj = <e_j|M|e_j> of the working basis lies in the
+    numerical range of M, and the entries sum to Tr M = 0, so zero lies in
+    their convex hull: on a segment between two entries or inside a triangle
+    of three.  The 2x2 compression onto the matching basis vectors then
+    reaches zero in closed form (numerical ranges are convex), with no
+    eigendecomposition of M needed.
+    """
     m = mat.shape[0]
-    if m == 1:
-        return np.array([1.0], dtype=complex)
-    t, q = schur(mat, output="complex")
-    d = np.diag(t)
+    eye = np.eye(m, dtype=complex)
+    d = np.diag(mat)
     j = int(np.argmin(np.abs(d)))
     if abs(d[j]) <= tol:
-        return q[:, j]
+        return eye[:, j]
     for i in range(m):
         for j2 in range(i + 1, m):
             seg = d[j2] - d[i]
@@ -433,10 +504,9 @@ def _vector_with_zero_value(mat, tol=1e-9):
                 continue
             s = float(np.clip(np.real((0.0 - d[i]) / seg), 0.0, 1.0))
             if abs(d[i] + s * seg) <= tol:
-                b2 = np.array([[d[i], t[i, j2]], [0.0, d[j2]]], dtype=complex)
-                c = _solve_compression(b2, 0.0)
-                return c[0] * q[:, i] + c[1] * q[:, j2]
-    # no single segment hits zero: combine three eigen-directions
+                c = _solve_compression(mat[np.ix_([i, j2], [i, j2])], 0.0)
+                return eye[:, [i, j2]] @ c
+    # no single segment hits zero: combine three basis directions
     for i in range(m):
         for j2 in range(i + 1, m):
             for k in range(j2 + 1, m):
@@ -457,19 +527,10 @@ def _vector_with_zero_value(mat, tol=1e-9):
                     if ab < 1e-14:
                         continue
                     tau = (lam[0] * d[i] + lam[1] * d[j2]) / ab
-                    b2 = np.array([[d[i], t[i, j2]], [0.0, d[j2]]], dtype=complex)
-                    c = _solve_compression(b2, tau)
-                    w1 = c[0] * q[:, i] + c[1] * q[:, j2]
-                    qc = q[:, k]
-                    b2b = np.array(
-                        [
-                            [np.vdot(w1, mat @ w1), np.vdot(w1, mat @ qc)],
-                            [np.vdot(qc, mat @ w1), np.vdot(qc, mat @ qc)],
-                        ],
-                        dtype=complex,
-                    )
-                    c2 = _solve_compression(b2b, 0.0)
-                    return c2[0] * w1 + c2[1] * qc
+                    c = _solve_compression(mat[np.ix_([i, j2], [i, j2])], tau)
+                    p = np.column_stack([eye[:, [i, j2]] @ c, eye[:, k]])
+                    c2 = _solve_compression(p.conj().T @ mat @ p, 0.0)
+                    return p @ c2
     raise ToleranceError("could not locate a zero of the numerical range")
 
 
@@ -491,7 +552,7 @@ def _zero_diagonal_basis(mat, tol=1e-9) -> np.ndarray:
         wk = _vector_with_zero_value(mk)
         wk = wk / np.linalg.norm(wk)
         cols.append(iso @ wk)
-        comp = null_space(wk.conj().reshape(1, -1))
+        comp = orthonormal_completion([wk], mk.shape[0])[:, 1:]
         mk = comp.conj().T @ mk @ comp
         iso = iso @ comp
     cols.append(iso[:, 0])
@@ -507,28 +568,18 @@ def two_state_protocol(psi1: BipartiteState, psi2: BipartiteState) -> LoccProtoc
 
     Alice measures in a basis chosen so Bob's conditional states are
     orthogonal for every outcome: with amplitude matrices S1, S2 the matrix
-    M = conj(S1) S2^T is traceless, and any basis giving M a zero diagonal
-    works.  Bob then separates his two conditional states projectively.
+    M = conj(S1) S2^T is traceless, and any basis W giving M a zero diagonal
+    works.  Alice measures the columns of conj(W); outcome x leaves Bob with
+    states proportional to S_i^T w_x, whose overlap is <w_x|M|w_x> = 0, and
+    Bob separates them projectively.
     """
     if (psi1.dim_a, psi1.dim_b) != (psi2.dim_a, psi2.dim_b):
         raise DomainError("states live in different spaces")
     overlap = abs(np.vdot(psi1.amplitudes, psi2.amplitudes))
     if overlap > 1e-10:
         raise DomainError(f"states are not orthogonal (|<1|2>| = {overlap:.3e})")
-    s1 = psi1.amplitude_matrix
-    s2 = psi2.amplitude_matrix
-    w = _zero_diagonal_basis(s1.conj() @ s2.T)
-    alice_basis = w.conj()
-    groups = []
-    for a in range(psi1.dim_a):
-        pairs = []
-        for label, s in ((0, s1), (1, s2)):
-            r = s.T @ w[:, a]
-            nrm = float(np.linalg.norm(r))
-            if nrm > 1e-12:
-                pairs.append((label, r / nrm))
-        groups.append(tuple(pairs))
-    return one_way_protocol(alice_basis, groups, psi1.dim_b, fallback=0)
+    w = _zero_diagonal_basis(psi1.amplitude_matrix.conj() @ psi2.amplitude_matrix.T)
+    return one_way_protocol((psi1, psi2), w.conj()).as_protocol()
 
 
 def blind_guess_protocol(dim_a: int, dim_b: int, guess: int = 0) -> LoccProtocol:
@@ -574,18 +625,9 @@ def product_basis_protocol(ensemble: StateEnsemble) -> LoccProtocol:
             groups.append([idx])
             reps.append(a_vec)
 
-    bob_groups = []
-    for g, members in enumerate(groups):
-        vecs = []
-        for idx in members:
-            vecs.append((idx, factors[idx][1]))
-        for i in range(len(vecs)):
-            for j in range(i + 1, len(vecs)):
-                if abs(np.vdot(vecs[i][1], vecs[j][1])) > 1e-8:
-                    raise DomainError("Bob factors within a group are not orthogonal")
-        bob_groups.append(tuple(vecs))
-
-    alice_basis = orthonormal_completion(reps, ensemble.dim_a)
-    for extra in range(len(reps), ensemble.dim_a):
-        bob_groups.append(tuple())
-    return one_way_protocol(alice_basis, bob_groups, ensemble.dim_b, fallback=0)
+    bob_groups = [tuple((idx, factors[idx][1]) for idx in members) for members in groups]
+    bob_groups += [()] * (ensemble.dim_a - len(reps))
+    spec = OneWayProtocolSpec(orthonormal_completion(reps, ensemble.dim_a), tuple(bob_groups))
+    if spec.max_bob_overlap() > 1e-8:
+        raise DomainError("Bob factors within a group are not orthogonal")
+    return spec.as_protocol()

@@ -51,17 +51,6 @@ def is_unitary(matrix, tol: float = STRUCTURAL_TOL) -> bool:
     return float(np.max(np.abs(dev))) <= tol
 
 
-def is_psd(matrix, tol: float = STRUCTURAL_TOL) -> bool:
-    """True when the matrix is Hermitian within ``tol`` with spectrum >= -tol."""
-    m = as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        return False
-    if float(np.max(np.abs(m - m.conj().T))) > tol:
-        return False
-    herm = (m + m.conj().T) / 2.0
-    return float(np.linalg.eigvalsh(herm)[0]) >= -tol
-
-
 @dataclass(frozen=True, eq=False)
 class BipartiteState:
     """Normalized pure state of C^dim_a (x) C^dim_b, amplitudes Alice-major."""
@@ -116,11 +105,6 @@ def state_from_matrix(b, dim_a: int) -> BipartiteState:
         raise DomainError("zero matrix does not correspond to a state")
     amps = (mat.T / nrm).reshape(-1)
     return BipartiteState(dim_a, mat.shape[0], amps)
-
-
-def matrix_from_state(psi: BipartiteState) -> np.ndarray:
-    """Inverse of :func:`state_from_matrix` (up to normalization)."""
-    return psi.b_matrix
 
 
 def transpose_identity_check(a) -> float:

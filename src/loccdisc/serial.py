@@ -151,14 +151,12 @@ def one_way_spec_to_json(spec) -> dict:
 
 
 def one_way_spec_from_json(data):
-    from .synth import OneWayProtocolSpec
-
     try:
         groups = tuple(
             tuple((int(entry["label"]), vector_from_json(entry["vector"])) for entry in group)
             for group in data["bob_discriminators"]
         )
-        return OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), groups)
+        return locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), groups)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed one-way spec payload: {exc}") from exc
 

@@ -9,6 +9,11 @@ outcome.  For k orthogonal states whose pairwise products share a common
 unbiased basis, Alice measuring that (conjugated) basis does the same,
 because <b|B_i^dag B_j|b> = Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
 
+Both constructions only choose Alice's basis.  ``locc.one_way_protocol``
+derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
+:class:`~loccdisc.locc.OneWayProtocolSpec`, which lives in ``locc`` and is
+re-exported here.
+
 Synthesis outputs are validated at 1e-8 (they sit downstream of eigensolves,
 looser than the 1e-12 used for plain algebraic identities).
 """
@@ -20,63 +25,12 @@ import numpy as np
 from . import locc
 from .ensembles import BasisFamily, StateEnsemble, common_unbiased_basis_check, fourier_matrix, is_prime, mub_prime
 from .errors import DomainError, ToleranceError
+from .locc import OneWayProtocolSpec
 from .qstate import as_matrix, frozen_array, is_unitary, normal_eigensystem, unitary_eigensystem
 
 OMEGA = np.exp(2j * np.pi / 3)
 
 SYNTH_TOL = 1e-8
-
-
-@dataclass(frozen=True, eq=False)
-class OneWayProtocolSpec:
-    """Alice's measurement basis plus, per outcome, Bob's labeled discriminators.
-
-    ``alice_basis`` columns are the vectors Alice projects onto;
-    ``bob_discriminators[x]`` holds (label, unit vector) pairs that are
-    pairwise orthogonal within the synthesis tolerance.
-    """
-
-    alice_basis: np.ndarray
-    bob_discriminators: tuple
-
-    def __post_init__(self):
-        ab = frozen_array(as_matrix(self.alice_basis))
-        if not is_unitary(ab, 1e-10):
-            raise DomainError("Alice basis is not orthonormal")
-        if len(self.bob_discriminators) != ab.shape[1]:
-            raise DomainError("need one Bob group per Alice outcome")
-        groups = tuple(
-            tuple((int(lab), frozen_array(np.asarray(v, dtype=complex).reshape(-1))) for lab, v in group)
-            for group in self.bob_discriminators
-        )
-        object.__setattr__(self, "alice_basis", ab)
-        object.__setattr__(self, "bob_discriminators", groups)
-
-    @property
-    def dim_a(self) -> int:
-        return self.alice_basis.shape[0]
-
-    @property
-    def dim_b(self) -> int:
-        for group in self.bob_discriminators:
-            for _, v in group:
-                return v.size
-        return self.dim_a
-
-    def max_bob_overlap(self) -> float:
-        """Largest |<v_i|v_j>| over distinct labeled vectors of one outcome."""
-        worst = 0.0
-        for group in self.bob_discriminators:
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    worst = max(worst, abs(np.vdot(group[i][1], group[j][1])))
-        return worst
-
-    def as_protocol(self, fallback: int = 0) -> "locc.LoccProtocol":
-        """Expand into an explicit two-round protocol tree."""
-        return locc.one_way_protocol(
-            self.alice_basis, self.bob_discriminators, self.dim_b, fallback=fallback
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,12 +207,7 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
 
     fourier = np.array([[OMEGA ** (i * x) for x in range(3)] for i in range(3)]) / np.sqrt(3)
     u = e_hat @ fourier
-    groups = []
-    for x in range(3):
-        vecs = [bi @ u[:, x] for bi in b]
-        vecs = [w / np.linalg.norm(w) for w in vecs]
-        groups.append(tuple((i, w) for i, w in enumerate(vecs)))
-    spec = OneWayProtocolSpec(u.conj(), tuple(groups))
+    spec = locc.one_way_protocol(ensemble.states, u.conj())
     worst = spec.max_bob_overlap()
     if worst > SYNTH_TOL:
         raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")
@@ -314,18 +263,7 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub) -> OneWayProtocolSpec:
                 f"basis is not unbiased to the eigenbasis of pair ({i}, {j})"
             )
 
-    b = ensemble.b_matrices()
-    groups = []
-    for x in range(ensemble.dim_a):
-        col = cub_mat[:, x]
-        vecs = []
-        for label, bi in enumerate(b):
-            w = bi @ col
-            nrm = float(np.linalg.norm(w))
-            if nrm > 1e-12:
-                vecs.append((label, w / nrm))
-        groups.append(tuple(vecs))
-    spec = OneWayProtocolSpec(cub_mat.conj(), tuple(groups))
+    spec = locc.one_way_protocol(ensemble.states, cub_mat.conj())
     worst = spec.max_bob_overlap()
     if worst > SYNTH_TOL:
         raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")

@@ -24,6 +24,7 @@ from loccdisc import (
     two_state_protocol,
     uniform_ensemble,
 )
+from loccdisc.bounds import VERDICT_POSSIBLE, verdict
 from loccdisc.locc import ALICE, BOB, identity_round, orthonormal_completion, projective_povm
 
 from conftest import random_orthogonal_pair
@@ -33,6 +34,32 @@ def _product_state(dim_a, dim_b, a, b):
     amps = np.zeros(dim_a * dim_b, dtype=complex)
     amps[a * dim_b + b] = 1.0
     return BipartiteState(dim_a, dim_b, amps)
+
+
+def _low_rank_orthogonal_pair(rng, dim_a, dim_b, r1, r2):
+    """Orthogonal pair of amplitude matrices with Schmidt ranks at most r1 and r2.
+
+    S_i = A_i B_i^T; A_2 is projected off the one direction in which it
+    overlaps S_1, which keeps both factorizations and so both ranks.
+    """
+
+    def gauss(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    a1, b1, a2, b2 = gauss(dim_a, r1), gauss(dim_b, r1), gauss(dim_a, r2), gauss(dim_b, r2)
+    s1 = a1 @ b1.T
+    # Tr(S1^dag A2 B2^T) = <G, A2> with G = A1 (B2^T conj(B1))^dag
+    g = a1 @ (b2.T @ b1.conj()).conj().T
+    a2 = a2 - np.vdot(g, a2) / np.vdot(g, g) * g
+    s2 = a2 @ b2.T
+    return tuple(BipartiteState(dim_a, dim_b, s.reshape(-1) / np.linalg.norm(s)) for s in (s1, s2))
+
+
+def _assert_perfect_pair(s1, s2):
+    ens = uniform_ensemble([s1, s2])
+    res = evaluate(two_state_protocol(s1, s2), ens)
+    assert res.success_probability >= 1 - 1e-9
+    assert verdict(ens).verdict == VERDICT_POSSIBLE
 
 
 def _pad_with_identity_rounds(protocol):
@@ -229,6 +256,21 @@ class TestTwoStateProtocol:
         ens = uniform_ensemble([s1, s2])
         res = evaluate(two_state_protocol(s1, s2), ens)
         assert res.success_probability > 1 - 1e-9
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_bell_pairs_with_identity(self, n):
+        # X^m Z^l at composite n has degenerate spectra, e.g. n=6, (2, 2)
+        for m in range(n):
+            for l in range(n):
+                if (m, l) != (0, 0):
+                    _assert_perfect_pair(*bell_subset(n, [(0, 0), (m, l)]).states)
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_low_rank_and_rectangular_pairs(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        da, db = (int(x) for x in rng.integers(2, 9, size=2))
+        r1, r2 = (int(x) for x in rng.integers(1, min(da, db) + 1, size=2))
+        _assert_perfect_pair(*_low_rank_orthogonal_pair(rng, da, db, r1, r2))
 
     def test_nonorthogonal_rejected(self):
         with pytest.raises(DomainError):

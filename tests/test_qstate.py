@@ -8,9 +8,7 @@ from loccdisc import (
     DomainError,
     generalized_pauli,
     inner_product_via_trace,
-    is_psd,
     is_unitary,
-    matrix_from_state,
     me_state,
     schmidt,
     state_from_matrix,
@@ -77,7 +75,7 @@ class TestStateMatrixCorrespondence:
         for _ in range(50):
             m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             psi = random_state(rng, m, n)
-            back = state_from_matrix(matrix_from_state(psi), m)
+            back = state_from_matrix(psi.b_matrix, m)
             assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-12
 
     def test_normalization_convention(self, rng):
@@ -218,11 +216,6 @@ class TestPredicatesAndEigensystems:
         assert is_unitary(np.eye(3))
         assert not is_unitary(2 * np.eye(3))
         assert not is_unitary(np.ones((2, 3)))
-
-    def test_is_psd(self):
-        assert is_psd(np.diag([1.0, 0.0]))
-        assert not is_psd(np.diag([1.0, -1.0]))
-        assert not is_psd(np.array([[0, 1], [0, 0]], dtype=complex))
 
     def test_unitary_eigensystem_reconstructs(self, rng):
         from loccdisc import haar_unitary
