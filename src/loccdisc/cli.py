@@ -1,13 +1,16 @@
 """Command-line interface.
 
-Reports are JSON documents on stdout (sorted keys, so identical inputs and
-seeds give byte-identical output); diagnostics go to stderr.  Exit codes:
-0 success, 2 domain/precondition error, 3 numerical-tolerance failure.
+Reports are strict JSON documents on stdout (sorted keys, so identical inputs
+and seeds give byte-identical output; NaN and infinities are refused);
+diagnostics go to stderr.  Exit codes: 0 success, 2 domain/precondition error,
+3 numerical-tolerance failure.  A reader that closes stdout early ends the run
+quietly with 0.
 """
 
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import __version__, bounds, locc, serial, synth
@@ -40,8 +43,10 @@ def _emit(command: str, inputs: dict, report: dict) -> None:
         "input": inputs,
         "report": report,
     }
-    json.dump(doc, sys.stdout, sort_keys=True, separators=(",", ":"))
-    sys.stdout.write("\n")
+    # serialize fully first, so a refused value leaves stdout empty
+    text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    sys.stdout.write(text + "\n")
+    sys.stdout.flush()
 
 
 def _cmd_ensemble(args) -> int:
@@ -212,6 +217,13 @@ def main(argv=None) -> int:
     except ToleranceError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
+    except (ValueError, RecursionError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

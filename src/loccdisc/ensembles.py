@@ -7,6 +7,7 @@ import numpy as np
 from .errors import DomainError
 from .qstate import (
     STRUCTURAL_TOL,
+    as_int,
     as_matrix,
     frozen_array,
     generalized_pauli,
@@ -36,6 +37,8 @@ class StateEnsemble:
             priors = np.asarray(self.priors, dtype=float).reshape(-1)
         if priors.size != len(states):
             raise DomainError("priors length must match number of states")
+        if not np.all(np.isfinite(priors)):
+            raise DomainError("priors must be finite")
         if np.any(priors < -1e-15):
             raise DomainError("priors must be nonnegative")
         if abs(float(priors.sum()) - 1.0) > 1e-12:
@@ -135,7 +138,7 @@ def bell_basis(n: int) -> StateEnsemble:
 
 def bell_subset(n: int, labels) -> StateEnsemble:
     """Uniform ensemble of the generalized Bell states with the given (m, l) labels."""
-    labels = [(int(m), int(l)) for m, l in labels]
+    labels = [(as_int(m, "Bell label"), as_int(l, "Bell label")) for m, l in labels]
     if not labels:
         raise DomainError("empty Bell subset")
     if len(set(labels)) != len(labels):
@@ -256,11 +259,11 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
     kind = descriptor.get("kind")
     try:
         if kind == "bell":
-            return bell_basis(int(descriptor["n"]))
+            return bell_basis(as_int(descriptor["n"], "n"))
         if kind == "bell_subset":
-            return bell_subset(int(descriptor["n"]), descriptor["labels"])
+            return bell_subset(as_int(descriptor["n"], "n"), descriptor["labels"])
         if kind == "random_me_triple":
-            return random_orthogonal_me_triple(int(descriptor["n"]), int(descriptor["seed"]))
+            return random_orthogonal_me_triple(as_int(descriptor["n"], "n"), as_int(descriptor["seed"], "seed"))
         if kind == "simdiag":
             return simultaneously_diagonal_ensemble(serial.matrix_from_json(descriptor["u"]))
         if kind == "explicit":

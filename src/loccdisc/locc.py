@@ -8,6 +8,10 @@ shapes themselves.  Every leaf holds a guess label into the ensemble.
 Exact evaluation pushes all operators onto the matrix side of the state
 correspondence: with accumulated Alice product X and Bob product E along a
 root-to-leaf path, the branch weight for state B is ||E B X^T||_F^2 / dim_a.
+The products are regrouped so the tree is walked once with the whole
+ensemble stacked as one (k, dim_b, dim_a) array: each edge applies its
+operator to all k states at once, and the joint table, success and mutual
+information are array reductions over the (leaves, k) weights.
 The Monte-Carlo sampler is an independent route: it propagates amplitude
 matrices directly and samples outcomes branch by branch with Born weights.
 
@@ -25,7 +29,7 @@ import numpy as np
 
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
-from .qstate import BipartiteState, as_matrix, frozen_array, is_unitary
+from .qstate import BipartiteState, as_int, as_matrix, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -267,26 +271,25 @@ def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
     return OneWayProtocolSpec(ab, tuple(groups))
 
 
-def _leaf_weights(protocol: LoccProtocol, b_matrices) -> list:
-    """Per-leaf (path, guess, weights-per-state) via the matrix-side push-through."""
-    m = protocol.dim_a
-    records = []
+def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
+    """Leaves as (path, guess) in depth-first order, and their (leaves, k) weights.
 
-    def walk(node, x_acc, e_acc, path):
+    The whole ensemble travels down the tree as one stacked array Y of
+    matrices E B_i X^T: an Alice operator maps Y to Y op^T, a Bob operator
+    maps it to op Y, and a leaf's weight for state i is ||Y_i||_F^2 / dim_a.
+    """
+    leaves, weights = [], []
+
+    def walk(node, y, path):
         if isinstance(node, Leaf):
-            w = np.array(
-                [np.linalg.norm(e_acc @ b @ x_acc.T) ** 2 / m for b in b_matrices]
-            )
-            records.append((path, node.guess, w))
+            leaves.append((path, node.guess))
+            weights.append(np.einsum("kij,kij->k", y.conj(), y).real / protocol.dim_a)
             return
         for idx, (op, child) in enumerate(zip(node.povm.elements, node.children)):
-            if node.actor == ALICE:
-                walk(child, op @ x_acc, e_acc, path + (idx,))
-            else:
-                walk(child, x_acc, op @ e_acc, path + (idx,))
+            walk(child, y @ op.T if node.actor == ALICE else op @ y, path + (idx,))
 
-    walk(protocol.root, np.eye(m, dtype=complex), np.eye(protocol.dim_b, dtype=complex), ())
-    return records
+    walk(protocol.root, np.stack(ensemble.b_matrices()), ())
+    return leaves, np.array(weights)
 
 
 def evaluate(
@@ -299,51 +302,37 @@ def evaluate(
 
     Computes the full joint distribution over (state, outcome path), the
     success probability P(guess = state), and the mutual information between
-    state label and transcript in bits.
+    state label and transcript in bits.  Joint rows come leaf by leaf in
+    depth-first order, states in label order within a leaf.
     """
     if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
         raise DomainError("protocol and ensemble dimensions disagree")
     protocol.validate(k=ensemble.k, tol=tol)
-    records = _leaf_weights(protocol, ensemble.b_matrices())
+    leaves, w = _leaf_weights(protocol, ensemble)
 
-    totals = np.zeros(ensemble.k)
-    for _, _, w in records:
-        totals += w
-    if float(np.max(np.abs(totals - 1.0))) > 1e-9:
-        raise ToleranceError(
-            f"branch weights do not conserve probability (max dev {np.max(np.abs(totals - 1.0)):.3e})"
-        )
+    dev = float(np.max(np.abs(w.sum(axis=0) - 1.0)))
+    if dev > 1e-9:
+        raise ToleranceError(f"branch weights do not conserve probability (max dev {dev:.3e})")
 
-    joint = []
-    per_state = np.zeros(ensemble.k)
-    for path, guess, w in records:
-        for i in range(ensemble.k):
-            p = float(ensemble.priors[i] * w[i])
-            if p < prune_tol:
-                continue
-            joint.append((i, path, guess, p))
-            if guess == i:
-                per_state[i] += float(w[i])
-
+    rows, states = np.nonzero(ensemble.priors * w >= prune_tol)
+    w_kept = w[rows, states]
+    p = ensemble.priors[states] * w_kept
+    hit = np.array([g for _, g in leaves])[rows] == states
     # rounding can push pure-probability sums a few ulp past 1
-    success = float(min(1.0, sum(p for i, _, g, p in joint if g == i)))
-    per_state = np.clip(per_state, 0.0, 1.0)
+    success = float(min(1.0, p[hit].sum()))
+    per_state = np.bincount(states[hit], weights=w_kept[hit], minlength=ensemble.k)
 
-    pv: dict = {}
-    py: dict = {}
-    for i, path, _, p in joint:
-        pv[i] = pv.get(i, 0.0) + p
-        py[path] = py.get(path, 0.0) + p
-    mi = 0.0
-    for i, path, _, p in joint:
-        mi += p * math.log2(p / (pv[i] * py[path]))
-    mi = max(mi, 0.0)
+    pv = np.bincount(states, weights=p, minlength=ensemble.k)
+    py = np.bincount(rows, weights=p, minlength=len(leaves))
+    mi = max(float(np.sum(p * np.log2(p / (pv[states] * py[rows])))), 0.0)
 
     return ProtocolEvaluation(
         success_probability=success,
-        mutual_information_bits=float(mi),
-        joint=tuple(joint),
-        per_state_success=tuple(float(x) for x in per_state),
+        mutual_information_bits=mi,
+        joint=tuple(
+            (v, *leaves[r], q) for r, v, q in zip(rows.tolist(), states.tolist(), p.tolist())
+        ),
+        per_state_success=tuple(np.clip(per_state, 0.0, 1.0).tolist()),
     )
 
 
@@ -358,6 +347,9 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    seed = as_int(seed, "seed")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
         raise DomainError("protocol and ensemble dimensions disagree")
     protocol.validate(k=ensemble.k)
@@ -405,7 +397,7 @@ def standard_bell_protocol(n: int, subset=None) -> LoccProtocol:
         raise DomainError("need dimension >= 2")
     if subset is None:
         subset = [(m, l) for m in range(n) for l in range(n)]
-    subset = [(int(m), int(l)) for m, l in subset]
+    subset = [(as_int(m, "subset label"), as_int(l, "subset label")) for m, l in subset]
     if not subset:
         raise DomainError("subset must be nonempty")
     if len(set(subset)) != len(subset):

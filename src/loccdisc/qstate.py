@@ -42,6 +42,15 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
+def as_int(value, name: str) -> int:
+    """Coerce an integer-valued number to int; bools, fractions and other types raise."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def is_unitary(matrix, tol: float = STRUCTURAL_TOL) -> bool:
     """True when ``M^dag M = I`` entrywise within ``tol`` (square input only)."""
     m = as_matrix(matrix)

@@ -12,7 +12,7 @@ from . import bounds as bounds_mod
 from . import locc
 from .ensembles import StateEnsemble, from_descriptor
 from .errors import DomainError
-from .qstate import BipartiteState
+from .qstate import BipartiteState, as_int
 
 
 def _pair(z: complex) -> list:
@@ -63,7 +63,7 @@ def state_to_json(state: BipartiteState) -> dict:
 
 def state_from_json(data) -> BipartiteState:
     try:
-        return BipartiteState(int(data["dim_a"]), int(data["dim_b"]), vector_from_json(data["amplitudes"]))
+        return BipartiteState(as_int(data["dim_a"], "dim_a"), as_int(data["dim_b"], "dim_b"), vector_from_json(data["amplitudes"]))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed state payload: {exc}") from exc
 
@@ -117,7 +117,7 @@ def _node_from_json(data):
         raise DomainError("protocol node must be a JSON object")
     if "guess" in data:
         try:
-            return locc.Leaf(int(data["guess"]))
+            return locc.Leaf(as_int(data["guess"], "guess"))
         except (TypeError, ValueError) as exc:
             raise DomainError(f"malformed leaf: {exc}") from exc
     try:
@@ -135,7 +135,7 @@ def protocol_from_json(data) -> locc.LoccProtocol:
     if "alice_basis" in data:
         return one_way_spec_from_json(data).as_protocol()
     try:
-        return locc.LoccProtocol(int(data["dim_a"]), int(data["dim_b"]), _node_from_json(data["root"]))
+        return locc.LoccProtocol(as_int(data["dim_a"], "dim_a"), as_int(data["dim_b"], "dim_b"), _node_from_json(data["root"]))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed protocol payload: {exc}") from exc
 
@@ -153,7 +153,7 @@ def one_way_spec_to_json(spec) -> dict:
 def one_way_spec_from_json(data):
     try:
         groups = tuple(
-            tuple((int(entry["label"]), vector_from_json(entry["vector"])) for entry in group)
+            tuple((as_int(entry["label"], "label"), vector_from_json(entry["vector"])) for entry in group)
             for group in data["bob_discriminators"]
         )
         return locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), groups)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +189,92 @@ class TestBoundsCommand:
         payload = json.dumps(ensemble_to_json(uniform_ensemble([me_state(2), me_state(2)])))
         code, _, _ = _run(capsys, "bounds", "--ensemble", payload)
         assert code == 2
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _assert_clean_exit(code, out, err, expected):
+    """Exit code as expected, no traceback, stdout strict JSON on success and empty otherwise."""
+    assert code == expected, err
+    assert "Traceback" not in err
+    if expected == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
+
+
+class TestOutputBoundary:
+    @pytest.fixture
+    def bell2_protocol(self):
+        from loccdisc import standard_bell_protocol
+        from loccdisc.serial import protocol_to_json
+
+        return json.dumps(protocol_to_json(standard_bell_protocol(2)))
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}],"priors":[NaN]}',
+            '{"kind":"bell","n":2.7}',
+            '{"kind":"bell","n":1e400}',
+            '{"kind":"bell_subset","n":3,"labels":[[0,0.5]]}',
+            '{"kind":"bell_subset","n":3,"labels":[[true,0]]}',
+        ],
+    )
+    def test_bad_descriptors_exit_2(self, capsys, descriptor):
+        _assert_clean_exit(*_run(capsys, "ensemble", descriptor), 2)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ensemble", '{"kind":"bell","n":2,"note":1e400}'),
+            ("ensemble", '{"kind":"bell","n":2}', "--tol", "nan"),
+        ],
+    )
+    def test_non_finite_output_refused(self, capsys, argv):
+        _assert_clean_exit(*_run(capsys, *argv), 2)
+
+    def test_deep_nesting_exits_2(self, capsys):
+        _assert_clean_exit(*_run(capsys, "ensemble", "[" * 100_000), 2)
+
+    def test_negative_seed_exits_2(self, capsys, bell2_protocol):
+        argv = ("simulate", "--protocol", bell2_protocol, "--ensemble", '{"kind":"bell","n":2}')
+        _assert_clean_exit(*_run(capsys, *argv, "--trials", "10", "--seed", "-1"), 2)
+        _assert_clean_exit(*_run(capsys, *argv, "--trials", "10", "--seed", "0"), 0)
+
+    def test_evaluate_is_byte_deterministic(self, capsys, bell2_protocol):
+        argv = ("evaluate", "--protocol", bell2_protocol, "--ensemble", '{"kind":"bell","n":2}')
+        first = _run(capsys, *argv)
+        _assert_clean_exit(*first, 0)
+        assert _run(capsys, *argv)[1] == first[1]
+
+    def test_conservation_failure_exits_3(self, capsys):
+        # completeness within the loosened --tol, but probability leaks past 1e-9
+        ops = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9999995, 0.0]]]]
+        tree = {
+            "dim_a": 2,
+            "dim_b": 2,
+            "root": {"actor": "alice", "povm": ops, "children": [{"guess": 0}]},
+        }
+        argv = ("evaluate", "--protocol", json.dumps(tree), "--ensemble", '{"kind":"bell","n":2}')
+        _assert_clean_exit(*_run(capsys, *argv, "--tol", "1e-3"), 3)
+
+    def test_closed_stdout_exits_quietly(self):
+        # the report (about 0.3 MB) overflows the pipe buffer, so writing outlives the reader
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "loccdisc.cli", "ensemble", '{"kind":"bell","n":12}'],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert err == ""

@@ -197,6 +197,13 @@ class TestEnsembleType:
         with pytest.raises(DomainError):
             StateEnsemble((me_state(2), me_state(2)), np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_priors_rejected(self, bad):
+        with pytest.raises(DomainError):
+            StateEnsemble((me_state(2), me_state(2)), np.array([bad, 1.0]))
+        with pytest.raises(DomainError):
+            StateEnsemble((me_state(2),), np.array([bad]))
+
     def test_mixed_dims_rejected(self):
         with pytest.raises(DomainError):
             uniform_ensemble([me_state(2), me_state(3)])
@@ -240,3 +247,23 @@ class TestDescriptors:
     def test_malformed(self):
         with pytest.raises(DomainError):
             from_descriptor({"kind": "bell"})
+
+    def test_integral_floats_accepted(self):
+        assert from_descriptor({"kind": "bell", "n": 3.0}).k == 9
+        assert from_descriptor({"kind": "bell_subset", "n": 3, "labels": [[1.0, 2]]}).k == 1
+
+    @pytest.mark.parametrize(
+        "descriptor",
+        [
+            {"kind": "bell", "n": 2.7},
+            {"kind": "bell", "n": True},
+            {"kind": "bell", "n": "3"},
+            {"kind": "bell", "n": float("inf")},
+            {"kind": "bell_subset", "n": 3, "labels": [[0.5, 0]]},
+            {"kind": "bell_subset", "n": 3, "labels": [[0, False]]},
+            {"kind": "random_me_triple", "n": 3, "seed": 7.5},
+        ],
+    )
+    def test_non_integers_rejected(self, descriptor):
+        with pytest.raises(DomainError, match="must be an integer"):
+            from_descriptor(descriptor)

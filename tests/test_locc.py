@@ -10,6 +10,7 @@ from loccdisc import (
     LoccProtocol,
     Povm,
     ProtocolNode,
+    StateEnsemble,
     bell_basis,
     bell_subset,
     blind_guess_protocol,
@@ -25,9 +26,17 @@ from loccdisc import (
     uniform_ensemble,
 )
 from loccdisc.bounds import VERDICT_POSSIBLE, verdict
-from loccdisc.locc import ALICE, BOB, identity_round, orthonormal_completion, projective_povm
+from loccdisc.library import build_library
+from loccdisc.locc import (
+    ALICE,
+    BOB,
+    PRUNE_TOL,
+    identity_round,
+    orthonormal_completion,
+    projective_povm,
+)
 
-from conftest import random_orthogonal_pair
+from conftest import random_orthogonal_pair, random_state
 
 
 def _product_state(dim_a, dim_b, a, b):
@@ -79,6 +88,75 @@ def _pad_with_identity_rounds(protocol):
     return LoccProtocol(
         protocol.dim_a, protocol.dim_b, walk(protocol.root, None, protocol.dim_a, protocol.dim_b)
     )
+
+
+def _reference_rows(protocol, ensemble):
+    """Joint rows (v, path, guess, p, weight) from ||E B X^T||_F^2 / dim_a, one leaf and state at a time."""
+    rows = []
+
+    def walk(node, x, e, path):
+        if isinstance(node, Leaf):
+            for i, b in enumerate(ensemble.b_matrices()):
+                w = np.linalg.norm(e @ b @ x.T) ** 2 / protocol.dim_a
+                if ensemble.priors[i] * w >= PRUNE_TOL:
+                    rows.append((i, path, node.guess, float(ensemble.priors[i] * w), w))
+            return
+        for idx, (op, child) in enumerate(zip(node.povm.elements, node.children)):
+            alice = node.actor == ALICE
+            walk(child, op @ x if alice else x, e if alice else op @ e, path + (idx,))
+
+    walk(protocol.root, np.eye(protocol.dim_a), np.eye(protocol.dim_b), ())
+    return rows
+
+
+def _assert_matches_reference(protocol, ensemble, tol=1e-14):
+    res = evaluate(protocol, ensemble)
+    ref = _reference_rows(protocol, ensemble)
+    assert [r[:3] for r in res.joint] == [r[:3] for r in ref]
+    np.testing.assert_allclose([r[3] for r in res.joint], [r[3] for r in ref], rtol=0, atol=tol)
+    hits = [r for r in ref if r[0] == r[2]]
+    assert abs(res.success_probability - min(1.0, sum(r[3] for r in hits))) <= tol
+    per_state = [min(1.0, sum(r[4] for r in hits if r[0] == i)) for i in range(ensemble.k)]
+    np.testing.assert_allclose(res.per_state_success, per_state, rtol=0, atol=tol)
+    pv, py = {}, {}
+    for v, path, _, p, _ in ref:
+        pv[v] = pv.get(v, 0.0) + p
+        py[path] = py.get(path, 0.0) + p
+    mi = sum(p * math.log2(p / (pv[v] * py[path])) for v, path, _, p, _ in ref)
+    assert abs(res.mutual_information_bits - max(mi, 0.0)) <= tol
+
+
+def _isometry_povm(rng, dim_in):
+    """Kraus operators of random output dimensions, cut row-wise from one random isometry."""
+    outs = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 4)))]
+    outs[-1] = max(outs[-1], dim_in - sum(outs[:-1]))
+    z = rng.standard_normal((sum(outs), dim_in)) + 1j * rng.standard_normal((sum(outs), dim_in))
+    return Povm(tuple(np.split(np.linalg.qr(z)[0], np.cumsum(outs)[:-1])))
+
+
+def _random_tree(rng, dim_a, dim_b, k, rounds):
+    """Alternating tree of isometry-cut rounds that enlarge or shrink either party's space."""
+
+    def node(actor, da, db, depth):
+        if depth == rounds:
+            return Leaf(int(rng.integers(k)))
+        povm = _isometry_povm(rng, da if actor == ALICE else db)
+        nxt = BOB if actor == ALICE else ALICE
+        children = []
+        for m in povm.elements:
+            nda, ndb = (m.shape[0], db) if actor == ALICE else (da, m.shape[0])
+            children.append(node(nxt, nda, ndb, depth + 1))
+        return ProtocolNode(actor, povm, tuple(children))
+
+    return LoccProtocol(dim_a, dim_b, node((ALICE, BOB)[int(rng.integers(2))], dim_a, dim_b, 0))
+
+
+def _random_case(seed):
+    rng = np.random.default_rng(seed)
+    da, db, k = (int(x) for x in rng.integers(2, 5, size=3))
+    states = tuple(random_state(rng, da, db) for _ in range(k))
+    ens = StateEnsemble(states, rng.dirichlet(np.ones(k)))
+    return _random_tree(rng, da, db, k, rounds=3 + seed % 2), ens
 
 
 class TestProtocolStructure:
@@ -161,6 +239,31 @@ class TestEvaluate:
             evaluate(standard_bell_protocol(2), bell_basis(3))
 
 
+class TestBatchedEvaluator:
+    """The stacked push-through agrees with the per-leaf, per-state formula."""
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda e: e.name)
+    def test_library_matches_reference(self, entry):
+        _assert_matches_reference(entry.protocol, entry.ensemble)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_kraus_trees_match_reference(self, seed):
+        protocol, ens = _random_case(seed)
+        _assert_matches_reference(protocol, ens)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_kraus_trees_match_simulation(self, seed):
+        protocol, ens = _random_case(seed)
+        p = evaluate(protocol, ens).success_probability
+        sigma = max(math.sqrt(p * (1.0 - p) / 100_000), 1e-12)
+        assert abs(simulate(protocol, ens, trials=100_000, seed=seed) - p) <= 5.0 * sigma
+
+    def test_bell_24_exact(self):
+        res = evaluate(standard_bell_protocol(24), bell_basis(24))
+        assert abs(res.success_probability - 1.0 / 24) < 1e-12
+        assert abs(res.mutual_information_bits - math.log2(24)) < 1e-13
+
+
 class TestSimulate:
     def test_perfect_protocol_hits_one(self):
         ens = random_orthogonal_me_triple(3, 0)
@@ -185,6 +288,11 @@ class TestSimulate:
     def test_trials_validated(self):
         with pytest.raises(DomainError):
             simulate(standard_bell_protocol(2), bell_basis(2), trials=0, seed=1)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_validated(self, seed):
+        with pytest.raises(DomainError):
+            simulate(standard_bell_protocol(2), bell_basis(2), trials=10, seed=seed)
 
 
 class TestStandardBellProtocol:

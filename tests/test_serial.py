@@ -75,6 +75,16 @@ class TestProtocolJson:
         with pytest.raises(DomainError):
             serial.protocol_from_json({"dim_a": 2, "dim_b": 2, "root": {"actor": "alice"}})
 
+    @pytest.mark.parametrize("field, value", [("guess", 1.7), ("guess", True), ("dim_a", 2.5), ("dim_b", False)])
+    def test_non_integer_fields_rejected(self, field, value):
+        doc = serial.protocol_to_json(standard_bell_protocol(2))
+        if field == "guess":
+            doc["root"]["children"][0]["children"][0]["guess"] = value
+        else:
+            doc[field] = value
+        with pytest.raises(DomainError, match="must be an integer"):
+            serial.protocol_from_json(doc)
+
 
 class TestReportJson:
     def test_evaluation_json(self):
