@@ -223,14 +223,7 @@ def _try_synthesizers(ensemble: StateEnsemble):
     if ensemble.k == 3 and (ensemble.dim_a, ensemble.dim_b) == (3, 3):
         attempts.append(("three-qutrit", lambda: synth.synthesize_three_qutrit_protocol(ensemble).as_protocol()))
     if ensemble.dim_a == ensemble.dim_b and ensemble.k >= 2:
-        def cub_attempt():
-            _, family = synth.pairwise_product_eigenbases(ensemble)
-            cand = synth.find_cub(family, synth.default_cub_candidates(ensemble.dim_a))
-            if cand is None:
-                raise DomainError("no common unbiased basis among the default candidates")
-            return synth.synthesize_cub_protocol(ensemble, cand).as_protocol()
-
-        attempts.append(("cub", cub_attempt))
+        attempts.append(("cub", lambda: synth.synthesize_cub_protocol(ensemble).as_protocol()))
     attempts.append(("product-basis", lambda: locc.product_basis_protocol(ensemble)))
 
     for name, build in attempts:

@@ -68,28 +68,23 @@ def _cmd_synthesize(args) -> int:
     if args.method == "prop1":
         spec = synth.synthesize_three_qutrit_protocol(ens)
     else:
-        if args.cub_source and args.cub_source != "auto":
-            cub = serial.matrix_from_json(_load_json_arg(args.cub_source))
-            inputs["cub_source"] = "explicit"
-        else:
-            _, family = synth.pairwise_product_eigenbases(ens)
-            cub = synth.find_cub(family, synth.default_cub_candidates(ens.dim_a))
-            inputs["cub_source"] = "auto"
-            if cub is None:
-                raise DomainError("no common unbiased basis found among default candidates")
+        explicit = args.cub_source not in ("", "auto")
+        cub = serial.matrix_from_json(_load_json_arg(args.cub_source)) if explicit else None
+        inputs["cub_source"] = "explicit" if explicit else "auto"
         spec = synth.synthesize_cub_protocol(ens, cub)
     protocol = spec.as_protocol()
     evaluation = locc.evaluate(protocol, ens)
+    overlap = spec.max_bob_overlap()
     report = {
         "one_way": serial.one_way_spec_to_json(spec),
         "protocol": serial.protocol_to_json(protocol),
-        "max_bob_overlap": spec.max_bob_overlap(),
+        "max_bob_overlap": overlap,
         "success_probability": evaluation.success_probability,
     }
     _emit("synthesize", inputs, report)
     print(
         f"synthesized {args.method} protocol: success {evaluation.success_probability:.12f}, "
-        f"max Bob overlap {spec.max_bob_overlap():.3e}",
+        f"max Bob overlap {overlap:.3e}",
         file=sys.stderr,
     )
     return 0

@@ -23,6 +23,7 @@ class StateEnsemble:
 
     states: tuple
     priors: np.ndarray = field(default=None)
+    _b_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         states = tuple(self.states)
@@ -45,6 +46,8 @@ class StateEnsemble:
             raise DomainError("priors must sum to 1 within 1e-12")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", frozen_array(np.clip(priors, 0.0, None), dtype=float))
+        amps = np.array([s.amplitude_matrix for s in states])
+        object.__setattr__(self, "_b_stack", frozen_array(np.sqrt(amps.shape[1]) * amps.transpose(0, 2, 1)))
 
     @property
     def k(self) -> int:
@@ -58,8 +61,9 @@ class StateEnsemble:
     def dim_b(self) -> int:
         return self.states[0].dim_b
 
-    def b_matrices(self) -> list[np.ndarray]:
-        return [s.b_matrix for s in self.states]
+    def b_matrices(self) -> np.ndarray:
+        """Read-only (k, dim_b, dim_a) stack of the states' matrices B_i, built once."""
+        return self._b_stack
 
     def gram(self) -> np.ndarray:
         """Gram matrix of amplitude inner products <psi_i|psi_j>."""

@@ -59,11 +59,7 @@ def _random_orthogonal_pair(dim_a, dim_b, seed) -> StateEnsemble:
 
 def _cub_entry(name, n, labels) -> LibraryEntry:
     ens = bell_subset(n, labels)
-    _, family = synth.pairwise_product_eigenbases(ens)
-    cand = synth.find_cub(family)
-    if cand is None:
-        raise RuntimeError(f"library entry {name}: no common unbiased basis found")
-    return LibraryEntry(name, ens, synth.synthesize_cub_protocol(ens, cand).as_protocol())
+    return LibraryEntry(name, ens, synth.synthesize_cub_protocol(ens).as_protocol())
 
 
 def _discard_bell2_entry(name, keep_labels, all_labels) -> LibraryEntry:

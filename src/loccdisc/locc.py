@@ -96,6 +96,7 @@ class LoccProtocol:
 
     def validate(self, k: int | None = None, tol: float = 1e-10) -> None:
         """Check alternation, operator shape chaining, completeness, leaf labels."""
+        complete = set()  # ids of Povm objects already checked; nodes may share one
 
         def walk(node, da, db, prev_actor):
             if isinstance(node, Leaf):
@@ -109,9 +110,11 @@ class LoccProtocol:
                 raise DomainError(
                     f"{node.actor} POVM input dim {node.povm.input_dim} != current dim {cur}"
                 )
-            defect = node.povm.completeness_defect()
-            if defect > tol:
-                raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
+            if id(node.povm) not in complete:
+                defect = node.povm.completeness_defect()
+                if defect > tol:
+                    raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
+                complete.add(id(node.povm))
             for m, child in zip(node.povm.elements, node.children):
                 out = m.shape[0]
                 if node.actor == ALICE:
@@ -288,7 +291,7 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
         for idx, (op, child) in enumerate(zip(node.povm.elements, node.children)):
             walk(child, y @ op.T if node.actor == ALICE else op @ y, path + (idx,))
 
-    walk(protocol.root, np.stack(ensemble.b_matrices()), ())
+    walk(protocol.root, ensemble.b_matrices(), ())
     return leaves, np.array(weights)
 
 

@@ -14,7 +14,6 @@ entangled iff B is unitary (requires m = n).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .errors import DomainError, ToleranceError
 
@@ -203,16 +202,18 @@ def generalized_pauli(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normal_eigensystem(matrix, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a normal matrix via Schur.
+    """Eigenvalues and orthonormal eigenvectors of a normal matrix, numpy only.
 
-    The complex Schur form of a normal matrix is diagonal; a significant
-    off-diagonal part therefore signals a non-normal input and raises.
-    Returns ``(eigenvalues, vectors)`` with eigenvectors as columns.
+    A normal matrix's eigenvectors for distinct eigenvalues are orthogonal, so
+    QR of the eigenvector matrix only orthonormalizes within eigenspaces.  A
+    significant off-diagonal part of T = Q^dag M Q signals a non-normal input
+    and raises.  Returns ``(eigenvalues, vectors)``, eigenvectors as columns.
     """
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         raise DomainError("eigensystem requires a square matrix")
-    t, q = schur(m, output="complex")
+    q, _ = np.linalg.qr(np.linalg.eig(m)[1])
+    t = q.conj().T @ m @ q
     off = t - np.diag(np.diag(t))
     if float(np.max(np.abs(off))) > tol:
         raise DomainError(

@@ -19,6 +19,7 @@ from .ensembles import (
     random_orthogonal_me_triple,
     uniform_ensemble,
 )
+from .errors import DomainError
 from .library import build_library
 from .qstate import BipartiteState, transpose_identity_check
 
@@ -68,14 +69,13 @@ def criterion_unbiased_bell_subsets() -> CriterionResult:
             k = int(rng.integers(2, k_max + 1))
             pick = rng.choice(len(labels_all), size=k, replace=False)
             ens = bell_subset(n, [labels_all[i] for i in pick])
-            _, family = synth.pairwise_product_eigenbases(ens)
-            cand = synth.find_cub(family, list(mub_prime(n).bases))
-            if cand is None:
+            try:
+                spec = synth.synthesize_cub_protocol(ens)
+            except DomainError as exc:
                 return _result(
-                    "unbiased-bell-subsets", start, False,
-                    f"no common unbiased basis for n={n}, subset={pick}",
+                    "unbiased-bell-subsets", start, False, f"n={n}, subset={pick}: {exc}"
                 )
-            res = locc.evaluate(synth.synthesize_cub_protocol(ens, cand).as_protocol(), ens)
+            res = locc.evaluate(spec.as_protocol(), ens)
             worst = min(worst, res.success_probability)
             count += 1
     return _result(

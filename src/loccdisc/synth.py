@@ -8,6 +8,8 @@ Fourier mix of that eigenbasis leaves Bob three orthogonal states on every
 outcome.  For k orthogonal states whose pairwise products share a common
 unbiased basis, Alice measuring that (conjugated) basis does the same,
 because <b|B_i^dag B_j|b> = Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
+``synthesize_cub_protocol`` is the one entry point for the latter; given no
+basis it scans the default candidates itself.  Eigenbases use numpy alone.
 
 Both constructions only choose Alice's basis.  ``locc.one_way_protocol``
 derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
@@ -239,31 +241,37 @@ def pairwise_product_eigenbases(ensemble: StateEnsemble, tol: float = 1e-8):
     return pairs, BasisFamily(tuple(bases))
 
 
-def synthesize_cub_protocol(ensemble: StateEnsemble, cub) -> OneWayProtocolSpec:
+def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocolSpec:
     """One-way protocol from a common unbiased basis for the pairwise eigenbases.
 
     Alice measures the conjugated columns of ``cub``; for every outcome the
     conditional Bob states are pairwise orthogonal because each |b> is
-    unbiased to an eigenbasis of every pairwise product.
+    unbiased to an eigenbasis of every pairwise product.  With ``cub=None``
+    the first of :func:`default_cub_candidates` that fits is used.
     """
     if ensemble.dim_a != ensemble.dim_b:
         raise DomainError("construction needs equal local dimensions")
     if not ensemble.is_orthogonal(1e-10):
         raise DomainError("states must be pairwise orthogonal")
-    cub_mat = as_matrix(cub)
-    if cub_mat.shape != (ensemble.dim_a, ensemble.dim_a):
-        raise DomainError("basis dimension does not match the ensemble")
-    if not is_unitary(cub_mat, 1e-10):
-        raise DomainError("candidate basis is not orthonormal")
 
     pairs, family = pairwise_product_eigenbases(ensemble)
-    for (i, j), basis in zip(pairs, family.bases):
-        if not common_unbiased_basis_check(cub_mat, BasisFamily((basis,)), tol=SYNTH_TOL):
-            raise DomainError(
-                f"basis is not unbiased to the eigenbasis of pair ({i}, {j})"
-            )
+    if cub is None:
+        cub = find_cub(family, default_cub_candidates(ensemble.dim_a))
+        if cub is None:
+            raise DomainError("no common unbiased basis among the default candidates")
+    else:
+        cub = as_matrix(cub)
+        if cub.shape != (ensemble.dim_a, ensemble.dim_a):
+            raise DomainError("basis dimension does not match the ensemble")
+        if not is_unitary(cub, 1e-10):
+            raise DomainError("candidate basis is not orthonormal")
+        for (i, j), basis in zip(pairs, family.bases):
+            if not common_unbiased_basis_check(cub, BasisFamily((basis,)), tol=SYNTH_TOL):
+                raise DomainError(
+                    f"basis is not unbiased to the eigenbasis of pair ({i}, {j})"
+                )
 
-    spec = locc.one_way_protocol(ensemble.states, cub_mat.conj())
+    spec = locc.one_way_protocol(ensemble.states, cub.conj())
     worst = spec.max_bob_overlap()
     if worst > SYNTH_TOL:
         raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")
@@ -271,24 +279,20 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub) -> OneWayProtocolSpec:
 
 
 def default_cub_candidates(n: int) -> list[np.ndarray]:
-    """Candidate bases tried by :func:`find_cub`: the MUB set for prime n, else Fourier."""
+    """Candidate bases tried by :func:`synthesize_cub_protocol`: the MUB set for prime n, else Fourier."""
     if is_prime(n):
         return list(mub_prime(n).bases)
     return [fourier_matrix(n)]
 
 
-def find_cub(family: BasisFamily, candidates=None):
+def find_cub(family: BasisFamily, candidates):
     """First candidate basis unbiased to the whole family, or None.
 
     No general search is attempted; existence of a common unbiased basis for
-    an arbitrary family is an open problem, so only the supplied (or
-    default) candidate list is scanned.
+    an arbitrary family is an open problem, so only the supplied candidate
+    list is scanned.
     """
-    if candidates is None:
-        if len(family) == 0:
-            raise DomainError("cannot infer candidates for an empty family")
-        candidates = default_cub_candidates(family.dim)
     for cand in candidates:
-        if len(family) == 0 or common_unbiased_basis_check(cand, family, tol=SYNTH_TOL):
+        if common_unbiased_basis_check(cand, family, tol=SYNTH_TOL):
             return as_matrix(cand)
     return None

@@ -81,6 +81,17 @@ class TestSynthesizeCommand:
         assert code == 0
         assert json.loads(out)["report"]["success_probability"] > 1 - 1e-9
 
+    def test_cub_without_common_basis_exits_2(self, capsys):
+        code, out, err = _run(
+            capsys,
+            "synthesize",
+            "--ensemble", '{"kind":"bell_subset","n":4,"labels":[[0,0],[1,0],[0,1]]}',
+            "--method", "cub",
+        )
+        assert code == 2
+        assert out == ""
+        assert "no common unbiased basis" in err
+
     def test_prop1_wrong_count_exits_2(self, capsys):
         code, _, _ = _run(
             capsys,
@@ -278,3 +289,17 @@ class TestOutputBoundary:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert err == ""
+
+
+class TestDependencies:
+    def test_cli_import_loads_no_scipy(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, loccdisc.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"

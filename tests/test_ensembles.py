@@ -20,6 +20,8 @@ from loccdisc import (
 from loccdisc.ensembles import bell_unitary, from_descriptor, haar_unitary, is_prime
 from loccdisc.qstate import unitary_eigensystem
 
+from conftest import random_state
+
 
 def _gram_direct(ensemble):
     amps = np.array([s.amplitudes for s in ensemble.states])
@@ -207,6 +209,18 @@ class TestEnsembleType:
     def test_mixed_dims_rejected(self):
         with pytest.raises(DomainError):
             uniform_ensemble([me_state(2), me_state(3)])
+
+    def test_b_matrices_stacked_read_only(self, rng):
+        square = StateEnsemble(random_orthogonal_me_triple(3, 4).states, np.array([0.2, 0.3, 0.5]))
+        rectangular = uniform_ensemble([random_state(rng, 2, 3) for _ in range(4)])
+        for ens, shape in ((square, (3, 3, 3)), (rectangular, (4, 3, 2))):
+            b = ens.b_matrices()
+            assert b.shape == shape
+            assert b is ens.b_matrices()
+            with pytest.raises(ValueError):
+                b[0, 0, 0] = 0.0
+            for i, state in enumerate(ens.states):
+                np.testing.assert_array_equal(b[i], state.b_matrix)
 
     def test_uniform_flag(self):
         ens = StateEnsemble((me_state(2), me_state(2)), np.array([0.7, 0.3]))

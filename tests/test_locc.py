@@ -173,6 +173,33 @@ class TestProtocolStructure:
         with pytest.raises(DomainError):
             tree.validate()
 
+    def test_shared_povm_checked_once(self, monkeypatch):
+        calls = []
+        original = Povm.completeness_defect
+
+        def counting(povm):
+            calls.append(id(povm))
+            return original(povm)
+
+        monkeypatch.setattr(Povm, "completeness_defect", counting)
+        comp = projective_povm(np.eye(2, dtype=complex))
+        bob = ProtocolNode(BOB, comp, (Leaf(0), Leaf(1)))
+        tree = LoccProtocol(2, 2, ProtocolNode(ALICE, comp, (bob, bob)))
+        tree.validate()
+        assert calls == [id(comp)]
+        calls.clear()
+        # one Povm object at the root and at all 16 Bob nodes
+        standard_bell_protocol(16).validate()
+        assert len(calls) == 1
+
+    def test_shared_incomplete_povm_still_rejected(self):
+        half = Povm((np.eye(2, dtype=complex) / 2,))
+        comp = projective_povm(np.eye(2, dtype=complex))
+        bob = ProtocolNode(BOB, half, (Leaf(0),))
+        tree = LoccProtocol(2, 2, ProtocolNode(ALICE, comp, (bob, bob)))
+        with pytest.raises(DomainError, match="incomplete POVM"):
+            tree.validate()
+
     def test_projective_povm_complete(self):
         assert projective_povm(np.eye(5, dtype=complex)).completeness_defect() < 1e-14
 

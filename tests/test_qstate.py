@@ -236,6 +236,45 @@ class TestPredicatesAndEigensystems:
             unitary_eigensystem(np.diag([1.0, 2.0]))
 
 
+def _assert_eigensystem(m, vals, vecs):
+    n = m.shape[0]
+    np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(n), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vecs @ np.diag(vals) @ vecs.conj().T, m, rtol=0, atol=1e-12)
+
+
+class TestDegenerateSpectra:
+    """normal_eigensystem on spectra with repeated eigenvalues (n = 4 and 6)."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_pauli_products_with_phase(self, n, rng):
+        # X^a Z^b has eigenvalues of multiplicity n / order, up to n-fold (a = 0, b = 0)
+        x, z = generalized_pauli(n)
+        for a in range(n):
+            for b in range(n):
+                m = np.exp(2j * np.pi * rng.random()) * (
+                    np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b)
+                )
+                vals, vecs = normal_eigensystem(m)
+                _assert_eigensystem(m, vals, vecs)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_rotated_repeated_diagonal(self, n, rng):
+        from loccdisc import haar_unitary
+
+        for spectrum in ([1.0] * n, [1.0, 1.0] + [-1.0] * (n - 2), [2j] * (n // 2) + [0.5] * (n - n // 2)):
+            u = haar_unitary(n, rng)
+            m = u @ np.diag(spectrum) @ u.conj().T
+            vals, vecs = normal_eigensystem(m)
+            _assert_eigensystem(m, vals, vecs)
+            np.testing.assert_allclose(np.sort_complex(vals), np.sort_complex(np.array(spectrum, complex)), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_upper_triangular_rejected(self, n, rng):
+        m = np.triu(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        with pytest.raises(DomainError):
+            normal_eigensystem(m)
+
+
 class TestStateValidation:
     def test_norm_enforced(self):
         with pytest.raises(DomainError):

@@ -218,6 +218,33 @@ class TestCubProtocol:
         with pytest.raises(DomainError, match=r"pair \(0, 1\)"):
             synthesize_cub_protocol(ens, np.eye(3, dtype=complex))
 
+    def test_default_candidates_when_no_basis_given(self):
+        ens = bell_subset(5, [(0, 0), (1, 0), (0, 1)])
+        _, family = pairwise_product_eigenbases(ens)
+        cub = find_cub(family, default_cub_candidates(5))
+        auto = synthesize_cub_protocol(ens)
+        np.testing.assert_array_equal(auto.alice_basis, synthesize_cub_protocol(ens, cub).alice_basis)
+        assert evaluate(auto.as_protocol(), ens).success_probability > 1 - 1e-9
+
+    def test_no_default_candidate_raises(self):
+        ens = bell_subset(4, [(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(DomainError, match="no common unbiased basis"):
+            synthesize_cub_protocol(ens)
+
+    def test_verdict_computes_pairwise_eigenbases_once(self, monkeypatch):
+        from loccdisc import bounds, synth
+
+        calls = []
+
+        def counting(ensemble, *args, **kwargs):
+            calls.append(ensemble)
+            return pairwise_product_eigenbases(ensemble, *args, **kwargs)
+
+        monkeypatch.setattr(synth, "pairwise_product_eigenbases", counting)
+        rep = bounds.verdict(bell_subset(5, [(0, 0), (1, 0), (0, 1)]))
+        assert rep.possible_via == "cub"
+        assert len(calls) == 1
+
 
 class TestFindCub:
     def test_clock_powers_family(self):
@@ -226,7 +253,7 @@ class TestFindCub:
             [state_from_matrix(np.linalg.matrix_power(z, p), 3) for p in range(3)]
         )
         _, family = pairwise_product_eigenbases(ens)
-        cub = find_cub(family)
+        cub = find_cub(family, default_cub_candidates(3))
         assert cub is not None
         # anything unbiased to the computational basis qualifies
         assert np.max(np.abs(np.abs(cub) ** 2 - 1 / 3)) < 1e-8
