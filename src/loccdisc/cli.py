@@ -106,8 +106,6 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.trials < 1:
-        raise DomainError("--trials must be >= 1")
     proto_doc = _load_json_arg(args.protocol)
     ens_doc = _load_json_arg(args.ensemble)
     protocol = serial.protocol_from_json(proto_doc)

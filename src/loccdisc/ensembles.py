@@ -1,5 +1,6 @@
 """Named state families: generalized Bell bases, MUBs, and seeded test ensembles."""
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -164,23 +165,27 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def mub_prime(n: int) -> BasisFamily:
-    """Maximum set of n+1 mutually unbiased bases of C^n for prime n.
+def mub_prime_bases(n: int) -> Iterator[np.ndarray]:
+    """Yield the n+1 mutually unbiased bases of C^n for prime n, one at a time.
 
-    Uses the cyclic construction: the computational basis together with the
+    Uses the cyclic construction: the computational basis, then the
     eigenbases of X Z^t for t = 0, ..., n-1.  Every cross-basis overlap
-    satisfies |<b|a>|^2 = 1/n.
+    satisfies |<b|a>|^2 = 1/n.  Each basis costs one eigensystem, computed
+    only when it is requested.
     """
     if not is_prime(n):
         raise DomainError(f"{n} is not prime; this construction needs a prime dimension")
     x, z = generalized_pauli(n)
-    bases = [np.eye(n, dtype=complex)]
+    yield np.eye(n, dtype=complex)
     zt = np.eye(n, dtype=complex)
     for _ in range(n):
-        _, vecs = unitary_eigensystem(x @ zt)
-        bases.append(vecs)
+        yield unitary_eigensystem(x @ zt)[1]
         zt = zt @ z
-    return BasisFamily(tuple(bases))
+
+
+def mub_prime(n: int) -> BasisFamily:
+    """Maximum set of n+1 mutually unbiased bases of C^n for prime n (see :func:`mub_prime_bases`)."""
+    return BasisFamily(tuple(mub_prime_bases(n)))
 
 
 def common_unbiased_basis_check(candidate, family: BasisFamily, tol: float = 1e-8) -> bool:

@@ -12,8 +12,10 @@ The products are regrouped so the tree is walked once with the whole
 ensemble stacked as one (k, dim_b, dim_a) array: each edge applies its
 operator to all k states at once, and the joint table, success and mutual
 information are array reductions over the (leaves, k) weights.
-The Monte-Carlo sampler is an independent route: it propagates amplitude
-matrices directly and samples outcomes branch by branch with Born weights.
+The Monte-Carlo sampler is an independent route: it propagates the live
+states' amplitude matrices as its own stacked array and, at each node, splits
+every state's trials over the outcomes with one multinomial draw of Born
+weights.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
@@ -342,14 +344,17 @@ def evaluate(
 def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed: int) -> float:
     """Empirical success rate over seeded Monte-Carlo runs.
 
-    Independent of :func:`evaluate`: the state is drawn from the priors and
-    then propagated as an amplitude matrix, sampling each round's outcome
-    with Born weights.  Trials sharing a tree node are advanced together via
-    multinomial counts, which is distribution-identical to per-trial
-    sampling.
+    Independent of :func:`evaluate`: per-state trial counts are drawn from
+    the priors, and the live states travel down the tree as one stacked
+    array of amplitude matrices S (Alice maps S to op S, Bob to S op^T).
+    At each node every state's trials are split over the outcomes by one
+    multinomial draw with its Born weights, which is distribution-identical
+    to per-trial sampling; each child receives only the states that reached
+    it, renormalized.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    trials = as_int(trials, "trials")
+    if not 1 <= trials <= 2**63 - 1:
+        raise DomainError("trials must be between 1 and 2**63 - 1")
     seed = as_int(seed, "seed")
     if seed < 0:
         raise DomainError("seed must be >= 0")
@@ -360,29 +365,23 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     per_state = rng.multinomial(trials, ensemble.priors)
     correct = 0
 
-    def walk(node, s_mat, count, target):
+    def walk(node, s, labels, counts):
         nonlocal correct
         if isinstance(node, Leaf):
-            if node.guess == target:
-                correct += count
+            correct += int(counts[labels == node.guess].sum())
             return
-        branch_states = []
-        probs = []
-        for op in node.povm.elements:
-            nxt = op @ s_mat if node.actor == ALICE else s_mat @ op.T
-            branch_states.append(nxt)
-            probs.append(max(float(np.linalg.norm(nxt) ** 2), 0.0))
-        probs = np.array(probs)
-        probs /= probs.sum()
-        counts = rng.multinomial(count, probs)
-        for nxt, child, c, p in zip(branch_states, node.children, counts, probs):
-            if c == 0:
-                continue
-            walk(child, nxt / np.sqrt(p), int(c), target)
+        nxt = [op @ s if node.actor == ALICE else s @ op.T for op in node.povm.elements]
+        probs = np.stack([np.einsum("kij,kij->k", y.conj(), y).real for y in nxt], axis=1)
+        probs /= probs.sum(axis=1, keepdims=True)
+        drawn = rng.multinomial(counts, probs)
+        for y, child, c, p in zip(nxt, node.children, drawn.T, probs.T):
+            keep = c > 0
+            if keep.any():
+                walk(child, y[keep] / np.sqrt(p[keep])[:, None, None], labels[keep], c[keep])
 
-    for i, cnt in enumerate(per_state):
-        if cnt:
-            walk(protocol.root, ensemble.states[i].amplitude_matrix, int(cnt), i)
+    live = np.flatnonzero(per_state)
+    stack = np.stack([ensemble.states[i].amplitude_matrix for i in live])
+    walk(protocol.root, stack, live, per_state[live])
     return correct / trials
 
 

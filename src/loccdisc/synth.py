@@ -20,12 +20,13 @@ Synthesis outputs are validated at 1e-8 (they sit downstream of eigensolves,
 looser than the 1e-12 used for plain algebraic identities).
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import locc
-from .ensembles import BasisFamily, StateEnsemble, common_unbiased_basis_check, fourier_matrix, is_prime, mub_prime
+from .ensembles import BasisFamily, StateEnsemble, common_unbiased_basis_check, fourier_matrix, is_prime, mub_prime_bases
 from .errors import DomainError, ToleranceError
 from .locc import OneWayProtocolSpec
 from .qstate import as_matrix, frozen_array, is_unitary, normal_eigensystem, unitary_eigensystem
@@ -278,11 +279,15 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
     return spec
 
 
-def default_cub_candidates(n: int) -> list[np.ndarray]:
-    """Candidate bases tried by :func:`synthesize_cub_protocol`: the MUB set for prime n, else Fourier."""
+def default_cub_candidates(n: int) -> Iterator[np.ndarray]:
+    """Candidate bases tried by :func:`synthesize_cub_protocol`, built lazily.
+
+    The MUB set for prime n (so a scan that stops early skips the remaining
+    eigensystems), else the Fourier basis alone.
+    """
     if is_prime(n):
-        return list(mub_prime(n).bases)
-    return [fourier_matrix(n)]
+        return mub_prime_bases(n)
+    return iter([fourier_matrix(n)])
 
 
 def find_cub(family: BasisFamily, candidates):

@@ -255,6 +255,30 @@ class TestOutputBoundary:
         _assert_clean_exit(*_run(capsys, *argv, "--trials", "10", "--seed", "-1"), 2)
         _assert_clean_exit(*_run(capsys, *argv, "--trials", "10", "--seed", "0"), 0)
 
+    @pytest.mark.parametrize("trials", ["0", "-5", str(2**63), "1" + "0" * 30])
+    def test_trials_out_of_range_exit_2(self, capsys, bell2_protocol, trials):
+        argv = ("simulate", "--protocol", bell2_protocol, "--ensemble", '{"kind":"bell","n":2}')
+        _assert_clean_exit(*_run(capsys, *argv, "--trials", trials), 2)
+
+    def test_simulate_is_byte_deterministic(self, capsys):
+        # a multi-round Kraus tree with random guesses: the rate depends on every draw
+        from loccdisc.serial import ensemble_to_json, protocol_to_json
+
+        from conftest import random_kraus_case
+
+        protocol, ens = random_kraus_case(4)
+        argv = (
+            "simulate",
+            "--protocol", json.dumps(protocol_to_json(protocol)),
+            "--ensemble", json.dumps(ensemble_to_json(ens)),
+            "--trials", "20000",
+            "--seed", "11",
+        )
+        first = _run(capsys, *argv)
+        _assert_clean_exit(*first, 0)
+        assert 0.0 < json.loads(first[1])["report"]["empirical_success_rate"] < 1.0
+        assert _run(capsys, *argv)[1] == first[1]
+
     def test_evaluate_is_byte_deterministic(self, capsys, bell2_protocol):
         argv = ("evaluate", "--protocol", bell2_protocol, "--ensemble", '{"kind":"bell","n":2}')
         first = _run(capsys, *argv)

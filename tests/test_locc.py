@@ -25,6 +25,7 @@ from loccdisc import (
     two_state_protocol,
     uniform_ensemble,
 )
+from loccdisc import locc
 from loccdisc.bounds import VERDICT_POSSIBLE, verdict
 from loccdisc.library import build_library
 from loccdisc.locc import (
@@ -36,7 +37,7 @@ from loccdisc.locc import (
     projective_povm,
 )
 
-from conftest import random_orthogonal_pair, random_state
+from conftest import random_kraus_case, random_orthogonal_pair
 
 
 def _product_state(dim_a, dim_b, a, b):
@@ -124,39 +125,6 @@ def _assert_matches_reference(protocol, ensemble, tol=1e-14):
         py[path] = py.get(path, 0.0) + p
     mi = sum(p * math.log2(p / (pv[v] * py[path])) for v, path, _, p, _ in ref)
     assert abs(res.mutual_information_bits - max(mi, 0.0)) <= tol
-
-
-def _isometry_povm(rng, dim_in):
-    """Kraus operators of random output dimensions, cut row-wise from one random isometry."""
-    outs = [int(d) for d in rng.integers(1, 4, size=int(rng.integers(2, 4)))]
-    outs[-1] = max(outs[-1], dim_in - sum(outs[:-1]))
-    z = rng.standard_normal((sum(outs), dim_in)) + 1j * rng.standard_normal((sum(outs), dim_in))
-    return Povm(tuple(np.split(np.linalg.qr(z)[0], np.cumsum(outs)[:-1])))
-
-
-def _random_tree(rng, dim_a, dim_b, k, rounds):
-    """Alternating tree of isometry-cut rounds that enlarge or shrink either party's space."""
-
-    def node(actor, da, db, depth):
-        if depth == rounds:
-            return Leaf(int(rng.integers(k)))
-        povm = _isometry_povm(rng, da if actor == ALICE else db)
-        nxt = BOB if actor == ALICE else ALICE
-        children = []
-        for m in povm.elements:
-            nda, ndb = (m.shape[0], db) if actor == ALICE else (da, m.shape[0])
-            children.append(node(nxt, nda, ndb, depth + 1))
-        return ProtocolNode(actor, povm, tuple(children))
-
-    return LoccProtocol(dim_a, dim_b, node((ALICE, BOB)[int(rng.integers(2))], dim_a, dim_b, 0))
-
-
-def _random_case(seed):
-    rng = np.random.default_rng(seed)
-    da, db, k = (int(x) for x in rng.integers(2, 5, size=3))
-    states = tuple(random_state(rng, da, db) for _ in range(k))
-    ens = StateEnsemble(states, rng.dirichlet(np.ones(k)))
-    return _random_tree(rng, da, db, k, rounds=3 + seed % 2), ens
 
 
 class TestProtocolStructure:
@@ -275,12 +243,12 @@ class TestBatchedEvaluator:
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_kraus_trees_match_reference(self, seed):
-        protocol, ens = _random_case(seed)
+        protocol, ens = random_kraus_case(seed)
         _assert_matches_reference(protocol, ens)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_kraus_trees_match_simulation(self, seed):
-        protocol, ens = _random_case(seed)
+        protocol, ens = random_kraus_case(seed)
         p = evaluate(protocol, ens).success_probability
         sigma = max(math.sqrt(p * (1.0 - p) / 100_000), 1e-12)
         assert abs(simulate(protocol, ens, trials=100_000, seed=seed) - p) <= 5.0 * sigma
@@ -313,13 +281,61 @@ class TestSimulate:
         assert r1 == r2
 
     def test_trials_validated(self):
-        with pytest.raises(DomainError):
-            simulate(standard_bell_protocol(2), bell_basis(2), trials=0, seed=1)
+        for trials in (0, -3, 2.5, True, "10", None, 2**63, 10**30):
+            with pytest.raises(DomainError):
+                simulate(standard_bell_protocol(2), bell_basis(2), trials=trials, seed=1)
+        assert simulate(standard_bell_protocol(2), bell_basis(2), trials=2**63 - 1, seed=1) > 0.0
+        assert simulate(standard_bell_protocol(2), bell_basis(2), trials=10.0, seed=1) >= 0.0
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
     def test_seed_validated(self, seed):
         with pytest.raises(DomainError):
             simulate(standard_bell_protocol(2), bell_basis(2), trials=10, seed=seed)
+
+
+class TestBatchedSampler:
+    """Bookkeeping of the stacked sampler: live rows, labels, counts, and its own route."""
+
+    @pytest.mark.parametrize("n", [4, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_bell_rate_is_leading_draw(self, n, seed):
+        # the shift m is read exactly and the guess is (m, 0): only the state draw decides
+        ens = bell_basis(n)
+        counts = np.random.default_rng(seed).multinomial(10_000, ens.priors)
+        expected = counts[::n].sum() / 10_000
+        assert simulate(standard_bell_protocol(n), ens, trials=10_000, seed=seed) == expected
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_zero_priors_and_permuted_guesses(self, seed):
+        # computational product basis: every outcome is certain, so the rate is the draw of states 0 and 3
+        states = tuple(_product_state(2, 2, a, b) for a in range(2) for b in range(2))
+        ens = StateEnsemble(states, np.array([0.25, 0.0, 0.5, 0.25]))
+        perm = [0, 2, 1, 3]
+        proto = product_basis_protocol(ens).map_leaves(lambda leaf: Leaf(perm[leaf.guess]))
+        counts = np.random.default_rng(seed).multinomial(5000, ens.priors)
+        assert simulate(proto, ens, trials=5000, seed=seed) == (counts[0] + counts[3]) / 5000
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_kraus_trees_skewed_priors(self, seed):
+        protocol, ens = random_kraus_case(seed)
+        # one state never drawn, the others geometrically rarer
+        priors = np.array([0.0] + [4.0**-i for i in range(ens.k - 1)])
+        ens = StateEnsemble(ens.states, priors / priors.sum())
+        p = evaluate(protocol, ens).success_probability
+        sigma = max(math.sqrt(p * (1.0 - p) / 100_000), 1e-12)
+        assert abs(simulate(protocol, ens, trials=100_000, seed=100 + seed) - p) <= 5.0 * sigma
+
+    def test_independent_of_exact_evaluation(self, monkeypatch):
+        protocol, ens = random_kraus_case(3)
+        expected = simulate(protocol, ens, trials=20_000, seed=9)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate must not use the exact evaluator")
+
+        monkeypatch.setattr(locc, "_leaf_weights", refuse)
+        monkeypatch.setattr(locc, "evaluate", refuse)
+        monkeypatch.setattr(StateEnsemble, "b_matrices", refuse)
+        assert simulate(protocol, ens, trials=20_000, seed=9) == expected
 
 
 class TestStandardBellProtocol:

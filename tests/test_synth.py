@@ -268,5 +268,25 @@ class TestFindCub:
         np.testing.assert_allclose(find_cub(fam, cands), np.eye(3), atol=1e-15)
 
     def test_default_candidates(self):
-        assert len(default_cub_candidates(5)) == 6
-        assert len(default_cub_candidates(4)) == 1
+        assert len(list(default_cub_candidates(5))) == 6
+        assert len(list(default_cub_candidates(4))) == 1
+
+    def test_default_candidates_built_lazily(self, monkeypatch):
+        from loccdisc import ensembles
+
+        calls = []
+        original = ensembles.unitary_eigensystem
+
+        def counting(m):
+            calls.append(m.shape)
+            return original(m)
+
+        monkeypatch.setattr(ensembles, "unitary_eigensystem", counting)
+        candidates = default_cub_candidates(17)
+        np.testing.assert_array_equal(next(candidates), np.eye(17))
+        assert calls == []
+        next(candidates)
+        assert len(calls) == 1
+        # the lazy scan yields the bases of mub_prime in the same order
+        for lazy, eager in zip(default_cub_candidates(5), mub_prime(5).bases, strict=True):
+            np.testing.assert_array_equal(lazy, eager)
