@@ -9,6 +9,10 @@ success come from two hypotheses: states related by one party's unitaries
 are capped at (that party's dimension)/k, and any uniform ensemble is
 capped by lambda_max * m * n / k, lambda_max the largest Schmidt
 coefficient present.
+
+The witnesses share one spectral pass over the ensemble's stacked matrices:
+one batched SVD (cached on the ensemble) for the Schmidt coefficients, and
+batched Gram products and ``eigvalsh`` for the unilateral and entropy tests.
 """
 
 import math
@@ -18,7 +22,6 @@ import numpy as np
 
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
-from .qstate import schmidt
 
 VERDICT_POSSIBLE = "PerfectPossible"
 VERDICT_IMPOSSIBLE = "PerfectImpossible"
@@ -125,45 +128,40 @@ def f_mixed_dims_bounds(k: int, m: int, n: int) -> tuple[float, float]:
 
 def lambda_max(ensemble: StateEnsemble) -> float:
     """Largest Schmidt coefficient over all states of the ensemble."""
-    return max(schmidt(s).lambda_max for s in ensemble.states)
+    return float(ensemble.schmidt_coefficients[:, 0].max())
+
+
+def _schmidt_cap(ensemble: StateEnsemble, lam) -> float:
+    return min(1.0, float(lam * ensemble.dim_a * ensemble.dim_b / ensemble.k))
 
 
 def schmidt_bound(ensemble: StateEnsemble) -> float:
     """Success cap lambda_max * m * n / k for equally probable states (clipped at 1)."""
     if not ensemble.is_uniform():
         raise DomainError("this bound assumes equally probable states; priors are not uniform")
-    val = lambda_max(ensemble) * ensemble.dim_a * ensemble.dim_b / ensemble.k
-    return min(1.0, float(val))
+    return _schmidt_cap(ensemble, ensemble.schmidt_coefficients[:, 0].max())
 
 
-def _rho_a(state) -> np.ndarray:
-    s = state.amplitude_matrix
-    return s @ s.conj().T
+def von_neumann_entropy_bits(rho, clip: float = 1e-15):
+    """S(rho) = -Tr rho log2 rho, with eigenvalues below ``clip`` dropped.
 
-
-def _rho_b(state) -> np.ndarray:
-    s = state.amplitude_matrix
-    return s.T @ s.conj()
-
-
-def von_neumann_entropy_bits(rho, clip: float = 1e-15) -> float:
-    """S(rho) = -Tr rho log2 rho, with eigenvalues below ``clip`` dropped."""
-    vals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    vals = vals[vals > clip]
-    return float(-np.sum(vals * np.log2(vals)))
+    A (..., d, d) stack of matrices gives one entropy per matrix.
+    """
+    rho = np.asarray(rho)
+    vals = np.linalg.eigvalsh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
+    vals = np.where(vals > clip, vals, 1.0)  # log2(1) = 0: dropped eigenvalues add nothing
+    ent = -np.sum(vals * np.log2(vals), axis=-1)
+    return float(ent) if ent.ndim == 0 else ent
 
 
 def entropy_bound_bits(ensemble: StateEnsemble) -> float:
     """Accessible-information cap S(rho_A) + S(rho_B) - sum_i p_i S(rho_A^i), in bits."""
-    rho_a = np.zeros((ensemble.dim_a, ensemble.dim_a), dtype=complex)
-    rho_b = np.zeros((ensemble.dim_b, ensemble.dim_b), dtype=complex)
-    cond = 0.0
-    for p, state in zip(ensemble.priors, ensemble.states):
-        ra = _rho_a(state)
-        rho_a += p * ra
-        rho_b += p * _rho_b(state)
-        cond += float(p) * von_neumann_entropy_bits(ra)
-    return von_neumann_entropy_bits(rho_a) + von_neumann_entropy_bits(rho_b) - cond
+    s = ensemble.amplitude_matrices()
+    rho_a = s @ s.conj().transpose(0, 2, 1)  # rho_A^i = S_i S_i^dag
+    rho_b = s.transpose(0, 2, 1) @ s.conj()  # rho_B^i = S_i^T conj(S_i)
+    p = ensemble.priors
+    cond = float(p @ von_neumann_entropy_bits(rho_a))
+    return von_neumann_entropy_bits(np.tensordot(p, rho_a, 1)) + von_neumann_entropy_bits(np.tensordot(p, rho_b, 1)) - cond
 
 
 def g_bounds_bits(k: int, n: int) -> tuple[float, float]:
@@ -181,11 +179,12 @@ def _unilateral_sides(ensemble: StateEnsemble, tol: float = 1e-8):
     Bob can iff all B_i^dag B_i agree; Alice can iff all S_i^dag S_i agree
     (S the amplitude matrices).  Maximally entangled ensembles satisfy both.
     """
-    b = ensemble.b_matrices()
-    bob = all(float(np.max(np.abs(x.conj().T @ x - b[0].conj().T @ b[0]))) <= tol for x in b)
-    s = [st.amplitude_matrix for st in ensemble.states]
-    alice = all(float(np.max(np.abs(x.conj().T @ x - s[0].conj().T @ s[0]))) <= tol for x in s)
-    return alice, bob
+
+    def agree(x):
+        g = x.conj().transpose(0, 2, 1) @ x
+        return float(np.max(np.abs(g - g[0]))) <= tol
+
+    return agree(ensemble.amplitude_matrices()), agree(ensemble.b_matrices())
 
 
 def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:
@@ -272,9 +271,7 @@ def verdict(ensemble: StateEnsemble) -> BoundsReport:
     g_lo = g_hi = None
     if square and 2 <= k <= n * n:
         g_lo, g_hi = g_bounds_bits(k, n)
-    schmidt_up = None
-    if ensemble.is_uniform():
-        schmidt_up = schmidt_bound(ensemble)
+    schmidt_up = _schmidt_cap(ensemble, lam) if ensemble.is_uniform() else None
 
     impossible = any(w.violated for w in witnesses)
     possible_via = None

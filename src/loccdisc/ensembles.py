@@ -2,6 +2,7 @@
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -13,6 +14,7 @@ from .qstate import (
     frozen_array,
     generalized_pauli,
     is_unitary,
+    schmidt_coefficients,
     state_from_matrix,
     unitary_eigensystem,
 )
@@ -24,6 +26,7 @@ class StateEnsemble:
 
     states: tuple
     priors: np.ndarray = field(default=None)
+    _amps: np.ndarray = field(init=False, repr=False)
     _b_stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -47,7 +50,8 @@ class StateEnsemble:
             raise DomainError("priors must sum to 1 within 1e-12")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "priors", frozen_array(np.clip(priors, 0.0, None), dtype=float))
-        amps = np.array([s.amplitude_matrix for s in states])
+        amps = frozen_array([s.amplitude_matrix for s in states])
+        object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "_b_stack", frozen_array(np.sqrt(amps.shape[1]) * amps.transpose(0, 2, 1)))
 
     @property
@@ -62,13 +66,25 @@ class StateEnsemble:
     def dim_b(self) -> int:
         return self.states[0].dim_b
 
+    def amplitude_matrices(self) -> np.ndarray:
+        """Read-only (k, dim_a, dim_b) stack of the states' amplitude matrices S_i, built once."""
+        return self._amps
+
     def b_matrices(self) -> np.ndarray:
         """Read-only (k, dim_b, dim_a) stack of the states' matrices B_i, built once."""
         return self._b_stack
 
+    @cached_property
+    def schmidt_coefficients(self) -> np.ndarray:
+        """Read-only (k, min(dim_a, dim_b)) Schmidt coefficients, one row per state.
+
+        One batched SVD (:func:`loccdisc.qstate.schmidt_coefficients`) on first use.
+        """
+        return frozen_array(schmidt_coefficients(self._amps), dtype=float)
+
     def gram(self) -> np.ndarray:
         """Gram matrix of amplitude inner products <psi_i|psi_j>."""
-        amps = np.array([s.amplitudes for s in self.states])
+        amps = self._amps.reshape(self.k, -1)
         return amps.conj() @ amps.T
 
     def is_orthogonal(self, tol: float = STRUCTURAL_TOL) -> bool:
@@ -79,7 +95,9 @@ class StateEnsemble:
     def is_maximally_entangled(self, tol: float = STRUCTURAL_TOL) -> bool:
         if self.dim_a != self.dim_b:
             return False
-        return all(is_unitary(b, tol) for b in self.b_matrices())
+        b = self._b_stack
+        dev = b.conj().transpose(0, 2, 1) @ b - np.eye(self.dim_b)
+        return float(np.max(np.abs(dev))) <= tol
 
     def is_uniform(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.priors - 1.0 / self.k)) <= tol)

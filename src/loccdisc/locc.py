@@ -9,8 +9,10 @@ Exact evaluation pushes all operators onto the matrix side of the state
 correspondence: with accumulated Alice product X and Bob product E along a
 root-to-leaf path, the branch weight for state B is ||E B X^T||_F^2 / dim_a.
 The products are regrouped so the tree is walked once with the whole
-ensemble stacked as one (k, dim_b, dim_a) array: each edge applies its
-operator to all k states at once, and the joint table, success and mutual
+ensemble stacked as one (k, dim_b, dim_a) array.  A :class:`Povm` keeps its
+operators stacked row-wise in one array, so each node applies all of its
+operators to all k states in one product, the weights of its leaf children
+come from one block reduction, and the joint table, success and mutual
 information are array reductions over the (leaves, k) weights.
 The Monte-Carlo sampler is an independent route: it propagates the live
 states' amplitude matrices as its own stacked array and, at each node, splits
@@ -25,7 +27,7 @@ spec into a tree.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,29 +45,42 @@ PRUNE_TOL = 1e-14
 
 @dataclass(frozen=True, eq=False)
 class Povm:
-    """One measurement round: operators M_i with sum_i M_i^dag M_i = I."""
+    """One measurement round: operators M_i with sum_i M_i^dag M_i = I.
+
+    The operators are stored once, stacked row-wise into the read-only
+    (sum of output dims, input dim) array ``stacked``; element i is the row
+    block starting at ``offsets[i]``, and ``elements`` holds read-only views
+    of those blocks.
+    """
 
     elements: tuple
+    stacked: np.ndarray = field(init=False, repr=False)
+    offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        elements = tuple(frozen_array(as_matrix(m)) for m in self.elements)
-        if not elements:
+        blocks = [np.asarray(m, dtype=complex) for m in self.elements]
+        for m in blocks:
+            if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
+                raise DomainError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
+        if not blocks:
             raise DomainError("POVM needs at least one element")
-        in_dims = {m.shape[1] for m in elements}
-        if len(in_dims) != 1:
+        if len({m.shape[1] for m in blocks}) != 1:
             raise DomainError("POVM elements disagree on input dimension")
-        object.__setattr__(self, "elements", elements)
+        stacked = frozen_array(np.concatenate(blocks))
+        if not np.all(np.isfinite(stacked)):
+            raise DomainError("matrix contains non-finite entries")
+        offsets = frozen_array(np.cumsum([0] + [m.shape[0] for m in blocks[:-1]]), dtype=np.intp)
+        object.__setattr__(self, "stacked", stacked)
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "elements", tuple(np.split(stacked, offsets[1:])))
 
     @property
     def input_dim(self) -> int:
-        return self.elements[0].shape[1]
+        return self.stacked.shape[1]
 
     def completeness_defect(self) -> float:
-        d = self.input_dim
-        acc = np.zeros((d, d), dtype=complex)
-        for m in self.elements:
-            acc += m.conj().T @ m
-        return float(np.max(np.abs(acc - np.eye(d))))
+        gram = self.stacked.conj().T @ self.stacked
+        return float(np.max(np.abs(gram - np.eye(self.input_dim))))
 
 
 @dataclass(frozen=True)
@@ -280,20 +295,33 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
     """Leaves as (path, guess) in depth-first order, and their (leaves, k) weights.
 
     The whole ensemble travels down the tree as one stacked array Y of
-    matrices E B_i X^T: an Alice operator maps Y to Y op^T, a Bob operator
-    maps it to op Y, and a leaf's weight for state i is ||Y_i||_F^2 / dim_a.
+    matrices E B_i X^T, and each node applies its stacked POVM in one
+    product: Alice maps Y to Y S^T, Bob to S Y.  Outcome x's block of the
+    product is the child's Y; a leaf's weight for state i is
+    ||Y_i||_F^2 / dim_a, for all leaf children of a node at once by one
+    ``np.add.reduceat`` over the POVM's row offsets.
     """
+    b = ensemble.b_matrices()
+    if isinstance(protocol.root, Leaf):
+        return [((), protocol.root.guess)], np.einsum("kij,kij->k", b.conj(), b).real[None] / protocol.dim_a
     leaves, weights = [], []
 
     def walk(node, y, path):
-        if isinstance(node, Leaf):
-            leaves.append((path, node.guess))
-            weights.append(np.einsum("kij,kij->k", y.conj(), y).real / protocol.dim_a)
-            return
-        for idx, (op, child) in enumerate(zip(node.povm.elements, node.children)):
-            walk(child, y @ op.T if node.actor == ALICE else op @ y, path + (idx,))
+        alice = node.actor == ALICE
+        povm = node.povm
+        z = y @ povm.stacked.T if alice else povm.stacked @ y
+        if any(isinstance(child, Leaf) for child in node.children):
+            norms = (z.real**2 + z.imag**2).sum(axis=1 if alice else 2)
+            leaf_w = np.add.reduceat(norms, povm.offsets, axis=1) / protocol.dim_a
+        for idx, (start, op, child) in enumerate(zip(povm.offsets, povm.elements, node.children)):
+            if isinstance(child, Leaf):
+                leaves.append((path + (idx,), child.guess))
+                weights.append(leaf_w[:, idx])
+            else:
+                rows = slice(start, start + op.shape[0])
+                walk(child, z[:, :, rows] if alice else z[:, rows], path + (idx,))
 
-    walk(protocol.root, ensemble.b_matrices(), ())
+    walk(protocol.root, b, ())
     return leaves, np.array(weights)
 
 
@@ -380,8 +408,7 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
                 walk(child, y[keep] / np.sqrt(p[keep])[:, None, None], labels[keep], c[keep])
 
     live = np.flatnonzero(per_state)
-    stack = np.stack([ensemble.states[i].amplitude_matrix for i in live])
-    walk(protocol.root, stack, live, per_state[live])
+    walk(protocol.root, ensemble.amplitude_matrices()[live], live, per_state[live])
     return correct / trials
 
 
@@ -491,41 +518,32 @@ def _vector_with_zero_value(mat, tol=1e-9):
     j = int(np.argmin(np.abs(d)))
     if abs(d[j]) <= tol:
         return eye[:, j]
-    for i in range(m):
-        for j2 in range(i + 1, m):
-            seg = d[j2] - d[i]
-            if abs(seg) < 1e-14:
-                continue
-            s = float(np.clip(np.real((0.0 - d[i]) / seg), 0.0, 1.0))
-            if abs(d[i] + s * seg) <= tol:
-                c = _solve_compression(mat[np.ix_([i, j2], [i, j2])], 0.0)
-                return eye[:, [i, j2]] @ c
-    # no single segment hits zero: combine three basis directions
-    for i in range(m):
-        for j2 in range(i + 1, m):
-            for k in range(j2 + 1, m):
-                a = np.array(
-                    [
-                        [d[i].real, d[j2].real, d[k].real],
-                        [d[i].imag, d[j2].imag, d[k].imag],
-                        [1.0, 1.0, 1.0],
-                    ]
-                )
-                try:
-                    lam = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                if np.all(lam > -1e-9):
-                    lam = np.clip(lam, 0.0, None)
-                    ab = lam[0] + lam[1]
-                    if ab < 1e-14:
-                        continue
-                    tau = (lam[0] * d[i] + lam[1] * d[j2]) / ab
-                    c = _solve_compression(mat[np.ix_([i, j2], [i, j2])], tau)
-                    p = np.column_stack([eye[:, [i, j2]] @ c, eye[:, k]])
-                    c2 = _solve_compression(p.conj().T @ mat @ p, 0.0)
-                    return p @ c2
-    raise ToleranceError("could not locate a zero of the numerical range")
+    # the first segment (i < j, row-major order) passing within tol of zero
+    i, j = np.triu_indices(m, 1)
+    seg = d[j] - d[i]
+    usable = np.abs(seg) >= 1e-14
+    s = np.clip(np.real((0.0 - d[i]) / np.where(usable, seg, 1.0)), 0.0, 1.0)
+    hits = np.flatnonzero(usable & (np.abs(d[i] + s * seg) <= tol))
+    if hits.size:
+        pair = [i[hits[0]], j[hits[0]]]
+        return eye[:, pair] @ _solve_compression(mat[np.ix_(pair, pair)], 0.0)
+    # no single segment hits zero: the first triangle (i < j < k, lexicographic)
+    # holding zero; a singular (collinear) triple gets NaN weights and never hits
+    x = np.arange(m)
+    i, j, k = np.nonzero((x[:, None, None] < x[:, None]) & (x[:, None] < x))
+    num = np.imag([d[j].conj() * d[k], d[k].conj() * d[i], d[i].conj() * d[j]])
+    det = num.sum(axis=0)
+    lam = num / np.where(det == 0.0, np.nan, det)  # barycentric coordinates of zero
+    pos = np.clip(lam[:2], 0.0, None)
+    hits = np.flatnonzero(np.all(lam > -1e-9, axis=0) & (pos.sum(axis=0) >= 1e-14))
+    if not hits.size:
+        raise ToleranceError("could not locate a zero of the numerical range")
+    t = hits[0]
+    pair = [i[t], j[t]]
+    tau = (pos[0, t] * d[i[t]] + pos[1, t] * d[j[t]]) / (pos[0, t] + pos[1, t])
+    c = _solve_compression(mat[np.ix_(pair, pair)], tau)
+    p = np.column_stack([eye[:, pair] @ c, eye[:, k[t]]])
+    return p @ _solve_compression(p.conj().T @ mat @ p, 0.0)
 
 
 def _zero_diagonal_basis(mat, tol=1e-9) -> np.ndarray:

@@ -149,12 +149,7 @@ class SchmidtDecomposition:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=float)
-        if np.any(coeffs < -1e-14):
-            raise DomainError("negative Schmidt coefficient")
-        if abs(float(coeffs.sum()) - 1.0) > 1e-12:
-            raise DomainError("Schmidt coefficients must sum to 1")
-        if np.any(np.diff(coeffs) > 1e-14):
-            raise DomainError("Schmidt coefficients must be nonincreasing")
+        _check_coefficients(coeffs)
         object.__setattr__(self, "coefficients", frozen_array(coeffs, dtype=float))
         object.__setattr__(self, "left_vectors", frozen_array(self.left_vectors))
         object.__setattr__(self, "right_vectors", frozen_array(self.right_vectors))
@@ -169,6 +164,25 @@ class SchmidtDecomposition:
         return np.einsum("i,ai,bi->ab", s, self.left_vectors, self.right_vectors)
 
 
+def _check_coefficients(coeffs) -> None:
+    """Each row of ``coeffs`` must be nonnegative, sum to one and be nonincreasing."""
+    if np.any(coeffs < -1e-14):
+        raise DomainError("negative Schmidt coefficient")
+    if np.any(np.abs(coeffs.sum(axis=-1) - 1.0) > 1e-12):
+        raise DomainError("Schmidt coefficients must sum to 1")
+    if np.any(np.diff(coeffs, axis=-1) > 1e-14):
+        raise DomainError("Schmidt coefficients must be nonincreasing")
+
+
+def _check_operator_norm(b, coeffs) -> None:
+    """Cross-check ||B^dag B||_inf = dim_a * lambda_max to 1e-10 for one B or a stack of them."""
+    opnorm = np.linalg.eigvalsh(np.swapaxes(b.conj(), -1, -2) @ b)[..., -1] / b.shape[-1]
+    dev = np.abs(opnorm - coeffs[..., 0])
+    w = np.unravel_index(np.argmax(dev), dev.shape)
+    if dev[w] > 1e-10:
+        raise ToleranceError(f"operator-norm identity violated: |{opnorm[w]} - {coeffs[..., 0][w]}| > 1e-10")
+
+
 def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
     """Schmidt decomposition via SVD of the amplitude matrix.
 
@@ -177,14 +191,22 @@ def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
     """
     u, s, vh = np.linalg.svd(psi.amplitude_matrix, full_matrices=False)
     coeffs = s * s
-    b = psi.b_matrix
-    opnorm = float(np.linalg.eigvalsh(b.conj().T @ b)[-1])
-    if abs(opnorm / psi.dim_a - float(coeffs[0])) > 1e-10:
-        raise ToleranceError(
-            "operator-norm identity violated: "
-            f"|{opnorm / psi.dim_a} - {coeffs[0]}| > 1e-10"
-        )
+    _check_operator_norm(psi.b_matrix, coeffs)
     return SchmidtDecomposition(coeffs, u, vh.T)
+
+
+def schmidt_coefficients(amplitudes) -> np.ndarray:
+    """Schmidt coefficients of a (k, dim_a, dim_b) stack of amplitude matrices, one row per state.
+
+    The batched counterpart of :func:`schmidt`: one SVD of the whole stack,
+    singular values only, with the same operator-norm cross-check and
+    coefficient checks.
+    """
+    s = np.linalg.svd(amplitudes, compute_uv=False)
+    coeffs = s * s
+    _check_operator_norm(np.sqrt(amplitudes.shape[-2]) * np.swapaxes(amplitudes, -1, -2), coeffs)
+    _check_coefficients(coeffs)
+    return coeffs
 
 
 def generalized_pauli(n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -23,9 +23,13 @@ from loccdisc import (
     uniform_ensemble,
     verdict,
 )
+from loccdisc import bounds
 from loccdisc.bounds import VERDICT_IMPOSSIBLE, VERDICT_POSSIBLE, VERDICT_UNKNOWN
+from loccdisc.errors import ToleranceError
+from loccdisc.library import build_library
+from loccdisc.qstate import is_unitary, schmidt
 
-from conftest import random_orthogonal_pair
+from conftest import random_orthogonal_pair, random_state
 
 
 def _product_basis(dim_a, dim_b):
@@ -226,3 +230,101 @@ class TestConsistencyWithEvaluate:
         res = evaluate(discard_protocol(inner, [0, 1], 4), ens)
         assert res.success_probability <= schmidt_bound(ens) + 1e-9
         assert res.mutual_information_bits <= entropy_bound_bits(ens) + 1e-9
+
+
+def _reference_witnesses(ens):
+    """lambda_max, entropy cap, unilateral sides and ME flag, one state at a time."""
+    lam = max(schmidt(psi).lambda_max for psi in ens.states)
+    rho_a = np.zeros((ens.dim_a, ens.dim_a), dtype=complex)
+    rho_b = np.zeros((ens.dim_b, ens.dim_b), dtype=complex)
+    cond = 0.0
+    for p, psi in zip(ens.priors, ens.states):
+        s = psi.amplitude_matrix
+        rho_a += p * (s @ s.conj().T)
+        rho_b += p * (s.T @ s.conj())
+        cond += float(p) * bounds.von_neumann_entropy_bits(s @ s.conj().T)
+    entropy = bounds.von_neumann_entropy_bits(rho_a) + bounds.von_neumann_entropy_bits(rho_b) - cond
+
+    def agree(mats):
+        return all(np.max(np.abs(x.conj().T @ x - mats[0].conj().T @ mats[0])) <= 1e-8 for x in mats)
+
+    sides = (agree([psi.amplitude_matrix for psi in ens.states]), agree([psi.b_matrix for psi in ens.states]))
+    me = ens.dim_a == ens.dim_b and all(is_unitary(psi.b_matrix, 1e-10) for psi in ens.states)
+    return lam, entropy, sides, me
+
+
+def _low_rank_state(rng, dim_a, dim_b, rank):
+    a = rng.standard_normal((dim_a, rank)) + 1j * rng.standard_normal((dim_a, rank))
+    b = rng.standard_normal((rank, dim_b)) + 1j * rng.standard_normal((rank, dim_b))
+    s = a @ b
+    return BipartiteState(dim_a, dim_b, s.reshape(-1) / np.linalg.norm(s))
+
+
+def _seeded_witness_ensemble(seed):
+    """Rectangular (3x12), low Schmidt rank or non-uniform ensembles, by seed."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 7))
+    if seed % 3 == 0:
+        states = [random_state(rng, 3, 12) for _ in range(k)]
+    elif seed % 3 == 1:
+        da, db = (int(x) for x in rng.integers(2, 7, size=2))
+        states = [_low_rank_state(rng, da, db, int(rng.integers(1, min(da, db) + 1))) for _ in range(k)]
+    else:
+        states = [random_state(rng, 4, 4) for _ in range(k)]
+    priors = rng.dirichlet(np.ones(k)) if seed % 2 else None
+    return StateEnsemble(tuple(states), priors)
+
+
+class TestWitnessPass:
+    """The batched spectral pass agrees with per-state Schmidt decompositions."""
+
+    @staticmethod
+    def _assert_matches_reference(ens):
+        lam, entropy, sides, me = _reference_witnesses(ens)
+        assert abs(bounds.lambda_max(ens) - lam) <= 1e-14
+        if ens.is_uniform():
+            assert abs(schmidt_bound(ens) - min(1.0, lam * ens.dim_a * ens.dim_b / ens.k)) <= 1e-14
+        assert abs(entropy_bound_bits(ens) - entropy) <= 1e-14
+        assert bounds._unilateral_sides(ens) == sides
+        assert ens.is_maximally_entangled(1e-10) == me
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda e: e.name)
+    def test_library_matches_reference(self, entry):
+        self._assert_matches_reference(entry.ensemble)
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_seeded_ensembles_match_reference(self, seed):
+        self._assert_matches_reference(_seeded_witness_ensemble(seed))
+
+    def test_coefficients_cached_and_read_only(self):
+        ens = _seeded_witness_ensemble(1)
+        coeffs = ens.schmidt_coefficients
+        assert coeffs is ens.schmidt_coefficients
+        assert coeffs.shape == (ens.k, min(ens.dim_a, ens.dim_b))
+        with pytest.raises(ValueError):
+            coeffs[0, 0] = 0.5
+
+    def test_perturbed_svd_fails_operator_norm_check(self, monkeypatch):
+        svd = np.linalg.svd
+
+        def perturbed(a, *args, compute_uv=True, **kwargs):
+            out = svd(a, *args, compute_uv=compute_uv, **kwargs)
+            return out if compute_uv else out * (1.0 + 1e-6)
+
+        monkeypatch.setattr(np.linalg, "svd", perturbed)
+        with pytest.raises(ToleranceError, match="operator-norm identity"):
+            verdict(bell_subset(3, [(0, 0), (0, 1), (1, 0), (2, 2)]))
+
+    @pytest.mark.parametrize("labels", [[(0, 0), (1, 0), (0, 1)], [(0, 0), (0, 1), (1, 0), (2, 2)]])
+    def test_verdict_makes_one_batched_svd(self, monkeypatch, labels):
+        svd = np.linalg.svd
+        calls = []
+
+        def counting(a, *args, compute_uv=True, **kwargs):
+            if not compute_uv:
+                calls.append(np.shape(a))
+            return svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        verdict(bell_subset(3, labels))
+        assert calls == [(len(labels), 3, 3)]

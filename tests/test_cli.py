@@ -285,6 +285,15 @@ class TestOutputBoundary:
         _assert_clean_exit(*first, 0)
         assert _run(capsys, *argv)[1] == first[1]
 
+    def test_evaluate_leaf_root(self, capsys):
+        tree = json.dumps({"dim_a": 3, "dim_b": 3, "root": {"guess": 1}})
+        code, out, err = _run(capsys, "evaluate", "--protocol", tree, "--ensemble", '{"kind":"bell","n":3}')
+        _assert_clean_exit(code, out, err, 0)
+        report = json.loads(out)["report"]
+        assert report["success_probability"] == pytest.approx(1 / 9, abs=1e-15)
+        assert report["mutual_information_bits"] == 0.0
+        assert len(report["joint_table"]) == 9
+
     def test_conservation_failure_exits_3(self, capsys):
         # completeness within the loosened --tol, but probability leaks past 1e-9
         ops = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.9999995, 0.0]]]]

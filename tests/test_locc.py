@@ -127,6 +127,50 @@ def _assert_matches_reference(protocol, ensemble, tol=1e-14):
     assert abs(res.mutual_information_bits - max(mi, 0.0)) <= tol
 
 
+def _reference_zero_value(mat, tol=1e-9):
+    """Loop form of the diagonal search in ``locc._vector_with_zero_value``: segments, then triangles."""
+    m = mat.shape[0]
+    eye = np.eye(m, dtype=complex)
+    d = np.diag(mat)
+    j = int(np.argmin(np.abs(d)))
+    if abs(d[j]) <= tol:
+        return eye[:, j]
+    for i in range(m):
+        for j in range(i + 1, m):
+            seg = d[j] - d[i]
+            if abs(seg) < 1e-14:
+                continue
+            s = float(np.clip(np.real((0.0 - d[i]) / seg), 0.0, 1.0))
+            if abs(d[i] + s * seg) <= tol:
+                return eye[:, [i, j]] @ locc._solve_compression(mat[np.ix_([i, j], [i, j])], 0.0)
+    for i in range(m):
+        for j in range(i + 1, m):
+            for k in range(j + 1, m):
+                a = np.array([[d[i].real, d[j].real, d[k].real], [d[i].imag, d[j].imag, d[k].imag], [1.0, 1.0, 1.0]])
+                try:
+                    lam = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
+                except np.linalg.LinAlgError:
+                    continue
+                if np.all(lam > -1e-9):
+                    lam = np.clip(lam, 0.0, None)
+                    if lam[0] + lam[1] < 1e-14:
+                        continue
+                    tau = (lam[0] * d[i] + lam[1] * d[j]) / (lam[0] + lam[1])
+                    c = locc._solve_compression(mat[np.ix_([i, j], [i, j])], tau)
+                    p = np.column_stack([eye[:, [i, j]] @ c, eye[:, k]])
+                    return p @ locc._solve_compression(p.conj().T @ mat @ p, 0.0)
+    raise AssertionError("reference found no zero")
+
+
+def _traceless(rng, m, kind):
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    if kind == "hermitian":
+        a = a + a.conj().T
+    elif kind == "near-diagonal":
+        a = np.diag(np.diag(a)) + 1e-3 * a
+    return a - np.trace(a) / m * np.eye(m)
+
+
 class TestProtocolStructure:
     def test_incomplete_povm_rejected(self):
         half = Povm((np.eye(2, dtype=complex) / 2,))
@@ -177,6 +221,34 @@ class TestProtocolStructure:
         basis = orthonormal_completion([v], 4)
         np.testing.assert_allclose(basis.conj().T @ basis, np.eye(4), atol=1e-12)
         assert abs(np.vdot(basis[:, 0], v)) > 1 - 1e-12
+
+    @pytest.mark.parametrize(
+        "elements, message",
+        [
+            ((), "at least one element"),
+            ((np.ones(2),), "nonempty 2-D matrix"),
+            ((np.zeros((0, 2)),), "nonempty 2-D matrix"),
+            ((np.eye(2), np.zeros((1, 0))), "nonempty 2-D matrix"),
+            ((np.array([[1.0, np.nan]]), np.array([[0.0, 1.0]])), "non-finite"),
+            ((np.eye(2), np.array([[np.inf, 0.0]])), "non-finite"),
+            ((np.eye(2), np.ones((1, 3))), "disagree on input dimension"),
+        ],
+    )
+    def test_povm_boundary(self, elements, message):
+        with pytest.raises(DomainError, match=message):
+            Povm(elements)
+
+    def test_povm_stacked_read_only(self):
+        ops = (np.eye(3, dtype=complex)[:1], np.eye(3, dtype=complex)[1:])
+        povm = Povm(ops)
+        assert povm.stacked.shape == (3, 3)
+        assert povm.offsets.tolist() == [0, 1]
+        for m, op in zip(povm.elements, ops):
+            np.testing.assert_array_equal(m, op)
+            assert np.shares_memory(m, povm.stacked)
+        for arr in (povm.stacked, povm.offsets, *povm.elements):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
     def test_leaf_guess_range_checked(self):
         tree = blind_guess_protocol(2, 2, guess=5)
@@ -233,6 +305,14 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(standard_bell_protocol(2), bell_basis(3))
 
+    def test_leaf_root(self):
+        res = evaluate(LoccProtocol(3, 3, Leaf(2)), bell_basis(3))
+        assert res.success_probability == pytest.approx(1 / 9, abs=1e-15)
+        assert res.mutual_information_bits == 0.0
+        assert [row[:3] for row in res.joint] == [(v, (), 2) for v in range(9)]
+        np.testing.assert_allclose([row[3] for row in res.joint], [1 / 9] * 9, rtol=0, atol=1e-15)
+        assert res.per_state_success == pytest.approx([0, 0, 1, 0, 0, 0, 0, 0, 0], abs=1e-15)
+
 
 class TestBatchedEvaluator:
     """The stacked push-through agrees with the per-leaf, per-state formula."""
@@ -272,6 +352,11 @@ class TestSimulate:
     def test_bell2_standard_rate(self):
         rate = simulate(standard_bell_protocol(2), bell_basis(2), trials=100_000, seed=6)
         assert abs(rate - 0.5) < 0.008
+
+    def test_leaf_root(self):
+        ens = bell_basis(3)
+        per_state = np.random.default_rng(4).multinomial(9000, ens.priors)
+        assert simulate(LoccProtocol(3, 3, Leaf(2)), ens, trials=9000, seed=4) == per_state[2] / 9000
 
     def test_deterministic_per_seed(self):
         ens = bell_basis(2)
@@ -379,6 +464,34 @@ class TestDiscardProtocol:
             discard_protocol(inner, [0, 0], 4)
         with pytest.raises(DomainError):
             discard_protocol(inner, [5], 4)
+
+
+class TestZeroValueScan:
+    """The array scan picks the same basis directions as the loop over pairs and triples."""
+
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_matches_loop_reference(self, m):
+        rng = np.random.default_rng(500 + m)
+        for kind in ("generic", "hermitian", "near-diagonal"):
+            mat = _traceless(rng, m, kind)
+            got = locc._vector_with_zero_value(mat)
+            ref = _reference_zero_value(mat)
+            support = np.flatnonzero(got)
+            assert support.tolist() == np.flatnonzero(ref).tolist()
+            if support.size < 3:
+                np.testing.assert_array_equal(got, ref)
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+            assert abs(np.vdot(got, mat @ got)) <= 1e-9
+
+    def test_fallback_reached_and_zero_diagonal(self):
+        rng = np.random.default_rng(77)
+        triangles = 0
+        for m in range(3, 25):
+            mat = _traceless(rng, m, "generic")
+            triangles += np.count_nonzero(locc._vector_with_zero_value(mat)) == 3
+            w = locc._zero_diagonal_basis(mat)
+            assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= 1e-9
+        assert triangles >= 10
 
 
 class TestTwoStateProtocol:
