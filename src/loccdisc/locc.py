@@ -15,9 +15,11 @@ operators to all k states in one product, the weights of its leaf children
 come from one block reduction, and the joint table, success and mutual
 information are array reductions over the (leaves, k) weights.
 The Monte-Carlo sampler is an independent route: it propagates the live
-states' amplitude matrices as its own stacked array and, at each node, splits
-every state's trials over the outcomes with one multinomial draw of Born
-weights.
+states' amplitude matrices as its own stacked array.  Each node applies its
+stacked POVM to them in one product, takes every state's Born weights from
+one block reduction, and splits every state's trials over the outcomes with
+one multinomial draw; the trials drawn into all of the node's leaves are
+scored in one array step, and only internal children are walked further.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
@@ -28,6 +30,7 @@ spec into a tree.
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -69,10 +72,11 @@ class Povm:
         stacked = frozen_array(np.concatenate(blocks))
         if not np.all(np.isfinite(stacked)):
             raise DomainError("matrix contains non-finite entries")
-        offsets = frozen_array(np.cumsum([0] + [m.shape[0] for m in blocks[:-1]]), dtype=np.intp)
+        ends = list(accumulate(m.shape[0] for m in blocks))
+        starts = [0, *ends[:-1]]
         object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "elements", tuple(np.split(stacked, offsets[1:])))
+        object.__setattr__(self, "offsets", frozen_array(starts, dtype=np.intp))
+        object.__setattr__(self, "elements", tuple(stacked[a:b] for a, b in zip(starts, ends)))
 
     @property
     def input_dim(self) -> int:
@@ -374,11 +378,15 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
 
     Independent of :func:`evaluate`: per-state trial counts are drawn from
     the priors, and the live states travel down the tree as one stacked
-    array of amplitude matrices S (Alice maps S to op S, Bob to S op^T).
-    At each node every state's trials are split over the outcomes by one
-    multinomial draw with its Born weights, which is distribution-identical
-    to per-trial sampling; each child receives only the states that reached
-    it, renormalized.
+    array of amplitude matrices S.  Each node applies its stacked POVM in
+    one product (Alice maps S to stacked S, Bob to S stacked^T), whose row
+    or column blocks are the outcomes' states; the Born weights are the
+    blocks' squared norms, summed by one ``np.add.reduceat``.  Every state's
+    trials are split over the outcomes by one multinomial draw, which is
+    distribution-identical to per-trial sampling.  The trials drawn into
+    the node's leaves are scored together against the leaf guesses, and an
+    internal child receives only the states that reached it, renormalized.
+    Draws happen only at internal nodes, in preorder.
     """
     trials = as_int(trials, "trials")
     if not 1 <= trials <= 2**63 - 1:
@@ -391,21 +399,34 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     protocol.validate(k=ensemble.k)
     rng = np.random.default_rng(seed)
     per_state = rng.multinomial(trials, ensemble.priors)
+    if isinstance(protocol.root, Leaf):
+        return int(per_state[protocol.root.guess]) / trials
     correct = 0
 
     def walk(node, s, labels, counts):
         nonlocal correct
-        if isinstance(node, Leaf):
-            correct += int(counts[labels == node.guess].sum())
-            return
-        nxt = [op @ s if node.actor == ALICE else s @ op.T for op in node.povm.elements]
-        probs = np.stack([np.einsum("kij,kij->k", y.conj(), y).real for y in nxt], axis=1)
+        alice = node.actor == ALICE
+        povm = node.povm
+        if alice:
+            z = povm.stacked @ s
+        else:  # reshaped to one 2-D product: a 3-D matmul loops over the k matrices
+            z = (s.reshape(-1, s.shape[2]) @ povm.stacked.T).reshape(*s.shape[:2], -1)
+        norms = (z.real**2 + z.imag**2).sum(axis=2 if alice else 1)
+        probs = np.add.reduceat(norms, povm.offsets, axis=1)
         probs /= probs.sum(axis=1, keepdims=True)
         drawn = rng.multinomial(counts, probs)
-        for y, child, c, p in zip(nxt, node.children, drawn.T, probs.T):
-            keep = c > 0
+        leaf_cols, inner = [], []
+        for i, child in enumerate(node.children):
+            (leaf_cols if isinstance(child, Leaf) else inner).append(i)
+        if leaf_cols:
+            guesses = np.array([node.children[i].guess for i in leaf_cols])
+            correct += int((drawn[:, leaf_cols] * (labels[:, None] == guesses)).sum())
+        for i in inner:
+            keep = drawn[:, i] > 0
             if keep.any():
-                walk(child, y[keep] / np.sqrt(p[keep])[:, None, None], labels[keep], c[keep])
+                rows = slice(povm.offsets[i], povm.offsets[i] + povm.elements[i].shape[0])
+                y = (z[keep, rows] if alice else z[keep, :, rows]) / np.sqrt(probs[keep, i])[:, None, None]
+                walk(node.children[i], y, labels[keep], drawn[keep, i])
 
     live = np.flatnonzero(per_state)
     walk(protocol.root, ensemble.amplitude_matrices()[live], live, per_state[live])

@@ -64,3 +64,33 @@ def random_kraus_case(seed):
     states = tuple(random_state(rng, da, db) for _ in range(k))
     ens = StateEnsemble(states, rng.dirichlet(np.ones(k)))
     return _random_tree(rng, da, db, k, rounds=3 + seed % 2), ens
+
+
+def refined_bell_protocol(n):
+    """Four-round refinement of ``standard_bell_protocol(n)``, for any n >= 2.
+
+    Alice and Bob first each learn which half of the computational basis
+    they hold (halves of sizes n // 2 and n - n // 2), then Alice and Bob
+    measure finely inside that half.  The guess is the state (m, 0) with the
+    observed shift m, as in the two-round protocol.
+    """
+    from loccdisc import Leaf, LoccProtocol, Povm, ProtocolNode
+    from loccdisc.locc import ALICE, BOB
+
+    eye = np.eye(n, dtype=complex)
+    starts, sizes = (0, n // 2), (n // 2, n - n // 2)
+    coarse = Povm((eye[: n // 2], eye[n // 2 :]))
+    fine = [Povm(tuple(np.eye(h, dtype=complex)[i : i + 1] for i in range(h))) for h in sizes]
+
+    def bob_fine(a, half_b):
+        guesses = (((a - starts[half_b] - j) % n) * n for j in range(sizes[half_b]))
+        return ProtocolNode(BOB, fine[half_b], tuple(Leaf(g) for g in guesses))
+
+    def alice_fine(half_a, half_b):
+        children = tuple(bob_fine(starts[half_a] + i, half_b) for i in range(sizes[half_a]))
+        return ProtocolNode(ALICE, fine[half_a], children)
+
+    def bob_coarse(half_a):
+        return ProtocolNode(BOB, coarse, tuple(alice_fine(half_a, hb) for hb in range(2)))
+
+    return LoccProtocol(n, n, ProtocolNode(ALICE, coarse, tuple(bob_coarse(ha) for ha in range(2))))

@@ -37,7 +37,7 @@ from loccdisc.locc import (
     projective_povm,
 )
 
-from conftest import random_kraus_case, random_orthogonal_pair
+from conftest import random_kraus_case, random_orthogonal_pair, refined_bell_protocol
 
 
 def _product_state(dim_a, dim_b, a, b):
@@ -169,6 +169,41 @@ def _traceless(rng, m, kind):
     elif kind == "near-diagonal":
         a = np.diag(np.diag(a)) + 1e-3 * a
     return a - np.trace(a) / m * np.eye(m)
+
+
+def _edge_case(name):
+    """Trees the random Kraus trees never produce, on one seeded 3 x 3 ensemble of four states.
+
+    No state has amplitude on Alice's |2>, so the root's third outcome has
+    zero Born weight for every state; a Bob round also has a zero operator
+    among its elements.  Nodes mix leaf and internal children.
+    """
+    rng = np.random.default_rng(7)
+    amps = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+    amps[:, 2, :] = 0.0
+    ens = StateEnsemble(
+        tuple(BipartiteState(3, 3, a.reshape(-1) / np.linalg.norm(a)) for a in amps),
+        rng.dirichlet(np.ones(4)),
+    )
+    if name == "leaf-root":
+        return LoccProtocol(3, 3, Leaf(1)), ens
+    haar = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+    if name == "mixed-children":
+        # Alice keeps a two-dimensional space on her first outcome and measures it again later
+        kraus = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        small = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
+        alice = ProtocolNode(ALICE, projective_povm(small), (Leaf(2), Leaf(3)))
+        bob = ProtocolNode(BOB, projective_povm(haar), (alice, Leaf(1), Leaf(3)))
+        root = ProtocolNode(ALICE, Povm((kraus[:2], kraus[2:])), (bob, Leaf(0)))
+        return LoccProtocol(3, 3, root), ens
+    # dead-outcomes: Bob's zero operator and Alice's unoccupied |2> each lead to an internal node
+    zero_op = Povm((*haar.conj().T[:, None, :], np.zeros((1, 3))))
+    halves = Povm((np.sqrt(0.5) * np.eye(1), np.sqrt(0.5) * np.eye(1)))
+    dead = ProtocolNode(ALICE, halves, (Leaf(2), Leaf(3)))
+    bob = ProtocolNode(BOB, zero_op, (Leaf(0), Leaf(1), Leaf(2), dead))
+    unreached = ProtocolNode(BOB, projective_povm(haar), (Leaf(3), Leaf(0), Leaf(1)))
+    comp = projective_povm(np.eye(3, dtype=complex))
+    return LoccProtocol(3, 3, ProtocolNode(ALICE, comp, (bob, Leaf(1), unreached))), ens
 
 
 class TestProtocolStructure:
@@ -421,6 +456,74 @@ class TestBatchedSampler:
         monkeypatch.setattr(locc, "evaluate", refuse)
         monkeypatch.setattr(StateEnsemble, "b_matrices", refuse)
         assert simulate(protocol, ens, trials=20_000, seed=9) == expected
+
+
+class TestSamplerStream:
+    """Rates pinned exactly: the sampler's random stream and its bookkeeping must not move.
+
+    Counts are correct trials out of 100,000 at seeds 0, 1 and 2, recorded
+    from the per-element sampler that preceded the stacked node step.
+    """
+
+    TRIALS = 100_000
+    SEEDS = (0, 1, 2)
+    BELL = {
+        ("std", 2): (50127, 50050, 50082),
+        ("std", 3): (33548, 33258, 33351),
+        ("std", 4): (25013, 24995, 24811),
+        ("std", 8): (12502, 12584, 12552),
+        ("std", 12): (8311, 8288, 8404),
+        ("refined", 2): (50127, 50050, 50082),
+        ("refined", 3): (33548, 33258, 33351),
+        ("refined", 4): (25013, 24995, 24811),
+        ("refined", 8): (12502, 12584, 12552),
+        ("refined", 12): (8311, 8288, 8404),
+    }
+    KRAUS = {
+        0: (18131, 18137, 18192),
+        1: (26289, 26359, 26418),
+        2: (38203, 38107, 38403),
+        3: (30377, 30425, 30424),
+        4: (18359, 18277, 18304),
+        5: (44376, 44291, 44655),
+        6: (44295, 44723, 44321),
+        7: (12542, 12623, 12444),
+        8: (52117, 51742, 51877),
+        9: (30152, 30068, 30043),
+    }
+    EDGE = {
+        "leaf-root": (15169, 15052, 15110),
+        "mixed-children": (11898, 11937, 12018),
+        "dead-outcomes": (17570, 17567, 17543),
+    }
+
+    def _assert_golden(self, protocol, ens, counts):
+        rates = [simulate(protocol, ens, trials=self.TRIALS, seed=s) for s in self.SEEDS]
+        assert rates == [c / self.TRIALS for c in counts]
+
+    @pytest.mark.parametrize("kind, n", list(BELL), ids=lambda v: str(v))
+    def test_bell_trees(self, kind, n):
+        protocol = standard_bell_protocol(n) if kind == "std" else refined_bell_protocol(n)
+        self._assert_golden(protocol, bell_basis(n), self.BELL[kind, n])
+
+    @pytest.mark.parametrize("case", list(KRAUS))
+    def test_random_kraus_trees(self, case):
+        self._assert_golden(*random_kraus_case(case), self.KRAUS[case])
+
+    @pytest.mark.parametrize("name", list(EDGE))
+    def test_edge_trees(self, name):
+        protocol, ens = _edge_case(name)
+        self._assert_golden(protocol, ens, self.EDGE[name])
+        p = evaluate(protocol, ens).success_probability
+        sigma = max(math.sqrt(p * (1.0 - p) / self.TRIALS), 1e-12)
+        for c in self.EDGE[name]:
+            assert abs(c / self.TRIALS - p) <= 5.0 * sigma
+
+    def test_dead_outcomes_have_zero_weight(self):
+        # Alice's unoccupied outcome 2 and Bob's zero operator (outcome 3 below Alice's 0) reach no state
+        paths = {path for _, path, _, _ in evaluate(*_edge_case("dead-outcomes")).joint}
+        assert (0, 0) in paths and (1,) in paths
+        assert not [path for path in paths if path[:1] == (2,) or path[:2] == (0, 3)]
 
 
 class TestStandardBellProtocol:
