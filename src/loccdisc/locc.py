@@ -11,9 +11,10 @@ root-to-leaf path, the branch weight for state B is ||E B X^T||_F^2 / dim_a.
 The products are regrouped so the tree is walked once with the whole
 ensemble stacked as one (k, dim_b, dim_a) array.  A :class:`Povm` keeps its
 operators stacked row-wise in one array, so each node applies all of its
-operators to all k states in one product, the weights of its leaf children
-come from one block reduction, and the joint table, success and mutual
-information are array reductions over the (leaves, k) weights.
+operators to all k states in one 2-D product, and the weights of its leaf
+children come out as one (outcomes, k) block.  Success and mutual
+information are array reductions over the stacked (leaves, k) weights; the
+joint table's row tuples are built only when first read.
 The Monte-Carlo sampler is an independent route: it propagates the live
 states' amplitude matrices as its own stacked array.  Each node applies its
 stacked POVM to them in one product, takes every state's Born weights from
@@ -30,6 +31,7 @@ spec into a tree.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -119,14 +121,15 @@ class LoccProtocol:
         """Check alternation, operator shape chaining, completeness, leaf labels."""
         complete = set()  # ids of Povm objects already checked; nodes may share one
 
+        def check_leaf(leaf):
+            if leaf.guess < 0 or (k is not None and leaf.guess >= k):
+                raise DomainError(f"leaf guess {leaf.guess} out of range")
+
         def walk(node, da, db, prev_actor):
-            if isinstance(node, Leaf):
-                if node.guess < 0 or (k is not None and node.guess >= k):
-                    raise DomainError(f"leaf guess {node.guess} out of range")
-                return
             if node.actor == prev_actor:
                 raise DomainError("actors must alternate along every path")
-            cur = da if node.actor == ALICE else db
+            alice = node.actor == ALICE
+            cur = da if alice else db
             if node.povm.input_dim != cur:
                 raise DomainError(
                     f"{node.actor} POVM input dim {node.povm.input_dim} != current dim {cur}"
@@ -137,13 +140,17 @@ class LoccProtocol:
                     raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
                 complete.add(id(node.povm))
             for m, child in zip(node.povm.elements, node.children):
-                out = m.shape[0]
-                if node.actor == ALICE:
-                    walk(child, out, db, node.actor)
+                if isinstance(child, Leaf):
+                    check_leaf(child)
+                elif alice:
+                    walk(child, m.shape[0], db, node.actor)
                 else:
-                    walk(child, da, out, node.actor)
+                    walk(child, da, m.shape[0], node.actor)
 
-        walk(self.root, self.dim_a, self.dim_b, None)
+        if isinstance(self.root, Leaf):
+            check_leaf(self.root)
+        else:
+            walk(self.root, self.dim_a, self.dim_b, None)
 
     def map_leaves(self, fn) -> "LoccProtocol":
         """New protocol with every Leaf replaced by fn(leaf)."""
@@ -160,15 +167,27 @@ class LoccProtocol:
 class ProtocolEvaluation:
     """Exact outcome statistics for one protocol on one ensemble.
 
-    ``joint`` rows are (state v, outcome path, guess, probability); mutual
-    information between the state label and the full transcript is reported
-    in bits.
+    ``joint`` rows are (state v, outcome path, guess, probability), leaf by
+    leaf in depth-first order and states in label order within a leaf;
+    mutual information between the state label and the full transcript is
+    reported in bits.  Only :func:`evaluate` constructs this: it keeps the
+    leaf paths and guesses with the kept rows' (leaf, state) indices and
+    probabilities, and ``joint`` builds its tuples from them on first read
+    (success and mutual information need none of them).
     """
 
     success_probability: float
     mutual_information_bits: float
-    joint: tuple
     per_state_success: tuple
+    _table: tuple = field(repr=False)
+
+    @cached_property
+    def joint(self) -> tuple:
+        paths, guesses, rows, states, p = self._table
+        rows = rows.tolist()
+        return tuple(
+            zip(states.tolist(), [paths[r] for r in rows], [guesses[r] for r in rows], p.tolist())
+        )
 
     @property
     def mutual_information_nats(self) -> float:
@@ -178,7 +197,7 @@ class ProtocolEvaluation:
 def projective_povm(basis) -> Povm:
     """Rank-1 row-vector POVM measuring in the columns of ``basis``."""
     b = as_matrix(basis)
-    return Povm(tuple(b[:, i].conj().reshape(1, -1) for i in range(b.shape[1])))
+    return Povm(b.conj().T[:, None, :])
 
 
 def identity_round(dim: int) -> Povm:
@@ -257,18 +276,36 @@ class OneWayProtocolSpec:
         """Expand into an explicit two-round protocol tree.
 
         Each outcome's Bob vectors are completed to a full basis; completion
-        outcomes guess ``fallback``.
+        outcomes guess ``fallback``.  The groups are zero-padded to one
+        (outcomes, dim_b, largest group) stack and completed by one batched
+        complete QR; a zero column adds an identity reflector, so each
+        outcome's basis is the one :func:`orthonormal_completion` gives, and
+        an empty group gives exactly the identity.
         """
+        groups, db = self.bob_discriminators, self.dim_b
+        width = max(len(group) for group in groups)
+        if width > db:
+            raise DomainError("more vectors than the dimension allows")
+        v = np.zeros((len(groups), db, width), dtype=complex)
+        for x, group in enumerate(groups):
+            for j, (_, vec) in enumerate(group):
+                if vec.size != db:
+                    raise DomainError("vector length does not match dimension")
+                v[x, :, j] = vec
+        q, r = np.linalg.qr(v, mode="complete")
+        d = np.diagonal(r, axis1=1, axis2=2)
+        real = np.arange(width) < np.array([len(group) for group in groups])[:, None]
+        if np.any(real & (np.abs(d) < 1e-6)):
+            raise DomainError("vectors are numerically dependent")
+        # phases fixed (columns track the inputs) on each group's real columns only
+        phase = d / np.where(real, np.abs(d), 1.0)
+        np.multiply(q[:, :, :width], phase[:, None, :], out=q[:, :, :width], where=real[:, None, :])
         children = []
-        for group in self.bob_discriminators:
-            basis = orthonormal_completion([v for _, v in group], self.dim_b)
-            leaves = tuple(
-                Leaf(group[i][0]) if i < len(group) else Leaf(fallback)
-                for i in range(self.dim_b)
-            )
+        for basis, group in zip(q, groups):
+            leaves = tuple(Leaf(lab) for lab, _ in group) + (Leaf(fallback),) * (db - len(group))
             children.append(ProtocolNode(BOB, projective_povm(basis), leaves))
         root = ProtocolNode(ALICE, projective_povm(self.alice_basis), tuple(children))
-        return LoccProtocol(self.dim_a, self.dim_b, root)
+        return LoccProtocol(self.dim_a, db, root)
 
 
 def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
@@ -296,37 +333,62 @@ def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
 
 
 def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
-    """Leaves as (path, guess) in depth-first order, and their (leaves, k) weights.
+    """Leaf paths and guesses in depth-first order, and their (leaves, k) weights.
 
     The whole ensemble travels down the tree as one stacked array Y of
-    matrices E B_i X^T, and each node applies its stacked POVM in one
+    matrices E B_i X^T, and each node applies its stacked POVM S in one 2-D
     product: Alice maps Y to Y S^T, Bob to S Y.  Outcome x's block of the
     product is the child's Y; a leaf's weight for state i is
-    ||Y_i||_F^2 / dim_a, for all leaf children of a node at once by one
-    ``np.add.reduceat`` over the POVM's row offsets.
+    ||Y_i||_F^2 / dim_a.  The leaf children of a node get their weights as
+    one (outcomes, k) block: for a projective POVM (one row per outcome)
+    the squared row norms are the weights, otherwise one
+    ``np.add.reduceat`` over the POVM's row offsets sums them.
     """
     b = ensemble.b_matrices()
     if isinstance(protocol.root, Leaf):
-        return [((), protocol.root.guess)], np.einsum("kij,kij->k", b.conj(), b).real[None] / protocol.dim_a
-    leaves, weights = [], []
+        w = np.einsum("kij,kij->k", b.conj(), b).real[None] / protocol.dim_a
+        return [()], [protocol.root.guess], w
+    paths, guesses, blocks = [], [], []
+    _collect_leaves(protocol.root, b, (), paths, guesses, blocks)
+    w = np.concatenate(blocks)
+    w /= protocol.dim_a
+    return paths, guesses, w
 
-    def walk(node, y, path):
-        alice = node.actor == ALICE
-        povm = node.povm
-        z = y @ povm.stacked.T if alice else povm.stacked @ y
-        if any(isinstance(child, Leaf) for child in node.children):
-            norms = (z.real**2 + z.imag**2).sum(axis=1 if alice else 2)
-            leaf_w = np.add.reduceat(norms, povm.offsets, axis=1) / protocol.dim_a
-        for idx, (start, op, child) in enumerate(zip(povm.offsets, povm.elements, node.children)):
-            if isinstance(child, Leaf):
-                leaves.append((path + (idx,), child.guess))
-                weights.append(leaf_w[:, idx])
-            else:
-                rows = slice(start, start + op.shape[0])
-                walk(child, z[:, :, rows] if alice else z[:, rows], path + (idx,))
 
-    walk(protocol.root, b, ())
-    return leaves, np.array(weights)
+def _collect_leaves(node, y, path, paths, guesses, blocks):
+    """Depth-first walk of :func:`_leaf_weights` below ``node``, whose input is Y.
+
+    Appends to the three lists in place.  A module-level function rather
+    than a recursive closure: a closure that calls itself is a reference
+    cycle, which would keep every weight block alive until the next garbage
+    collection.
+    """
+    k, r, c = y.shape
+    povm, children = node.povm, node.children
+    alice = node.actor == ALICE
+    if alice:
+        z = (y.reshape(-1, c) @ povm.stacked.T).reshape(k, r, -1)
+    else:  # a 3-D matmul would loop over the k matrices
+        z = (povm.stacked @ y.transpose(1, 0, 2).reshape(r, -1)).reshape(-1, k, c).transpose(1, 0, 2)
+    leaf_idx = [i for i, child in enumerate(children) if isinstance(child, Leaf)]
+    if leaf_idx:
+        norms = (z.real**2 + z.imag**2).sum(axis=1 if alice else 2).T
+        if norms.shape[0] != len(children):
+            norms = np.add.reduceat(norms, povm.offsets, axis=0)
+        if len(leaf_idx) == len(children):
+            blocks.append(norms)
+            paths.extend([path + (i,) for i in leaf_idx])
+            guesses.extend([child.guess for child in children])
+            return
+    for idx, (start, op, child) in enumerate(zip(povm.offsets, povm.elements, children)):
+        if isinstance(child, Leaf):
+            blocks.append(norms[idx : idx + 1])
+            paths.append(path + (idx,))
+            guesses.append(child.guess)
+        else:
+            rows = slice(start, start + op.shape[0])
+            y_child = z[:, :, rows] if alice else z[:, rows]
+            _collect_leaves(child, y_child, path + (idx,), paths, guesses, blocks)
 
 
 def evaluate(
@@ -339,37 +401,41 @@ def evaluate(
 
     Computes the full joint distribution over (state, outcome path), the
     success probability P(guess = state), and the mutual information between
-    state label and transcript in bits.  Joint rows come leaf by leaf in
-    depth-first order, states in label order within a leaf.
+    state label and transcript in bits.  Weights come from
+    :func:`_leaf_weights` (one 2-D product per node, leaf weights in
+    blocks); success, per-state success and mutual information are array
+    reductions over the kept (leaf, state) entries.  A row is kept when its
+    probability is at least ``prune_tol`` and above zero, so zero-probability
+    rows are never listed, even at ``prune_tol=0``.  The joint table's rows
+    are built only when ``joint`` is first read.
     """
     if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
         raise DomainError("protocol and ensemble dimensions disagree")
     protocol.validate(k=ensemble.k, tol=tol)
-    leaves, w = _leaf_weights(protocol, ensemble)
+    paths, guesses, w = _leaf_weights(protocol, ensemble)
 
     dev = float(np.max(np.abs(w.sum(axis=0) - 1.0)))
     if dev > 1e-9:
         raise ToleranceError(f"branch weights do not conserve probability (max dev {dev:.3e})")
 
-    rows, states = np.nonzero(ensemble.priors * w >= prune_tol)
+    pw = ensemble.priors * w
+    rows, states = np.nonzero((pw >= prune_tol) & (pw > 0.0))
     w_kept = w[rows, states]
-    p = ensemble.priors[states] * w_kept
-    hit = np.array([g for _, g in leaves])[rows] == states
+    p = pw[rows, states]
+    hit = np.array(guesses)[rows] == states
     # rounding can push pure-probability sums a few ulp past 1
     success = float(min(1.0, p[hit].sum()))
     per_state = np.bincount(states[hit], weights=w_kept[hit], minlength=ensemble.k)
 
     pv = np.bincount(states, weights=p, minlength=ensemble.k)
-    py = np.bincount(rows, weights=p, minlength=len(leaves))
+    py = np.bincount(rows, weights=p, minlength=len(paths))
     mi = max(float(np.sum(p * np.log2(p / (pv[states] * py[rows])))), 0.0)
 
     return ProtocolEvaluation(
         success_probability=success,
         mutual_information_bits=mi,
-        joint=tuple(
-            (v, *leaves[r], q) for r, v, q in zip(rows.tolist(), states.tolist(), p.tolist())
-        ),
         per_state_success=tuple(np.clip(per_state, 0.0, 1.0).tolist()),
+        _table=(paths, guesses, rows, states, p),
     )
 
 

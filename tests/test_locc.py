@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -25,13 +26,14 @@ from loccdisc import (
     two_state_protocol,
     uniform_ensemble,
 )
-from loccdisc import locc
+from loccdisc import locc, serial
 from loccdisc.bounds import VERDICT_POSSIBLE, verdict
 from loccdisc.library import build_library
 from loccdisc.locc import (
     ALICE,
     BOB,
     PRUNE_TOL,
+    OneWayProtocolSpec,
     identity_round,
     orthonormal_completion,
     projective_povm,
@@ -290,6 +292,15 @@ class TestProtocolStructure:
         with pytest.raises(DomainError):
             evaluate(tree, bell_basis(2))
 
+    @pytest.mark.parametrize("name", ["leaf-root", "mixed-children", "dead-outcomes"])
+    @pytest.mark.parametrize("guess", [-1, 4])
+    def test_leaf_guess_checked_at_every_depth(self, name, guess):
+        protocol, ens = _edge_case(name)
+        protocol.validate(k=ens.k)
+        bad = protocol.map_leaves(lambda leaf: Leaf(guess) if leaf.guess == 3 or name == "leaf-root" else leaf)
+        with pytest.raises(DomainError, match=f"leaf guess {guess} out of range"):
+            bad.validate(k=ens.k)
+
 
 class TestEvaluate:
     def test_full_bell_basis_values(self):
@@ -340,6 +351,22 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(standard_bell_protocol(2), bell_basis(3))
 
+    def test_zero_prune_tol_keeps_mutual_information_finite(self):
+        protocol, ens = _edge_case("dead-outcomes")
+        default = evaluate(protocol, ens)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = evaluate(protocol, ens, prune_tol=0.0)
+        assert math.isfinite(res.mutual_information_bits)
+        assert abs(res.mutual_information_bits - default.mutual_information_bits) <= 1e-14
+        assert all(p > 0.0 for _, _, _, p in res.joint)
+
+    def test_joint_built_once(self):
+        res = evaluate(standard_bell_protocol(3), bell_basis(3))
+        first = res.joint
+        assert res.joint is first
+        assert len(first) == 27
+
     def test_leaf_root(self):
         res = evaluate(LoccProtocol(3, 3, Leaf(2)), bell_basis(3))
         assert res.success_probability == pytest.approx(1 / 9, abs=1e-15)
@@ -367,6 +394,30 @@ class TestBatchedEvaluator:
         p = evaluate(protocol, ens).success_probability
         sigma = max(math.sqrt(p * (1.0 - p) / 100_000), 1e-12)
         assert abs(simulate(protocol, ens, trials=100_000, seed=seed) - p) <= 5.0 * sigma
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("kind", ["std", "refined"])
+    def test_bell_trees_match_reference(self, kind, n):
+        protocol = standard_bell_protocol(n) if kind == "std" else refined_bell_protocol(n)
+        _assert_matches_reference(protocol, bell_basis(n))
+
+    @pytest.mark.parametrize("name", ["leaf-root", "mixed-children", "dead-outcomes"])
+    def test_edge_trees_match_reference(self, name):
+        _assert_matches_reference(*_edge_case(name))
+
+    @pytest.mark.parametrize("case", ["kraus-3", "mixed-children", "refined-4"])
+    def test_evaluation_json_matches_reference_rows(self, case):
+        if case == "kraus-3":
+            protocol, ens = random_kraus_case(3)
+        elif case == "refined-4":
+            protocol, ens = refined_bell_protocol(4), bell_basis(4)
+        else:
+            protocol, ens = _edge_case(case)
+        doc = serial.evaluation_to_json(evaluate(protocol, ens))
+        ref = _reference_rows(protocol, ens)
+        table = doc["joint_table"]
+        assert [(r["v"], r["path"], r["guess"]) for r in table] == [(v, list(p), g) for v, p, g, _, _ in ref]
+        np.testing.assert_allclose([r["p"] for r in table], [r[3] for r in ref], rtol=0, atol=1e-14)
 
     def test_bell_24_exact(self):
         res = evaluate(standard_bell_protocol(24), bell_basis(24))
@@ -524,6 +575,64 @@ class TestSamplerStream:
         paths = {path for _, path, _, _ in evaluate(*_edge_case("dead-outcomes")).joint}
         assert (0, 0) in paths and (1,) in paths
         assert not [path for path in paths if path[:1] == (2,) or path[:2] == (0, 3)]
+
+
+def _random_spec(seed):
+    """Seeded one-way spec whose Bob groups have unequal sizes, some of them empty."""
+    rng = np.random.default_rng(seed)
+    da, db = (int(x) for x in rng.integers(2, 7, size=2))
+
+    def haar(d):
+        return np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+
+    sizes = rng.integers(0, db + 1, size=da)
+    sizes[0], sizes[-1] = 0, max(int(sizes[-1]), 1)
+    groups = tuple(
+        tuple((int(rng.integers(3)), v + 1e-9 * rng.standard_normal(db)) for v in haar(db).T[:n])
+        for n in sizes
+    )
+    return OneWayProtocolSpec(haar(da), groups)
+
+
+class TestOneWayExpansion:
+    """``as_protocol``'s one batched QR gives exactly the per-outcome completion."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_per_outcome_completion(self, seed):
+        spec = _random_spec(seed)
+        protocol = spec.as_protocol(fallback=7)
+        protocol.validate()
+        assert not spec.bob_discriminators[0]
+        for node, group in zip(protocol.root.children, spec.bob_discriminators):
+            ref = projective_povm(orthonormal_completion([v for _, v in group], spec.dim_b))
+            assert np.array_equal(node.povm.stacked, ref.stacked)
+            guesses = [leaf.guess for leaf in node.children]
+            assert guesses == [lab for lab, _ in group] + [7] * (spec.dim_b - len(group))
+        assert np.array_equal(protocol.root.povm.stacked, spec.alice_basis.conj().T)
+
+    def test_empty_group_gives_identity(self):
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), ((), ((1, np.array([0.0, 1.0, 0.0])),)))
+        protocol = spec.as_protocol()
+        assert np.array_equal(protocol.root.children[0].povm.stacked, np.eye(3))
+        assert np.array_equal(protocol.root.children[1].povm.stacked[0], [0.0, 1.0, 0.0])
+
+    def test_dependent_vectors_rejected(self):
+        v = np.array([1.0, 0.0])
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), (((0, v), (1, v)), ()))
+        with pytest.raises(DomainError, match="numerically dependent"):
+            spec.as_protocol()
+
+    def test_too_many_vectors_rejected(self):
+        vecs = ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0])), (2, np.array([1.0, 1.0]) / np.sqrt(2)))
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), (vecs, ()))
+        with pytest.raises(DomainError, match="more vectors than the dimension allows"):
+            spec.as_protocol()
+
+    def test_vector_length_checked(self):
+        groups = (((0, np.array([1.0, 0.0])),), ((1, np.ones(3) / np.sqrt(3)),))
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), groups)
+        with pytest.raises(DomainError, match="vector length does not match dimension"):
+            spec.as_protocol()
 
 
 class TestStandardBellProtocol:
