@@ -109,23 +109,37 @@ def uniform_ensemble(states) -> StateEnsemble:
 
 @dataclass(frozen=True, eq=False)
 class BasisFamily:
-    """A finite family of orthonormal bases of C^n, each stored column-wise."""
+    """A finite family of orthonormal bases of C^n, each stored column-wise.
+
+    The members, given as any sequence of matrices or as one (members, n, n)
+    array, are validated as one stack and kept as the read-only array
+    ``stack``; ``bases`` holds views of its members.
+    """
 
     bases: tuple
+    stack: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        bases = tuple(frozen_array(as_matrix(b)) for b in self.bases)
-        dims = {b.shape for b in bases}
-        if len(dims) > 1:
-            raise DomainError(f"bases have mixed shapes: {sorted(dims)}")
-        for idx, b in enumerate(bases):
-            if not is_unitary(b, STRUCTURAL_TOL):
-                raise DomainError(f"family member {idx} is not orthonormal")
-        object.__setattr__(self, "bases", bases)
+        bases = tuple(self.bases)
+        shapes = sorted({np.shape(b) for b in bases})
+        if len(shapes) > 1:
+            raise DomainError(f"bases have mixed shapes: {shapes}")
+        stack = frozen_array(bases if bases else np.zeros((0, 0, 0)))
+        if stack.ndim != 3 or (len(stack) and 0 in stack.shape):
+            raise DomainError(f"expected nonempty 2-D bases, got shape {stack.shape[1:]}")
+        if not np.all(np.isfinite(stack)):
+            raise DomainError("matrix contains non-finite entries")
+        n, p = stack.shape[1:]
+        dev = np.abs(np.swapaxes(stack.conj(), 1, 2) @ stack - np.eye(p)).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero((dev > STRUCTURAL_TOL) | (n != p))
+        if bad.size:
+            raise DomainError(f"family member {bad[0]} is not orthonormal")
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "bases", tuple(stack))
 
     @property
     def dim(self) -> int:
-        return self.bases[0].shape[0] if self.bases else 0
+        return self.stack.shape[1]
 
     def __len__(self) -> int:
         return len(self.bases)
@@ -139,8 +153,24 @@ def fourier_matrix(n: int) -> np.ndarray:
 
 def bell_unitary(n: int, m: int, l: int) -> np.ndarray:
     """X^m Z^l, the unitary labelling the (m, l) generalized Bell state."""
-    x, z = generalized_pauli(n)
-    return np.linalg.matrix_power(x, m % n) @ np.linalg.matrix_power(z, l % n)
+    return _bell_unitaries(n, [m % n], [l % n])[0]
+
+
+def _bell_unitaries(n: int, ms, ls) -> np.ndarray:
+    """X^m Z^l for label arrays ``ms`` and ``ls`` (entries in range(n), shapes broadcast), as one product.
+
+    X^m is the exact permutation matrix, each Z^l comes from ``matrix_power``
+    once per distinct l, and the stacked product runs the same BLAS product
+    per member as ``X^m @ Z^l`` with both powers from ``matrix_power``, so
+    every member equals that product bit for bit, signed zeros included.
+    """
+    _, z = generalized_pauli(n)
+    j = np.arange(n)
+    x_pow = np.eye(n, dtype=complex)[(j[:, None] + j) % n]  # x_pow[m] = X^m
+    z_pow = np.empty((n, n, n), dtype=complex)  # only the rows for the l in ls are filled
+    for l in set(np.ravel(ls).tolist()):
+        z_pow[l] = np.linalg.matrix_power(z, l)
+    return x_pow[ms] @ z_pow[ls]
 
 
 def bell_basis(n: int) -> StateEnsemble:
@@ -151,12 +181,9 @@ def bell_basis(n: int) -> StateEnsemble:
     """
     if n < 2:
         raise DomainError("Bell basis needs dimension >= 2")
-    states = [
-        state_from_matrix(bell_unitary(n, m, l), n)
-        for m in range(n)
-        for l in range(n)
-    ]
-    return uniform_ensemble(states)
+    j = np.arange(n)
+    stack = _bell_unitaries(n, j[:, None], j[None, :])  # (m, l, n, n), broadcast without copies
+    return uniform_ensemble([state_from_matrix(u, n) for u in stack.reshape(-1, n, n)])
 
 
 def bell_subset(n: int, labels) -> StateEnsemble:
@@ -169,7 +196,8 @@ def bell_subset(n: int, labels) -> StateEnsemble:
     for m, l in labels:
         if not (0 <= m < n and 0 <= l < n):
             raise DomainError(f"Bell label {(m, l)} out of range for n = {n}")
-    return uniform_ensemble([state_from_matrix(bell_unitary(n, m, l), n) for m, l in labels])
+    ms, ls = np.array(labels).T
+    return uniform_ensemble([state_from_matrix(u, n) for u in _bell_unitaries(n, ms, ls)])
 
 
 def is_prime(n: int) -> bool:
@@ -206,22 +234,29 @@ def mub_prime(n: int) -> BasisFamily:
     return BasisFamily(tuple(mub_prime_bases(n)))
 
 
-def common_unbiased_basis_check(candidate, family: BasisFamily, tol: float = 1e-8) -> bool:
-    """True iff every candidate column is unbiased to every vector of every member.
+def unbiased_defects(candidate, family: BasisFamily) -> np.ndarray:
+    """Per family member, the largest | |<b|a>|^2 - 1/n | over candidate columns b and member vectors a.
 
-    Unbiased means |<b|a>|^2 = 1/n within ``tol``.
+    One product of the candidate against the family's whole stack.
     """
     cand = as_matrix(candidate)
     if not is_unitary(cand, STRUCTURAL_TOL):
         raise DomainError("candidate basis is not orthonormal")
     n = cand.shape[0]
-    for member in family.bases:
-        if member.shape[0] != n:
-            raise DomainError("family member dimension does not match candidate")
-        overlaps = np.abs(cand.conj().T @ member) ** 2
-        if float(np.max(np.abs(overlaps - 1.0 / n))) > tol:
-            return False
-    return True
+    if not len(family):
+        return np.zeros(0)
+    if family.dim != n:
+        raise DomainError("family member dimension does not match candidate")
+    overlaps = np.abs(cand.conj().T @ family.stack) ** 2
+    return np.abs(overlaps - 1.0 / n).max(axis=(1, 2), initial=0.0)
+
+
+def common_unbiased_basis_check(candidate, family: BasisFamily, tol: float = 1e-8) -> bool:
+    """True iff every candidate column is unbiased to every vector of every member.
+
+    Unbiased means |<b|a>|^2 = 1/n within ``tol`` (see :func:`unbiased_defects`).
+    """
+    return bool(np.all(unbiased_defects(candidate, family) <= tol))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -26,9 +26,15 @@ Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
 representation of such a protocol; :func:`one_way_protocol` derives Bob's
 vectors from the states and :meth:`OneWayProtocolSpec.as_protocol` expands a
-spec into a tree.
+spec into a tree, each round's :class:`Povm` built from one stacked array.
+The two-state separator deflates a traceless matrix one zero-value vector
+at a time; each step scans the diagonal's segments, then its triangles in
+blocks of equal first index up to the first hit, and rotates only the 2 or
+3 coordinates the vector lives on with a closed-form Householder
+reflection.
 """
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -55,7 +61,10 @@ class Povm:
     The operators are stored once, stacked row-wise into the read-only
     (sum of output dims, input dim) array ``stacked``; element i is the row
     block starting at ``offsets[i]``, and ``elements`` holds read-only views
-    of those blocks.
+    of those blocks.  ``elements`` may be a sequence of matrices or one
+    (outcomes, rows, input dim) array, which is checked and copied in one
+    piece rather than element by element; both forms give the same
+    ``stacked``, ``offsets`` and ``elements``.
     """
 
     elements: tuple
@@ -63,22 +72,35 @@ class Povm:
     offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        blocks = [np.asarray(m, dtype=complex) for m in self.elements]
-        for m in blocks:
-            if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-                raise DomainError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-        if not blocks:
-            raise DomainError("POVM needs at least one element")
-        if len({m.shape[1] for m in blocks}) != 1:
-            raise DomainError("POVM elements disagree on input dimension")
-        stacked = frozen_array(np.concatenate(blocks))
+        elements = self.elements
+        if isinstance(elements, np.ndarray) and elements.ndim == 3:
+            # an (outcomes, rows, input dim) stack, taken in one piece
+            count, rows, dim = elements.shape
+            if rows == 0 or dim == 0:
+                raise DomainError(f"expected a nonempty 2-D matrix, got shape {(rows, dim)}")
+            if not count:
+                raise DomainError("POVM needs at least one element")
+            stacked = frozen_array(elements.reshape(-1, dim))
+            starts = range(0, count * rows, rows)
+            elements = tuple(stacked.reshape(count, rows, dim))
+        else:
+            blocks = [np.asarray(m, dtype=complex) for m in elements]
+            for m in blocks:
+                if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
+                    raise DomainError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
+            if not blocks:
+                raise DomainError("POVM needs at least one element")
+            if len({m.shape[1] for m in blocks}) != 1:
+                raise DomainError("POVM elements disagree on input dimension")
+            stacked = frozen_array(np.concatenate(blocks))
+            ends = list(accumulate(m.shape[0] for m in blocks))
+            starts = [0, *ends[:-1]]
+            elements = tuple(stacked[a:b] for a, b in zip(starts, ends))
         if not np.all(np.isfinite(stacked)):
             raise DomainError("matrix contains non-finite entries")
-        ends = list(accumulate(m.shape[0] for m in blocks))
-        starts = [0, *ends[:-1]]
         object.__setattr__(self, "stacked", stacked)
         object.__setattr__(self, "offsets", frozen_array(starts, dtype=np.intp))
-        object.__setattr__(self, "elements", tuple(stacked[a:b] for a, b in zip(starts, ends)))
+        object.__setattr__(self, "elements", elements)
 
     @property
     def input_dim(self) -> int:
@@ -280,7 +302,9 @@ class OneWayProtocolSpec:
         (outcomes, dim_b, largest group) stack and completed by one batched
         complete QR; a zero column adds an identity reflector, so each
         outcome's basis is the one :func:`orthonormal_completion` gives, and
-        an empty group gives exactly the identity.
+        an empty group gives exactly the identity.  Each Bob round is a
+        :class:`Povm` built from its outcome's conjugated basis in one piece,
+        and equal labels share one :class:`Leaf`.
         """
         groups, db = self.bob_discriminators, self.dim_b
         width = max(len(group) for group in groups)
@@ -300,11 +324,12 @@ class OneWayProtocolSpec:
         # phases fixed (columns track the inputs) on each group's real columns only
         phase = d / np.where(real, np.abs(d), 1.0)
         np.multiply(q[:, :, :width], phase[:, None, :], out=q[:, :, :width], where=real[:, None, :])
-        children = []
-        for basis, group in zip(q, groups):
-            leaves = tuple(Leaf(lab) for lab, _ in group) + (Leaf(fallback),) * (db - len(group))
-            children.append(ProtocolNode(BOB, projective_povm(basis), leaves))
-        root = ProtocolNode(ALICE, projective_povm(self.alice_basis), tuple(children))
+        leaf = {lab: Leaf(lab) for lab in {fallback, *(lab for group in groups for lab, _ in group)}}
+        children = tuple(
+            ProtocolNode(BOB, Povm(rows), tuple(leaf[lab] for lab, _ in group) + (leaf[fallback],) * (db - len(group)))
+            for rows, group in zip(q.conj().transpose(0, 2, 1)[:, :, None, :], groups)
+        )
+        root = ProtocolNode(ALICE, projective_povm(self.alice_basis), children)
         return LoccProtocol(self.dim_a, db, root)
 
 
@@ -320,12 +345,12 @@ def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
     ab = as_matrix(alice_basis)
     b = [psi.b_matrix for psi in states]
     groups = []
-    for x in range(ab.shape[1]):
-        col = ab[:, x].conj()
+    for col in ab.conj().T.copy():  # row x is conj(c_x)
         group = []
         for label, bi in enumerate(b):
             v = bi @ col
-            nrm = float(np.linalg.norm(v))
+            # np.linalg.norm(v) bit for bit, without its per-call dispatch
+            nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
             if nrm > 1e-12:
                 group.append((label, v / nrm))
         groups.append(tuple(group))
@@ -447,7 +472,8 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     array of amplitude matrices S.  Each node applies its stacked POVM in
     one product (Alice maps S to stacked S, Bob to S stacked^T), whose row
     or column blocks are the outcomes' states; the Born weights are the
-    blocks' squared norms, summed by one ``np.add.reduceat``.  Every state's
+    blocks' squared norms, summed by one ``np.add.reduceat`` (a projective
+    POVM, one row per outcome, needs no sum).  Every state's
     trials are split over the outcomes by one multinomial draw, which is
     distribution-identical to per-trial sampling.  The trials drawn into
     the node's leaves are scored together against the leaf guesses, and an
@@ -477,8 +503,9 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
             z = povm.stacked @ s
         else:  # reshaped to one 2-D product: a 3-D matmul loops over the k matrices
             z = (s.reshape(-1, s.shape[2]) @ povm.stacked.T).reshape(*s.shape[:2], -1)
-        norms = (z.real**2 + z.imag**2).sum(axis=2 if alice else 1)
-        probs = np.add.reduceat(norms, povm.offsets, axis=1)
+        probs = (z.real**2 + z.imag**2).sum(axis=2 if alice else 1)
+        if probs.shape[1] != len(node.children):  # not one row per outcome
+            probs = np.add.reduceat(probs, povm.offsets, axis=1)
         probs /= probs.sum(axis=1, keepdims=True)
         drawn = rng.multinomial(counts, probs)
         leaf_cols, inner = [], []
@@ -567,26 +594,30 @@ def _solve_compression(b2, target):
     """Unit coefficients (c0, c1) with [c0,c1]^dag B [c0,c1] = target.
 
     Requires ``target`` to lie on the segment between the diagonal entries of
-    the 2x2 compression ``b2`` (then a closed-form solution exists).
+    the 2x2 compression ``b2`` (then a closed-form solution exists).  Scalar
+    math on Python complex numbers: at this size numpy's per-call overhead
+    would dominate.
     """
-    bs = b2 - target * np.eye(2)
-    z = bs[1, 1] - bs[0, 0]
+    target = complex(target)
+    (b00, b01), (b10, b11) = b2.tolist()
+    s00 = b00 - target
+    z = b11 - target - s00
     if abs(z) < 1e-14:
         return np.array([1.0, 0.0], dtype=complex)
-    mu = float(np.clip(-np.real(bs[0, 0] / z), 0.0, 1.0))
-    argz = np.angle(z)
-    xp = bs[0, 1] * np.exp(-1j * argz)
-    yp = bs[1, 0] * np.exp(-1j * argz)
-    phi = np.arctan2(-(xp.imag + yp.imag), xp.real - yp.real)
-    rho = float(np.real((bs[0, 1] * np.exp(1j * phi) + bs[1, 0] * np.exp(-1j * phi)) * np.exp(-1j * argz)))
+    mu = min(max(-(s00 / z).real, 0.0), 1.0)
+    rot = cmath.exp(-1j * cmath.phase(z))
+    xp = b01 * rot
+    yp = b10 * rot
+    phi = math.atan2(-(xp.imag + yp.imag), xp.real - yp.real)
+    rho = ((b01 * cmath.exp(1j * phi) + b10 * cmath.exp(-1j * phi)) * rot).real
     az = abs(z)
     quad = (1.0 - mu) * az
     if quad < 1e-14:
         x = 0.0 if abs(rho) < 1e-14 else max(mu * az / rho, 0.0)
     else:
-        x = (-rho + np.sqrt(rho * rho + 4.0 * quad * mu * az)) / (2.0 * quad)
-    t = np.arctan(x)
-    return np.array([np.cos(t), np.sin(t) * np.exp(1j * phi)], dtype=complex)
+        x = (-rho + math.sqrt(rho * rho + 4.0 * quad * mu * az)) / (2.0 * quad)
+    t = math.atan(x)
+    return np.array([math.cos(t), math.sin(t) * cmath.exp(1j * phi)], dtype=complex)
 
 
 def _vector_with_zero_value(mat, tol=1e-9):
@@ -597,63 +628,90 @@ def _vector_with_zero_value(mat, tol=1e-9):
     their convex hull: on a segment between two entries or inside a triangle
     of three.  The 2x2 compression onto the matching basis vectors then
     reaches zero in closed form (numerical ranges are convex), with no
-    eigendecomposition of M needed.
+    eigendecomposition of M needed.  The first segment (row-major order)
+    wins, else the first triangle (lexicographic order).  Triangles are
+    scanned in blocks of equal first index i, whose pairs (j, k) are the tail
+    of the segment list past row i, and the scan stops at the first block
+    with a hit; when no segment hits, the first block always holds one.
     """
     m = mat.shape[0]
-    eye = np.eye(m, dtype=complex)
     d = np.diag(mat)
+    w = np.zeros(m, dtype=complex)
     j = int(np.argmin(np.abs(d)))
     if abs(d[j]) <= tol:
-        return eye[:, j]
-    # the first segment (i < j, row-major order) passing within tol of zero
-    i, j = np.triu_indices(m, 1)
+        w[j] = 1.0
+        return w
+    # the first segment (i < j, row-major order as np.triu_indices lists them,
+    # built here at under a third of its cost) passing within tol of zero
+    x = np.arange(m)
+    i, j = np.nonzero(x[:, None] < x)
     seg = d[j] - d[i]
     usable = np.abs(seg) >= 1e-14
     s = np.clip(np.real((0.0 - d[i]) / np.where(usable, seg, 1.0)), 0.0, 1.0)
     hits = np.flatnonzero(usable & (np.abs(d[i] + s * seg) <= tol))
     if hits.size:
         pair = [i[hits[0]], j[hits[0]]]
-        return eye[:, pair] @ _solve_compression(mat[np.ix_(pair, pair)], 0.0)
-    # no single segment hits zero: the first triangle (i < j < k, lexicographic)
-    # holding zero; a singular (collinear) triple gets NaN weights and never hits
-    x = np.arange(m)
-    i, j, k = np.nonzero((x[:, None, None] < x[:, None]) & (x[:, None] < x))
-    num = np.imag([d[j].conj() * d[k], d[k].conj() * d[i], d[i].conj() * d[j]])
-    det = num.sum(axis=0)
-    lam = num / np.where(det == 0.0, np.nan, det)  # barycentric coordinates of zero
-    pos = np.clip(lam[:2], 0.0, None)
-    hits = np.flatnonzero(np.all(lam > -1e-9, axis=0) & (pos.sum(axis=0) >= 1e-14))
-    if not hits.size:
-        raise ToleranceError("could not locate a zero of the numerical range")
-    t = hits[0]
-    pair = [i[t], j[t]]
-    tau = (pos[0, t] * d[i[t]] + pos[1, t] * d[j[t]]) / (pos[0, t] + pos[1, t])
-    c = _solve_compression(mat[np.ix_(pair, pair)], tau)
-    p = np.column_stack([eye[:, pair] @ c, eye[:, k[t]]])
-    return p @ _solve_compression(p.conj().T @ mat @ p, 0.0)
+        w[pair] = _solve_compression(mat[pair][:, pair], 0.0)
+        return w
+    # no single segment hits zero: the first triangle (a < j < k) holding zero;
+    # a singular (collinear) triple gets NaN weights and never hits
+    for a in range(m - 2):
+        start = (a + 1) * (m - 1) - (a + 1) * a // 2  # first segment with i > a
+        dj, dk = d[i[start:]], d[j[start:]]
+        num = np.imag([dj.conj() * dk, dk.conj() * d[a], d[a].conj() * dj])
+        det = num.sum(axis=0)
+        lam = num / np.where(det == 0.0, np.nan, det)  # barycentric coordinates of zero
+        pos = np.clip(lam[:2], 0.0, None)
+        hits = np.flatnonzero(np.all(lam > -1e-9, axis=0) & (pos.sum(axis=0) >= 1e-14))
+        if hits.size:
+            t = hits[0]
+            support = [a, i[start + t], j[start + t]]
+            tau = (pos[0, t] * d[a] + pos[1, t] * dj[t]) / (pos[0, t] + pos[1, t])
+            sub = mat[support][:, support]
+            c = _solve_compression(sub[:2, :2], tau)
+            p = np.array([[c[0], 0.0], [c[1], 0.0], [0.0, 1.0]])
+            w[support] = p @ _solve_compression(p.conj().T @ sub @ p, 0.0)
+            return w
+    raise ToleranceError("could not locate a zero of the numerical range")
 
 
 def _zero_diagonal_basis(mat, tol=1e-9) -> np.ndarray:
     """Orthonormal basis in which the traceless matrix ``mat`` has zero diagonal.
 
-    Deflation: find one unit vector with vanishing quadratic form (it exists
-    because the numerical range of a traceless matrix contains zero), peel it
-    off, and recurse on the orthogonal complement, whose compression is
-    traceless again.
+    Deflation: find one unit vector w with vanishing quadratic form (it
+    exists because the numerical range of a traceless matrix contains zero),
+    peel it off, and go on with the compression to the orthogonal
+    complement, which is traceless again.  w from
+    :func:`_vector_with_zero_value` has 2 or 3 nonzero coordinates (or is a
+    working basis vector), so each step rotates only that support: a
+    closed-form Householder reflection H, unitary and Hermitian, maps one
+    support coordinate onto w up to a phase.  The working matrix and basis
+    change in those rows and columns only, and that coordinate is dropped.
     """
     m = mat.shape[0]
     if abs(np.trace(mat)) > 1e-9:
         raise DomainError("matrix must be traceless")
+    mk = np.array(mat, dtype=complex)  # compression to the working basis
+    iso = np.eye(m, dtype=complex)  # the working basis, column-wise
     cols = []
-    iso = np.eye(m, dtype=complex)
-    mk = mat.astype(complex)
     for _ in range(m - 1):
         wk = _vector_with_zero_value(mk)
-        wk = wk / np.linalg.norm(wk)
-        cols.append(iso @ wk)
-        comp = orthonormal_completion([wk], mk.shape[0])[:, 1:]
-        mk = comp.conj().T @ mk @ comp
-        iso = iso @ comp
+        support = np.flatnonzero(wk)
+        q = support[0]
+        if support.size > 1:
+            ws = wk[support] / np.linalg.norm(wk[support])
+            p = int(np.argmin(np.abs(ws)))  # keeps |u|^2 = 2 - 2|ws[p]| away from zero
+            q = support[p]
+            u = -ws
+            u[p] += ws[p] / abs(ws[p])  # H maps phase * e_p to ws
+            h = np.eye(support.size) - (2.0 / np.vdot(u, u).real) * np.outer(u, u.conj())
+            mk[support] = h @ mk[support]
+            mk[:, support] = mk[:, support] @ h
+            iso[:, support] = iso[:, support] @ h
+        cols.append(iso[:, q])
+        keep = np.arange(mk.shape[0]) != q
+        mk = mk[keep][:, keep]
+        iso = iso[:, keep]
     cols.append(iso[:, 0])
     w = np.column_stack(cols)
     diag = np.abs(np.diag(w.conj().T @ mat @ w))

@@ -224,24 +224,35 @@ def generalized_pauli(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def normal_eigensystem(matrix, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and orthonormal eigenvectors of a normal matrix, numpy only.
+    """Eigenvalues and orthonormal eigenvectors of a normal matrix or a stack of them, numpy only.
 
     A normal matrix's eigenvectors for distinct eigenvalues are orthogonal, so
     QR of the eigenvector matrix only orthonormalizes within eigenspaces.  A
     significant off-diagonal part of T = Q^dag M Q signals a non-normal input
-    and raises.  Returns ``(eigenvalues, vectors)``, eigenvectors as columns.
+    and raises.  A (..., n, n) stack takes one ``eig``, one QR and one
+    residual check for all its matrices, each equal bit for bit to its own
+    call; the error then names the first failing matrix (its flat index over
+    the leading axes is the error's ``index``).  Returns ``(eigenvalues,
+    vectors)``, eigenvectors as columns.
     """
-    m = as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] == 0 or m.shape[-2] == 0:
+        raise DomainError(f"expected a nonempty matrix or stack of matrices, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("matrix contains non-finite entries")
+    if m.shape[-1] != m.shape[-2]:
         raise DomainError("eigensystem requires a square matrix")
     q, _ = np.linalg.qr(np.linalg.eig(m)[1])
-    t = q.conj().T @ m @ q
-    off = t - np.diag(np.diag(t))
-    if float(np.max(np.abs(off))) > tol:
-        raise DomainError(
-            "matrix is not normal within tolerance; no orthonormal eigenbasis"
-        )
-    return np.diag(t).copy(), q
+    t = np.swapaxes(q.conj(), -1, -2) @ m @ q
+    vals = np.diagonal(t, axis1=-2, axis2=-1).copy()
+    off = np.abs(t - vals[..., None] * np.eye(m.shape[-1]))
+    bad = np.flatnonzero(off.max(axis=(-2, -1), initial=0.0) > tol)
+    if bad.size:
+        where = "matrix" if m.ndim == 2 else f"matrix {bad[0]} of the stack"
+        err = DomainError(f"{where} is not normal within tolerance; no orthonormal eigenbasis")
+        err.index = int(bad[0])
+        raise err
+    return vals, q
 
 
 def unitary_eigensystem(matrix, tol: float = STRUCTURAL_TOL) -> tuple[np.ndarray, np.ndarray]:

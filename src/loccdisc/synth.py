@@ -9,7 +9,10 @@ outcome.  For k orthogonal states whose pairwise products share a common
 unbiased basis, Alice measuring that (conjugated) basis does the same,
 because <b|B_i^dag B_j|b> = Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
 ``synthesize_cub_protocol`` is the one entry point for the latter; given no
-basis it scans the default candidates itself.  Eigenbases use numpy alone.
+basis it scans the default candidates itself.  Eigenbases use numpy alone:
+all k(k-1)/2 pairwise products are formed by one stacked product and
+diagonalized by one stacked eigensystem call, and each candidate basis is
+tested against the whole family of eigenbases in one product.
 
 Both constructions only choose Alice's basis.  ``locc.one_way_protocol``
 derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
@@ -26,7 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import locc
-from .ensembles import BasisFamily, StateEnsemble, common_unbiased_basis_check, fourier_matrix, is_prime, mub_prime_bases
+from .ensembles import (
+    BasisFamily,
+    StateEnsemble,
+    common_unbiased_basis_check,
+    fourier_matrix,
+    is_prime,
+    mub_prime_bases,
+    unbiased_defects,
+)
 from .errors import DomainError, ToleranceError
 from .locc import OneWayProtocolSpec
 from .qstate import as_matrix, frozen_array, is_unitary, normal_eigensystem, unitary_eigensystem
@@ -221,25 +232,24 @@ def pairwise_product_eigenbases(ensemble: StateEnsemble, tol: float = 1e-8):
     """Orthonormal eigenbases of every pairwise product B_i^dag B_j, i < j.
 
     Returns (pairs, family): the index pairs and the matching basis family.
-    Products must be normal (orthogonally diagonalizable); this holds for
-    maximally entangled ensembles (the products are unitary) and for
-    simultaneously diagonal ones.
+    All k(k-1)/2 products are formed by one stacked product and
+    diagonalized by one stacked :func:`~loccdisc.qstate.normal_eigensystem`
+    call; the family keeps the eigenvector stack as it is.  Products must be
+    normal (orthogonally diagonalizable); this holds for maximally entangled
+    ensembles (the products are unitary) and for simultaneously diagonal
+    ones.
     """
     b = ensemble.b_matrices()
-    pairs = []
-    bases = []
-    for i in range(ensemble.k):
-        for j in range(i + 1, ensemble.k):
-            prod = b[i].conj().T @ b[j]
-            try:
-                _, vecs = normal_eigensystem(prod, tol=tol)
-            except DomainError as exc:
-                raise DomainError(
-                    f"pairwise product ({i}, {j}) is not orthogonally diagonalizable: {exc}"
-                ) from exc
-            pairs.append((i, j))
-            bases.append(vecs)
-    return pairs, BasisFamily(tuple(bases))
+    first, second = np.triu_indices(ensemble.k, 1)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    products = b[first].conj().transpose(0, 2, 1) @ b[second]
+    try:
+        _, vecs = normal_eigensystem(products, tol=tol)
+    except DomainError as exc:
+        raise DomainError(
+            f"pairwise product {pairs[exc.index]} is not orthogonally diagonalizable: {exc}"
+        ) from exc
+    return pairs, BasisFamily(vecs)
 
 
 def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocolSpec:
@@ -264,13 +274,9 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
         cub = as_matrix(cub)
         if cub.shape != (ensemble.dim_a, ensemble.dim_a):
             raise DomainError("basis dimension does not match the ensemble")
-        if not is_unitary(cub, 1e-10):
-            raise DomainError("candidate basis is not orthonormal")
-        for (i, j), basis in zip(pairs, family.bases):
-            if not common_unbiased_basis_check(cub, BasisFamily((basis,)), tol=SYNTH_TOL):
-                raise DomainError(
-                    f"basis is not unbiased to the eigenbasis of pair ({i}, {j})"
-                )
+        bad = np.flatnonzero(unbiased_defects(cub, family) > SYNTH_TOL)
+        if bad.size:
+            raise DomainError(f"basis is not unbiased to the eigenbasis of pair {pairs[bad[0]]}")
 
     spec = locc.one_way_protocol(ensemble.states, cub.conj())
     worst = spec.max_bob_overlap()

@@ -18,7 +18,7 @@ from loccdisc import (
     uniform_ensemble,
 )
 from loccdisc.ensembles import bell_unitary, from_descriptor, haar_unitary, is_prime
-from loccdisc.qstate import unitary_eigensystem
+from loccdisc.qstate import generalized_pauli, unitary_eigensystem
 
 from conftest import random_state
 
@@ -281,3 +281,81 @@ class TestDescriptors:
     def test_non_integers_rejected(self, descriptor):
         with pytest.raises(DomainError, match="must be an integer"):
             from_descriptor(descriptor)
+
+
+def _bell_reference(n, m, l):
+    """X^m Z^l as two ``matrix_power`` calls and one product."""
+    x, z = generalized_pauli(n)
+    return np.linalg.matrix_power(x, m % n) @ np.linalg.matrix_power(z, l % n)
+
+
+class TestBellStack:
+    """The stacked Bell unitaries equal the per-label product bit for bit, signed zeros included."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        return np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_full_stack_matches_per_label_product(self, n):
+        from loccdisc.ensembles import _bell_unitaries
+
+        labels = np.arange(n * n)
+        stack = _bell_unitaries(n, labels // n, labels % n)
+        for (m, l), u in zip(itertools.product(range(n), range(n)), stack):
+            ref = _bell_reference(n, m, l)
+            assert np.array_equal(u, ref)
+            assert self._same_bits(u, ref)
+            assert self._same_bits(bell_unitary(n, m, l), ref)
+
+    def test_labels_reduced_mod_n(self):
+        assert self._same_bits(bell_unitary(5, 7, -1), _bell_reference(5, 2, 4))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 17])
+    def test_ensembles_match_per_state_build(self, n):
+        from loccdisc import state_from_matrix
+
+        labels = [(1 % n, 0), (0, n - 1), (n - 1, n // 2), (0, 0)]
+        for ens, labs in ((bell_basis(n), list(itertools.product(range(n), range(n)))), (bell_subset(n, labels), labels)):
+            assert ens.k == len(labs)
+            for psi, (m, l) in zip(ens.states, labs):
+                assert self._same_bits(psi.amplitudes, state_from_matrix(_bell_reference(n, m, l), n).amplitudes)
+
+
+class TestBasisFamilyStack:
+    def test_stack_and_tuple_forms_agree(self):
+        tup = mub_prime(5)
+        arr = BasisFamily(np.array(tup.bases))
+        assert np.array_equal(tup.stack, arr.stack)
+        assert len(arr) == len(tup) == 6 and arr.dim == 5
+        for a, b in zip(arr.bases, tup.bases):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
+
+    def test_first_bad_member_named(self):
+        bases = [np.eye(3, dtype=complex), fourier_matrix(3), 2 * np.eye(3), np.ones((3, 3))]
+        with pytest.raises(DomainError, match="family member 2 is not orthonormal"):
+            BasisFamily(tuple(bases))
+
+    def test_shapes_validated(self):
+        with pytest.raises(DomainError, match="mixed shapes"):
+            BasisFamily((np.eye(2), np.eye(3)))
+        with pytest.raises(DomainError, match="not orthonormal"):
+            BasisFamily((np.eye(3)[:, :2],))
+        with pytest.raises(DomainError):
+            BasisFamily((np.ones(3),))
+        with pytest.raises(DomainError, match="non-finite"):
+            BasisFamily((np.full((2, 2), np.inf),))
+
+    def test_empty_family(self):
+        fam = BasisFamily(())
+        assert len(fam) == 0 and fam.dim == 0
+        assert common_unbiased_basis_check(np.eye(2, dtype=complex), fam)
+
+    def test_check_agrees_with_per_member_checks(self):
+        fam = mub_prime(7)
+        cands = list(fam.bases) + [fourier_matrix(7)]
+        for cand in cands:
+            whole = common_unbiased_basis_check(cand, BasisFamily(fam.bases[1:]))
+            each = all(common_unbiased_basis_check(cand, BasisFamily((m,))) for m in fam.bases[1:])
+            assert whole == each

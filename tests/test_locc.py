@@ -790,3 +790,107 @@ class TestProductBasisProtocol:
         s2 = BipartiteState(2, 2, np.kron(plus, np.array([0.0, 1.0])))
         with pytest.raises(DomainError):
             product_basis_protocol(uniform_ensemble([s1, s2]))
+
+
+class TestStackedPovm:
+    """A Povm built from one (outcomes, rows, d) array equals the tuple form."""
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (5, 1, 5), (3, 2, 6), (4, 3, 2)])
+    def test_stack_equals_tuple_form(self, shape, rng):
+        arr = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        stacked, tup = Povm(arr), Povm(tuple(arr))
+        assert np.array_equal(stacked.stacked, tup.stacked)
+        assert np.array_equal(stacked.offsets, tup.offsets) and stacked.offsets.dtype == tup.offsets.dtype
+        assert len(stacked.elements) == len(tup.elements) == shape[0]
+        for a, b in zip(stacked.elements, tup.elements):
+            assert np.array_equal(a, b) and a.shape == b.shape
+            assert not a.flags.writeable
+        assert not stacked.stacked.flags.writeable
+
+    def test_projective_povm_uses_the_stack(self, rng):
+        basis = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+        povm = projective_povm(basis)
+        ref = Povm(tuple(basis.conj().T[:, None, :]))
+        assert np.array_equal(povm.stacked, ref.stacked) and np.array_equal(povm.offsets, ref.offsets)
+        assert povm.completeness_defect() < 1e-12
+
+    def test_stack_not_aliased(self):
+        arr = np.eye(3, dtype=complex)[:, None, :]
+        povm = Povm(arr)
+        arr[0, 0, 0] = 5.0
+        assert povm.stacked[0, 0] == 1.0
+
+    def test_empty_and_non_finite_rejected(self):
+        with pytest.raises(DomainError, match="at least one element"):
+            Povm(np.zeros((0, 1, 3)))
+        for shape in ((2, 0, 3), (2, 1, 0)):
+            with pytest.raises(DomainError, match="nonempty 2-D"):
+                Povm(np.zeros(shape))
+        bad = np.eye(2, dtype=complex)[:, None, :]
+        bad[1, 0, 1] = np.nan
+        with pytest.raises(DomainError, match="non-finite"):
+            Povm(bad)
+
+
+def _product_pair(rng, dim_a, dim_b):
+    """Orthogonal product states a1 (x) b1 and a2 (x) b2: orthogonal on Alice's side or on Bob's."""
+
+    def unit(d):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    a1, b1, b2 = unit(dim_a), unit(dim_b), unit(dim_b)
+    if rng.random() < 0.5:
+        a2 = unit(dim_a)
+        a2 -= np.vdot(a1, a2) * a1
+        a2 /= np.linalg.norm(a2)
+    else:
+        a2 = a1
+        b2 -= np.vdot(b1, b2) * b1
+        b2 /= np.linalg.norm(b2)
+    return BipartiteState(dim_a, dim_b, np.kron(a1, b1)), BipartiteState(dim_a, dim_b, np.kron(a2, b2))
+
+
+class TestTwoStateDeflation:
+    """The Householder deflation gives a zero-diagonal unitary basis and a perfect protocol."""
+
+    @staticmethod
+    def _assert_basis_and_protocol(s1, s2):
+        mat = s1.amplitude_matrix.conj() @ s2.amplitude_matrix.T
+        w = locc._zero_diagonal_basis(mat)
+        m = mat.shape[0]
+        assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= 1e-9
+        assert float(np.max(np.abs(w.conj().T @ w - np.eye(m)))) <= 1e-9
+        res = evaluate(two_state_protocol(s1, s2), uniform_ensemble([s1, s2]))
+        assert res.success_probability >= 1 - 1e-9
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_generic_pairs(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        for da, db in ((3, 12), (12, 3), (8, 8), (16, 16), (24, 24)):
+            self._assert_basis_and_protocol(*random_orthogonal_pair(rng, da, db))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_rank_deficient_pairs(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        for da, db in ((3, 12), (6, 6), (10, 4)):
+            r1, r2 = (int(x) for x in rng.integers(1, min(da, db) + 1, size=2))
+            self._assert_basis_and_protocol(*_low_rank_orthogonal_pair(rng, da, db, r1, r2))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_seeded_product_pairs(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        for da, db in ((2, 2), (3, 12), (5, 4)):
+            self._assert_basis_and_protocol(*_product_pair(rng, da, db))
+
+    def test_zero_diagonal_input_needs_no_rotation(self):
+        mat = np.diag([0.0, 0.0, 0.0]).astype(complex) + np.triu(np.ones((3, 3)), 1)
+        np.testing.assert_array_equal(locc._zero_diagonal_basis(mat), np.eye(3))
+
+    def test_hermitian_input_takes_segments(self, rng):
+        a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        mat = a + a.conj().T
+        mat -= np.trace(mat) / 9 * np.eye(9)
+        w = locc._zero_diagonal_basis(mat)
+        assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= 1e-9
+        assert float(np.max(np.abs(w.conj().T @ w - np.eye(9)))) <= 1e-9

@@ -288,3 +288,60 @@ class TestStateValidation:
         psi = me_state(2)
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
+
+
+class TestStackedEigensystem:
+    """One ``normal_eigensystem`` call on a stack equals the per-matrix calls bit for bit."""
+
+    @staticmethod
+    def _normal_stack(rng, count, n):
+        from loccdisc import haar_unitary
+
+        mats = []
+        for _ in range(count):
+            u = haar_unitary(n, rng)
+            mats.append(u @ np.diag(_rand_complex(rng, n)) @ u.conj().T)
+        return np.array(mats)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_per_matrix_calls(self, n, rng):
+        stack = self._normal_stack(rng, 7, n)
+        vals, vecs = normal_eigensystem(stack)
+        assert vals.shape == (7, n) and vecs.shape == (7, n, n)
+        for m, v, q in zip(stack, vals, vecs):
+            v1, q1 = normal_eigensystem(m)
+            assert np.array_equal(v.view(float), v1.view(float))
+            assert np.array_equal(q.view(float), q1.view(float))
+
+    def test_unitary_products_with_degenerate_spectra(self):
+        # X^a Z^b at n = 6 have repeated eigenvalues
+        x, z = generalized_pauli(6)
+        stack = np.array([np.linalg.matrix_power(x, a) @ np.linalg.matrix_power(z, b) for a in range(6) for b in range(6)])
+        vals, vecs = normal_eigensystem(stack)
+        for m, v, q in zip(stack, vals, vecs):
+            v1, q1 = normal_eigensystem(m)
+            assert np.array_equal(v, v1) and np.array_equal(q, q1)
+
+    def test_leading_axes_kept(self, rng):
+        stack = self._normal_stack(rng, 6, 3).reshape(2, 3, 3, 3)
+        vals, vecs = normal_eigensystem(stack)
+        assert vals.shape == (2, 3, 3) and vecs.shape == (2, 3, 3, 3)
+
+    def test_first_non_normal_member_named(self, rng):
+        stack = self._normal_stack(rng, 5, 4)
+        jordan = np.eye(4) + np.diag(np.ones(3), 1)
+        stack[2] = jordan
+        stack[4] = jordan
+        with pytest.raises(DomainError, match="matrix 2 of the stack is not normal") as info:
+            normal_eigensystem(stack)
+        assert info.value.index == 2
+
+    def test_single_matrix_message_unchanged(self):
+        with pytest.raises(DomainError, match="^matrix is not normal within tolerance") as info:
+            normal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        assert info.value.index == 0
+
+    def test_bad_shapes_rejected(self):
+        for bad in (np.zeros(3), np.zeros((2, 0, 0)), np.zeros((2, 3, 4)), np.full((2, 2), np.nan)):
+            with pytest.raises(DomainError):
+                normal_eigensystem(bad)

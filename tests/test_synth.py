@@ -290,3 +290,41 @@ class TestFindCub:
         # the lazy scan yields the bases of mub_prime in the same order
         for lazy, eager in zip(default_cub_candidates(5), mub_prime(5).bases, strict=True):
             np.testing.assert_array_equal(lazy, eager)
+
+
+class TestStackedPairwise:
+    """All pairwise products in one stack: the same bases as one product and one eigensystem per pair."""
+
+    @pytest.mark.parametrize(
+        "ens",
+        [
+            bell_subset(11, [(0, 0), (1, 2), (3, 4), (5, 6), (7, 8)]),
+            bell_subset(6, [(0, 0), (2, 2), (3, 0), (1, 5)]),
+            random_orthogonal_me_triple(8, 2),
+            simultaneously_diagonal_ensemble(haar_unitary(8, np.random.default_rng(4))),
+        ],
+        ids=["bell-n11", "bell-n6", "me-triple-n8", "simdiag-n8"],
+    )
+    def test_matches_per_pair_eigensystems(self, ens):
+        from loccdisc.qstate import normal_eigensystem
+
+        pairs, family = pairwise_product_eigenbases(ens)
+        b = ens.b_matrices()
+        assert pairs == [(i, j) for i in range(ens.k) for j in range(i + 1, ens.k)]
+        assert family.stack.shape == (len(pairs), ens.dim_a, ens.dim_a)
+        for (i, j), basis in zip(pairs, family.bases):
+            _, ref = normal_eigensystem(b[i].conj().T @ b[j])
+            assert np.array_equal(basis.view(float), ref.view(float))
+
+    def test_first_non_normal_pair_named(self, rng):
+        # B_0^dag B_1 is unitary (normal); B_0^dag B_2 is a generic, non-normal matrix
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        ens = uniform_ensemble([state_from_matrix(np.eye(3), 3), state_from_matrix(haar_unitary(3, rng), 3), state_from_matrix(g, 3)])
+        with pytest.raises(DomainError, match=r"pairwise product \(0, 2\) is not orthogonally diagonalizable"):
+            pairwise_product_eigenbases(ens)
+
+    def test_explicit_basis_check_names_first_pair(self):
+        # the computational basis is unbiased to the Fourier eigenbasis of (0, 1) but not to (0, 2)'s
+        ens = bell_subset(3, [(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(DomainError, match=r"pair \(0, 2\)"):
+            synthesize_cub_protocol(ens, np.eye(3, dtype=complex))
