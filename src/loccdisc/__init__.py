@@ -47,22 +47,16 @@ from .locc import (
 )
 from .qstate import (
     BipartiteState,
-    SchmidtDecomposition,
     generalized_pauli,
-    inner_product_via_trace,
     is_unitary,
     me_state,
-    schmidt,
     state_from_matrix,
     transpose_identity_check,
 )
 from .synth import (
-    PhaseSolution,
     find_cub,
-    overlap_phase_normalize,
     synthesize_cub_protocol,
     synthesize_three_qutrit_protocol,
-    traceless_unitary_eigensystem,
 )
 
 __version__ = "0.1.0"
@@ -75,11 +69,9 @@ __all__ = [
     "Leaf",
     "LoccProtocol",
     "OneWayProtocolSpec",
-    "PhaseSolution",
     "Povm",
     "ProtocolEvaluation",
     "ProtocolNode",
-    "SchmidtDecomposition",
     "StateEnsemble",
     "ToolkitError",
     "ToleranceError",
@@ -99,14 +91,11 @@ __all__ = [
     "g_bounds_bits",
     "generalized_pauli",
     "haar_unitary",
-    "inner_product_via_trace",
     "is_unitary",
     "me_state",
     "mub_prime",
-    "overlap_phase_normalize",
     "product_basis_protocol",
     "random_orthogonal_me_triple",
-    "schmidt",
     "schmidt_bound",
     "simulate",
     "simultaneously_diagonal_ensemble",
@@ -114,7 +103,6 @@ __all__ = [
     "state_from_matrix",
     "synthesize_cub_protocol",
     "synthesize_three_qutrit_protocol",
-    "traceless_unitary_eigensystem",
     "transpose_identity_check",
     "two_state_protocol",
     "uniform_ensemble",

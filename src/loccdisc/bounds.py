@@ -27,6 +27,12 @@ VERDICT_POSSIBLE = "PerfectPossible"
 VERDICT_IMPOSSIBLE = "PerfectImpossible"
 VERDICT_UNKNOWN = "Unknown"
 
+# Density-matrix eigenvalues below this count as zero in entropies.
+EIGENVALUE_CLIP = 1e-15
+# How closely the Gram matrices S_i^dag S_i (or B_i^dag B_i) must agree for
+# one party to map every state to every other unilaterally.
+UNILATERAL_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -142,14 +148,14 @@ def schmidt_bound(ensemble: StateEnsemble) -> float:
     return _schmidt_cap(ensemble, ensemble.schmidt_coefficients[:, 0].max())
 
 
-def von_neumann_entropy_bits(rho, clip: float = 1e-15):
-    """S(rho) = -Tr rho log2 rho, with eigenvalues below ``clip`` dropped.
+def von_neumann_entropy_bits(rho):
+    """S(rho) = -Tr rho log2 rho, with eigenvalues up to ``EIGENVALUE_CLIP`` dropped.
 
     A (..., d, d) stack of matrices gives one entropy per matrix.
     """
     rho = np.asarray(rho)
     vals = np.linalg.eigvalsh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
-    vals = np.where(vals > clip, vals, 1.0)  # log2(1) = 0: dropped eigenvalues add nothing
+    vals = np.where(vals > EIGENVALUE_CLIP, vals, 1.0)  # log2(1) = 0: dropped eigenvalues add nothing
     ent = -np.sum(vals * np.log2(vals), axis=-1)
     return float(ent) if ent.ndim == 0 else ent
 
@@ -173,7 +179,7 @@ def g_bounds_bits(k: int, n: int) -> tuple[float, float]:
     return (2.0 / k, math.log2(math.ceil(math.sqrt(k))))
 
 
-def _unilateral_sides(ensemble: StateEnsemble, tol: float = 1e-8):
+def _unilateral_sides(ensemble: StateEnsemble):
     """Which parties can unilaterally map state 1 to every other state.
 
     Bob can iff all B_i^dag B_i agree; Alice can iff all S_i^dag S_i agree
@@ -182,32 +188,23 @@ def _unilateral_sides(ensemble: StateEnsemble, tol: float = 1e-8):
 
     def agree(x):
         g = x.conj().transpose(0, 2, 1) @ x
-        return float(np.max(np.abs(g - g[0]))) <= tol
+        return float(np.max(np.abs(g - g[0]))) <= UNILATERAL_TOL
 
     return agree(ensemble.amplitude_matrices()), agree(ensemble.b_matrices())
 
 
 def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:
     """All success-probability caps whose hypotheses this ensemble satisfies."""
-    out = []
     k, m, n = ensemble.k, ensemble.dim_a, ensemble.dim_b
-    if ensemble.is_uniform() and k >= 2:
-        cap = schmidt_bound(ensemble)
-        out.append(
-            Witness("schmidt-weight", "success", cap, 1.0, cap < 1.0 - 1e-12)
-        )
-        alice, bob = _unilateral_sides(ensemble)
-        if bob and n <= k <= m * n:
-            val = n / k
-            out.append(
-                Witness("unilateral-bob", "success", val, 1.0, val < 1.0 - 1e-12)
-            )
-        if alice and m <= k <= m * n:
-            val = m / k
-            out.append(
-                Witness("unilateral-alice", "success", val, 1.0, val < 1.0 - 1e-12)
-            )
-    return out
+    if not (ensemble.is_uniform() and k >= 2):
+        return []
+    caps = [("schmidt-weight", schmidt_bound(ensemble))]
+    alice, bob = _unilateral_sides(ensemble)
+    if bob and n <= k <= m * n:
+        caps.append(("unilateral-bob", n / k))
+    if alice and m <= k <= m * n:
+        caps.append(("unilateral-alice", m / k))
+    return [Witness(name, "success", cap, 1.0, cap < 1.0 - 1e-12) for name, cap in caps]
 
 
 def _try_synthesizers(ensemble: StateEnsemble):

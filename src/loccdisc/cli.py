@@ -8,6 +8,7 @@ quietly with 0.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -143,10 +144,7 @@ def _cmd_selftest(args) -> int:
 
     results = selftest.run_all(stream=sys.stderr)
     report = {
-        "criteria": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail, "elapsed_s": r.elapsed_s}
-            for r in results
-        ],
+        "criteria": [dataclasses.asdict(r) for r in results],
         "passed": all(r.passed for r in results),
     }
     _emit("selftest", {}, report)

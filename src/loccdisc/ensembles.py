@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import DomainError
 from .qstate import (
+    ALGEBRAIC_TOL,
     STRUCTURAL_TOL,
     as_int,
     as_matrix,
@@ -99,8 +100,8 @@ class StateEnsemble:
         dev = b.conj().transpose(0, 2, 1) @ b - np.eye(self.dim_b)
         return float(np.max(np.abs(dev))) <= tol
 
-    def is_uniform(self, tol: float = 1e-12) -> bool:
-        return bool(np.max(np.abs(self.priors - 1.0 / self.k)) <= tol)
+    def is_uniform(self) -> bool:
+        return bool(np.max(np.abs(self.priors - 1.0 / self.k)) <= ALGEBRAIC_TOL)
 
 
 def uniform_ensemble(states) -> StateEnsemble:

@@ -53,6 +53,13 @@ BOB = "bob"
 # sums away from log(0); the discarded mass bounds the induced error).
 PRUNE_TOL = 1e-14
 
+# The guess on the outcomes that complete a one-way protocol's Bob basis.
+COMPLETION_GUESS = 0
+
+# How close to zero the two-state separator drives the diagonal, and how
+# close to unitary its basis must be.
+ZERO_DIAGONAL_TOL = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class Povm:
@@ -211,10 +218,6 @@ class ProtocolEvaluation:
             zip(states.tolist(), [paths[r] for r in rows], [guesses[r] for r in rows], p.tolist())
         )
 
-    @property
-    def mutual_information_nats(self) -> float:
-        return self.mutual_information_bits * math.log(2.0)
-
 
 def projective_povm(basis) -> Povm:
     """Rank-1 row-vector POVM measuring in the columns of ``basis``."""
@@ -294,11 +297,11 @@ class OneWayProtocolSpec:
                     worst = max(worst, abs(np.vdot(group[i][1], group[j][1])))
         return worst
 
-    def as_protocol(self, fallback: int = 0) -> LoccProtocol:
+    def as_protocol(self) -> LoccProtocol:
         """Expand into an explicit two-round protocol tree.
 
         Each outcome's Bob vectors are completed to a full basis; completion
-        outcomes guess ``fallback``.  The groups are zero-padded to one
+        outcomes guess ``COMPLETION_GUESS``.  The groups are zero-padded to one
         (outcomes, dim_b, largest group) stack and completed by one batched
         complete QR; a zero column adds an identity reflector, so each
         outcome's basis is the one :func:`orthonormal_completion` gives, and
@@ -324,9 +327,9 @@ class OneWayProtocolSpec:
         # phases fixed (columns track the inputs) on each group's real columns only
         phase = d / np.where(real, np.abs(d), 1.0)
         np.multiply(q[:, :, :width], phase[:, None, :], out=q[:, :, :width], where=real[:, None, :])
-        leaf = {lab: Leaf(lab) for lab in {fallback, *(lab for group in groups for lab, _ in group)}}
+        leaf = {lab: Leaf(lab) for lab in {COMPLETION_GUESS, *(lab for group in groups for lab, _ in group)}}
         children = tuple(
-            ProtocolNode(BOB, Povm(rows), tuple(leaf[lab] for lab, _ in group) + (leaf[fallback],) * (db - len(group)))
+            ProtocolNode(BOB, Povm(rows), tuple(leaf[lab] for lab, _ in group) + (leaf[COMPLETION_GUESS],) * (db - len(group)))
             for rows, group in zip(q.conj().transpose(0, 2, 1)[:, :, None, :], groups)
         )
         root = ProtocolNode(ALICE, projective_povm(self.alice_basis), children)
@@ -620,7 +623,7 @@ def _solve_compression(b2, target):
     return np.array([math.cos(t), math.sin(t) * cmath.exp(1j * phi)], dtype=complex)
 
 
-def _vector_with_zero_value(mat, tol=1e-9):
+def _vector_with_zero_value(mat):
     """Unit w with <w|M|w> = 0 for a traceless square matrix M.
 
     Each diagonal entry M_jj = <e_j|M|e_j> of the working basis lies in the
@@ -638,17 +641,17 @@ def _vector_with_zero_value(mat, tol=1e-9):
     d = np.diag(mat)
     w = np.zeros(m, dtype=complex)
     j = int(np.argmin(np.abs(d)))
-    if abs(d[j]) <= tol:
+    if abs(d[j]) <= ZERO_DIAGONAL_TOL:
         w[j] = 1.0
         return w
     # the first segment (i < j, row-major order as np.triu_indices lists them,
-    # built here at under a third of its cost) passing within tol of zero
+    # built here at under a third of its cost) passing within ZERO_DIAGONAL_TOL of zero
     x = np.arange(m)
     i, j = np.nonzero(x[:, None] < x)
     seg = d[j] - d[i]
     usable = np.abs(seg) >= 1e-14
     s = np.clip(np.real((0.0 - d[i]) / np.where(usable, seg, 1.0)), 0.0, 1.0)
-    hits = np.flatnonzero(usable & (np.abs(d[i] + s * seg) <= tol))
+    hits = np.flatnonzero(usable & (np.abs(d[i] + s * seg) <= ZERO_DIAGONAL_TOL))
     if hits.size:
         pair = [i[hits[0]], j[hits[0]]]
         w[pair] = _solve_compression(mat[pair][:, pair], 0.0)
@@ -675,7 +678,7 @@ def _vector_with_zero_value(mat, tol=1e-9):
     raise ToleranceError("could not locate a zero of the numerical range")
 
 
-def _zero_diagonal_basis(mat, tol=1e-9) -> np.ndarray:
+def _zero_diagonal_basis(mat) -> np.ndarray:
     """Orthonormal basis in which the traceless matrix ``mat`` has zero diagonal.
 
     Deflation: find one unit vector w with vanishing quadratic form (it
@@ -715,7 +718,7 @@ def _zero_diagonal_basis(mat, tol=1e-9) -> np.ndarray:
     cols.append(iso[:, 0])
     w = np.column_stack(cols)
     diag = np.abs(np.diag(w.conj().T @ mat @ w))
-    if float(np.max(diag)) > tol or float(np.max(np.abs(w.conj().T @ w - np.eye(m)))) > tol:
+    if float(np.max(diag)) > ZERO_DIAGONAL_TOL or float(np.max(np.abs(w.conj().T @ w - np.eye(m)))) > ZERO_DIAGONAL_TOL:
         raise ToleranceError("zero-diagonal basis construction failed tolerance")
     return w
 

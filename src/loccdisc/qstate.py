@@ -19,9 +19,10 @@ from .errors import DomainError, ToleranceError
 
 # Default tolerances: algebraic identities should hold to 1e-12, structural
 # predicates (unitarity, orthogonality, ...) to 1e-10.  Quantities sitting
-# downstream of an eigensolve use looser synthesis tolerances (see synth).
+# downstream of an eigensolve use the looser 1e-8 (here and in synth).
 ALGEBRAIC_TOL = 1e-12
 STRUCTURAL_TOL = 1e-10
+EIGEN_TOL = 1e-8
 
 
 def frozen_array(values, dtype=complex) -> np.ndarray:
@@ -128,13 +129,6 @@ def transpose_identity_check(a) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def inner_product_via_trace(psi1: BipartiteState, psi2: BipartiteState) -> complex:
-    """<psi1|psi2> computed as Tr(B1^dag B2)/dim_a through the matrix picture."""
-    if (psi1.dim_a, psi1.dim_b) != (psi2.dim_a, psi2.dim_b):
-        raise DomainError("states live in different spaces")
-    return complex(np.trace(psi1.b_matrix.conj().T @ psi2.b_matrix) / psi1.dim_a)
-
-
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
     """Schmidt data: |psi> = sum_i sqrt(coefficients[i]) left[:,i] (x) right[:,i].
@@ -223,13 +217,13 @@ def generalized_pauli(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
-def normal_eigensystem(matrix, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def normal_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and orthonormal eigenvectors of a normal matrix or a stack of them, numpy only.
 
     A normal matrix's eigenvectors for distinct eigenvalues are orthogonal, so
     QR of the eigenvector matrix only orthonormalizes within eigenspaces.  A
-    significant off-diagonal part of T = Q^dag M Q signals a non-normal input
-    and raises.  A (..., n, n) stack takes one ``eig``, one QR and one
+    off-diagonal part of T = Q^dag M Q above ``EIGEN_TOL`` signals a
+    non-normal input and raises.  A (..., n, n) stack takes one ``eig``, one QR and one
     residual check for all its matrices, each equal bit for bit to its own
     call; the error then names the first failing matrix (its flat index over
     the leading axes is the error's ``index``).  Returns ``(eigenvalues,
@@ -246,7 +240,7 @@ def normal_eigensystem(matrix, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarra
     t = np.swapaxes(q.conj(), -1, -2) @ m @ q
     vals = np.diagonal(t, axis1=-2, axis2=-1).copy()
     off = np.abs(t - vals[..., None] * np.eye(m.shape[-1]))
-    bad = np.flatnonzero(off.max(axis=(-2, -1), initial=0.0) > tol)
+    bad = np.flatnonzero(off.max(axis=(-2, -1), initial=0.0) > EIGEN_TOL)
     if bad.size:
         where = "matrix" if m.ndim == 2 else f"matrix {bad[0]} of the stack"
         err = DomainError(f"{where} is not normal within tolerance; no orthonormal eigenbasis")
@@ -255,11 +249,11 @@ def normal_eigensystem(matrix, tol: float = 1e-8) -> tuple[np.ndarray, np.ndarra
     return vals, q
 
 
-def unitary_eigensystem(matrix, tol: float = STRUCTURAL_TOL) -> tuple[np.ndarray, np.ndarray]:
+def unitary_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigensystem of a unitary matrix, eigenvalues projected onto the unit circle."""
     m = as_matrix(matrix)
-    if not is_unitary(m, tol):
+    if not is_unitary(m):
         raise DomainError("matrix is not unitary within tolerance")
-    vals, vecs = normal_eigensystem(m, tol=max(tol, 1e-8))
+    vals, vecs = normal_eigensystem(m)
     vals = vals / np.abs(vals)
     return vals, vecs

@@ -6,6 +6,8 @@ with {"actor", "povm", "children"} objects and {"guess"} leaves.  Every
 loader validates shape and rejects malformed payloads with DomainError.
 """
 
+import dataclasses
+
 import numpy as np
 
 from . import bounds as bounds_mod
@@ -78,15 +80,13 @@ def ensemble_to_json(ensemble: StateEnsemble) -> dict:
 
 
 def ensemble_from_json(data) -> StateEnsemble:
-    """Accepts either a constructor descriptor ({"kind": ...}) or an explicit payload."""
+    """Accepts a constructor descriptor ({"kind": ...}); {"states": ...} without a kind is read as "explicit"."""
     if not isinstance(data, dict):
         raise DomainError("ensemble payload must be a JSON object")
     if "kind" in data:
         return from_descriptor(data)
     if "states" in data:
-        states = tuple(state_from_json(s) for s in data["states"])
-        priors = data.get("priors")
-        return StateEnsemble(states, None if priors is None else np.asarray(priors, dtype=float))
+        return from_descriptor({**data, "kind": "explicit"})
     raise DomainError("ensemble payload needs a 'kind' or a 'states' field")
 
 
@@ -174,29 +174,4 @@ def evaluation_to_json(result: locc.ProtocolEvaluation) -> dict:
 
 
 def bounds_report_to_json(report: bounds_mod.BoundsReport) -> dict:
-    return {
-        "k": report.k,
-        "m": report.m,
-        "n": report.n,
-        "lambda_max": report.lambda_max,
-        "f_lower": report.f_lower,
-        "f_upper": report.f_upper,
-        "fme_lower": report.fme_lower,
-        "fme_upper": report.fme_upper,
-        "schmidt_upper": report.schmidt_upper,
-        "entropy_upper_bits": report.entropy_upper_bits,
-        "g_lower_bits": report.g_lower_bits,
-        "g_upper_bits": report.g_upper_bits,
-        "verdict": report.verdict,
-        "possible_via": report.possible_via,
-        "witnesses": [
-            {
-                "name": w.name,
-                "kind": w.kind,
-                "value": w.value,
-                "requirement": w.requirement,
-                "violated": w.violated,
-            }
-            for w in report.witnesses
-        ],
-    }
+    return dataclasses.asdict(report)

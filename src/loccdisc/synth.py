@@ -97,7 +97,7 @@ def traceless_unitary_eigensystem(matrix) -> tuple[complex, np.ndarray]:
         raise DomainError("expected a 3x3 matrix")
     if abs(np.trace(m)) > 1e-8:
         raise DomainError(f"matrix is not traceless (|tr| = {abs(np.trace(m)):.3e})")
-    vals, vecs = unitary_eigensystem(m, tol=1e-10)
+    vals, vecs = unitary_eigensystem(m)
 
     angles = np.angle(vals)
     for i in range(3):
@@ -196,6 +196,15 @@ def overlap_phase_normalize(e_basis, f_basis) -> PhaseSolution:
     )
 
 
+def _checked_one_way(ensemble: StateEnsemble, alice_basis) -> OneWayProtocolSpec:
+    """The one-way spec for ``alice_basis``, refused unless Bob's vectors are orthogonal to SYNTH_TOL."""
+    spec = locc.one_way_protocol(ensemble.states, alice_basis)
+    worst = spec.max_bob_overlap()
+    if worst > SYNTH_TOL:
+        raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")
+    return spec
+
+
 def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolSpec:
     """Perfect one-way protocol for three orthogonal ME states of C^3 (x) C^3.
 
@@ -221,14 +230,10 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
 
     fourier = np.array([[OMEGA ** (i * x) for x in range(3)] for i in range(3)]) / np.sqrt(3)
     u = e_hat @ fourier
-    spec = locc.one_way_protocol(ensemble.states, u.conj())
-    worst = spec.max_bob_overlap()
-    if worst > SYNTH_TOL:
-        raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")
-    return spec
+    return _checked_one_way(ensemble, u.conj())
 
 
-def pairwise_product_eigenbases(ensemble: StateEnsemble, tol: float = 1e-8):
+def pairwise_product_eigenbases(ensemble: StateEnsemble):
     """Orthonormal eigenbases of every pairwise product B_i^dag B_j, i < j.
 
     Returns (pairs, family): the index pairs and the matching basis family.
@@ -244,7 +249,7 @@ def pairwise_product_eigenbases(ensemble: StateEnsemble, tol: float = 1e-8):
     pairs = list(zip(first.tolist(), second.tolist()))
     products = b[first].conj().transpose(0, 2, 1) @ b[second]
     try:
-        _, vecs = normal_eigensystem(products, tol=tol)
+        _, vecs = normal_eigensystem(products)
     except DomainError as exc:
         raise DomainError(
             f"pairwise product {pairs[exc.index]} is not orthogonally diagonalizable: {exc}"
@@ -278,11 +283,7 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
         if bad.size:
             raise DomainError(f"basis is not unbiased to the eigenbasis of pair {pairs[bad[0]]}")
 
-    spec = locc.one_way_protocol(ensemble.states, cub.conj())
-    worst = spec.max_bob_overlap()
-    if worst > SYNTH_TOL:
-        raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")
-    return spec
+    return _checked_one_way(ensemble, cub.conj())
 
 
 def default_cub_candidates(n: int) -> Iterator[np.ndarray]:

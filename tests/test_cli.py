@@ -232,6 +232,8 @@ class TestOutputBoundary:
             '{"kind":"bell","n":1e400}',
             '{"kind":"bell_subset","n":3,"labels":[[0,0.5]]}',
             '{"kind":"bell_subset","n":3,"labels":[[true,0]]}',
+            '{"states":5}',
+            '{"states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}],"priors":{"a":1}}',
         ],
     )
     def test_bad_descriptors_exit_2(self, capsys, descriptor):

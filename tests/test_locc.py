@@ -600,14 +600,14 @@ class TestOneWayExpansion:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_per_outcome_completion(self, seed):
         spec = _random_spec(seed)
-        protocol = spec.as_protocol(fallback=7)
+        protocol = spec.as_protocol()
         protocol.validate()
         assert not spec.bob_discriminators[0]
         for node, group in zip(protocol.root.children, spec.bob_discriminators):
             ref = projective_povm(orthonormal_completion([v for _, v in group], spec.dim_b))
             assert np.array_equal(node.povm.stacked, ref.stacked)
             guesses = [leaf.guess for leaf in node.children]
-            assert guesses == [lab for lab, _ in group] + [7] * (spec.dim_b - len(group))
+            assert guesses == [lab for lab, _ in group] + [0] * (spec.dim_b - len(group))
         assert np.array_equal(protocol.root.povm.stacked, spec.alice_basis.conj().T)
 
     def test_empty_group_gives_identity(self):

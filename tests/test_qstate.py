@@ -7,14 +7,12 @@ from loccdisc import (
     BipartiteState,
     DomainError,
     generalized_pauli,
-    inner_product_via_trace,
     is_unitary,
     me_state,
-    schmidt,
     state_from_matrix,
     transpose_identity_check,
 )
-from loccdisc.qstate import normal_eigensystem, unitary_eigensystem
+from loccdisc.qstate import normal_eigensystem, schmidt, unitary_eigensystem
 
 from conftest import random_state
 
@@ -110,34 +108,6 @@ class TestTransposeIdentity:
         rng = np.random.default_rng(seed)
         a = _rand_complex(rng, (m, n))
         assert transpose_identity_check(a) <= 1e-12
-
-
-class TestInnerProduct:
-    def test_self_overlap(self):
-        assert inner_product_via_trace(me_state(3), me_state(3)) == pytest.approx(1.0)
-
-    def test_clock_vs_identity(self):
-        x, z = generalized_pauli(3)
-        assert abs(np.trace(z)) < 1e-14  # 1 + w + w^2 = 0
-        s1 = state_from_matrix(np.eye(3), 3)
-        s2 = state_from_matrix(z, 3)
-        assert abs(inner_product_via_trace(s1, s2)) < 1e-14
-
-    def test_shift_vs_shift(self):
-        x, _ = generalized_pauli(3)
-        s = state_from_matrix(x, 3)
-        assert inner_product_via_trace(s, s) == pytest.approx(1.0)
-
-    def test_agrees_with_amplitude_dot(self, rng):
-        for _ in range(100):
-            m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-            s1, s2 = random_state(rng, m, n), random_state(rng, m, n)
-            direct = np.vdot(s1.amplitudes, s2.amplitudes)
-            assert abs(inner_product_via_trace(s1, s2) - direct) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DomainError):
-            inner_product_via_trace(me_state(2), me_state(3))
 
 
 class TestSchmidt:

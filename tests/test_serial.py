@@ -97,3 +97,9 @@ class TestReportJson:
         doc = serial.bounds_report_to_json(verdict(bell_subset(3, [(0, 0), (1, 0), (1, 1)])))
         assert doc["verdict"] in ("PerfectPossible", "PerfectImpossible", "Unknown")
         assert {w["name"] for w in doc["witnesses"]}
+        assert set(doc) == {
+            "k", "m", "n", "lambda_max", "f_lower", "f_upper", "fme_lower", "fme_upper", "schmidt_upper",
+            "entropy_upper_bits", "g_lower_bits", "g_upper_bits", "verdict", "witnesses", "possible_via",
+        }
+        for w in doc["witnesses"]:
+            assert set(w) == {"name", "kind", "value", "requirement", "violated"}

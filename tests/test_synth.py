@@ -10,18 +10,21 @@ from loccdisc import (
     find_cub,
     fourier_matrix,
     mub_prime,
-    overlap_phase_normalize,
     random_orthogonal_me_triple,
     simultaneously_diagonal_ensemble,
     state_from_matrix,
     synthesize_cub_protocol,
     synthesize_three_qutrit_protocol,
-    traceless_unitary_eigensystem,
     uniform_ensemble,
 )
 from loccdisc.ensembles import haar_unitary
 from loccdisc.qstate import generalized_pauli
-from loccdisc.synth import default_cub_candidates, pairwise_product_eigenbases
+from loccdisc.synth import (
+    default_cub_candidates,
+    overlap_phase_normalize,
+    pairwise_product_eigenbases,
+    traceless_unitary_eigensystem,
+)
 
 OMEGA = np.exp(2j * np.pi / 3)
 

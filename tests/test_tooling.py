@@ -1,10 +1,13 @@
-"""The benchmark's span tracer patches functions by name; every name it lists must still resolve."""
+"""Names that other code looks up: the benchmark's span tracer patches functions by name, so every
+name it lists must still resolve, and the package's ``__all__`` must list exactly what it exports."""
 
 import importlib
 import types
 from pathlib import Path
 
 import pytest
+
+import loccdisc
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -33,3 +36,12 @@ def test_trace_target_resolves(target):
 def test_span_tables_name_only_targets():
     named = set(spans.BUILDER_ENTRIES) | set(spans.PRE_NOTES) | set(spans.POST_NOTES) | set(spans.TO_JSON)
     assert named <= set(spans.TARGETS)
+
+
+def test_all_lists_the_public_names():
+    public = {
+        name for name, value in vars(loccdisc).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert len(loccdisc.__all__) == len(set(loccdisc.__all__))
+    assert set(loccdisc.__all__) == public
