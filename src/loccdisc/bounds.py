@@ -13,6 +13,8 @@ coefficient present.
 The witnesses share one spectral pass over the ensemble's stacked matrices:
 one batched SVD (cached on the ensemble) for the Schmidt coefficients, and
 batched Gram products and ``eigvalsh`` for the unilateral and entropy tests.
+Bob's Gram stack B_i^dag B_i is the ensemble's cached ``b_grams``, shared
+with ``is_maximally_entangled``.
 """
 
 import math
@@ -186,11 +188,11 @@ def _unilateral_sides(ensemble: StateEnsemble):
     (S the amplitude matrices).  Maximally entangled ensembles satisfy both.
     """
 
-    def agree(x):
-        g = x.conj().transpose(0, 2, 1) @ x
+    def agree(g):
         return float(np.max(np.abs(g - g[0]))) <= UNILATERAL_TOL
 
-    return agree(ensemble.amplitude_matrices()), agree(ensemble.b_matrices())
+    s = ensemble.amplitude_matrices()
+    return agree(s.conj().transpose(0, 2, 1) @ s), agree(ensemble.b_grams)
 
 
 def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:

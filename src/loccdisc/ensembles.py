@@ -76,6 +76,14 @@ class StateEnsemble:
         return self._b_stack
 
     @cached_property
+    def b_grams(self) -> np.ndarray:
+        """Read-only (k, dim_a, dim_a) stack of the products B_i^dag B_i, one stacked product on first use."""
+        b = self._b_stack
+        grams = b.conj().transpose(0, 2, 1) @ b
+        grams.setflags(write=False)
+        return grams
+
+    @cached_property
     def schmidt_coefficients(self) -> np.ndarray:
         """Read-only (k, min(dim_a, dim_b)) Schmidt coefficients, one row per state.
 
@@ -96,8 +104,7 @@ class StateEnsemble:
     def is_maximally_entangled(self, tol: float = STRUCTURAL_TOL) -> bool:
         if self.dim_a != self.dim_b:
             return False
-        b = self._b_stack
-        dev = b.conj().transpose(0, 2, 1) @ b - np.eye(self.dim_b)
+        dev = self.b_grams - np.eye(self.dim_b)
         return float(np.max(np.abs(dev))) <= tol
 
     def is_uniform(self) -> bool:

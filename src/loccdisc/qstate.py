@@ -83,6 +83,15 @@ class BipartiteState:
             raise DomainError(f"state norm {nrm} deviates from 1 by more than 1e-12")
         object.__setattr__(self, "amplitudes", frozen_array(amps))
 
+    @classmethod
+    def _from_unit_amplitudes(cls, dim_a: int, dim_b: int, amps: np.ndarray) -> "BipartiteState":
+        """A state around ``amps``: read-only, C-ordered, dim_a*dim_b finite entries, unit norm, all already checked."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "dim_a", dim_a)
+        object.__setattr__(state, "dim_b", dim_b)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
+
     @property
     def amplitude_matrix(self) -> np.ndarray:
         """Amplitudes reshaped to (dim_a, dim_b)."""
@@ -103,7 +112,11 @@ def me_state(n: int) -> BipartiteState:
 
 
 def state_from_matrix(b, dim_a: int) -> BipartiteState:
-    """Build the normalized state (I (x) B)|ME_dim_a> from a matrix with dim_a columns."""
+    """Build the normalized state (I (x) B)|ME_dim_a> from a matrix with dim_a columns.
+
+    The matrix is scanned for non-finite entries and its norm taken once; the
+    normalized amplitudes are not checked again.
+    """
     mat = as_matrix(b)
     if dim_a < 1:
         raise DomainError("dim_a must be positive")
@@ -112,8 +125,11 @@ def state_from_matrix(b, dim_a: int) -> BipartiteState:
     nrm = float(np.linalg.norm(mat))
     if nrm <= 1e-15:
         raise DomainError("zero matrix does not correspond to a state")
+    if nrm == np.inf:
+        raise DomainError("matrix norm overflows; entries too large for a state")
     amps = (mat.T / nrm).reshape(-1)
-    return BipartiteState(dim_a, mat.shape[0], amps)
+    amps.setflags(write=False)
+    return BipartiteState._from_unit_amplitudes(dim_a, mat.shape[0], amps)
 
 
 def transpose_identity_check(a) -> float:

@@ -9,10 +9,14 @@ outcome.  For k orthogonal states whose pairwise products share a common
 unbiased basis, Alice measuring that (conjugated) basis does the same,
 because <b|B_i^dag B_j|b> = Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
 ``synthesize_cub_protocol`` is the one entry point for the latter; given no
-basis it scans the default candidates itself.  Eigenbases use numpy alone:
-all k(k-1)/2 pairwise products are formed by one stacked product and
-diagonalized by one stacked eigensystem call, and each candidate basis is
-tested against the whole family of eigenbases in one product.
+basis it scans the default candidates itself.  It tests each candidate by
+that condition directly: all k(k-1)/2 pairwise products are formed by one
+stacked product, and a candidate is kept when every <b|B_i^dag B_j|b> over
+its columns and all pairs, computed in one stacked product, vanishes.  No
+eigensystem of a product is taken; a cheap normality test on the same stack
+keeps the construction to orthogonally diagonalizable products.
+``pairwise_product_eigenbases`` and ``find_cub`` state the construction in
+terms of eigenbases and stay as its reference.
 
 Both constructions only choose Alice's basis.  ``locc.one_way_protocol``
 derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
@@ -36,11 +40,10 @@ from .ensembles import (
     fourier_matrix,
     is_prime,
     mub_prime_bases,
-    unbiased_defects,
 )
 from .errors import DomainError, ToleranceError
 from .locc import OneWayProtocolSpec
-from .qstate import as_matrix, frozen_array, is_unitary, normal_eigensystem, unitary_eigensystem
+from .qstate import EIGEN_TOL, as_matrix, frozen_array, is_unitary, normal_eigensystem, unitary_eigensystem
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -233,6 +236,14 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
     return _checked_one_way(ensemble, u.conj())
 
 
+def _pairwise_products(ensemble: StateEnsemble):
+    """The index pairs i < j and the matching (pairs, n, n) stack of B_i^dag B_j, one stacked product."""
+    b = ensemble.b_matrices()
+    first, second = np.triu_indices(ensemble.k, 1)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    return pairs, b[first].conj().transpose(0, 2, 1) @ b[second]
+
+
 def pairwise_product_eigenbases(ensemble: StateEnsemble):
     """Orthonormal eigenbases of every pairwise product B_i^dag B_j, i < j.
 
@@ -242,12 +253,10 @@ def pairwise_product_eigenbases(ensemble: StateEnsemble):
     call; the family keeps the eigenvector stack as it is.  Products must be
     normal (orthogonally diagonalizable); this holds for maximally entangled
     ensembles (the products are unitary) and for simultaneously diagonal
-    ones.
+    ones.  A reference for :func:`synthesize_cub_protocol`, which takes no
+    eigensystem and tests its candidates on the products themselves.
     """
-    b = ensemble.b_matrices()
-    first, second = np.triu_indices(ensemble.k, 1)
-    pairs = list(zip(first.tolist(), second.tolist()))
-    products = b[first].conj().transpose(0, 2, 1) @ b[second]
+    pairs, products = _pairwise_products(ensemble)
     try:
         _, vecs = normal_eigensystem(products)
     except DomainError as exc:
@@ -258,30 +267,49 @@ def pairwise_product_eigenbases(ensemble: StateEnsemble):
 
 
 def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocolSpec:
-    """One-way protocol from a common unbiased basis for the pairwise eigenbases.
+    """One-way protocol from a common unbiased basis of the pairwise products.
 
-    Alice measures the conjugated columns of ``cub``; for every outcome the
-    conditional Bob states are pairwise orthogonal because each |b> is
-    unbiased to an eigenbasis of every pairwise product.  With ``cub=None``
-    the first of :func:`default_cub_candidates` that fits is used.
+    Alice measures the conjugated columns of ``cub``; after outcome b Bob's
+    states are pairwise orthogonal iff <b|B_i^dag B_j|b> = 0 for all i < j.
+    That zero-diagonal condition is the test, for all pairs and columns in
+    one stacked product.  Every product must be normal (max |M M^dag -
+    M^dag M| within 1e-8).  With ``cub=None`` the first of
+    :func:`default_cub_candidates` that passes is used; an explicit ``cub``
+    that fails names the first failing pair.
     """
     if ensemble.dim_a != ensemble.dim_b:
         raise DomainError("construction needs equal local dimensions")
     if not ensemble.is_orthogonal(1e-10):
         raise DomainError("states must be pairwise orthogonal")
 
-    pairs, family = pairwise_product_eigenbases(ensemble)
+    pairs, products = _pairwise_products(ensemble)
+    adjoints = products.conj().transpose(0, 2, 1)
+    skew = np.abs(products @ adjoints - adjoints @ products).max(axis=(1, 2), initial=0.0)
+    bad = np.flatnonzero(skew > EIGEN_TOL)
+    if bad.size:
+        raise DomainError(
+            f"pairwise product {pairs[bad[0]]} is not orthogonally diagonalizable: "
+            f"max |M M^dag - M^dag M| = {skew[bad[0]]:.3e}"
+        )
+
+    def defects(c):
+        """Per pair, the largest |<b|B_i^dag B_j|b>| over the columns b of ``c``."""
+        return np.abs(np.einsum("ax,pax->px", c.conj(), products @ c)).max(axis=1, initial=0.0)
+
     if cub is None:
-        cub = find_cub(family, default_cub_candidates(ensemble.dim_a))
+        fits = (c for c in default_cub_candidates(ensemble.dim_a) if defects(c).max(initial=0.0) <= SYNTH_TOL)
+        cub = next(fits, None)
         if cub is None:
             raise DomainError("no common unbiased basis among the default candidates")
     else:
         cub = as_matrix(cub)
         if cub.shape != (ensemble.dim_a, ensemble.dim_a):
             raise DomainError("basis dimension does not match the ensemble")
-        bad = np.flatnonzero(unbiased_defects(cub, family) > SYNTH_TOL)
+        if not is_unitary(cub):
+            raise DomainError("candidate basis is not orthonormal")
+        bad = np.flatnonzero(defects(cub) > SYNTH_TOL)
         if bad.size:
-            raise DomainError(f"basis is not unbiased to the eigenbasis of pair {pairs[bad[0]]}")
+            raise DomainError(f"basis leaves Bob's states of pair {pairs[bad[0]]} non-orthogonal")
 
     return _checked_one_way(ensemble, cub.conj())
 

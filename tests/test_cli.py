@@ -1,12 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loccdisc.cli import main
+from loccdisc.ensembles import haar_unitary
+from loccdisc.serial import matrix_to_json
 
 
 def _run(capsys, *argv):
@@ -69,7 +73,6 @@ class TestSynthesizeCommand:
 
     def test_cub_explicit_source(self, capsys):
         from loccdisc import fourier_matrix
-        from loccdisc.serial import matrix_to_json
 
         code, out, _ = _run(
             capsys,
@@ -200,6 +203,43 @@ class TestBoundsCommand:
         payload = json.dumps(ensemble_to_json(uniform_ensemble([me_state(2), me_state(2)])))
         code, _, _ = _run(capsys, "bounds", "--ensemble", payload)
         assert code == 2
+
+
+# stdout digests of `synthesize --method cub` and `bounds` captured from the
+# eigenbasis-screen implementation the zero-diagonal screen replaced: the
+# screen must pick the same basis bit for bit.  The digests also pin the
+# floating-point output of one numpy/BLAS build.
+BYTE_PINS = {
+    "bell-subset-n5": (
+        lambda: {"kind": "bell_subset", "n": 5, "labels": [[0, 0], [1, 0], [0, 1]]},
+        "acfbeccbadd491af3f831e941e6b015d6b953770ef266aba5b5e5a81dd9be09c",
+        "01d8b6c501124fb8e9d4d5c3eeb7d067823806b4cdb7ab8cf8797c4e12494ed7",
+    ),
+    "bell-subset-n17": (
+        lambda: {"kind": "bell_subset", "n": 17, "labels": [[0, 0], [1, 0], [0, 1], [2, 3], [5, 7], [11, 13]]},
+        "e8e15c9ee54ff7408fb99baa29997eaba9ad9d1c67a4c44aa7903a1a871fe952",
+        "24cbe3805f8cbb52526f58d3125472f353deb7c9ec6f0ce6770b4491a6ea80ef",
+    ),
+    "simdiag-n8": (
+        lambda: {"kind": "simdiag", "u": matrix_to_json(haar_unitary(8, np.random.default_rng(8)))},
+        "66b8f076e6ad3158dcb78af9828bf886f56ee8c44d9e4ebb69b30b3517538f89",
+        "4d196ebf7041c2123272226b74bc70a5bf30c4ddcb75d0ece19dc101513a7a96",
+    ),
+}
+
+
+class TestBytePins:
+    @pytest.mark.parametrize("name", sorted(BYTE_PINS))
+    def test_synthesize_and_bounds_stdout(self, capsys, name):
+        descriptor, synth_digest, bounds_digest = BYTE_PINS[name]
+        ensemble = json.dumps(descriptor())
+        for argv, digest in (
+            (("synthesize", "--method", "cub"), synth_digest),
+            (("bounds",), bounds_digest),
+        ):
+            code, out, err = _run(capsys, *argv, "--ensemble", ensemble)
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _reject_constant(name):

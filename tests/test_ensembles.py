@@ -222,6 +222,30 @@ class TestEnsembleType:
             for i, state in enumerate(ens.states):
                 np.testing.assert_array_equal(b[i], state.b_matrix)
 
+    def test_b_grams_cached_read_only(self, rng):
+        square = random_orthogonal_me_triple(4, 1)
+        rectangular = uniform_ensemble([random_state(rng, 2, 3) for _ in range(4)])
+        for ens in (square, rectangular):
+            b = ens.b_matrices()
+            g = ens.b_grams
+            assert g is ens.b_grams
+            assert np.array_equal(g.view(float), (b.conj().transpose(0, 2, 1) @ b).view(float))
+            with pytest.raises(ValueError):
+                g[0, 0, 0] = 0.0
+
+    def test_b_grams_shared_by_predicate_and_bounds(self, monkeypatch):
+        from loccdisc import bounds
+
+        ens = bell_subset(5, [(0, 0), (1, 0), (0, 1)])
+        assert ens.is_maximally_entangled()
+        grams = ens.__dict__["b_grams"]
+        # a stand-in with one disagreeing Gram shows _unilateral_sides reads the cached stack
+        odd = grams.copy()
+        odd[1] *= 2.0
+        monkeypatch.setitem(ens.__dict__, "b_grams", odd)
+        assert bounds._unilateral_sides(ens) == (True, False)
+        assert not ens.is_maximally_entangled()
+
     def test_uniform_flag(self):
         ens = StateEnsemble((me_state(2), me_state(2)), np.array([0.7, 0.3]))
         assert not ens.is_uniform()

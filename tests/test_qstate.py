@@ -259,6 +259,44 @@ class TestStateValidation:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 0.0
 
+    def test_from_matrix_validates_once(self, rng, monkeypatch):
+        # amplitudes equal the checked constructor's bit for bit, without a second scan
+        mats = [_rand_complex(rng, (n, m)) for m, n in ((1, 1), (1, 4), (3, 1), (2, 3), (5, 5))]
+        expected = [BipartiteState(m.shape[1], m.shape[0], m.T / np.linalg.norm(m)).amplitudes for m in mats]
+
+        def refuse(self):
+            raise AssertionError("state_from_matrix re-validated its amplitudes")
+
+        monkeypatch.setattr(BipartiteState, "__post_init__", refuse)
+        for mat, want in zip(mats, expected):
+            psi = state_from_matrix(mat, mat.shape[1])
+            assert (psi.dim_a, psi.dim_b) == (mat.shape[1], mat.shape[0])
+            assert np.array_equal(psi.amplitudes.view(float), want.view(float))
+            assert psi.amplitudes.flags.c_contiguous and not psi.amplitudes.flags.writeable
+
+    @pytest.mark.parametrize(
+        "bad, dim_a",
+        [
+            (np.array([[np.nan, 1.0], [0.0, 1.0]]), 2),
+            (np.array([[1.0, 1j * np.inf], [0.0, 1.0]]), 2),
+            (np.array([[-np.inf, 1.0], [0.0, 1.0]]), 2),
+            (np.zeros((2, 2)), 2),
+            (np.full((2, 2), 1e-170), 2),
+            (np.ones(3), 1),
+            (np.zeros((2, 0)), 0),
+            (np.ones((2, 2)), 3),
+        ],
+        ids=["nan", "inf-imag", "neg-inf", "zero", "underflow", "1-d", "empty", "columns"],
+    )
+    def test_from_matrix_rejects(self, bad, dim_a):
+        with pytest.raises(DomainError):
+            state_from_matrix(bad, dim_a)
+
+    def test_from_matrix_rejects_overflowing_norm(self):
+        # finite entries whose norm overflows would normalize to an all-zero state
+        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
+            state_from_matrix(np.full((2, 2), 1e200), 2)
+
 
 class TestStackedEigensystem:
     """One ``normal_eigensystem`` call on a stack equals the per-matrix calls bit for bit."""

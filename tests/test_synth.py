@@ -3,6 +3,7 @@ import pytest
 
 from loccdisc import (
     BasisFamily,
+    BipartiteState,
     DomainError,
     bell_basis,
     bell_subset,
@@ -16,6 +17,7 @@ from loccdisc import (
     synthesize_cub_protocol,
     synthesize_three_qutrit_protocol,
     uniform_ensemble,
+    verdict,
 )
 from loccdisc.ensembles import haar_unitary
 from loccdisc.qstate import generalized_pauli
@@ -234,19 +236,23 @@ class TestCubProtocol:
         with pytest.raises(DomainError, match="no common unbiased basis"):
             synthesize_cub_protocol(ens)
 
-    def test_verdict_computes_pairwise_eigenbases_once(self, monkeypatch):
+    def test_verdict_takes_no_pairwise_eigensystem(self, monkeypatch):
         from loccdisc import bounds, synth
 
         calls = []
 
-        def counting(ensemble, *args, **kwargs):
-            calls.append(ensemble)
-            return pairwise_product_eigenbases(ensemble, *args, **kwargs)
+        def recording(name):
+            def call(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} called on the CUB path")
 
-        monkeypatch.setattr(synth, "pairwise_product_eigenbases", counting)
+            return call
+
+        for name in ("pairwise_product_eigenbases", "find_cub", "normal_eigensystem"):
+            monkeypatch.setattr(synth, name, recording(name))
         rep = bounds.verdict(bell_subset(5, [(0, 0), (1, 0), (0, 1)]))
         assert rep.possible_via == "cub"
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestFindCub:
@@ -331,3 +337,68 @@ class TestStackedPairwise:
         ens = bell_subset(3, [(0, 0), (1, 0), (0, 1)])
         with pytest.raises(DomainError, match=r"pair \(0, 2\)"):
             synthesize_cub_protocol(ens, np.eye(3, dtype=complex))
+
+
+def _oracle_cases():
+    """Seeded Bell subsets at prime n <= 17 (k = 2..n+1), simultaneously diagonal sets and ME triples."""
+    cases = []
+    for n in (2, 3, 5, 7, 11, 13, 17):
+        rng = np.random.default_rng(n)
+        for k in sorted({2, 3, max(k for k in range(2, n + 2) if k * (k - 1) // 2 <= n), n + 1}):
+            labels = rng.choice(n * n, size=k, replace=False)
+            cases.append(pytest.param(n, [(int(x) // n, int(x) % n) for x in labels], id=f"bell-n{n}-k{k}"))
+    for n in range(2, 10):
+        cases.append(pytest.param(n, "simdiag", id=f"simdiag-n{n}"))
+        cases.append(pytest.param(n, "me-triple", id=f"me-triple-n{n}"))
+    return cases
+
+
+class TestZeroDiagonalScreen:
+    """The CUB screen tests <b|B_i^dag B_j|b> = 0 on the product stack instead of unbiasedness to eigenbases."""
+
+    @pytest.mark.parametrize("n, kind", _oracle_cases())
+    def test_same_first_candidate_as_eigenbasis_oracle(self, n, kind):
+        if kind == "simdiag":
+            ens = simultaneously_diagonal_ensemble(haar_unitary(n, np.random.default_rng(n)))
+        elif kind == "me-triple":
+            ens = random_orthogonal_me_triple(n, n)
+        else:
+            ens = bell_subset(n, kind)
+        _, family = pairwise_product_eigenbases(ens)
+        expected = find_cub(family, default_cub_candidates(n))
+        if expected is None:
+            with pytest.raises(DomainError, match="no common unbiased basis"):
+                synthesize_cub_protocol(ens)
+        else:
+            got = synthesize_cub_protocol(ens).alice_basis
+            assert np.array_equal(got.view(float), expected.conj().view(float))
+
+    def test_oracle_cases_cover_hits_and_misses(self):
+        outcomes = set()
+        for param in _oracle_cases():
+            n, kind = param.values
+            if kind in ("simdiag", "me-triple"):
+                continue
+            _, family = pairwise_product_eigenbases(bell_subset(n, kind))
+            outcomes.add(find_cub(family, default_cub_candidates(n)) is None)
+        assert outcomes == {True, False}
+
+    def test_non_normal_product_raises(self):
+        # the computational product basis of C^2 (x) C^2: B_0^dag B_2 = 2|0><1| is nilpotent
+        ens = uniform_ensemble([BipartiteState(2, 2, np.eye(4, dtype=complex)[i]) for i in range(4)])
+        b = ens.b_matrices()
+        for i in range(4):
+            for j in range(i + 1, 4):
+                # every vector of the computational basis zeroes every diagonal ...
+                assert np.all(np.diag(b[i].conj().T @ b[j]) == 0)
+        # ... so only the normality test keeps the construction from claiming this set
+        with pytest.raises(DomainError, match=r"pairwise product \(0, 2\) is not orthogonally diagonalizable"):
+            synthesize_cub_protocol(ens)
+        with pytest.raises(DomainError, match=r"pairwise product \(0, 2\) is not orthogonally diagonalizable"):
+            synthesize_cub_protocol(ens, np.eye(2, dtype=complex))
+        assert verdict(ens).possible_via == "product-basis"
+
+    def test_explicit_basis_must_be_orthonormal(self):
+        ens = bell_subset(3, [(0, 0), (1, 0), (0, 1)])
+        with pytest.raises(DomainError, match="not orthonormal"):
+            synthesize_cub_protocol(ens, 2 * fourier_matrix(3))
