@@ -12,9 +12,12 @@ The products are regrouped so the tree is walked once with the whole
 ensemble stacked as one (k, dim_b, dim_a) array.  A :class:`Povm` keeps its
 operators stacked row-wise in one array, so each node applies all of its
 operators to all k states in one 2-D product, and the weights of its leaf
-children come out as one (outcomes, k) block.  Success and mutual
-information are array reductions over the stacked (leaves, k) weights; the
-joint table's row tuples are built only when first read.
+children come out as one (outcomes, k) block.  A run of sibling nodes
+whose children are all leaves, with POVMs of one shape and offsets, takes
+one matmul and one (run leaves, k) block for the whole run, bitwise equal
+to the node-by-node weights.  Success and mutual information are array
+reductions over the stacked (leaves, k) weights; the leaf paths are kept
+per block, and the joint table's row tuples are built only when first read.
 The Monte-Carlo sampler is an independent route: it propagates the live
 states' amplitude matrices as its own stacked array.  Each node applies its
 stacked POVM to them in one product, takes every state's Born weights from
@@ -38,7 +41,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
 
 import numpy as np
 
@@ -168,6 +171,11 @@ class LoccProtocol:
                 if defect > tol:
                     raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
                 complete.add(id(node.povm))
+            if isinstance(node.children[0], Leaf):
+                # a node of leaves only takes one range test; the loop below names the first bad leaf
+                guesses = [child.guess for child in node.children if isinstance(child, Leaf)]
+                if len(guesses) == len(node.children) and min(guesses) >= 0 and (k is None or max(guesses) < k):
+                    return
             for m, child in zip(node.povm.elements, node.children):
                 if isinstance(child, Leaf):
                     check_leaf(child)
@@ -200,9 +208,10 @@ class ProtocolEvaluation:
     leaf in depth-first order and states in label order within a leaf;
     mutual information between the state label and the full transcript is
     reported in bits.  Only :func:`evaluate` constructs this: it keeps the
-    leaf paths and guesses with the kept rows' (leaf, state) indices and
-    probabilities, and ``joint`` builds its tuples from them on first read
-    (success and mutual information need none of them).
+    leaf paths, block by block, and the guesses with the kept rows' (leaf,
+    state) indices and probabilities, and ``joint`` expands the paths and
+    builds its tuples from them on first read (success and mutual
+    information need none of them).
     """
 
     success_probability: float
@@ -212,7 +221,8 @@ class ProtocolEvaluation:
 
     @cached_property
     def joint(self) -> tuple:
-        paths, guesses, rows, states, p = self._table
+        path_blocks, guesses, rows, states, p = self._table
+        paths = [pre + suf for prefixes, suffixes in path_blocks for pre in prefixes for suf in suffixes]
         rows = rows.tolist()
         return tuple(
             zip(states.tolist(), [paths[r] for r in rows], [guesses[r] for r in rows], p.tolist())
@@ -361,7 +371,7 @@ def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
 
 
 def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
-    """Leaf paths and guesses in depth-first order, and their (leaves, k) weights.
+    """Leaf path blocks and guesses in depth-first order, and their (leaves, k) weights.
 
     The whole ensemble travels down the tree as one stacked array Y of
     matrices E B_i X^T, and each node applies its stacked POVM S in one 2-D
@@ -370,12 +380,15 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
     ||Y_i||_F^2 / dim_a.  The leaf children of a node get their weights as
     one (outcomes, k) block: for a projective POVM (one row per outcome)
     the squared row norms are the weights, otherwise one
-    ``np.add.reduceat`` over the POVM's row offsets sums them.
+    ``np.add.reduceat`` over the POVM's row offsets sums them.  A run of
+    sibling nodes whose children are all leaves is weighed in one step by
+    :func:`_run_weights`.  Each path block is a pair (prefixes, suffixes)
+    standing for the leaf paths prefix + suffix, prefixes outer.
     """
     b = ensemble.b_matrices()
     if isinstance(protocol.root, Leaf):
         w = np.einsum("kij,kij->k", b.conj(), b).real[None] / protocol.dim_a
-        return [()], [protocol.root.guess], w
+        return [([()], ((),))], [protocol.root.guess], w
     paths, guesses, blocks = [], [], []
     _collect_leaves(protocol.root, b, (), paths, guesses, blocks)
     w = np.concatenate(blocks)
@@ -383,13 +396,27 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
     return paths, guesses, w
 
 
+def _run_key(pair):
+    """Equal for the (child, parent operator) pairs that may share a run.
+
+    Run nodes have leaf children only, one POVM shape and offsets, and
+    parent operators of one row count, so their inputs are equal blocks.
+    """
+    child, op = pair
+    if isinstance(child, Leaf) or not all(isinstance(leaf, Leaf) for leaf in child.children):
+        return child
+    return op.shape[0], child.povm.stacked.shape, child.povm.offsets.tobytes()
+
+
 def _collect_leaves(node, y, path, paths, guesses, blocks):
     """Depth-first walk of :func:`_leaf_weights` below ``node``, whose input is Y.
 
-    Appends to the three lists in place.  A module-level function rather
-    than a recursive closure: a closure that calls itself is a reference
-    cycle, which would keep every weight block alive until the next garbage
-    collection.
+    Appends to the three lists in place.  Maximal runs of sibling nodes with
+    equal :func:`_run_key` are weighed together by :func:`_run_weights`; a
+    run of one node takes the node's own product.  A module-level function
+    rather than a recursive closure: a closure that calls itself is a
+    reference cycle, which would keep every weight block alive until the
+    next garbage collection.
     """
     k, r, c = y.shape
     povm, children = node.povm, node.children
@@ -405,18 +432,72 @@ def _collect_leaves(node, y, path, paths, guesses, blocks):
             norms = np.add.reduceat(norms, povm.offsets, axis=0)
         if len(leaf_idx) == len(children):
             blocks.append(norms)
-            paths.extend([path + (i,) for i in leaf_idx])
+            paths.append(([path], tuple((i,) for i in range(len(children)))))
             guesses.extend([child.guess for child in children])
             return
-    for idx, (start, op, child) in enumerate(zip(povm.offsets, povm.elements, children)):
-        if isinstance(child, Leaf):
-            blocks.append(norms[idx : idx + 1])
-            paths.append(path + (idx,))
-            guesses.append(child.guess)
-        else:
-            rows = slice(start, start + op.shape[0])
-            y_child = z[:, :, rows] if alice else z[:, rows]
-            _collect_leaves(child, y_child, path + (idx,), paths, guesses, blocks)
+    end, runs = 0, []
+    for key, group in groupby(zip(children, povm.elements), _run_key):
+        group, idx = list(group), end
+        end += len(group)
+        if len(group) > 1 and isinstance(key, tuple):
+            run = [child for child, _ in group]
+            rows = slice(povm.offsets[idx], povm.offsets[idx] + len(run) * key[0])
+            runs.append(len(blocks))
+            blocks.append(_run_weights(run, z[:, :, rows] if alice else z[:, rows], alice))
+            paths.append(([path + (i,) for i in range(idx, end)], tuple((i,) for i in range(len(run[0].children)))))
+            guesses.extend([leaf.guess for child in run for leaf in child.children])
+            continue
+        for i, (child, op) in enumerate(group, idx):
+            if isinstance(child, Leaf):
+                blocks.append(norms[i : i + 1])
+                paths.append(([path], ((i,),)))
+                guesses.append(child.guess)
+            else:
+                rows = slice(povm.offsets[i], povm.offsets[i] + op.shape[0])
+                _collect_leaves(child, z[:, :, rows] if alice else z[:, rows], path + (i,), paths, guesses, blocks)
+    # run weights may still view their complex products: copied out only once Z is
+    # released, so no run product, Z and the copy are held at once (peak memory)
+    del z
+    for j in runs:
+        blocks[j] = np.ascontiguousarray(blocks[j])
+
+
+def _run_weights(run, y, alice_parent):
+    """The (len(run) * outcomes, k) leaf weights of a run of sibling nodes, from their joint input.
+
+    ``y`` is the parent product's slice feeding the run, (k, r, m e) below
+    Alice and (k, m e, c) below Bob; node j's input is its j-th block of e.
+    One matmul applies the POVMs, stacked or one shared POVM broadcast, and
+    each node's slice of it has the shapes and layout of the node's own 2-D
+    product, so numpy computes it the same way (one 2-D product over the
+    run would not: BLAS rounding depends on the matrix sizes).  Squares are
+    taken in place on the float view and summed in (real, imaginary) pairs;
+    the sums over e and over POVM rows run along the same axes, contiguous
+    or not, as for one node, so the weights are bitwise the same.  They may
+    be returned as a strided view into the product.
+    """
+    first = run[0].povm
+    stack = first.stacked
+    if any(child.povm is not first for child in run):
+        stack = np.stack([child.povm.stacked for child in run])
+    m, rows, k = len(run), first.stacked.shape[0], y.shape[0]
+    e = y.shape[2 if alice_parent else 1] // m
+    if alice_parent:  # Bob nodes: S_j Y_j on each (r, k e) block
+        prod = stack @ y.reshape(k, -1, m, e).transpose(2, 1, 0, 3).reshape(m, -1, k * e)
+    else:  # Alice nodes: Y_j S_j^T on each (k e, c) block
+        prod = y.reshape(k, m, e, -1).transpose(1, 0, 2, 3).reshape(m, k * e, -1) @ np.swapaxes(stack, -1, -2)
+    v = prod.view(float)
+    np.square(v, out=v)
+    sq = np.add(v[..., 0::2], v[..., 1::2], out=v[..., 0::2])
+    if alice_parent:  # (m, rows, k, e): e is the contiguous axis, as for one node
+        sq = sq.reshape(m, rows, k, e)
+        sq = sq.sum(axis=3) if e > 1 else sq[..., 0]
+    else:  # (m, k, e, rows)
+        sq = sq.reshape(m, k, e, rows)
+        sq = (sq.sum(axis=2) if e > 1 else sq[:, :, 0]).transpose(0, 2, 1)
+    if rows != len(first.offsets):
+        sq = np.add.reduceat(sq, first.offsets, axis=1)
+    return sq.reshape(-1, k)
 
 
 def evaluate(
@@ -430,11 +511,12 @@ def evaluate(
     Computes the full joint distribution over (state, outcome path), the
     success probability P(guess = state), and the mutual information between
     state label and transcript in bits.  Weights come from
-    :func:`_leaf_weights` (one 2-D product per node, leaf weights in
-    blocks); success, per-state success and mutual information are array
-    reductions over the kept (leaf, state) entries.  A row is kept when its
-    probability is at least ``prune_tol`` and above zero, so zero-probability
-    rows are never listed, even at ``prune_tol=0``.  The joint table's rows
+    :func:`_leaf_weights` (one 2-D product per node or one matmul per run
+    of sibling nodes of leaves, leaf weights in blocks); success, per-state
+    success and mutual information are array reductions over the kept
+    (leaf, state) entries, found as flat indices into the weights.  A row is
+    kept when its probability is at least ``prune_tol`` and above zero, so
+    zero-probability rows are never listed, even at ``prune_tol=0``.  The joint table's rows
     are built only when ``joint`` is first read.
     """
     if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
@@ -447,16 +529,17 @@ def evaluate(
         raise ToleranceError(f"branch weights do not conserve probability (max dev {dev:.3e})")
 
     pw = ensemble.priors * w
-    rows, states = np.nonzero((pw >= prune_tol) & (pw > 0.0))
-    w_kept = w[rows, states]
-    p = pw[rows, states]
+    kept = np.flatnonzero((pw >= prune_tol) & (pw > 0.0))
+    rows, states = np.divmod(kept, ensemble.k)
+    w_kept = w.ravel()[kept]
+    p = pw.ravel()[kept]
     hit = np.array(guesses)[rows] == states
     # rounding can push pure-probability sums a few ulp past 1
     success = float(min(1.0, p[hit].sum()))
     per_state = np.bincount(states[hit], weights=w_kept[hit], minlength=ensemble.k)
 
     pv = np.bincount(states, weights=p, minlength=ensemble.k)
-    py = np.bincount(rows, weights=p, minlength=len(paths))
+    py = np.bincount(rows, weights=p, minlength=w.shape[0])
     mi = max(float(np.sum(p * np.log2(p / (pv[states] * py[rows])))), 0.0)
 
     return ProtocolEvaluation(
@@ -521,7 +604,8 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
             keep = drawn[:, i] > 0
             if keep.any():
                 rows = slice(povm.offsets[i], povm.offsets[i] + povm.elements[i].shape[0])
-                y = (z[keep, rows] if alice else z[keep, :, rows]) / np.sqrt(probs[keep, i])[:, None, None]
+                # a real reciprocal: dividing by the real array would run as a complex division
+                y = (z[keep, rows] if alice else z[keep, :, rows]) * (1.0 / np.sqrt(probs[keep, i]))[:, None, None]
                 walk(node.children[i], y, labels[keep], drawn[keep, i])
 
     live = np.flatnonzero(per_state)

@@ -78,7 +78,10 @@ class BipartiteState:
             )
         if not np.all(np.isfinite(amps)):
             raise DomainError("amplitudes contain non-finite entries")
-        nrm = float(np.linalg.norm(amps))
+        with np.errstate(over="ignore"):  # an overflowing norm is reported below, not warned about
+            nrm = float(np.linalg.norm(amps))
+        if nrm == np.inf:
+            raise DomainError("state norm overflows; amplitudes too large for a state")
         if abs(nrm - 1.0) > 1e-12:
             raise DomainError(f"state norm {nrm} deviates from 1 by more than 1e-12")
         object.__setattr__(self, "amplitudes", frozen_array(amps))
@@ -122,7 +125,8 @@ def state_from_matrix(b, dim_a: int) -> BipartiteState:
         raise DomainError("dim_a must be positive")
     if mat.shape[1] != dim_a:
         raise DomainError(f"matrix has {mat.shape[1]} columns, expected dim_a = {dim_a}")
-    nrm = float(np.linalg.norm(mat))
+    with np.errstate(over="ignore"):  # an overflowing norm is reported below, not warned about
+        nrm = float(np.linalg.norm(mat))
     if nrm <= 1e-15:
         raise DomainError("zero matrix does not correspond to a state")
     if nrm == np.inf:

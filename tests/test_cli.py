@@ -365,6 +365,20 @@ class TestOutputBoundary:
         assert proc.wait(timeout=60) == 0
         assert err == ""
 
+    def test_overflowing_norm_exits_2_without_warning(self):
+        # numpy's default filter would print an overflow RuntimeWarning before the error line
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        desc = '{"kind":"explicit","states":[{"dim_a":1,"dim_b":2,"amplitudes":[[1e200,0],[0,0]]}]}'
+        done = subprocess.run(
+            [sys.executable, "-m", "loccdisc.cli", "ensemble", desc], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == ["error: state norm overflows; amplitudes too large for a state"]
+        assert "RuntimeWarning" not in done.stderr
+
 
 class TestDependencies:
     def test_cli_import_loads_no_scipy(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -206,6 +207,62 @@ def _edge_case(name):
     unreached = ProtocolNode(BOB, projective_povm(haar), (Leaf(3), Leaf(0), Leaf(1)))
     comp = projective_povm(np.eye(3, dtype=complex))
     return LoccProtocol(3, 3, ProtocolNode(ALICE, comp, (bob, Leaf(1), unreached))), ens
+
+
+# The runs each of ``_run_case``'s trees must give ``locc._run_weights``:
+# (nodes in the run, parent is Alice, nodes share one Povm), in walk order.
+RUN_CASES = {
+    "bob-parent-shared": [(3, False, True)],
+    "bob-parent-multirow-children": [(5, False, False)],
+    "alice-parent-multirow": [(3, True, False)],
+    "broken-runs": [(2, True, True), (2, True, False), (3, False, False), (2, True, True), (2, True, False)],
+}
+
+
+def _run_case(name):
+    """Seeded trees whose sibling nodes of leaves only form runs of every kind, on a 3 x 4 ensemble of five states.
+
+    Every POVM is cut row-wise from one random isometry, so outcomes may
+    have several rows; guesses are random.
+    """
+    rng = np.random.default_rng(list(RUN_CASES).index(name))
+    dim_a, dim_b, k = 3, 4, 5
+    states = []
+    for _ in range(k):
+        a = rng.standard_normal(dim_a * dim_b) + 1j * rng.standard_normal(dim_a * dim_b)
+        states.append(BipartiteState(dim_a, dim_b, a / np.linalg.norm(a)))
+    ens = StateEnsemble(tuple(states), rng.dirichlet(np.ones(k)))
+
+    def cut(rows, dim_in):
+        z = rng.standard_normal((sum(rows), dim_in)) + 1j * rng.standard_normal((sum(rows), dim_in))
+        return Povm(tuple(np.split(np.linalg.qr(z)[0], np.cumsum(rows)[:-1])))
+
+    def leaves(actor, povm):
+        return ProtocolNode(actor, povm, tuple(Leaf(int(g)) for g in rng.integers(k, size=len(povm.elements))))
+
+    if name == "bob-parent-shared":
+        # three nine-row outcomes (sums of nine terms round differently in another order) feed one
+        # shared Alice POVM; the last, one-row outcome is a run of one
+        shared = cut([1, 1, 1], dim_a)
+        root = ProtocolNode(BOB, cut([9, 9, 9, 1], dim_b), tuple(leaves(ALICE, shared) for _ in range(4)))
+    elif name == "bob-parent-multirow-children":
+        root = ProtocolNode(BOB, cut([1] * 5, dim_b), tuple(leaves(ALICE, cut([2, 1, 2], dim_a)) for _ in range(5)))
+    elif name == "alice-parent-multirow":
+        root = ProtocolNode(ALICE, cut([9, 9, 9], dim_a), tuple(leaves(BOB, cut([1, 3, 1], dim_b)) for _ in range(3)))
+    else:
+        # broken-runs: A and B share a shape but not offsets, C has another shape
+        pa, pb, pc = cut([1, 1, 1, 1], dim_b), cut([2, 2], dim_b), cut([1] * 5, dim_b)
+        # below the root's one-row outcome Alice holds C^1; the two-row outcome is a run of one
+        inner = ProtocolNode(BOB, cut([1, 1, 1, 2], dim_b), tuple(leaves(ALICE, cut([1, 1], 1)) for _ in range(4)))
+        children = (
+            leaves(BOB, pa), leaves(BOB, pa), Leaf(2),  # shared run, broken by a leaf
+            leaves(BOB, cut([1, 1, 1, 1], dim_b)), leaves(BOB, pa),  # stacked run, broken by an internal node
+            inner,
+            leaves(BOB, pa), leaves(BOB, pb), leaves(BOB, pb),  # one-node run, then a shared run of another offsets
+            leaves(BOB, pc), leaves(BOB, cut([1] * 5, dim_b)), leaves(BOB, pa),  # stacked run of another shape, one-node run
+        )
+        root = ProtocolNode(ALICE, cut([1] * len(children), dim_a), children)
+    return LoccProtocol(dim_a, dim_b, root), ens
 
 
 class TestProtocolStructure:
@@ -425,6 +482,46 @@ class TestBatchedEvaluator:
         assert abs(res.mutual_information_bits - math.log2(24)) < 1e-13
 
 
+def _run_trees():
+    yield from (pytest.param(*_run_case(name), id=name) for name in RUN_CASES)
+    yield pytest.param(standard_bell_protocol(5), bell_basis(5), id="std-5")
+    yield pytest.param(refined_bell_protocol(6), bell_basis(6), id="refined-6")
+    for seed in range(6):
+        yield pytest.param(*random_kraus_case(seed), id=f"kraus-{seed}")
+    for entry in build_library():
+        yield pytest.param(entry.protocol, entry.ensemble, id=entry.name)
+
+
+class TestRunWeights:
+    """Sibling nodes of leaves only are weighed as one run, bit for bit as node by node."""
+
+    @pytest.mark.parametrize("name", list(RUN_CASES))
+    def test_run_trees_match_reference(self, name):
+        _assert_matches_reference(*_run_case(name))
+
+    @pytest.mark.parametrize("name", list(RUN_CASES))
+    def test_runs_found(self, name, monkeypatch):
+        runs = []
+
+        def record(run, y, alice_parent):
+            runs.append((len(run), alice_parent, all(child.povm is run[0].povm for child in run)))
+            return run_weights(run, y, alice_parent)
+
+        run_weights = locc._run_weights
+        monkeypatch.setattr(locc, "_run_weights", record)
+        evaluate(*_run_case(name))
+        assert runs == RUN_CASES[name]
+
+    @pytest.mark.parametrize("protocol, ens", _run_trees())
+    def test_equals_node_by_node(self, protocol, ens, monkeypatch):
+        paths, guesses, w = locc._leaf_weights(protocol, ens)
+        monkeypatch.setattr(locc, "_run_key", lambda pair: pair[0])  # every node on its own
+        alone = locc._leaf_weights(protocol, ens)
+        expand = lambda blocks: [pre + suf for pres, sufs in blocks for pre in pres for suf in sufs]
+        assert expand(paths) == expand(alone[0]) and guesses == alone[1]
+        assert w.tobytes() == alone[2].tobytes()
+
+
 class TestSimulate:
     def test_perfect_protocol_hits_one(self):
         ens = random_orthogonal_me_triple(3, 0)
@@ -575,6 +672,50 @@ class TestSamplerStream:
         paths = {path for _, path, _, _ in evaluate(*_edge_case("dead-outcomes")).joint}
         assert (0, 0) in paths and (1,) in paths
         assert not [path for path in paths if path[:1] == (2,) or path[:2] == (0, 3)]
+
+
+class TestEvaluatorGolden:
+    """Exact results pinned bit for bit: the evaluator's arithmetic and its joint row order must not move.
+
+    Each entry is ``float.hex`` of the success probability and of the mutual
+    information, plus the first 16 hex digits of the sha256 of the joint rows
+    (state, path, guess and ``float.hex`` of p, one line per row), recorded
+    from the evaluator that gave every leaf-only node its own product.
+    """
+
+    BELL = {
+        ("std", 3): ("0x1.5555555555555p-2", "0x1.95c01a39fbd66p+0", "7632d8b797f8313f"),
+        ("std", 8): ("0x1.0000000000000p-3", "0x1.8000000000000p+1", "23caf6ea8a50c7cd"),
+        ("refined", 3): ("0x1.5555555555555p-2", "0x1.95c01a39fbd66p+0", "8701c5ddc1196d23"),
+        ("refined", 8): ("0x1.0000000000000p-3", "0x1.8000000000000p+1", "78cb1e7dbbca04e8"),
+    }
+    KRAUS = {
+        0: ("0x1.73c10fc3582c7p-3", "0x1.3f15b00245a74p-3", "953773382766dd58"),
+        1: ("0x1.0e9fea8b9834ap-2", "0x1.bb904da2ff71dp-4", "19bb3eecb18e04d2"),
+        2: ("0x1.887c3c67fafa2p-2", "0x1.d8de0994a01aap-5", "b30d281b4d0e1ca4"),
+        3: ("0x1.37dad6f48331ep-2", "0x1.1160a25250bb4p-4", "3a061f451f407fa7"),
+        4: ("0x1.735f7b1563958p-3", "0x1.f7eb6a330a880p-5", "6505e3460d987c24"),
+        5: ("0x1.c67bd77d924e8p-2", "0x1.fca23019abcd6p-4", "807dcec13ec564f6"),
+        6: ("0x1.c68d2c44e3c36p-2", "0x1.7c520f6cb3fa2p-3", "8d2cf7ef4fbacb3c"),
+        7: ("0x1.fe308c260caadp-4", "0x1.669e7599eb900p-3", "f1f4710e7b64d192"),
+        8: ("0x1.0a53c94773f39p-1", "0x1.837bfe7d3b794p-5", "eb9a5f5bbc931c65"),
+        9: ("0x1.337c4c8cf714cp-2", "0x1.c828e2e2d8290p-4", "40bb60272db6aefa"),
+    }
+
+    @staticmethod
+    def _pin(res):
+        rows = "".join(f"{v} {path} {g} {p.hex()}\n" for v, path, g, p in res.joint)
+        digest = hashlib.sha256(rows.encode()).hexdigest()[:16]
+        return res.success_probability.hex(), res.mutual_information_bits.hex(), digest
+
+    @pytest.mark.parametrize("kind, n", list(BELL), ids=lambda v: str(v))
+    def test_bell_trees(self, kind, n):
+        protocol = standard_bell_protocol(n) if kind == "std" else refined_bell_protocol(n)
+        assert self._pin(evaluate(protocol, bell_basis(n))) == self.BELL[kind, n]
+
+    @pytest.mark.parametrize("case", list(KRAUS))
+    def test_random_kraus_trees(self, case):
+        assert self._pin(evaluate(*random_kraus_case(case))) == self.KRAUS[case]
 
 
 def _random_spec(seed):

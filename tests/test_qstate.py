@@ -294,8 +294,10 @@ class TestStateValidation:
 
     def test_from_matrix_rejects_overflowing_norm(self):
         # finite entries whose norm overflows would normalize to an all-zero state
-        with np.errstate(over="ignore"), pytest.raises(DomainError, match="overflows"):
+        with pytest.raises(DomainError, match="overflows"):
             state_from_matrix(np.full((2, 2), 1e200), 2)
+        with pytest.raises(DomainError, match="overflows"):
+            BipartiteState(1, 2, [1e200, 0.0])
 
 
 class TestStackedEigensystem:
