@@ -50,10 +50,18 @@ def _emit(command: str, inputs: dict, report: dict) -> None:
     sys.stdout.flush()
 
 
+def _read_tol(args) -> float:
+    """The ``--tol`` option (default 1e-10), refused unless finite and >= 0."""
+    tol = 1e-10 if args.tol is None else args.tol
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise DomainError(f"--tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _cmd_ensemble(args) -> int:
+    tol = _read_tol(args)
     descriptor = _load_json_arg(args.descriptor)
     ens = serial.ensemble_from_json(descriptor)
-    tol = args.tol if args.tol is not None else 1e-10
     report = serial.ensemble_to_json(ens)
     report["k"] = ens.k
     report["is_orthogonal"] = ens.is_orthogonal(tol)
@@ -92,11 +100,11 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    tol = _read_tol(args)
     proto_doc = _load_json_arg(args.protocol)
     ens_doc = _load_json_arg(args.ensemble)
     protocol = serial.protocol_from_json(proto_doc)
     ens = serial.ensemble_from_json(ens_doc)
-    tol = args.tol if args.tol is not None else 1e-10
     result = locc.evaluate(protocol, ens, tol=tol)
     _emit(
         "evaluate",

@@ -9,6 +9,7 @@ import numpy as np
 from .errors import DomainError
 from .qstate import (
     ALGEBRAIC_TOL,
+    EIGEN_TOL,
     STRUCTURAL_TOL,
     as_int,
     as_matrix,
@@ -259,12 +260,12 @@ def unbiased_defects(candidate, family: BasisFamily) -> np.ndarray:
     return np.abs(overlaps - 1.0 / n).max(axis=(1, 2), initial=0.0)
 
 
-def common_unbiased_basis_check(candidate, family: BasisFamily, tol: float = 1e-8) -> bool:
+def common_unbiased_basis_check(candidate, family: BasisFamily) -> bool:
     """True iff every candidate column is unbiased to every vector of every member.
 
-    Unbiased means |<b|a>|^2 = 1/n within ``tol`` (see :func:`unbiased_defects`).
+    Unbiased means |<b|a>|^2 = 1/n within ``EIGEN_TOL`` (see :func:`unbiased_defects`).
     """
-    return bool(np.all(unbiased_defects(candidate, family) <= tol))
+    return bool(np.all(unbiased_defects(candidate, family) <= EIGEN_TOL))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

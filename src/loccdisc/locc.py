@@ -11,11 +11,11 @@ root-to-leaf path, the branch weight for state B is ||E B X^T||_F^2 / dim_a.
 The products are regrouped so the tree is walked once with the whole
 ensemble stacked as one (k, dim_b, dim_a) array.  A :class:`Povm` keeps its
 operators stacked row-wise in one array, so each node applies all of its
-operators to all k states in one 2-D product, and the weights of its leaf
-children come out as one (outcomes, k) block.  A run of sibling nodes
-whose children are all leaves, with POVMs of one shape and offsets, takes
-one matmul and one (run leaves, k) block for the whole run, bitwise equal
-to the node-by-node weights.  Success and mutual information are array
+operators to all k states in one 2-D product; a node's consecutive leaf
+children get their weights as one (leaves, k) block.  A run of sibling
+nodes whose children are all leaves, with POVMs of one shape and offsets,
+takes one matmul and one (run leaves, k) block for the whole run, bitwise
+equal to the node-by-node weights.  Success and mutual information are array
 reductions over the stacked (leaves, k) weights; the leaf paths are kept
 per block, and the joint table's row tuples are built only when first read.
 The Monte-Carlo sampler is an independent route: it propagates the live
@@ -150,14 +150,18 @@ class LoccProtocol:
     root: ProtocolNode
 
     def validate(self, k: int | None = None, tol: float = 1e-10) -> None:
-        """Check alternation, operator shape chaining, completeness, leaf labels."""
+        """Check alternation, operator shape chaining, completeness, leaf labels.
+
+        One depth-first walk visits nodes and leaves alike, children in
+        outcome order, so the first fault on that order is the one reported.
+        """
         complete = set()  # ids of Povm objects already checked; nodes may share one
 
-        def check_leaf(leaf):
-            if leaf.guess < 0 or (k is not None and leaf.guess >= k):
-                raise DomainError(f"leaf guess {leaf.guess} out of range")
-
         def walk(node, da, db, prev_actor):
+            if isinstance(node, Leaf):
+                if node.guess < 0 or (k is not None and node.guess >= k):
+                    raise DomainError(f"leaf guess {node.guess} out of range")
+                return
             if node.actor == prev_actor:
                 raise DomainError("actors must alternate along every path")
             alice = node.actor == ALICE
@@ -171,23 +175,10 @@ class LoccProtocol:
                 if defect > tol:
                     raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
                 complete.add(id(node.povm))
-            if isinstance(node.children[0], Leaf):
-                # a node of leaves only takes one range test; the loop below names the first bad leaf
-                guesses = [child.guess for child in node.children if isinstance(child, Leaf)]
-                if len(guesses) == len(node.children) and min(guesses) >= 0 and (k is None or max(guesses) < k):
-                    return
             for m, child in zip(node.povm.elements, node.children):
-                if isinstance(child, Leaf):
-                    check_leaf(child)
-                elif alice:
-                    walk(child, m.shape[0], db, node.actor)
-                else:
-                    walk(child, da, m.shape[0], node.actor)
+                walk(child, m.shape[0] if alice else da, db if alice else m.shape[0], node.actor)
 
-        if isinstance(self.root, Leaf):
-            check_leaf(self.root)
-        else:
-            walk(self.root, self.dim_a, self.dim_b, None)
+        walk(self.root, self.dim_a, self.dim_b, None)
 
     def map_leaves(self, fn) -> "LoccProtocol":
         """New protocol with every Leaf replaced by fn(leaf)."""
@@ -377,13 +368,14 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
     matrices E B_i X^T, and each node applies its stacked POVM S in one 2-D
     product: Alice maps Y to Y S^T, Bob to S Y.  Outcome x's block of the
     product is the child's Y; a leaf's weight for state i is
-    ||Y_i||_F^2 / dim_a.  The leaf children of a node get their weights as
-    one (outcomes, k) block: for a projective POVM (one row per outcome)
-    the squared row norms are the weights, otherwise one
-    ``np.add.reduceat`` over the POVM's row offsets sums them.  A run of
-    sibling nodes whose children are all leaves is weighed in one step by
-    :func:`_run_weights`.  Each path block is a pair (prefixes, suffixes)
-    standing for the leaf paths prefix + suffix, prefixes outer.
+    ||Y_i||_F^2 / dim_a.  A node with leaf children weighs all its outcomes
+    at once: for a projective POVM (one row per outcome) the squared row
+    norms are the weights, otherwise one ``np.add.reduceat`` over the
+    POVM's row offsets sums them; each run of consecutive leaf children
+    takes its rows as one block.  A run of sibling nodes whose children are
+    all leaves is weighed in one step by :func:`_run_weights`.  Each path
+    block is a pair (prefixes, suffixes) standing for the leaf paths
+    prefix + suffix, prefixes outer.
     """
     b = ensemble.b_matrices()
     if isinstance(protocol.root, Leaf):
@@ -397,13 +389,16 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
 
 
 def _run_key(pair):
-    """Equal for the (child, parent operator) pairs that may share a run.
+    """Equal for the (child, parent operator) pairs that may share one weight block.
 
+    Every leaf has one key, so a node's consecutive leaves form one group.
     Run nodes have leaf children only, one POVM shape and offsets, and
     parent operators of one row count, so their inputs are equal blocks.
     """
     child, op = pair
-    if isinstance(child, Leaf) or not all(isinstance(leaf, Leaf) for leaf in child.children):
+    if isinstance(child, Leaf):
+        return Leaf
+    if not all(isinstance(leaf, Leaf) for leaf in child.children):
         return child
     return op.shape[0], child.povm.stacked.shape, child.povm.offsets.tobytes()
 
@@ -411,12 +406,14 @@ def _run_key(pair):
 def _collect_leaves(node, y, path, paths, guesses, blocks):
     """Depth-first walk of :func:`_leaf_weights` below ``node``, whose input is Y.
 
-    Appends to the three lists in place.  Maximal runs of sibling nodes with
-    equal :func:`_run_key` are weighed together by :func:`_run_weights`; a
-    run of one node takes the node's own product.  A module-level function
-    rather than a recursive closure: a closure that calls itself is a
-    reference cycle, which would keep every weight block alive until the
-    next garbage collection.
+    Appends to the three lists in place.  Children are grouped by
+    :func:`_run_key`: consecutive leaves give one block, sliced from the
+    weights of the node's whole product (a squared slice would sum in
+    another order, so other last bits); a run of sibling nodes of leaves is
+    weighed by :func:`_run_weights`; any other node is walked on its own.  A
+    module-level function rather than a recursive closure: a closure that
+    calls itself is a reference cycle, which would keep every weight block
+    alive until the next garbage collection.
     """
     k, r, c = y.shape
     povm, children = node.povm, node.children
@@ -425,34 +422,27 @@ def _collect_leaves(node, y, path, paths, guesses, blocks):
         z = (y.reshape(-1, c) @ povm.stacked.T).reshape(k, r, -1)
     else:  # a 3-D matmul would loop over the k matrices
         z = (povm.stacked @ y.transpose(1, 0, 2).reshape(r, -1)).reshape(-1, k, c).transpose(1, 0, 2)
-    leaf_idx = [i for i, child in enumerate(children) if isinstance(child, Leaf)]
-    if leaf_idx:
+    if any(isinstance(child, Leaf) for child in children):
         norms = (z.real**2 + z.imag**2).sum(axis=1 if alice else 2).T
         if norms.shape[0] != len(children):
             norms = np.add.reduceat(norms, povm.offsets, axis=0)
-        if len(leaf_idx) == len(children):
-            blocks.append(norms)
-            paths.append(([path], tuple((i,) for i in range(len(children)))))
-            guesses.extend([child.guess for child in children])
-            return
     end, runs = 0, []
     for key, group in groupby(zip(children, povm.elements), _run_key):
         group, idx = list(group), end
         end += len(group)
-        if len(group) > 1 and isinstance(key, tuple):
+        if isinstance(group[0][0], Leaf):
+            blocks.append(norms[idx:end])
+            paths.append(([path], tuple((i,) for i in range(idx, end))))
+            guesses.extend([leaf.guess for leaf, _ in group])
+        elif len(group) > 1 and isinstance(key, tuple):
             run = [child for child, _ in group]
             rows = slice(povm.offsets[idx], povm.offsets[idx] + len(run) * key[0])
             runs.append(len(blocks))
             blocks.append(_run_weights(run, z[:, :, rows] if alice else z[:, rows], alice))
             paths.append(([path + (i,) for i in range(idx, end)], tuple((i,) for i in range(len(run[0].children)))))
             guesses.extend([leaf.guess for child in run for leaf in child.children])
-            continue
-        for i, (child, op) in enumerate(group, idx):
-            if isinstance(child, Leaf):
-                blocks.append(norms[i : i + 1])
-                paths.append(([path], ((i,),)))
-                guesses.append(child.guess)
-            else:
+        else:
+            for i, (child, op) in enumerate(group, idx):
                 rows = slice(povm.offsets[i], povm.offsets[i] + op.shape[0])
                 _collect_leaves(child, z[:, :, rows] if alice else z[:, rows], path + (i,), paths, guesses, blocks)
     # run weights may still view their complex products: copied out only once Z is
@@ -500,12 +490,7 @@ def _run_weights(run, y, alice_parent):
     return sq.reshape(-1, k)
 
 
-def evaluate(
-    protocol: LoccProtocol,
-    ensemble: StateEnsemble,
-    tol: float = 1e-10,
-    prune_tol: float = PRUNE_TOL,
-) -> ProtocolEvaluation:
+def evaluate(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10) -> ProtocolEvaluation:
     """Exact branch-sum evaluation of a protocol on an ensemble.
 
     Computes the full joint distribution over (state, outcome path), the
@@ -515,9 +500,9 @@ def evaluate(
     of sibling nodes of leaves, leaf weights in blocks); success, per-state
     success and mutual information are array reductions over the kept
     (leaf, state) entries, found as flat indices into the weights.  A row is
-    kept when its probability is at least ``prune_tol`` and above zero, so
-    zero-probability rows are never listed, even at ``prune_tol=0``.  The joint table's rows
-    are built only when ``joint`` is first read.
+    kept when its probability is at least ``PRUNE_TOL``, so zero-probability
+    rows are never listed.  The joint table's rows are built only when
+    ``joint`` is first read.
     """
     if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
         raise DomainError("protocol and ensemble dimensions disagree")
@@ -529,7 +514,7 @@ def evaluate(
         raise ToleranceError(f"branch weights do not conserve probability (max dev {dev:.3e})")
 
     pw = ensemble.priors * w
-    kept = np.flatnonzero((pw >= prune_tol) & (pw > 0.0))
+    kept = np.flatnonzero(pw >= PRUNE_TOL)
     rows, states = np.divmod(kept, ensemble.k)
     w_kept = w.ravel()[kept]
     p = pw.ravel()[kept]

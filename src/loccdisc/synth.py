@@ -333,6 +333,6 @@ def find_cub(family: BasisFamily, candidates):
     list is scanned.
     """
     for cand in candidates:
-        if common_unbiased_basis_check(cand, family, tol=SYNTH_TOL):
+        if common_unbiased_basis_check(cand, family):
             return as_matrix(cand)
     return None

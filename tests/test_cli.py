@@ -289,6 +289,14 @@ class TestOutputBoundary:
     def test_non_finite_output_refused(self, capsys, argv):
         _assert_clean_exit(*_run(capsys, *argv), 2)
 
+    @pytest.mark.parametrize("tol", ["-1", "inf"])
+    def test_bad_tol_exits_2(self, capsys, bell2_protocol, tol):
+        bell2 = '{"kind":"bell","n":2}'
+        for argv in (("ensemble", bell2), ("evaluate", "--protocol", bell2_protocol, "--ensemble", bell2)):
+            code, out, err = _run(capsys, *argv, "--tol", tol)
+            _assert_clean_exit(code, out, err, 2)
+            assert "--tol must be finite and >= 0" in err
+
     def test_deep_nesting_exits_2(self, capsys):
         _assert_clean_exit(*_run(capsys, "ensemble", "[" * 100_000), 2)
 

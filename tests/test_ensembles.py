@@ -116,26 +116,34 @@ class TestMubPrime:
 class TestCommonUnbiasedBasisCheck:
     def test_fourier_vs_computational(self):
         fam = BasisFamily((np.eye(3, dtype=complex),))
-        assert common_unbiased_basis_check(fourier_matrix(3), fam, 1e-10)
+        assert common_unbiased_basis_check(fourier_matrix(3), fam)
 
     def test_basis_vs_itself_fails(self):
         fam = BasisFamily((np.eye(3, dtype=complex),))
-        assert not common_unbiased_basis_check(np.eye(3, dtype=complex), fam, 1e-10)
+        assert not common_unbiased_basis_check(np.eye(3, dtype=complex), fam)
 
     def test_mub_member_vs_rest(self):
         fam = mub_prime(3)
         rest = BasisFamily(fam.bases[1:])
-        assert common_unbiased_basis_check(fam.bases[0], rest, 1e-10)
+        assert common_unbiased_basis_check(fam.bases[0], rest)
 
     def test_dimension_mismatch(self):
         fam = BasisFamily((np.eye(3, dtype=complex),))
         with pytest.raises(DomainError):
-            common_unbiased_basis_check(np.eye(2, dtype=complex), fam, 1e-10)
+            common_unbiased_basis_check(np.eye(2, dtype=complex), fam)
 
     def test_nonunitary_candidate(self):
         fam = BasisFamily((np.eye(2, dtype=complex),))
         with pytest.raises(DomainError):
-            common_unbiased_basis_check(np.ones((2, 2)), fam, 1e-10)
+            common_unbiased_basis_check(np.ones((2, 2)), fam)
+
+    @pytest.mark.parametrize("angle, unbiased", [(1e-11, True), (1e-6, False)])
+    def test_tolerance_is_eigen_tol(self, angle, unbiased):
+        # rotating two Fourier columns by t moves their overlaps with |1> by about t/3
+        f = fourier_matrix(3)
+        c, s = np.cos(angle), np.sin(angle)
+        cand = np.column_stack([c * f[:, 0] + s * f[:, 1], c * f[:, 1] - s * f[:, 0], f[:, 2]])
+        assert common_unbiased_basis_check(cand, BasisFamily((np.eye(3, dtype=complex),))) is unbiased
 
 
 class TestRandomTriples:

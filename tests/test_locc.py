@@ -1,6 +1,5 @@
 import hashlib
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -408,16 +407,6 @@ class TestEvaluate:
         with pytest.raises(DomainError):
             evaluate(standard_bell_protocol(2), bell_basis(3))
 
-    def test_zero_prune_tol_keeps_mutual_information_finite(self):
-        protocol, ens = _edge_case("dead-outcomes")
-        default = evaluate(protocol, ens)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            res = evaluate(protocol, ens, prune_tol=0.0)
-        assert math.isfinite(res.mutual_information_bits)
-        assert abs(res.mutual_information_bits - default.mutual_information_bits) <= 1e-14
-        assert all(p > 0.0 for _, _, _, p in res.joint)
-
     def test_joint_built_once(self):
         res = evaluate(standard_bell_protocol(3), bell_basis(3))
         first = res.joint
@@ -679,8 +668,10 @@ class TestEvaluatorGolden:
 
     Each entry is ``float.hex`` of the success probability and of the mutual
     information, plus the first 16 hex digits of the sha256 of the joint rows
-    (state, path, guess and ``float.hex`` of p, one line per row), recorded
-    from the evaluator that gave every leaf-only node its own product.
+    (state, path, guess and ``float.hex`` of p, one line per row).  ``BELL``
+    and ``KRAUS`` were recorded from the evaluator that gave every leaf-only
+    node its own product; ``EDGE``, ``RUN`` and ``LIBRARY`` from the one
+    that weighed a node's leaves beside internal children one row each.
     """
 
     BELL = {
@@ -702,6 +693,54 @@ class TestEvaluatorGolden:
         9: ("0x1.337c4c8cf714cp-2", "0x1.c828e2e2d8290p-4", "40bb60272db6aefa"),
     }
 
+    EDGE = {
+        "mixed-children": ("0x1.ec675ed033a8cp-4", "0x1.6937a0f69ca6fp-2", "1f8c8e412ec0fb93"),
+        "dead-outcomes": ("0x1.678b18e64201fp-3", "0x1.b5af2a92f594ap-4", "53db508125e2dad2"),
+    }
+    RUN = {
+        "bob-parent-shared": ("0x1.cb9918bc2f400p-3", "0x1.0c412129e6f56p-4", "df07c62ca13c6beb"),
+        "bob-parent-multirow-children": ("0x1.cfc95d243d08dp-3", "0x1.3015aa0d5e9f0p-3", "15d9fe72f58abff2"),
+        "alice-parent-multirow": ("0x1.23d7537c5bee5p-3", "0x1.9a607b064093cp-4", "f0402b8cf6e358a8"),
+        "broken-runs": ("0x1.97fa5137ed29ap-3", "0x1.2ec18b284d3fdp-2", "5f36f96b61768b63"),
+    }
+    LIBRARY = {
+        "bell-standard-full-2": ("0x1.0000000000000p-1", "0x1.0000000000000p+0", "22fcd49c6705c39d"),
+        "bell-standard-full-3": ("0x1.5555555555555p-2", "0x1.95c01a39fbd66p+0", "7632d8b797f8313f"),
+        "bell-standard-full-4": ("0x1.0000000000000p-2", "0x1.0000000000000p+1", "bfbe06389486f8c1"),
+        "bell-standard-full-5": ("0x1.999999999999ap-3", "0x1.2934f0979a371p+1", "544e03c21b835add"),
+        "bell-standard-sub-3-k4": ("0x1.8000000000000p-1", "0x1.8000000000000p+0", "896d534633430dc5"),
+        "bell-standard-sub-3-k6": ("0x1.0000000000000p-1", "0x1.95c01a39fbd6ap+0", "ca1cccea0ce5661b"),
+        "bell-standard-sub-4-k5": ("0x1.999999999999ap-1", "0x1.ec037ac8ce07cp+0", "f60eab073dde59a6"),
+        "three-qutrit-seed0": ("0x1.0000000000000p+0", "0x1.95c01a39fbd6ap+0", "b7c0ffa15374c375"),
+        "three-qutrit-seed1": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "3815c59889a8bba8"),
+        "three-qutrit-seed2": ("0x1.fffffffffffffp-1", "0x1.95c01a39fbd69p+0", "77c12b5789c9b39c"),
+        "three-qutrit-seed3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "882a8de56f9a354f"),
+        "three-qutrit-seed4": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "467a4c3c1f9588d1"),
+        "three-qutrit-bell-triple": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "f032d51b79c8b066"),
+        "cub-3-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "459fb1c8353a72e2"),
+        "cub-3-k2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "be4b678cf0e0b001"),
+        "cub-5-k3": ("0x1.ffffffffffffep-1", "0x1.95c01a39fbd68p+0", "cc38247a20a00176"),
+        "cub-5-k2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "c01a7466e4cfcbbf"),
+        "cub-7-k4": ("0x1.ffffffffffffep-1", "0x1.0000000000000p+1", "7385df721b28a622"),
+        "cub-7-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd66p+0", "0a6d80f7640960b3"),
+        "discard-bell2-keep2of3": ("0x1.5555555555555p-1", "0x1.d62adf1ea257ap-1", "8995c31f80094091"),
+        "discard-bell2-keep2of4": ("0x1.0000000000000p-1", "0x1.fffffffffffffp-1", "388b7e630cf37199"),
+        "discard-bell3-keep3of4": ("0x1.8000000000003p-1", "0x1.8000000000000p+0", "f7a72470f641a572"),
+        "discard-bell3-keep3of5": ("0x1.3333333333335p-1", "0x1.859d146267a18p+0", "fd54efe481357d51"),
+        "discard-bell3-keep3of7": ("0x1.b6db6db6db6ddp-2", "0x1.8e810dd1a6e07p+0", "7f333df49dc39957"),
+        "discard-bell3-keep3of9": ("0x1.5555555555557p-2", "0x1.95c01a39fbd68p+0", "b177e63cd21cdc83"),
+        "two-state-bell2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "8a0595c09fe0a94e"),
+        "two-state-product": ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "bcb7c465dee890ca"),
+        "two-state-random-2x3": ("0x1.ffffffffffffep-1", "0x1.0000000000001p+0", "a4839f28ae75a4a1"),
+        "blind-guess-bell2": ("0x1.0000000000000p-2", "0x0.0p+0", "f3bf06b8f1c12eb9"),
+        "blind-guess-prod23": ("0x1.5555555555556p-3", "0x0.0p+0", "4e4afabe10905076"),
+        "product-basis-2x2": ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "094441bf7cf37b2f"),
+        "product-basis-2x3": ("0x1.0000000000000p+0", "0x1.4ae00d1cfdeb5p+1", "3379301002e9b3af"),
+        "simdiag-fourier3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "ff81ed22f2cf4129"),
+        "simdiag-haar4": ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "9f731932f8a42aa1"),
+        "single-state": ("0x1.0000000000000p+0", "0x0.0p+0", "d0f2ab7fd20b84db"),
+    }
+
     @staticmethod
     def _pin(res):
         rows = "".join(f"{v} {path} {g} {p.hex()}\n" for v, path, g, p in res.joint)
@@ -716,6 +755,18 @@ class TestEvaluatorGolden:
     @pytest.mark.parametrize("case", list(KRAUS))
     def test_random_kraus_trees(self, case):
         assert self._pin(evaluate(*random_kraus_case(case))) == self.KRAUS[case]
+
+    @pytest.mark.parametrize("name", list(EDGE))
+    def test_edge_trees(self, name):
+        assert self._pin(evaluate(*_edge_case(name))) == self.EDGE[name]
+
+    @pytest.mark.parametrize("name", list(RUN))
+    def test_run_trees(self, name):
+        assert self._pin(evaluate(*_run_case(name))) == self.RUN[name]
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda e: e.name)
+    def test_library(self, entry):
+        assert self._pin(evaluate(entry.protocol, entry.ensemble)) == self.LIBRARY[entry.name]
 
 
 def _random_spec(seed):

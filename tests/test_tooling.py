@@ -1,7 +1,10 @@
 """Names that other code looks up: the benchmark's span tracer patches functions by name, so every
-name it lists must still resolve, and the package's ``__all__`` must list exactly what it exports."""
+name it lists must still resolve, the package's ``__all__`` must list exactly what it exports, and the
+README must name every public call that takes a tolerance."""
 
 import importlib
+import inspect
+import re
 import types
 from pathlib import Path
 
@@ -9,7 +12,8 @@ import pytest
 
 import loccdisc
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _load_spans():
@@ -45,3 +49,26 @@ def test_all_lists_the_public_names():
     }
     assert len(loccdisc.__all__) == len(set(loccdisc.__all__))
     assert set(loccdisc.__all__) == public
+
+
+def _takes_tol(fn) -> bool:
+    try:
+        params = inspect.signature(fn).parameters
+    except (TypeError, ValueError):  # builtins without a signature
+        return False
+    return any(name == "tol" or name.endswith("_tol") for name in params)
+
+
+def test_tolerance_options_are_documented():
+    """The calls reachable from ``__all__`` (methods of exported classes too) with a ``tol`` or
+    ``*_tol`` parameter are exactly those the README's Conventions section lists."""
+    found = set()
+    for name in loccdisc.__all__:
+        obj = getattr(loccdisc, name)
+        if _takes_tol(obj):
+            found.add(name)
+        if inspect.isclass(obj):
+            found |= {f"{name}.{attr}" for attr in dir(obj) if not attr.startswith("_") and _takes_tol(getattr(obj, attr))}
+    conventions = (ROOT / "README.md").read_text(encoding="utf-8").split("## Conventions", 1)[1].split("\n## ", 1)[0]
+    listed = " ".join(conventions.split()).split("take a `tol` parameter:", 1)[1].split("Every other tolerance", 1)[0]
+    assert found == set(re.findall(r"`([\w.]+)`", listed))
