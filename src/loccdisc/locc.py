@@ -24,6 +24,10 @@ stacked POVM to them in one product, takes every state's Born weights from
 one block reduction, and splits every state's trials over the outcomes with
 one multinomial draw; the trials drawn into all of the node's leaves are
 scored in one array step, and only internal children are walked further.
+A run of sibling nodes whose children are all leaves, grouped by the
+evaluator's rule, steps as one on all of its (state, node) rows, node-major
+and in blocks of a fixed row count, so it draws in the node-by-node order.
+Both walks take squared magnitudes through one helper.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
@@ -55,6 +59,16 @@ BOB = "bob"
 # Branches lighter than this are dropped from joint tables (keeps entropy
 # sums away from log(0); the discarded mass bounds the induced error).
 PRUNE_TOL = 1e-14
+
+# Rows of a run of sibling nodes of leaves that one ``simulate`` step takes:
+# bounds the step's gathered input, product and squares.  Unbounded, the
+# n = 16 standard Bell tree's 4096 rows make them fresh 1 MiB blocks, which
+# fault in new pages on every call.
+_SAMPLE_BLOCK_ROWS = 1024
+
+# The largest squares buffer ``_squared_norms`` allocates beside a product
+# it must keep; larger products are squared in blocks of rows.
+_SQUARES_BLOCK_BYTES = 256 * 1024
 
 # The guess on the outcomes that complete a one-way protocol's Bob basis.
 COMPLETION_GUESS = 0
@@ -423,7 +437,8 @@ def _collect_leaves(node, y, path, paths, guesses, blocks):
     else:  # a 3-D matmul would loop over the k matrices
         z = (povm.stacked @ y.transpose(1, 0, 2).reshape(r, -1)).reshape(-1, k, c).transpose(1, 0, 2)
     if any(isinstance(child, Leaf) for child in children):
-        norms = (z.real**2 + z.imag**2).sum(axis=1 if alice else 2).T
+        leaves_only = all(isinstance(child, Leaf) for child in children)
+        norms = _squared_norms(z, 1 if alice else 2, in_place=leaves_only).T
         if norms.shape[0] != len(children):
             norms = np.add.reduceat(norms, povm.offsets, axis=0)
     end, runs = 0, []
@@ -472,22 +487,37 @@ def _run_weights(run, y, alice_parent):
         stack = np.stack([child.povm.stacked for child in run])
     m, rows, k = len(run), first.stacked.shape[0], y.shape[0]
     e = y.shape[2 if alice_parent else 1] // m
-    if alice_parent:  # Bob nodes: S_j Y_j on each (r, k e) block
+    if alice_parent:  # Bob nodes: S_j Y_j on each (r, k e) block; (m, rows, k, e), e contiguous as for one node
         prod = stack @ y.reshape(k, -1, m, e).transpose(2, 1, 0, 3).reshape(m, -1, k * e)
-    else:  # Alice nodes: Y_j S_j^T on each (k e, c) block
+        sq = _squared_norms(prod.reshape(m, rows, k, e), 3, in_place=True)
+    else:  # Alice nodes: Y_j S_j^T on each (k e, c) block; (m, k, e, rows)
         prod = y.reshape(k, m, e, -1).transpose(1, 0, 2, 3).reshape(m, k * e, -1) @ np.swapaxes(stack, -1, -2)
-    v = prod.view(float)
-    np.square(v, out=v)
-    sq = np.add(v[..., 0::2], v[..., 1::2], out=v[..., 0::2])
-    if alice_parent:  # (m, rows, k, e): e is the contiguous axis, as for one node
-        sq = sq.reshape(m, rows, k, e)
-        sq = sq.sum(axis=3) if e > 1 else sq[..., 0]
-    else:  # (m, k, e, rows)
-        sq = sq.reshape(m, k, e, rows)
-        sq = (sq.sum(axis=2) if e > 1 else sq[:, :, 0]).transpose(0, 2, 1)
+        sq = _squared_norms(prod.reshape(m, k, e, rows), 2, in_place=True).transpose(0, 2, 1)
     if rows != len(first.offsets):
         sq = np.add.reduceat(sq, first.offsets, axis=1)
     return sq.reshape(-1, k)
+
+
+def _squared_norms(z, axis, in_place):
+    """Sums of |z|^2 along ``axis`` (not 0), bitwise those of ``(z.real**2 + z.imag**2).sum(axis)``.
+
+    The squares are taken on z's float view, in place when the caller has no
+    further use for z, and added in (real, imaginary) pairs; the sum runs
+    along the same axis, contiguous or not, so in the same order.  Out of
+    place, a z larger than ``_SQUARES_BLOCK_BYTES`` is squared in blocks of
+    its leading axis, each a copy squared in place, so no buffer the size
+    of z is allocated.  A length-1 axis is dropped without a pass, so the
+    result may view z.
+    """
+    step = max(1, _SQUARES_BLOCK_BYTES * z.shape[0] // max(z.nbytes, 1))
+    if not in_place and step < z.shape[0]:
+        return np.concatenate([_squared_norms(z[i : i + step].copy(), axis, True) for i in range(0, z.shape[0], step)])
+    v = z.view(float)
+    # np.multiply rather than np.square: the same products, but on an AVX-512
+    # host the sum below ran up to 7x slower after np.square following a BLAS product
+    v = np.multiply(v, v, out=v if in_place else None)
+    sq = np.add(v[..., 0::2], v[..., 1::2], out=v[..., 0::2])
+    return sq.sum(axis=axis) if sq.shape[axis] > 1 else sq.squeeze(axis)
 
 
 def evaluate(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10) -> ProtocolEvaluation:
@@ -539,17 +569,15 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     """Empirical success rate over seeded Monte-Carlo runs.
 
     Independent of :func:`evaluate`: per-state trial counts are drawn from
-    the priors, and the live states travel down the tree as one stacked
-    array of amplitude matrices S.  Each node applies its stacked POVM in
-    one product (Alice maps S to stacked S, Bob to S stacked^T), whose row
-    or column blocks are the outcomes' states; the Born weights are the
-    blocks' squared norms, summed by one ``np.add.reduceat`` (a projective
-    POVM, one row per outcome, needs no sum).  Every state's
-    trials are split over the outcomes by one multinomial draw, which is
-    distribution-identical to per-trial sampling.  The trials drawn into
-    the node's leaves are scored together against the leaf guesses, and an
-    internal child receives only the states that reached it, renormalized.
-    Draws happen only at internal nodes, in preorder.
+    the priors, and the live states' amplitude matrices travel down the tree
+    as one stacked array, walked by :func:`_sample`.  Each step applies a
+    POVM in one product, takes the Born weights from the squared norms of
+    its outcome blocks, and splits every state's trials over the outcomes
+    with one multinomial draw, which is distribution-identical to per-trial
+    sampling.  A run of sibling nodes whose children are all leaves takes
+    one step for all of its rows, in blocks of a fixed row count.  Draws
+    happen only at internal nodes, in preorder, and a run's rows are
+    node-major, so the random stream is the one a node-by-node walk draws.
     """
     trials = as_int(trials, "trials")
     if not 1 <= trials <= 2**63 - 1:
@@ -564,38 +592,92 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     per_state = rng.multinomial(trials, ensemble.priors)
     if isinstance(protocol.root, Leaf):
         return int(per_state[protocol.root.guess]) / trials
-    correct = 0
-
-    def walk(node, s, labels, counts):
-        nonlocal correct
-        alice = node.actor == ALICE
-        povm = node.povm
-        if alice:
-            z = povm.stacked @ s
-        else:  # reshaped to one 2-D product: a 3-D matmul loops over the k matrices
-            z = (s.reshape(-1, s.shape[2]) @ povm.stacked.T).reshape(*s.shape[:2], -1)
-        probs = (z.real**2 + z.imag**2).sum(axis=2 if alice else 1)
-        if probs.shape[1] != len(node.children):  # not one row per outcome
-            probs = np.add.reduceat(probs, povm.offsets, axis=1)
-        probs /= probs.sum(axis=1, keepdims=True)
-        drawn = rng.multinomial(counts, probs)
-        leaf_cols, inner = [], []
-        for i, child in enumerate(node.children):
-            (leaf_cols if isinstance(child, Leaf) else inner).append(i)
-        if leaf_cols:
-            guesses = np.array([node.children[i].guess for i in leaf_cols])
-            correct += int((drawn[:, leaf_cols] * (labels[:, None] == guesses)).sum())
-        for i in inner:
-            keep = drawn[:, i] > 0
-            if keep.any():
-                rows = slice(povm.offsets[i], povm.offsets[i] + povm.elements[i].shape[0])
-                # a real reciprocal: dividing by the real array would run as a complex division
-                y = (z[keep, rows] if alice else z[keep, :, rows]) * (1.0 / np.sqrt(probs[keep, i]))[:, None, None]
-                walk(node.children[i], y, labels[keep], drawn[keep, i])
-
     live = np.flatnonzero(per_state)
-    walk(protocol.root, ensemble.amplitude_matrices()[live], live, per_state[live])
+    amps = ensemble.amplitude_matrices()
+    if live.size < amps.shape[0]:  # no copy when every state is live
+        amps = amps[live]
+    run = (protocol.root,)
+    correct = _sample(run, *_run_tables(run), amps, live, per_state[live], np.zeros(live.size, np.intp), rng)
     return correct / trials
+
+
+def _run_tables(run):
+    """The operators and the (nodes, outcomes) guess table of a sampler step on ``run``.
+
+    The operators are the nodes' one shared stacked POVM, or their stacked
+    POVMs stacked once more, (nodes, rows, input dim).  An internal child
+    guesses -1, which no state label equals.
+    """
+    ops = run[0].povm.stacked
+    if any(node.povm is not run[0].povm for node in run):
+        ops = np.stack([node.povm.stacked for node in run])
+    guesses = [[child.guess if isinstance(child, Leaf) else -1 for child in node.children] for node in run]
+    return ops, np.array(guesses)
+
+
+def _sample(run, ops, guesses, y, labels, counts, which, rng) -> int:
+    """Correct trials below one sampler step on ``run``: one node, or a run of sibling nodes of leaves.
+
+    Row i of the stacked input ``y`` holds state ``labels[i]`` at node
+    ``which[i]`` of the run with ``counts[i]`` trials; rows are node-major,
+    and ``ops`` and ``guesses`` come from :func:`_run_tables`.  The step
+    applies the POVMs in one product (Alice maps a row S to stacked S, Bob
+    to S stacked^T), takes the Born weights from the outcome blocks' squared
+    norms (:func:`_squared_norms`, then one ``np.add.reduceat`` unless each
+    outcome has one row), splits every row's trials by one multinomial draw
+    and scores the draws landing on leaves in one masked sum.  Leaves draw
+    nothing, so node-major rows draw in the order node-by-node steps would.
+
+    A lone node's children are grouped by :func:`_run_key`.  Each run of
+    sibling nodes of leaves takes the (state, node) rows that drew trials
+    into it, gathered node-major from the product and renormalized, and
+    steps on them in blocks of ``_SAMPLE_BLOCK_ROWS`` rows; any other node
+    is walked on its rows in one piece.  A module-level function rather
+    than a recursive closure, which would be a reference cycle.
+    """
+    node = run[0]
+    alice = node.actor == ALICE
+    if ops.ndim == 3:  # nodes of distinct POVMs: each row takes its node's operators
+        ops = ops[which]
+        z = ops @ y if alice else y @ ops.transpose(0, 2, 1)
+    elif alice:
+        z = ops @ y
+    else:  # reshaped to one 2-D product: a 3-D matmul would loop over the rows' matrices
+        z = (y.reshape(-1, y.shape[2]) @ ops.T).reshape(*y.shape[:2], -1)
+    inner = not all(isinstance(child, Leaf) for child in node.children)
+    probs = _squared_norms(z, 2 if alice else 1, in_place=not inner)
+    if probs.shape[1] != guesses.shape[1]:  # not one row per outcome
+        probs = np.add.reduceat(probs, node.povm.offsets, axis=1)
+    probs /= probs.sum(axis=1, keepdims=True)
+    drawn = rng.multinomial(counts, probs)
+    correct = int((drawn * (labels[:, None] == guesses[which])).sum())
+    if not inner:
+        return correct
+    end = 0
+    for key, pairs in groupby(zip(node.children, node.povm.elements), _run_key):
+        group, lo = [child for child, _ in pairs], end
+        end += len(group)
+        if isinstance(group[0], Leaf):
+            continue
+        fused = isinstance(key, tuple)
+        for sub in [group] if fused else [[child] for child in group]:
+            hi = lo + len(sub)
+            j, s = np.nonzero(drawn[:, lo:hi].T)  # (node, state) pairs that drew trials, node-major
+            a, r = node.povm.offsets[lo], node.povm.elements[lo].shape[0]
+            if alice:
+                zr = z[:, a : a + len(sub) * r].reshape(z.shape[0], len(sub), r, -1)
+            else:
+                zr = z[:, :, a : a + len(sub) * r].reshape(*z.shape[:2], len(sub), r)
+            tables = _run_tables(sub)
+            step = _SAMPLE_BLOCK_ROWS if fused else max(s.size, 1)
+            for b in range(0, s.size, step):
+                jb, sb = j[b : b + step], s[b : b + step]
+                yb = zr[sb, jb] if alice else zr[sb, :, jb]
+                v = yb.view(float)
+                v *= (1.0 / np.sqrt(probs[sb, lo + jb]))[:, None, None]
+                correct += _sample(sub, *tables, yb, labels[sb], drawn[sb, lo + jb], jb, rng)
+            lo = hi
+    return correct
 
 
 def standard_bell_protocol(n: int, subset=None) -> LoccProtocol:

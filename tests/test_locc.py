@@ -470,6 +470,24 @@ class TestBatchedEvaluator:
         assert abs(res.success_probability - 1.0 / 24) < 1e-12
         assert abs(res.mutual_information_bits - math.log2(24)) < 1e-13
 
+    def test_leaf_blocks_are_rows_of_whole_weights(self):
+        # one-row leaf outcomes of an Alice node beside a Bob node, with dim_b = 9: squaring a
+        # leaf's own one-column slice of Z sums its nine rows in another order, so other bits
+        rng = np.random.default_rng(0)
+        da, db, k = 3, 9, 4
+        amps = rng.standard_normal((k, da * db)) + 1j * rng.standard_normal((k, da * db))
+        ens = uniform_ensemble([BipartiteState(da, db, a / np.linalg.norm(a)) for a in amps])
+        haar = lambda d: np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        alice = projective_povm(haar(da))
+        bob = ProtocolNode(BOB, projective_povm(haar(db)), tuple(Leaf(int(g)) for g in rng.integers(k, size=db)))
+        protocol = LoccProtocol(da, db, ProtocolNode(ALICE, alice, (Leaf(0), bob, Leaf(1))))
+        _, _, w = locc._leaf_weights(protocol, ens)
+        z = (ens.b_matrices().reshape(-1, da) @ alice.stacked.T).reshape(k, db, da)  # the root's product Z
+        whole = (z.real**2 + z.imag**2).sum(axis=1).T / da
+        assert w[[0, -1]].tobytes() == whole[[0, 2]].tobytes()
+        own = np.concatenate([(z[:, :, [i]].real ** 2 + z[:, :, [i]].imag ** 2).sum(axis=1).T for i in (0, 2)]) / da
+        assert own.tobytes() != whole[[0, 2]].tobytes()  # the shape tells the two orders apart
+
 
 def _run_trees():
     yield from (pytest.param(*_run_case(name), id=name) for name in RUN_CASES)
@@ -509,6 +527,25 @@ class TestRunWeights:
         expand = lambda blocks: [pre + suf for pres, sufs in blocks for pre in pres for suf in sufs]
         assert expand(paths) == expand(alone[0]) and guesses == alone[1]
         assert w.tobytes() == alone[2].tobytes()
+
+
+class TestSquaredNorms:
+    """The squares helper both walks share gives the bits of the plain ``real**2 + imag**2`` sums."""
+
+    @pytest.mark.parametrize("block_bytes", ["default", 1000])
+    @pytest.mark.parametrize("layout", ["c", "transposed"])
+    @pytest.mark.parametrize("shape, axis", [((5, 9, 1), 1), ((5, 9, 3), 1), ((7, 4, 9), 2), ((7, 1, 9), 1), ((3, 16, 16), 2)])
+    def test_equals_plain_sums(self, shape, axis, layout, block_bytes, monkeypatch):
+        if block_bytes != "default":  # out of place in blocks of one or two rows, the last one short
+            monkeypatch.setattr(locc, "_SQUARES_BLOCK_BYTES", block_bytes)
+        rng = np.random.default_rng(sum(shape))
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if layout == "transposed":  # the evaluator's Bob-node product: (k, rows, c) over memory (rows, k, c)
+            z = np.ascontiguousarray(z.transpose(1, 0, 2)).transpose(1, 0, 2)
+        expected, before = (z.real**2 + z.imag**2).sum(axis=axis), z.copy()
+        assert np.ascontiguousarray(locc._squared_norms(z, axis, in_place=False)).tobytes() == expected.tobytes()
+        assert z.tobytes() == before.tobytes()
+        assert np.ascontiguousarray(locc._squared_norms(z, axis, in_place=True)).tobytes() == expected.tobytes()
 
 
 class TestSimulate:
@@ -594,12 +631,38 @@ class TestBatchedSampler:
         monkeypatch.setattr(StateEnsemble, "b_matrices", refuse)
         assert simulate(protocol, ens, trials=20_000, seed=9) == expected
 
+    @pytest.mark.parametrize("name", list(RUN_CASES))
+    def test_runs_found(self, name, monkeypatch):
+        # the run nodes of the evaluator's runs step together (the rows of five states fit one block)
+        runs = []
+
+        def record(run, *args):
+            runs.append(len(run))
+            return sample(run, *args)
+
+        sample = locc._sample
+        monkeypatch.setattr(locc, "_sample", record)
+        simulate(*_run_case(name), trials=100_000, seed=0)
+        assert [m for m in runs if m > 1] == [m for m, _, _ in RUN_CASES[name]]
+
+    @pytest.mark.parametrize("block", ["default", 3])
+    @pytest.mark.parametrize("protocol, ens", _run_trees())
+    def test_runs_equal_node_by_node(self, protocol, ens, block, monkeypatch):
+        if block != "default":  # runs cut into many blocks, some across node boundaries
+            monkeypatch.setattr(locc, "_SAMPLE_BLOCK_ROWS", block)
+        fused = [simulate(protocol, ens, trials=20_000, seed=s) for s in range(3)]
+        monkeypatch.setattr(locc, "_run_key", lambda pair: pair[0])  # every node on its own
+        assert [simulate(protocol, ens, trials=20_000, seed=s) for s in range(3)] == fused
+
 
 class TestSamplerStream:
     """Rates pinned exactly: the sampler's random stream and its bookkeeping must not move.
 
-    Counts are correct trials out of 100,000 at seeds 0, 1 and 2, recorded
-    from the per-element sampler that preceded the stacked node step.
+    Counts are correct trials out of 100,000 at seeds 0, 1 and 2.  ``BELL``
+    below n = 16, ``KRAUS`` and ``EDGE`` were recorded from the per-element
+    sampler that preceded the stacked node step; the n = 16 ``BELL`` trees,
+    ``RUN`` and ``LIBRARY`` (whose one-way Bob rounds form runs of distinct
+    POVMs) from the node-by-node stacked sampler that preceded run fusion.
     """
 
     TRIALS = 100_000
@@ -610,11 +673,13 @@ class TestSamplerStream:
         ("std", 4): (25013, 24995, 24811),
         ("std", 8): (12502, 12584, 12552),
         ("std", 12): (8311, 8288, 8404),
+        ("std", 16): (6234, 6213, 6298),
         ("refined", 2): (50127, 50050, 50082),
         ("refined", 3): (33548, 33258, 33351),
         ("refined", 4): (25013, 24995, 24811),
         ("refined", 8): (12502, 12584, 12552),
         ("refined", 12): (8311, 8288, 8404),
+        ("refined", 16): (6234, 6213, 6298),
     }
     KRAUS = {
         0: (18131, 18137, 18192),
@@ -632,6 +697,49 @@ class TestSamplerStream:
         "leaf-root": (15169, 15052, 15110),
         "mixed-children": (11898, 11937, 12018),
         "dead-outcomes": (17570, 17567, 17543),
+    }
+    RUN = {
+        "bob-parent-shared": (22282, 22457, 22306),
+        "bob-parent-multirow-children": (22744, 22830, 22863),
+        "alice-parent-multirow": (14201, 14341, 14196),
+        "broken-runs": (20109, 20046, 19911),
+    }
+    LIBRARY = {
+        "bell-standard-full-2": (50127, 50050, 50082),
+        "bell-standard-full-3": (33548, 33258, 33351),
+        "bell-standard-full-4": (25013, 24995, 24811),
+        "bell-standard-full-5": (20081, 20016, 20086),
+        "bell-standard-sub-3-k4": (75081, 74865, 74964),
+        "bell-standard-sub-3-k6": (50045, 50221, 49988),
+        "bell-standard-sub-4-k5": (80006, 79854, 80018),
+        "three-qutrit-seed0": (100000, 100000, 100000),
+        "three-qutrit-seed1": (100000, 100000, 100000),
+        "three-qutrit-seed2": (100000, 100000, 100000),
+        "three-qutrit-seed3": (100000, 100000, 100000),
+        "three-qutrit-seed4": (100000, 100000, 100000),
+        "three-qutrit-bell-triple": (100000, 100000, 100000),
+        "cub-3-k3": (100000, 100000, 100000),
+        "cub-3-k2": (100000, 100000, 100000),
+        "cub-5-k3": (100000, 100000, 100000),
+        "cub-5-k2": (100000, 100000, 100000),
+        "cub-7-k4": (100000, 100000, 100000),
+        "cub-7-k3": (100000, 100000, 100000),
+        "discard-bell2-keep2of3": (66771, 66409, 66559),
+        "discard-bell2-keep2of4": (50125, 49734, 49896),
+        "discard-bell3-keep3of4": (75081, 74865, 74964),
+        "discard-bell3-keep3of5": (60104, 59826, 59953),
+        "discard-bell3-keep3of7": (42973, 42669, 42805),
+        "discard-bell3-keep3of9": (33448, 33149, 33284),
+        "two-state-bell2": (100000, 100000, 100000),
+        "two-state-product": (100000, 100000, 100000),
+        "two-state-random-2x3": (100000, 100000, 100000),
+        "blind-guess-bell2": (25171, 24919, 25014),
+        "blind-guess-prod23": (16813, 16597, 16678),
+        "product-basis-2x2": (100000, 100000, 100000),
+        "product-basis-2x3": (100000, 100000, 100000),
+        "simdiag-fourier3": (100000, 100000, 100000),
+        "simdiag-haar4": (100000, 100000, 100000),
+        "single-state": (100000, 100000, 100000),
     }
 
     def _assert_golden(self, protocol, ens, counts):
@@ -655,6 +763,14 @@ class TestSamplerStream:
         sigma = max(math.sqrt(p * (1.0 - p) / self.TRIALS), 1e-12)
         for c in self.EDGE[name]:
             assert abs(c / self.TRIALS - p) <= 5.0 * sigma
+
+    @pytest.mark.parametrize("name", list(RUN))
+    def test_run_trees(self, name):
+        self._assert_golden(*_run_case(name), self.RUN[name])
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda e: e.name)
+    def test_library(self, entry):
+        self._assert_golden(entry.protocol, entry.ensemble, self.LIBRARY[entry.name])
 
     def test_dead_outcomes_have_zero_weight(self):
         # Alice's unoccupied outcome 2 and Bob's zero operator (outcome 3 below Alice's 0) reach no state

@@ -1,6 +1,7 @@
 """Names that other code looks up: the benchmark's span tracer patches functions by name, so every
 name it lists must still resolve, the package's ``__all__`` must list exactly what it exports, and the
-README must name every public call that takes a tolerance."""
+README must name every public call that takes a tolerance.  The benchmark's refined Bell trees must be
+the ones the evaluator and sampler pins in ``test_locc.py`` cover."""
 
 import importlib
 import inspect
@@ -11,19 +12,23 @@ from pathlib import Path
 import pytest
 
 import loccdisc
+from loccdisc.locc import Leaf
+
+from conftest import refined_bell_protocol
 
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "bench" / "spans.py"
 
 
-def _load_spans():
-    """Run the file's source in a fresh module (read only: no bytecode is cached next to it)."""
-    module = types.ModuleType("bench_spans")
-    exec(compile(SPANS.read_text(encoding="utf-8"), str(SPANS), "exec"), module.__dict__)
+def _load_bench(name):
+    """Run ``bench/<name>.py``'s source in a fresh module (read only: no bytecode is cached next to it)."""
+    path = ROOT / "bench" / f"{name}.py"
+    module = types.ModuleType(f"bench_{name}")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
-spans = _load_spans()
+spans = _load_bench("spans")
+workloads = _load_bench("workloads")
 
 
 @pytest.mark.parametrize("target", spans.TARGETS)
@@ -72,3 +77,20 @@ def test_tolerance_options_are_documented():
     conventions = (ROOT / "README.md").read_text(encoding="utf-8").split("## Conventions", 1)[1].split("\n## ", 1)[0]
     listed = " ".join(conventions.split()).split("take a `tol` parameter:", 1)[1].split("Every other tolerance", 1)[0]
     assert found == set(re.findall(r"`([\w.]+)`", listed))
+
+
+def _tree_signature(node):
+    """Actors, stacked POVM bytes and offsets, and guesses of a tree, in depth-first order."""
+    if isinstance(node, Leaf):
+        return ("leaf", node.guess)
+    povm = node.povm
+    return (node.actor, povm.stacked.shape, povm.stacked.tobytes(), povm.offsets.tolist(),
+            tuple(_tree_signature(child) for child in node.children))
+
+
+@pytest.mark.parametrize("n", [8, 12, 16])
+def test_benchmark_refined_trees_are_the_pinned_ones(n):
+    bench_tree = workloads.refined_bell_protocol(n)
+    tree = refined_bell_protocol(n)
+    assert (bench_tree.dim_a, bench_tree.dim_b) == (tree.dim_a, tree.dim_b)
+    assert _tree_signature(bench_tree.root) == _tree_signature(tree.root)
