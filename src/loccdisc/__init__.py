@@ -17,14 +17,11 @@ from .bounds import (
     verdict,
 )
 from .ensembles import (
-    BasisFamily,
     StateEnsemble,
     bell_basis,
     bell_subset,
-    common_unbiased_basis_check,
     fourier_matrix,
     haar_unitary,
-    mub_prime,
     random_orthogonal_me_triple,
     simultaneously_diagonal_ensemble,
     uniform_ensemble,
@@ -54,7 +51,6 @@ from .qstate import (
     transpose_identity_check,
 )
 from .synth import (
-    find_cub,
     synthesize_cub_protocol,
     synthesize_three_qutrit_protocol,
 )
@@ -62,7 +58,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisFamily",
     "BipartiteState",
     "BoundsReport",
     "DomainError",
@@ -79,13 +74,11 @@ __all__ = [
     "bell_basis",
     "bell_subset",
     "blind_guess_protocol",
-    "common_unbiased_basis_check",
     "discard_protocol",
     "entropy_bound_bits",
     "evaluate",
     "f_bounds",
     "f_mixed_dims_bounds",
-    "find_cub",
     "fme_bounds",
     "fourier_matrix",
     "g_bounds_bits",
@@ -93,7 +86,6 @@ __all__ = [
     "haar_unitary",
     "is_unitary",
     "me_state",
-    "mub_prime",
     "product_basis_protocol",
     "random_orthogonal_me_triple",
     "schmidt_bound",

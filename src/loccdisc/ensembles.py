@@ -321,6 +321,7 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
       {"kind": "random_me_triple", "n": 3, "seed": 7}
       {"kind": "simdiag", "u": <matrix>}
       {"kind": "explicit", "states": [<state>...], "priors": [...]}
+    Priors are optional, numbers only, and refused on any other kind.
     Matrix/state payload encodings live in :mod:`loccdisc.serial`.
     """
     from . import serial  # deferred: serial imports this module's types
@@ -329,6 +330,8 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
         raise DomainError("ensemble descriptor must be a JSON object")
     kind = descriptor.get("kind")
     try:
+        if "priors" in descriptor and kind != "explicit":
+            raise TypeError(f"priors apply to kind 'explicit' only, not {kind!r}")
         if kind == "bell":
             return bell_basis(as_int(descriptor["n"], "n"))
         if kind == "bell_subset":
@@ -340,7 +343,12 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
         if kind == "explicit":
             states = [serial.state_from_json(s) for s in descriptor["states"]]
             priors = descriptor.get("priors")
-            return StateEnsemble(tuple(states), None if priors is None else np.asarray(priors, float))
+            if priors is not None:
+                bad = [p for p in priors if isinstance(p, bool) or not isinstance(p, (int, float))]
+                if bad:
+                    raise TypeError(f"priors must be JSON numbers, got {bad[0]!r}")
+                priors = np.asarray(priors, float)
+            return StateEnsemble(tuple(states), priors)
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed ensemble descriptor: {exc}") from exc
     raise DomainError(f"unknown ensemble kind: {kind!r}")

@@ -9,25 +9,25 @@ Exact evaluation pushes all operators onto the matrix side of the state
 correspondence: with accumulated Alice product X and Bob product E along a
 root-to-leaf path, the branch weight for state B is ||E B X^T||_F^2 / dim_a.
 The products are regrouped so the tree is walked once with the whole
-ensemble stacked as one (k, dim_b, dim_a) array.  A :class:`Povm` keeps its
-operators stacked row-wise in one array, so each node applies all of its
-operators to all k states in one 2-D product; a node's consecutive leaf
-children get their weights as one (leaves, k) block.  A run of sibling
-nodes whose children are all leaves, with POVMs of one shape and offsets,
-takes one matmul and one (run leaves, k) block for the whole run, bitwise
-equal to the node-by-node weights.  Success and mutual information are array
-reductions over the stacked (leaves, k) weights; the leaf paths are kept
-per block, and the joint table's row tuples are built only when first read.
+ensemble stacked as one (k, dim_b, dim_a) array.  The walk steps on runs: a
+run is one node, or a run of sibling nodes whose children are all leaves,
+with POVMs of one shape and offsets.  A :class:`Povm` keeps its operators
+stacked row-wise in one array, so each step applies all of its operators to
+all k states in one matmul, bitwise equal to stepping its nodes one by one,
+and a step's consecutive leaf children get their weights as one
+(leaves, k) block.  Success and mutual information are array reductions
+over the stacked (leaves, k) weights; the leaf paths are kept per block,
+and the joint table's row tuples are built only when first read.
 The Monte-Carlo sampler is an independent route: it propagates the live
-states' amplitude matrices as its own stacked array.  Each node applies its
-stacked POVM to them in one product, takes every state's Born weights from
+states' amplitude matrices as its own stacked array.  Each step applies its
+stacked POVMs to them in one product, takes every state's Born weights from
 one block reduction, and splits every state's trials over the outcomes with
-one multinomial draw; the trials drawn into all of the node's leaves are
+one multinomial draw; the trials drawn into all of the step's leaves are
 scored in one array step, and only internal children are walked further.
-A run of sibling nodes whose children are all leaves, grouped by the
-evaluator's rule, steps as one on all of its (state, node) rows, node-major
-and in blocks of a fixed row count, so it draws in the node-by-node order.
-Both walks take squared magnitudes through one helper.
+A run steps on all of its (state, node) rows, node-major and in blocks of a
+fixed row count, so it draws in the node-by-node order.  Both walks group
+a node's children, stack a run's operators and take squared magnitudes
+through shared helpers.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
@@ -379,16 +379,15 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
     """Leaf path blocks and guesses in depth-first order, and their (leaves, k) weights.
 
     The whole ensemble travels down the tree as one stacked array Y of
-    matrices E B_i X^T, and each node applies its stacked POVM S in one 2-D
-    product: Alice maps Y to Y S^T, Bob to S Y.  Outcome x's block of the
-    product is the child's Y; a leaf's weight for state i is
-    ||Y_i||_F^2 / dim_a.  A node with leaf children weighs all its outcomes
-    at once: for a projective POVM (one row per outcome) the squared row
-    norms are the weights, otherwise one ``np.add.reduceat`` over the
-    POVM's row offsets sums them; each run of consecutive leaf children
-    takes its rows as one block.  A run of sibling nodes whose children are
-    all leaves is weighed in one step by :func:`_run_weights`.  Each path
-    block is a pair (prefixes, suffixes) standing for the leaf paths
+    matrices E B_i X^T, and each step of :func:`_collect_leaves` applies
+    its nodes' stacked POVMs S in one matmul: Alice maps Y to Y S^T, Bob to
+    S Y.  Outcome x's block of the product is the child's Y; a leaf's
+    weight for state i is ||Y_i||_F^2 / dim_a.  A step with leaf children
+    weighs all its outcomes at once: for a projective POVM (one row per
+    outcome) the squared row norms are the weights, otherwise one
+    ``np.add.reduceat`` over the POVM's row offsets sums them; each run of
+    consecutive leaf children takes its rows as one block.  Each path block
+    is a pair (prefixes, suffixes) standing for the leaf paths
     prefix + suffix, prefixes outer.
     """
     b = ensemble.b_matrices()
@@ -396,14 +395,14 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
         w = np.einsum("kij,kij->k", b.conj(), b).real[None] / protocol.dim_a
         return [([()], ((),))], [protocol.root.guess], w
     paths, guesses, blocks = [], [], []
-    _collect_leaves(protocol.root, b, (), paths, guesses, blocks)
+    _collect_leaves((protocol.root,), b, [()], paths, guesses, blocks)
     w = np.concatenate(blocks)
     w /= protocol.dim_a
     return paths, guesses, w
 
 
 def _run_key(pair):
-    """Equal for the (child, parent operator) pairs that may share one weight block.
+    """Equal for the (child, parent operator) pairs that one walk step may take together.
 
     Every leaf has one key, so a node's consecutive leaves form one group.
     Run nodes have leaf children only, one POVM shape and offsets, and
@@ -417,85 +416,92 @@ def _run_key(pair):
     return op.shape[0], child.povm.stacked.shape, child.povm.offsets.tobytes()
 
 
-def _collect_leaves(node, y, path, paths, guesses, blocks):
-    """Depth-first walk of :func:`_leaf_weights` below ``node``, whose input is Y.
+def _child_groups(node):
+    """(first outcome, children, product rows) of each group of ``node``'s children.
 
-    Appends to the three lists in place.  Children are grouped by
-    :func:`_run_key`: consecutive leaves give one block, sliced from the
-    weights of the node's whole product (a squared slice would sum in
-    another order, so other last bits); a run of sibling nodes of leaves is
-    weighed by :func:`_run_weights`; any other node is walked on its own.  A
+    Children are grouped by :func:`_run_key`: consecutive leaves form one
+    group, and so does a run of sibling nodes whose children are all
+    leaves; any other node is a group of its own, a run of one.  The rows
+    are the slice of the node's stacked POVM, and so of its product, that
+    belongs to the group's outcomes.
+    """
+    povm, lo = node.povm, 0
+    starts = povm.offsets.tolist()
+    ends = [*starts[1:], povm.stacked.shape[0]]
+    for key, pairs in groupby(zip(node.children, povm.elements), _run_key):
+        group = [child for child, _ in pairs]
+        whole = isinstance(key, tuple) or isinstance(group[0], Leaf)
+        for sub in [group] if whole else [[child] for child in group]:
+            hi = lo + len(sub)
+            yield lo, sub, slice(starts[lo], ends[hi - 1])
+            lo = hi
+
+
+def _run_stack(run):
+    """A step's operators: the run's one shared stacked POVM, or its nodes' POVMs stacked, (nodes, rows, input dim)."""
+    first = run[0].povm
+    if any(node.povm is not first for node in run):
+        return np.stack([node.povm.stacked for node in run])
+    return first.stacked
+
+
+def _collect_leaves(run, y, prefixes, paths, guesses, blocks):
+    """Depth-first walk of :func:`_leaf_weights` from one step on ``run``, whose joint input is Y.
+
+    ``run`` is one node, or a run of sibling nodes whose children are all
+    leaves, and ``prefixes`` are its nodes' paths.  Y is the parent
+    product's slice feeding the run (the B matrices at the root),
+    (k, r, m e) below Alice and (k, m e, c) below Bob; node j's input is
+    its j-th block of e.  One matmul applies :func:`_run_stack`, and each
+    node's slice of the product has the shapes and layout of a one-node
+    product, so numpy computes it the same way (one 2-D product over the
+    run would not: BLAS rounding depends on the matrix sizes); the sums
+    over e and over POVM rows also run along the same axes, so a run's
+    weights are bitwise those of its nodes stepped one by one.  The product
+    is viewed with the states leading, so squares that must leave it
+    intact go in blocks of states (:func:`_squared_norms`).
+
+    Of the :func:`_child_groups`, each group of leaves gives one block,
+    sliced from the weights of the step's whole product (a squared slice
+    would sum in another order, so other last bits), and each group of
+    nodes is the next step.  Appends to the three lists in place.  A
     module-level function rather than a recursive closure: a closure that
     calls itself is a reference cycle, which would keep every weight block
     alive until the next garbage collection.
     """
-    k, r, c = y.shape
-    povm, children = node.povm, node.children
+    m, k, node = len(run), y.shape[0], run[0]
+    stack, children = _run_stack(run), node.children
     alice = node.actor == ALICE
-    if alice:
-        z = (y.reshape(-1, c) @ povm.stacked.T).reshape(k, r, -1)
-    else:  # a 3-D matmul would loop over the k matrices
-        z = (povm.stacked @ y.transpose(1, 0, 2).reshape(r, -1)).reshape(-1, k, c).transpose(1, 0, 2)
-    if any(isinstance(child, Leaf) for child in children):
-        leaves_only = all(isinstance(child, Leaf) for child in children)
-        norms = _squared_norms(z, 1 if alice else 2, in_place=leaves_only).T
-        if norms.shape[0] != len(children):
-            norms = np.add.reduceat(norms, povm.offsets, axis=0)
-    end, runs = 0, []
-    for key, group in groupby(zip(children, povm.elements), _run_key):
-        group, idx = list(group), end
-        end += len(group)
-        if isinstance(group[0][0], Leaf):
-            blocks.append(norms[idx:end])
-            paths.append(([path], tuple((i,) for i in range(idx, end))))
-            guesses.extend([leaf.guess for leaf, _ in group])
-        elif len(group) > 1 and isinstance(key, tuple):
-            run = [child for child, _ in group]
-            rows = slice(povm.offsets[idx], povm.offsets[idx] + len(run) * key[0])
-            runs.append(len(blocks))
-            blocks.append(_run_weights(run, z[:, :, rows] if alice else z[:, rows], alice))
-            paths.append(([path + (i,) for i in range(idx, end)], tuple((i,) for i in range(len(run[0].children)))))
-            guesses.extend([leaf.guess for child in run for leaf in child.children])
-        else:
-            for i, (child, op) in enumerate(group, idx):
-                rows = slice(povm.offsets[i], povm.offsets[i] + op.shape[0])
-                _collect_leaves(child, z[:, :, rows] if alice else z[:, rows], path + (i,), paths, guesses, blocks)
-    # run weights may still view their complex products: copied out only once Z is
+    if alice:  # Y_j S_j^T on each (k e, c) block: (k, m, e, rows) over memory (m, k, e, rows)
+        e = y.shape[1] // m
+        z = y.reshape(k, m, e, -1).transpose(1, 0, 2, 3).reshape(m, k * e, -1) @ np.swapaxes(stack, -1, -2)
+        z = z.reshape(m, k, e, -1).transpose(1, 0, 2, 3)
+    else:  # S_j Y_j on each (r, k e) block, as a 3-D matmul over the k matrices would loop: (k, m, rows, e)
+        e = y.shape[2] // m
+        z = stack @ y.reshape(k, -1, m, e).transpose(2, 1, 0, 3).reshape(m, -1, k * e)
+        z = z.reshape(m, -1, k, e).transpose(2, 0, 1, 3)
+    is_leaf = [isinstance(child, Leaf) for child in children]
+    if any(is_leaf):
+        w = _squared_norms(z, 2 if alice else 3, in_place=all(is_leaf)).transpose(1, 2, 0)
+        if w.shape[1] != len(children):
+            w = np.add.reduceat(w, node.povm.offsets, axis=1)
+    runs = []
+    for lo, group, rows in _child_groups(node):
+        hi = lo + len(group)
+        if isinstance(group[0], Leaf):
+            blocks.append(w[:, lo:hi].reshape(-1, k))
+            paths.append((prefixes, tuple((i,) for i in range(lo, hi))))
+            guesses.extend([leaf.guess for member in run for leaf in member.children[lo:hi]])
+        else:  # only a run of one has children that are nodes
+            if len(group) > 1:
+                runs.append(len(blocks))
+            group_paths = [prefixes[0] + (i,) for i in range(lo, hi)]
+            _collect_leaves(group, z[:, 0, :, rows] if alice else z[:, 0, rows], group_paths, paths, guesses, blocks)
+    # a run's weights may still view its complex product: copied out only once Z is
     # released, so no run product, Z and the copy are held at once (peak memory)
     del z
     for j in runs:
         blocks[j] = np.ascontiguousarray(blocks[j])
-
-
-def _run_weights(run, y, alice_parent):
-    """The (len(run) * outcomes, k) leaf weights of a run of sibling nodes, from their joint input.
-
-    ``y`` is the parent product's slice feeding the run, (k, r, m e) below
-    Alice and (k, m e, c) below Bob; node j's input is its j-th block of e.
-    One matmul applies the POVMs, stacked or one shared POVM broadcast, and
-    each node's slice of it has the shapes and layout of the node's own 2-D
-    product, so numpy computes it the same way (one 2-D product over the
-    run would not: BLAS rounding depends on the matrix sizes).  Squares are
-    taken in place on the float view and summed in (real, imaginary) pairs;
-    the sums over e and over POVM rows run along the same axes, contiguous
-    or not, as for one node, so the weights are bitwise the same.  They may
-    be returned as a strided view into the product.
-    """
-    first = run[0].povm
-    stack = first.stacked
-    if any(child.povm is not first for child in run):
-        stack = np.stack([child.povm.stacked for child in run])
-    m, rows, k = len(run), first.stacked.shape[0], y.shape[0]
-    e = y.shape[2 if alice_parent else 1] // m
-    if alice_parent:  # Bob nodes: S_j Y_j on each (r, k e) block; (m, rows, k, e), e contiguous as for one node
-        prod = stack @ y.reshape(k, -1, m, e).transpose(2, 1, 0, 3).reshape(m, -1, k * e)
-        sq = _squared_norms(prod.reshape(m, rows, k, e), 3, in_place=True)
-    else:  # Alice nodes: Y_j S_j^T on each (k e, c) block; (m, k, e, rows)
-        prod = y.reshape(k, m, e, -1).transpose(1, 0, 2, 3).reshape(m, k * e, -1) @ np.swapaxes(stack, -1, -2)
-        sq = _squared_norms(prod.reshape(m, k, e, rows), 2, in_place=True).transpose(0, 2, 1)
-    if rows != len(first.offsets):
-        sq = np.add.reduceat(sq, first.offsets, axis=1)
-    return sq.reshape(-1, k)
 
 
 def _squared_norms(z, axis, in_place):
@@ -526,8 +532,8 @@ def evaluate(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10
     Computes the full joint distribution over (state, outcome path), the
     success probability P(guess = state), and the mutual information between
     state label and transcript in bits.  Weights come from
-    :func:`_leaf_weights` (one 2-D product per node or one matmul per run
-    of sibling nodes of leaves, leaf weights in blocks); success, per-state
+    :func:`_leaf_weights` (one matmul per node or per run of sibling nodes
+    of leaves, leaf weights in blocks); success, per-state
     success and mutual information are array reductions over the kept
     (leaf, state) entries, found as flat indices into the weights.  A row is
     kept when its probability is at least ``PRUNE_TOL``, so zero-probability
@@ -602,17 +608,12 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
 
 
 def _run_tables(run):
-    """The operators and the (nodes, outcomes) guess table of a sampler step on ``run``.
+    """The operators (:func:`_run_stack`) and the (nodes, outcomes) guess table of a sampler step on ``run``.
 
-    The operators are the nodes' one shared stacked POVM, or their stacked
-    POVMs stacked once more, (nodes, rows, input dim).  An internal child
-    guesses -1, which no state label equals.
+    An internal child guesses -1, which no state label equals.
     """
-    ops = run[0].povm.stacked
-    if any(node.povm is not run[0].povm for node in run):
-        ops = np.stack([node.povm.stacked for node in run])
     guesses = [[child.guess if isinstance(child, Leaf) else -1 for child in node.children] for node in run]
-    return ops, np.array(guesses)
+    return _run_stack(run), np.array(guesses)
 
 
 def _sample(run, ops, guesses, y, labels, counts, which, rng) -> int:
@@ -628,12 +629,13 @@ def _sample(run, ops, guesses, y, labels, counts, which, rng) -> int:
     and scores the draws landing on leaves in one masked sum.  Leaves draw
     nothing, so node-major rows draw in the order node-by-node steps would.
 
-    A lone node's children are grouped by :func:`_run_key`.  Each run of
-    sibling nodes of leaves takes the (state, node) rows that drew trials
-    into it, gathered node-major from the product and renormalized, and
-    steps on them in blocks of ``_SAMPLE_BLOCK_ROWS`` rows; any other node
-    is walked on its rows in one piece.  A module-level function rather
-    than a recursive closure, which would be a reference cycle.
+    A lone node's children are grouped by :func:`_child_groups`, as in the
+    evaluator.  Each group of nodes takes the (state, node) rows that drew
+    trials into it, gathered node-major from the product and renormalized;
+    a run of nodes of leaves steps on them in blocks of
+    ``_SAMPLE_BLOCK_ROWS`` rows, a node with internal children on all of
+    them in one piece.  A module-level function rather than a recursive
+    closure, which would be a reference cycle.
     """
     node = run[0]
     alice = node.actor == ALICE
@@ -653,30 +655,23 @@ def _sample(run, ops, guesses, y, labels, counts, which, rng) -> int:
     correct = int((drawn * (labels[:, None] == guesses[which])).sum())
     if not inner:
         return correct
-    end = 0
-    for key, pairs in groupby(zip(node.children, node.povm.elements), _run_key):
-        group, lo = [child for child, _ in pairs], end
-        end += len(group)
+    for lo, group, rows in _child_groups(node):
         if isinstance(group[0], Leaf):
             continue
-        fused = isinstance(key, tuple)
-        for sub in [group] if fused else [[child] for child in group]:
-            hi = lo + len(sub)
-            j, s = np.nonzero(drawn[:, lo:hi].T)  # (node, state) pairs that drew trials, node-major
-            a, r = node.povm.offsets[lo], node.povm.elements[lo].shape[0]
-            if alice:
-                zr = z[:, a : a + len(sub) * r].reshape(z.shape[0], len(sub), r, -1)
-            else:
-                zr = z[:, :, a : a + len(sub) * r].reshape(*z.shape[:2], len(sub), r)
-            tables = _run_tables(sub)
-            step = _SAMPLE_BLOCK_ROWS if fused else max(s.size, 1)
-            for b in range(0, s.size, step):
-                jb, sb = j[b : b + step], s[b : b + step]
-                yb = zr[sb, jb] if alice else zr[sb, :, jb]
-                v = yb.view(float)
-                v *= (1.0 / np.sqrt(probs[sb, lo + jb]))[:, None, None]
-                correct += _sample(sub, *tables, yb, labels[sb], drawn[sb, lo + jb], jb, rng)
-            lo = hi
+        j, s = np.nonzero(drawn[:, lo : lo + len(group)].T)  # (node, state) pairs that drew trials, node-major
+        if alice:
+            zr = z[:, rows].reshape(z.shape[0], len(group), -1, z.shape[2])
+        else:
+            zr = z[:, :, rows].reshape(*z.shape[:2], len(group), -1)
+        tables = _run_tables(group)
+        # a node with internal children steps in one piece, so the draws below it keep their order
+        step = max(s.size, 1) if any(isinstance(child, ProtocolNode) for child in group[0].children) else _SAMPLE_BLOCK_ROWS
+        for b in range(0, s.size, step):
+            jb, sb = j[b : b + step], s[b : b + step]
+            yb = zr[sb, jb] if alice else zr[sb, :, jb]
+            v = yb.view(float)
+            v *= (1.0 / np.sqrt(probs[sb, lo + jb]))[:, None, None]
+            correct += _sample(group, *tables, yb, labels[sb], drawn[sb, lo + jb], jb, rng)
     return correct
 
 

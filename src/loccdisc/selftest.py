@@ -15,7 +15,7 @@ from . import bounds, locc, synth
 from .ensembles import (
     bell_basis,
     bell_subset,
-    mub_prime,
+    mub_prime_bases,
     random_orthogonal_me_triple,
     uniform_ensemble,
 )
@@ -180,8 +180,7 @@ def criterion_mub_unbiasedness() -> CriterionResult:
     start = time.perf_counter()
     worst = 0.0
     for n in (2, 3, 5, 7):
-        family = mub_prime(n)
-        for b1, b2 in itertools.combinations(family.bases, 2):
+        for b1, b2 in itertools.combinations(mub_prime_bases(n), 2):
             overlaps = np.abs(b1.conj().T @ b2) ** 2
             worst = max(worst, float(np.max(np.abs(overlaps - 1.0 / n))))
     return _result(

@@ -25,9 +25,17 @@ def vector_to_json(v) -> list:
     return [_pair(z) for z in np.asarray(v, dtype=complex).reshape(-1)]
 
 
+def _not_a_number(re, im):
+    raise TypeError(f"[re, im] entries must be JSON numbers, got {[re, im]!r}")
+
+
 def vector_from_json(data) -> np.ndarray:
     try:
-        out = np.array([complex(re, im) for re, im in data], dtype=complex)
+        # complex() accepts booleans, which JSON does not count as numbers
+        out = np.array(
+            [complex(re, im) if re.__class__ is not bool and im.__class__ is not bool else _not_a_number(re, im) for re, im in data],
+            dtype=complex,
+        )
     except (TypeError, ValueError) as exc:
         raise DomainError(f"malformed complex vector: {exc}") from exc
     if out.size == 0:

@@ -47,8 +47,6 @@ from .qstate import EIGEN_TOL, as_matrix, frozen_array, is_unitary, normal_eigen
 
 OMEGA = np.exp(2j * np.pi / 3)
 
-SYNTH_TOL = 1e-8
-
 
 @dataclass(frozen=True, eq=False)
 class PhaseSolution:
@@ -146,7 +144,7 @@ def overlap_phase_normalize(e_basis, f_basis) -> PhaseSolution:
     radii = []
     for s in range(3):
         vals = [mods[i, (i + s) % 3] for i in range(3)]
-        if max(vals) - min(vals) > SYNTH_TOL:
+        if max(vals) - min(vals) > EIGEN_TOL:
             raise DomainError(
                 "overlap magnitudes are not circulant; upstream states are not a valid orthogonal triple"
             )
@@ -200,10 +198,10 @@ def overlap_phase_normalize(e_basis, f_basis) -> PhaseSolution:
 
 
 def _checked_one_way(ensemble: StateEnsemble, alice_basis) -> OneWayProtocolSpec:
-    """The one-way spec for ``alice_basis``, refused unless Bob's vectors are orthogonal to SYNTH_TOL."""
+    """The one-way spec for ``alice_basis``, refused unless Bob's vectors are orthogonal to EIGEN_TOL."""
     spec = locc.one_way_protocol(ensemble.states, alice_basis)
     worst = spec.max_bob_overlap()
-    if worst > SYNTH_TOL:
+    if worst > EIGEN_TOL:
         raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")
     return spec
 
@@ -297,7 +295,7 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
         return np.abs(np.einsum("ax,pax->px", c.conj(), products @ c)).max(axis=1, initial=0.0)
 
     if cub is None:
-        fits = (c for c in default_cub_candidates(ensemble.dim_a) if defects(c).max(initial=0.0) <= SYNTH_TOL)
+        fits = (c for c in default_cub_candidates(ensemble.dim_a) if defects(c).max(initial=0.0) <= EIGEN_TOL)
         cub = next(fits, None)
         if cub is None:
             raise DomainError("no common unbiased basis among the default candidates")
@@ -307,7 +305,7 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
             raise DomainError("basis dimension does not match the ensemble")
         if not is_unitary(cub):
             raise DomainError("candidate basis is not orthonormal")
-        bad = np.flatnonzero(defects(cub) > SYNTH_TOL)
+        bad = np.flatnonzero(defects(cub) > EIGEN_TOL)
         if bad.size:
             raise DomainError(f"basis leaves Bob's states of pair {pairs[bad[0]]} non-orthogonal")
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -198,6 +200,18 @@ class TestVerdict:
         rep = verdict(bell_subset(5, [(0, 0), (1, 0), (0, 1)]))
         assert rep.verdict == VERDICT_POSSIBLE
         assert rep.possible_via in ("cub", "three-qutrit")
+
+    def test_bell4_census(self):
+        # every 4-subset of bell_basis(4), one per class under translation by a Bell label
+        labels = [(m, l) for m in range(4) for l in range(4)]
+        classes = {
+            min(tuple(sorted(((m + a) % 4, (l + b) % 4) for m, l in subset)) for a, b in labels)
+            for subset in itertools.combinations(labels, 4)
+        }
+        reports = [verdict(bell_subset(4, subset)) for subset in sorted(classes)]
+        counts = Counter((rep.verdict, rep.possible_via) for rep in reports)
+        assert len(classes) == 122
+        assert counts == {(VERDICT_POSSIBLE, "cub"): 20, (VERDICT_UNKNOWN, None): 102}
 
     def test_large_dim_triple_unknown(self):
         # whether three orthogonal ME states are distinguishable beyond

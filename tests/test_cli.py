@@ -274,6 +274,12 @@ class TestOutputBoundary:
             '{"kind":"bell_subset","n":3,"labels":[[true,0]]}',
             '{"states":5}',
             '{"states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}],"priors":{"a":1}}',
+            # priors and [re, im] entries must be JSON numbers, and priors belong to "explicit" only
+            '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}],"priors":"1"}',
+            '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}],"priors":["1"]}',
+            '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}],"priors":[true]}',
+            '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[true,0]]}]}',
+            '{"kind":"bell","n":2,"priors":[0.7,0.1,0.1,0.1]}',
         ],
     )
     def test_bad_descriptors_exit_2(self, capsys, descriptor):

@@ -4,20 +4,25 @@ import numpy as np
 import pytest
 
 from loccdisc import (
-    BasisFamily,
     DomainError,
     StateEnsemble,
     bell_basis,
     bell_subset,
-    common_unbiased_basis_check,
     fourier_matrix,
     me_state,
-    mub_prime,
     random_orthogonal_me_triple,
     simultaneously_diagonal_ensemble,
     uniform_ensemble,
 )
-from loccdisc.ensembles import bell_unitary, from_descriptor, haar_unitary, is_prime
+from loccdisc.ensembles import (
+    BasisFamily,
+    bell_unitary,
+    common_unbiased_basis_check,
+    from_descriptor,
+    haar_unitary,
+    is_prime,
+    mub_prime,
+)
 from loccdisc.qstate import generalized_pauli, unitary_eigensystem
 
 from conftest import random_state

@@ -208,7 +208,7 @@ def _edge_case(name):
     return LoccProtocol(3, 3, ProtocolNode(ALICE, comp, (bob, Leaf(1), unreached))), ens
 
 
-# The runs each of ``_run_case``'s trees must give ``locc._run_weights``:
+# The multi-node steps each of ``_run_case``'s trees must give ``locc._collect_leaves``:
 # (nodes in the run, parent is Alice, nodes share one Povm), in walk order.
 RUN_CASES = {
     "bob-parent-shared": [(3, False, True)],
@@ -510,12 +510,13 @@ class TestRunWeights:
     def test_runs_found(self, name, monkeypatch):
         runs = []
 
-        def record(run, y, alice_parent):
-            runs.append((len(run), alice_parent, all(child.povm is run[0].povm for child in run)))
-            return run_weights(run, y, alice_parent)
+        def record(run, *args):
+            if len(run) > 1:  # the evaluator's multi-node steps; a run's parent is Alice when its nodes are Bob's
+                runs.append((len(run), run[0].actor == BOB, all(child.povm is run[0].povm for child in run)))
+            return collect(run, *args)
 
-        run_weights = locc._run_weights
-        monkeypatch.setattr(locc, "_run_weights", record)
+        collect = locc._collect_leaves
+        monkeypatch.setattr(locc, "_collect_leaves", record)
         evaluate(*_run_case(name))
         assert runs == RUN_CASES[name]
 

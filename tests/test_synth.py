@@ -2,15 +2,12 @@ import numpy as np
 import pytest
 
 from loccdisc import (
-    BasisFamily,
     BipartiteState,
     DomainError,
     bell_basis,
     bell_subset,
     evaluate,
-    find_cub,
     fourier_matrix,
-    mub_prime,
     random_orthogonal_me_triple,
     simultaneously_diagonal_ensemble,
     state_from_matrix,
@@ -19,10 +16,11 @@ from loccdisc import (
     uniform_ensemble,
     verdict,
 )
-from loccdisc.ensembles import haar_unitary
+from loccdisc.ensembles import BasisFamily, haar_unitary, mub_prime
 from loccdisc.qstate import generalized_pauli
 from loccdisc.synth import (
     default_cub_candidates,
+    find_cub,
     overlap_phase_normalize,
     pairwise_product_eigenbases,
     traceless_unitary_eigensystem,
