@@ -1,4 +1,9 @@
-"""Named state families: generalized Bell bases, MUBs, and seeded test ensembles."""
+"""Named state families: generalized Bell bases, MUBs, and seeded test ensembles.
+
+A family of bases of C^n is a plain read-only (members, n, n) array, each
+basis stored column-wise: :func:`mub_prime` returns one and
+:func:`common_unbiased_basis_check` takes one.
+"""
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -116,44 +121,6 @@ def uniform_ensemble(states) -> StateEnsemble:
     return StateEnsemble(tuple(states), None)
 
 
-@dataclass(frozen=True, eq=False)
-class BasisFamily:
-    """A finite family of orthonormal bases of C^n, each stored column-wise.
-
-    The members, given as any sequence of matrices or as one (members, n, n)
-    array, are validated as one stack and kept as the read-only array
-    ``stack``; ``bases`` holds views of its members.
-    """
-
-    bases: tuple
-    stack: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        bases = tuple(self.bases)
-        shapes = sorted({np.shape(b) for b in bases})
-        if len(shapes) > 1:
-            raise DomainError(f"bases have mixed shapes: {shapes}")
-        stack = frozen_array(bases if bases else np.zeros((0, 0, 0)))
-        if stack.ndim != 3 or (len(stack) and 0 in stack.shape):
-            raise DomainError(f"expected nonempty 2-D bases, got shape {stack.shape[1:]}")
-        if not np.all(np.isfinite(stack)):
-            raise DomainError("matrix contains non-finite entries")
-        n, p = stack.shape[1:]
-        dev = np.abs(np.swapaxes(stack.conj(), 1, 2) @ stack - np.eye(p)).max(axis=(1, 2), initial=0.0)
-        bad = np.flatnonzero((dev > STRUCTURAL_TOL) | (n != p))
-        if bad.size:
-            raise DomainError(f"family member {bad[0]} is not orthonormal")
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "bases", tuple(stack))
-
-    @property
-    def dim(self) -> int:
-        return self.stack.shape[1]
-
-    def __len__(self) -> int:
-        return len(self.bases)
-
-
 def fourier_matrix(n: int) -> np.ndarray:
     """Unitary Fourier matrix F[j, k] = w^{jk}/sqrt(n), w = exp(2 pi i/n)."""
     j = np.arange(n)
@@ -238,34 +205,27 @@ def mub_prime_bases(n: int) -> Iterator[np.ndarray]:
         zt = zt @ z
 
 
-def mub_prime(n: int) -> BasisFamily:
-    """Maximum set of n+1 mutually unbiased bases of C^n for prime n (see :func:`mub_prime_bases`)."""
-    return BasisFamily(tuple(mub_prime_bases(n)))
+def mub_prime(n: int) -> np.ndarray:
+    """Read-only (n+1, n, n) stack of the MUBs of C^n for prime n, in :func:`mub_prime_bases` order."""
+    return frozen_array(list(mub_prime_bases(n)))
 
 
-def unbiased_defects(candidate, family: BasisFamily) -> np.ndarray:
-    """Per family member, the largest | |<b|a>|^2 - 1/n | over candidate columns b and member vectors a.
+def common_unbiased_basis_check(candidate, family) -> bool:
+    """True iff every candidate column is unbiased to every vector of every member of ``family``.
 
-    One product of the candidate against the family's whole stack.
+    ``family`` is a (members, n, n) stack of bases stored column-wise; an
+    empty stack passes.  Unbiased means |<b|a>|^2 = 1/n within ``EIGEN_TOL``,
+    tested by one product of the candidate against the whole stack.
     """
     cand = as_matrix(candidate)
     if not is_unitary(cand, STRUCTURAL_TOL):
         raise DomainError("candidate basis is not orthonormal")
     n = cand.shape[0]
-    if not len(family):
-        return np.zeros(0)
-    if family.dim != n:
+    family = np.asarray(family, dtype=complex)
+    if family.shape[1:] != (n, n):
         raise DomainError("family member dimension does not match candidate")
-    overlaps = np.abs(cand.conj().T @ family.stack) ** 2
-    return np.abs(overlaps - 1.0 / n).max(axis=(1, 2), initial=0.0)
-
-
-def common_unbiased_basis_check(candidate, family: BasisFamily) -> bool:
-    """True iff every candidate column is unbiased to every vector of every member.
-
-    Unbiased means |<b|a>|^2 = 1/n within ``EIGEN_TOL`` (see :func:`unbiased_defects`).
-    """
-    return bool(np.all(unbiased_defects(candidate, family) <= EIGEN_TOL))
+    overlaps = np.abs(cand.conj().T @ family) ** 2
+    return bool(np.all(np.abs(overlaps - 1.0 / n) <= EIGEN_TOL))
 
 
 def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

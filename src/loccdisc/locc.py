@@ -139,6 +139,9 @@ class Povm:
 class Leaf:
     guess: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "guess", as_int(self.guess, "guess"))
+
 
 @dataclass(frozen=True, eq=False)
 class ProtocolNode:
@@ -286,7 +289,7 @@ class OneWayProtocolSpec:
         if len(self.bob_discriminators) != ab.shape[1]:
             raise DomainError("need one Bob group per Alice outcome")
         groups = tuple(
-            tuple((int(lab), frozen_array(np.asarray(v, dtype=complex).reshape(-1))) for lab, v in group)
+            tuple((as_int(lab, "label"), frozen_array(np.asarray(v, dtype=complex).reshape(-1))) for lab, v in group)
             for group in self.bob_discriminators
         )
         object.__setattr__(self, "alice_basis", ab)
@@ -723,7 +726,7 @@ def discard_protocol(inner: LoccProtocol, kept, k: int) -> LoccProtocol:
     never guessed, so on a uniform ensemble the overall success is
     (len(kept)/k) times the inner success on the kept states.
     """
-    kept = [int(x) for x in kept]
+    kept = [as_int(x, "kept label") for x in kept]
     if not kept:
         raise DomainError("kept labels must be nonempty")
     if len(set(kept)) != len(kept):

@@ -9,6 +9,10 @@ normalized so that Tr B^dag B = m.  Under this convention the amplitude
 matrix S (shape m x n, S[a, b] = amplitude of |a>|b>) is S = B^T / sqrt(m),
 inner products become <psi1|psi2> = Tr(B1^dag B2)/m, and |psi> is maximally
 entangled iff B is unitary (requires m = n).
+
+Schmidt data are plain read-only arrays: :func:`schmidt` returns
+``(coefficients, left, right)`` for one state, and
+:func:`schmidt_coefficients` gives the coefficients of a whole stack.
 """
 
 from dataclasses import dataclass
@@ -149,35 +153,6 @@ def transpose_identity_check(a) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
-    """Schmidt data: |psi> = sum_i sqrt(coefficients[i]) left[:,i] (x) right[:,i].
-
-    Coefficients are probability weights (squared singular values), sorted
-    nonincreasing and summing to one.  Column vectors are orthonormal.
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        _check_coefficients(coeffs)
-        object.__setattr__(self, "coefficients", frozen_array(coeffs, dtype=float))
-        object.__setattr__(self, "left_vectors", frozen_array(self.left_vectors))
-        object.__setattr__(self, "right_vectors", frozen_array(self.right_vectors))
-
-    @property
-    def lambda_max(self) -> float:
-        return float(self.coefficients[0])
-
-    def reconstruct(self) -> np.ndarray:
-        """Amplitude matrix rebuilt from the decomposition."""
-        s = np.sqrt(self.coefficients)
-        return np.einsum("i,ai,bi->ab", s, self.left_vectors, self.right_vectors)
-
-
 def _check_coefficients(coeffs) -> None:
     """Each row of ``coeffs`` must be nonnegative, sum to one and be nonincreasing."""
     if np.any(coeffs < -1e-14):
@@ -197,16 +172,21 @@ def _check_operator_norm(b, coeffs) -> None:
         raise ToleranceError(f"operator-norm identity violated: |{opnorm[w]} - {coeffs[..., 0][w]}| > 1e-10")
 
 
-def schmidt(psi: BipartiteState) -> SchmidtDecomposition:
-    """Schmidt decomposition via SVD of the amplitude matrix.
+def schmidt(psi: BipartiteState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Schmidt decomposition via SVD of the amplitude matrix, as read-only arrays.
 
+    Returns ``(coefficients, left, right)`` with |psi> = sum_i
+    sqrt(coefficients[i]) left[:, i] (x) right[:, i]: the coefficients are
+    probability weights (squared singular values), nonincreasing and summing
+    to one, and the columns of ``left`` and ``right`` are orthonormal.
     Cross-checks the identity ||B^dag B||_inf = dim_a * lambda_max to 1e-10
     before returning.
     """
     u, s, vh = np.linalg.svd(psi.amplitude_matrix, full_matrices=False)
     coeffs = s * s
     _check_operator_norm(psi.b_matrix, coeffs)
-    return SchmidtDecomposition(coeffs, u, vh.T)
+    _check_coefficients(coeffs)
+    return frozen_array(coeffs, dtype=float), frozen_array(u), frozen_array(vh.T)
 
 
 def schmidt_coefficients(amplitudes) -> np.ndarray:

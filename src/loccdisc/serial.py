@@ -124,10 +124,7 @@ def _node_from_json(data):
     if not isinstance(data, dict):
         raise DomainError("protocol node must be a JSON object")
     if "guess" in data:
-        try:
-            return locc.Leaf(as_int(data["guess"], "guess"))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"malformed leaf: {exc}") from exc
+        return locc.Leaf(data["guess"])
     try:
         povm = locc.Povm(tuple(matrix_from_json(m) for m in data["povm"]))
         children = tuple(_node_from_json(c) for c in data["children"])

@@ -16,7 +16,10 @@ its columns and all pairs, computed in one stacked product, vanishes.  No
 eigensystem of a product is taken; a cheap normality test on the same stack
 keeps the construction to orthogonally diagonalizable products.
 ``pairwise_product_eigenbases`` and ``find_cub`` state the construction in
-terms of eigenbases and stay as its reference.
+terms of eigenbases and stay as its reference; a family of eigenbases is a
+plain read-only (pairs, n, n) array.  Likewise the three-qutrit phase solve,
+``overlap_phase_normalize``, returns its four angles and the adjusted
+overlap matrix as plain values.
 
 Both constructions only choose Alice's basis.  ``locc.one_way_protocol``
 derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
@@ -28,13 +31,11 @@ looser than the 1e-12 used for plain algebraic identities).
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import locc
 from .ensembles import (
-    BasisFamily,
     StateEnsemble,
     common_unbiased_basis_check,
     fourier_matrix,
@@ -46,33 +47,6 @@ from .locc import OneWayProtocolSpec
 from .qstate import EIGEN_TOL, as_matrix, frozen_array, is_unitary, normal_eigensystem, unitary_eigensystem
 
 OMEGA = np.exp(2j * np.pi / 3)
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseSolution:
-    """Diagonal phase adjustments turning an eigenbasis overlap matrix circulant.
-
-    U1 = diag(1, e^{i alpha}, e^{i beta}) multiplies from the left,
-    U2 = diag(1, e^{i gamma}, e^{i delta}) conjugate-transposed from the
-    right; ``adjusted_overlap_matrix`` is the resulting circulant unitary.
-    """
-
-    gamma: float
-    alpha: float
-    beta: float
-    delta: float
-    adjusted_overlap_matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "adjusted_overlap_matrix", frozen_array(as_matrix(self.adjusted_overlap_matrix))
-        )
-
-    def u1(self) -> np.ndarray:
-        return np.diag([1.0, np.exp(1j * self.alpha), np.exp(1j * self.beta)])
-
-    def u2(self) -> np.ndarray:
-        return np.diag([1.0, np.exp(1j * self.gamma), np.exp(1j * self.delta)])
 
 
 def _circulant_defect(v: np.ndarray) -> float:
@@ -121,8 +95,13 @@ def traceless_unitary_eigensystem(matrix) -> tuple[complex, np.ndarray]:
     return complex(c), vecs
 
 
-def overlap_phase_normalize(e_basis, f_basis) -> PhaseSolution:
+def overlap_phase_normalize(e_basis, f_basis) -> tuple[tuple[float, float, float, float], np.ndarray]:
     """Phase-align two labeled eigenbases so their overlap matrix is circulant.
+
+    Returns ``((gamma, alpha, beta, delta), adjusted)``: with
+    U1 = diag(1, e^{i alpha}, e^{i beta}) and U2 = diag(1, e^{i gamma},
+    e^{i delta}), the read-only ``adjusted = U1 V U2^dag`` is a circulant
+    unitary.
 
     The overlap V[i, j] = <e_i|f_j> of valid inputs has |V[i, j]| depending
     only on (j - i) mod 3.  Phases are then fixed by a linear solve on the
@@ -191,10 +170,7 @@ def overlap_phase_normalize(e_basis, f_basis) -> PhaseSolution:
         raise ToleranceError(f"phase solve left a circulant defect of {defect:.3e}")
     if not is_unitary(vp, 1e-9):
         raise ToleranceError("adjusted overlap matrix is not unitary within 1e-9")
-    return PhaseSolution(
-        gamma=float(gamma), alpha=float(alpha), beta=float(beta), delta=float(delta),
-        adjusted_overlap_matrix=vp,
-    )
+    return (float(gamma), float(alpha), float(beta), float(delta)), frozen_array(vp)
 
 
 def _checked_one_way(ensemble: StateEnsemble, alice_basis) -> OneWayProtocolSpec:
@@ -226,8 +202,8 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
     b = ensemble.b_matrices()
     _, e_vecs = traceless_unitary_eigensystem(b[1].conj().T @ b[0])
     _, f_vecs = traceless_unitary_eigensystem(b[2].conj().T @ b[1])
-    solution = overlap_phase_normalize(e_vecs, f_vecs)
-    e_hat = e_vecs @ solution.u1().conj()
+    (_, alpha, beta, _), _ = overlap_phase_normalize(e_vecs, f_vecs)
+    e_hat = e_vecs @ np.diag([1.0, np.exp(1j * alpha), np.exp(1j * beta)]).conj()
 
     fourier = np.array([[OMEGA ** (i * x) for x in range(3)] for i in range(3)]) / np.sqrt(3)
     u = e_hat @ fourier
@@ -245,14 +221,14 @@ def _pairwise_products(ensemble: StateEnsemble):
 def pairwise_product_eigenbases(ensemble: StateEnsemble):
     """Orthonormal eigenbases of every pairwise product B_i^dag B_j, i < j.
 
-    Returns (pairs, family): the index pairs and the matching basis family.
-    All k(k-1)/2 products are formed by one stacked product and
-    diagonalized by one stacked :func:`~loccdisc.qstate.normal_eigensystem`
-    call; the family keeps the eigenvector stack as it is.  Products must be
-    normal (orthogonally diagonalizable); this holds for maximally entangled
-    ensembles (the products are unitary) and for simultaneously diagonal
-    ones.  A reference for :func:`synthesize_cub_protocol`, which takes no
-    eigensystem and tests its candidates on the products themselves.
+    Returns (pairs, vecs): the index pairs and the matching read-only
+    (pairs, n, n) stack of eigenbases, eigenvectors as columns.  All
+    k(k-1)/2 products are formed by one stacked product and diagonalized by
+    one stacked :func:`~loccdisc.qstate.normal_eigensystem` call.  Products
+    must be normal (orthogonally diagonalizable); this holds for maximally
+    entangled ensembles (the products are unitary) and for simultaneously
+    diagonal ones.  A reference for :func:`synthesize_cub_protocol`, which
+    takes no eigensystem and tests its candidates on the products themselves.
     """
     pairs, products = _pairwise_products(ensemble)
     try:
@@ -261,7 +237,7 @@ def pairwise_product_eigenbases(ensemble: StateEnsemble):
         raise DomainError(
             f"pairwise product {pairs[exc.index]} is not orthogonally diagonalizable: {exc}"
         ) from exc
-    return pairs, BasisFamily(vecs)
+    return pairs, frozen_array(vecs)
 
 
 def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocolSpec:
@@ -323,8 +299,8 @@ def default_cub_candidates(n: int) -> Iterator[np.ndarray]:
     return iter([fourier_matrix(n)])
 
 
-def find_cub(family: BasisFamily, candidates):
-    """First candidate basis unbiased to the whole family, or None.
+def find_cub(family, candidates):
+    """First candidate basis unbiased to every basis of the (members, n, n) stack ``family``, or None.
 
     No general search is attempted; existence of a common unbiased basis for
     an arbitrary family is an open problem, so only the supplied candidate

@@ -248,7 +248,7 @@ class TestConsistencyWithEvaluate:
 
 def _reference_witnesses(ens):
     """lambda_max, entropy cap, unilateral sides and ME flag, one state at a time."""
-    lam = max(schmidt(psi).lambda_max for psi in ens.states)
+    lam = max(schmidt(psi)[0][0] for psi in ens.states)
     rho_a = np.zeros((ens.dim_a, ens.dim_a), dtype=complex)
     rho_b = np.zeros((ens.dim_b, ens.dim_b), dtype=complex)
     cond = 0.0

@@ -15,13 +15,13 @@ from loccdisc import (
     uniform_ensemble,
 )
 from loccdisc.ensembles import (
-    BasisFamily,
     bell_unitary,
     common_unbiased_basis_check,
     from_descriptor,
     haar_unitary,
     is_prime,
     mub_prime,
+    mub_prime_bases,
 )
 from loccdisc.qstate import generalized_pauli, unitary_eigensystem
 
@@ -76,18 +76,24 @@ class TestMubPrime:
     def test_qubit_family_structure(self):
         fam = mub_prime(2)
         assert len(fam) == 3
-        np.testing.assert_allclose(fam.bases[0], np.eye(2), atol=1e-15)
+        np.testing.assert_allclose(fam[0], np.eye(2), atol=1e-15)
         # remaining members: X and Y eigenbases, all entries of modulus 1/sqrt(2)
-        for b in fam.bases[1:]:
+        for b in fam[1:]:
             np.testing.assert_allclose(np.abs(b), 0.5 * np.sqrt(2), atol=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7])
     def test_pairwise_unbiased(self, n):
         fam = mub_prime(n)
         assert len(fam) == n + 1
-        for b1, b2 in itertools.combinations(fam.bases, 2):
+        for b1, b2 in itertools.combinations(fam, 2):
             overlaps = np.abs(b1.conj().T @ b2) ** 2
             assert np.max(np.abs(overlaps - 1.0 / n)) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_read_only_stack_of_bases(self, n):
+        fam = mub_prime(n)
+        assert fam.shape == (n + 1, n, n) and not fam.flags.writeable
+        assert np.array_equal(fam, np.array(list(mub_prime_bases(n))))
 
     def test_composite_rejected(self):
         for n in (4, 6, 1):
@@ -105,7 +111,7 @@ class TestMubPrime:
                     continue
                 _, vecs = unitary_eigensystem(bell_unitary(n, a, b))
                 matched = False
-                for member in fam.bases:
+                for member in fam:
                     ov = np.abs(member.conj().T @ vecs)
                     if np.allclose(np.sort(ov.ravel())[::-1][:n], 1.0, atol=1e-8) and np.allclose(
                         ov @ ov.T, np.eye(n), atol=1e-8
@@ -120,25 +126,24 @@ class TestMubPrime:
 
 class TestCommonUnbiasedBasisCheck:
     def test_fourier_vs_computational(self):
-        fam = BasisFamily((np.eye(3, dtype=complex),))
+        fam = np.eye(3, dtype=complex)[None]
         assert common_unbiased_basis_check(fourier_matrix(3), fam)
 
     def test_basis_vs_itself_fails(self):
-        fam = BasisFamily((np.eye(3, dtype=complex),))
+        fam = np.eye(3, dtype=complex)[None]
         assert not common_unbiased_basis_check(np.eye(3, dtype=complex), fam)
 
     def test_mub_member_vs_rest(self):
         fam = mub_prime(3)
-        rest = BasisFamily(fam.bases[1:])
-        assert common_unbiased_basis_check(fam.bases[0], rest)
+        assert common_unbiased_basis_check(fam[0], fam[1:])
 
     def test_dimension_mismatch(self):
-        fam = BasisFamily((np.eye(3, dtype=complex),))
+        fam = np.eye(3, dtype=complex)[None]
         with pytest.raises(DomainError):
             common_unbiased_basis_check(np.eye(2, dtype=complex), fam)
 
     def test_nonunitary_candidate(self):
-        fam = BasisFamily((np.eye(2, dtype=complex),))
+        fam = np.eye(2, dtype=complex)[None]
         with pytest.raises(DomainError):
             common_unbiased_basis_check(np.ones((2, 2)), fam)
 
@@ -148,7 +153,7 @@ class TestCommonUnbiasedBasisCheck:
         f = fourier_matrix(3)
         c, s = np.cos(angle), np.sin(angle)
         cand = np.column_stack([c * f[:, 0] + s * f[:, 1], c * f[:, 1] - s * f[:, 0], f[:, 2]])
-        assert common_unbiased_basis_check(cand, BasisFamily((np.eye(3, dtype=complex),))) is unbiased
+        assert common_unbiased_basis_check(cand, np.eye(3, dtype=complex)[None]) is unbiased
 
 
 class TestRandomTriples:
@@ -360,39 +365,16 @@ class TestBellStack:
 
 
 class TestBasisFamilyStack:
-    def test_stack_and_tuple_forms_agree(self):
-        tup = mub_prime(5)
-        arr = BasisFamily(np.array(tup.bases))
-        assert np.array_equal(tup.stack, arr.stack)
-        assert len(arr) == len(tup) == 6 and arr.dim == 5
-        for a, b in zip(arr.bases, tup.bases):
-            assert np.array_equal(a, b)
-            assert not a.flags.writeable
-
-    def test_first_bad_member_named(self):
-        bases = [np.eye(3, dtype=complex), fourier_matrix(3), 2 * np.eye(3), np.ones((3, 3))]
-        with pytest.raises(DomainError, match="family member 2 is not orthonormal"):
-            BasisFamily(tuple(bases))
-
-    def test_shapes_validated(self):
-        with pytest.raises(DomainError, match="mixed shapes"):
-            BasisFamily((np.eye(2), np.eye(3)))
-        with pytest.raises(DomainError, match="not orthonormal"):
-            BasisFamily((np.eye(3)[:, :2],))
-        with pytest.raises(DomainError):
-            BasisFamily((np.ones(3),))
-        with pytest.raises(DomainError, match="non-finite"):
-            BasisFamily((np.full((2, 2), np.inf),))
+    """A family of bases is a plain (members, n, n) stack."""
 
     def test_empty_family(self):
-        fam = BasisFamily(())
-        assert len(fam) == 0 and fam.dim == 0
+        fam = np.zeros((0, 2, 2), dtype=complex)
         assert common_unbiased_basis_check(np.eye(2, dtype=complex), fam)
 
     def test_check_agrees_with_per_member_checks(self):
         fam = mub_prime(7)
-        cands = list(fam.bases) + [fourier_matrix(7)]
+        cands = list(fam) + [fourier_matrix(7)]
         for cand in cands:
-            whole = common_unbiased_basis_check(cand, BasisFamily(fam.bases[1:]))
-            each = all(common_unbiased_basis_check(cand, BasisFamily((m,))) for m in fam.bases[1:])
+            whole = common_unbiased_basis_check(cand, fam[1:])
+            each = all(common_unbiased_basis_check(cand, m[None]) for m in fam[1:])
             assert whole == each

@@ -347,6 +347,13 @@ class TestProtocolStructure:
         tree = blind_guess_protocol(2, 2, guess=5)
         with pytest.raises(DomainError):
             evaluate(tree, bell_basis(2))
+        # a fraction or a bool is no label: refused where the leaf is built, not truncated or read as 1
+        for guess in (1.5, True):
+            with pytest.raises(DomainError, match="guess must be an integer"):
+                blind_guess_protocol(2, 2, guess)
+        with pytest.raises(DomainError, match="label must be an integer"):
+            OneWayProtocolSpec(np.eye(2), (((1.7, [1, 0]),), ()))
+        assert Leaf(np.int64(2)).guess == 2 and type(Leaf(2.0).guess) is int
 
     @pytest.mark.parametrize("name", ["leaf-root", "mixed-children", "dead-outcomes"])
     @pytest.mark.parametrize("guess", [-1, 4])
@@ -985,6 +992,9 @@ class TestDiscardProtocol:
             discard_protocol(inner, [0, 0], 4)
         with pytest.raises(DomainError):
             discard_protocol(inner, [5], 4)
+        for kept in ([0, 1.7], [0, True]):
+            with pytest.raises(DomainError, match="kept label must be an integer"):
+                discard_protocol(inner, kept, 3)
 
 
 class TestZeroValueScan:

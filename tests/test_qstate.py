@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from loccdisc import (
     BipartiteState,
     DomainError,
+    StateEnsemble,
     generalized_pauli,
     is_unitary,
     me_state,
@@ -33,8 +34,8 @@ class TestMeState:
         np.testing.assert_allclose(me_state(1).amplitudes, [1.0], atol=1e-15)
 
     def test_me3_schmidt_uniform(self):
-        dec = schmidt(me_state(3))
-        np.testing.assert_allclose(dec.coefficients, [1 / 3] * 3, atol=1e-14)
+        coeffs, _, _ = schmidt(me_state(3))
+        np.testing.assert_allclose(coeffs, [1 / 3] * 3, atol=1e-14)
 
     def test_me_b_matrix_is_identity(self):
         np.testing.assert_allclose(me_state(4).b_matrix, np.eye(4), atol=1e-14)
@@ -113,21 +114,23 @@ class TestTransposeIdentity:
 class TestSchmidt:
     def test_product_state(self):
         psi = BipartiteState(2, 2, [1, 0, 0, 0])
-        assert schmidt(psi).lambda_max == pytest.approx(1.0)
+        assert schmidt(psi)[0][0] == pytest.approx(1.0)
 
     def test_two_term_state(self):
         amps = np.zeros(4)
         amps[0] = np.sqrt(0.8)
         amps[3] = np.sqrt(0.2)
-        dec = schmidt(BipartiteState(2, 2, amps))
-        np.testing.assert_allclose(dec.coefficients, [0.8, 0.2], atol=1e-14)
+        coeffs, _, _ = schmidt(BipartiteState(2, 2, amps))
+        np.testing.assert_allclose(coeffs, [0.8, 0.2], atol=1e-14)
 
     def test_reconstruction(self, rng):
         for _ in range(25):
             m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             psi = random_state(rng, m, n)
-            dec = schmidt(psi)
-            np.testing.assert_allclose(dec.reconstruct(), psi.amplitude_matrix, atol=1e-12)
+            coeffs, left, right = schmidt(psi)
+            assert not (coeffs.flags.writeable or left.flags.writeable or right.flags.writeable)
+            rebuilt = np.einsum("i,ai,bi->ab", np.sqrt(coeffs), left, right)
+            np.testing.assert_allclose(rebuilt, psi.amplitude_matrix, atol=1e-12)
 
     def test_operator_norm_identity(self, rng):
         for _ in range(25):
@@ -135,7 +138,7 @@ class TestSchmidt:
             psi = random_state(rng, m, n)
             b = psi.b_matrix
             opnorm = np.linalg.eigvalsh(b.conj().T @ b)[-1]
-            assert abs(opnorm / m - schmidt(psi).lambda_max) < 1e-10
+            assert abs(opnorm / m - schmidt(psi)[0][0]) < 1e-10
 
     def test_lambda_one_iff_rank_one(self, rng):
         for _ in range(20):
@@ -143,8 +146,16 @@ class TestSchmidt:
             b = _rand_complex(rng, 3)
             prod = np.outer(a, b).reshape(-1)
             prod /= np.linalg.norm(prod)
-            assert schmidt(BipartiteState(3, 3, prod)).lambda_max > 1 - 1e-10
-        assert schmidt(me_state(3)).lambda_max < 1 - 1e-10
+            assert schmidt(BipartiteState(3, 3, prod))[0][0] > 1 - 1e-10
+        assert schmidt(me_state(3))[0][0] < 1 - 1e-10
+
+    def test_matches_ensemble_coefficients(self, rng):
+        # the per-state oracle and the batched SVD behind StateEnsemble agree row by row
+        for _ in range(10):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            ens = StateEnsemble(tuple(random_state(rng, m, n) for _ in range(int(rng.integers(1, 5)))))
+            for psi, row in zip(ens.states, ens.schmidt_coefficients):
+                np.testing.assert_allclose(schmidt(psi)[0], row, rtol=0, atol=1e-14)
 
 
 class TestGeneralizedPauli:

@@ -16,7 +16,7 @@ from loccdisc import (
     uniform_ensemble,
     verdict,
 )
-from loccdisc.ensembles import BasisFamily, haar_unitary, mub_prime
+from loccdisc.ensembles import haar_unitary, mub_prime
 from loccdisc.qstate import generalized_pauli
 from loccdisc.synth import (
     default_cub_candidates,
@@ -85,20 +85,21 @@ class TestTracelessEigensystem:
 
 class TestOverlapPhaseNormalize:
     def test_identical_bases(self):
-        sol = overlap_phase_normalize(np.eye(3), np.eye(3))
-        np.testing.assert_allclose(sol.adjusted_overlap_matrix, np.eye(3), atol=1e-12)
-        row0 = sol.adjusted_overlap_matrix[0]
+        _, adjusted = overlap_phase_normalize(np.eye(3), np.eye(3))
+        assert not adjusted.flags.writeable
+        np.testing.assert_allclose(adjusted, np.eye(3), atol=1e-12)
+        row0 = adjusted[0]
         np.testing.assert_allclose(np.abs(row0), [1, 0, 0], atol=1e-12)
 
     def test_fourier_against_identity(self):
-        sol = overlap_phase_normalize(np.eye(3), fourier_matrix(3))
-        mods = np.abs(sol.adjusted_overlap_matrix)
+        _, adjusted = overlap_phase_normalize(np.eye(3), fourier_matrix(3))
+        mods = np.abs(adjusted)
         np.testing.assert_allclose(mods, 1 / np.sqrt(3), atol=1e-12)
 
     def test_idempotent_on_circulant_input(self):
-        base = overlap_phase_normalize(np.eye(3), fourier_matrix(3)).adjusted_overlap_matrix
-        sol = overlap_phase_normalize(np.eye(3), base)
-        for angle in (sol.gamma, sol.alpha, sol.beta, sol.delta):
+        _, base = overlap_phase_normalize(np.eye(3), fourier_matrix(3))
+        angles, _ = overlap_phase_normalize(np.eye(3), base)
+        for angle in angles:
             assert abs(np.exp(1j * angle) - 1.0) < 1e-9
 
     def test_pipeline_property(self):
@@ -113,8 +114,7 @@ class TestOverlapPhaseNormalize:
             for s in range(3):
                 vals = [v2[i, (i + s) % 3] for i in range(3)]
                 assert max(vals) - min(vals) < 1e-8
-            sol = overlap_phase_normalize(e_vecs, f_vecs)
-            vp = sol.adjusted_overlap_matrix
+            _, vp = overlap_phase_normalize(e_vecs, f_vecs)
             for s in range(3):
                 vals = [vp[i, (i + s) % 3] for i in range(3)]
                 assert max(abs(vals[i] - vals[(i + 1) % 3]) for i in range(3)) < 1e-9
@@ -191,7 +191,7 @@ class TestCubProtocol:
         ens = bell_subset(3, [(0, 0), (1, 0), (1, 1)])
         pairs, family = pairwise_product_eigenbases(ens)
         assert pairs == [(0, 1), (0, 2), (1, 2)]
-        cub = find_cub(family, list(mub_prime(3).bases))
+        cub = find_cub(family, list(mub_prime(3)))
         assert cub is not None
         spec = synthesize_cub_protocol(ens, cub)
         res = evaluate(spec.as_protocol(), ens)
@@ -201,7 +201,7 @@ class TestCubProtocol:
         # soundness: <b|Bi^dag Bj|b> = 0 for every unbiased basis vector
         ens = bell_subset(5, [(0, 0), (1, 0), (0, 1)])
         _, family = pairwise_product_eigenbases(ens)
-        cub = find_cub(family, list(mub_prime(5).bases))
+        cub = find_cub(family, list(mub_prime(5)))
         b_mats = ens.b_matrices()
         for x in range(5):
             col = cub[:, x]
@@ -267,10 +267,10 @@ class TestFindCub:
 
     def test_full_mub_family_has_no_cub(self):
         fam = mub_prime(3)
-        assert find_cub(fam, list(fam.bases)) is None
+        assert find_cub(fam, list(fam)) is None
 
     def test_empty_family_vacuous(self):
-        fam = BasisFamily(())
+        fam = np.zeros((0, 3, 3), dtype=complex)
         cands = [np.eye(3, dtype=complex)]
         np.testing.assert_allclose(find_cub(fam, cands), np.eye(3), atol=1e-15)
 
@@ -295,7 +295,7 @@ class TestFindCub:
         next(candidates)
         assert len(calls) == 1
         # the lazy scan yields the bases of mub_prime in the same order
-        for lazy, eager in zip(default_cub_candidates(5), mub_prime(5).bases, strict=True):
+        for lazy, eager in zip(default_cub_candidates(5), mub_prime(5), strict=True):
             np.testing.assert_array_equal(lazy, eager)
 
 
@@ -315,11 +315,11 @@ class TestStackedPairwise:
     def test_matches_per_pair_eigensystems(self, ens):
         from loccdisc.qstate import normal_eigensystem
 
-        pairs, family = pairwise_product_eigenbases(ens)
+        pairs, vecs = pairwise_product_eigenbases(ens)
         b = ens.b_matrices()
         assert pairs == [(i, j) for i in range(ens.k) for j in range(i + 1, ens.k)]
-        assert family.stack.shape == (len(pairs), ens.dim_a, ens.dim_a)
-        for (i, j), basis in zip(pairs, family.bases):
+        assert vecs.shape == (len(pairs), ens.dim_a, ens.dim_a) and not vecs.flags.writeable
+        for (i, j), basis in zip(pairs, vecs):
             _, ref = normal_eigensystem(b[i].conj().T @ b[j])
             assert np.array_equal(basis.view(float), ref.view(float))
 
