@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import locc, synth
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
 
@@ -79,6 +80,14 @@ class BoundsReport:
             raise ToleranceError("impossibility verdict without a violated witness")
 
 
+def _check_square(k: int, n: int) -> None:
+    """The domain of the square-case windows: n >= 2 and 2 <= k <= n^2."""
+    if n < 2:
+        raise DomainError("need n >= 2")
+    if k < 2 or k > n * n:
+        raise DomainError(f"need 2 <= k <= n^2, got k = {k}, n = {n}")
+
+
 def fme_bounds(k: int, n: int) -> tuple[float, float]:
     """Bounds on the worst-case success for k maximally entangled states in C^n (x) C^n.
 
@@ -87,10 +96,7 @@ def fme_bounds(k: int, n: int) -> tuple[float, float]:
     Otherwise (2/k, n/k) for n <= k, widening to an upper bound of 1 when
     k < n where no better general value is known.
     """
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if k < 2 or k > n * n:
-        raise DomainError(f"need 2 <= k <= n^2, got k = {k}, n = {n}")
+    _check_square(k, n)
     if k == 2:
         return (1.0, 1.0)
     if n == 3:
@@ -107,15 +113,12 @@ def f_bounds(k: int, n: int) -> tuple[float, float]:
     the worst case squeezes the states into the smallest space that holds
     them, independent of n.
     """
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if k < 2 or k > n * n:
-        raise DomainError(f"need 2 <= k <= n^2, got k = {k}, n = {n}")
+    _check_square(k, n)
     return (2.0 / k, math.ceil(math.sqrt(k)) / k)
 
 
 def f_mixed_dims_bounds(k: int, m: int, n: int) -> tuple[float, float]:
-    """Inclusion bounds for k orthogonal states of C^m (x) C^n, m <= n.
+    """Inclusion bounds for k orthogonal states of C^m (x) C^n, m <= n; :func:`f_bounds` when m = n.
 
     Nothing sharper than inclusion is available: the lower bound is the
     square-case lower bound at dimension n; the upper bound is the
@@ -139,15 +142,12 @@ def lambda_max(ensemble: StateEnsemble) -> float:
     return float(ensemble.schmidt_coefficients[:, 0].max())
 
 
-def _schmidt_cap(ensemble: StateEnsemble, lam) -> float:
-    return min(1.0, float(lam * ensemble.dim_a * ensemble.dim_b / ensemble.k))
-
-
 def schmidt_bound(ensemble: StateEnsemble) -> float:
     """Success cap lambda_max * m * n / k for equally probable states (clipped at 1)."""
     if not ensemble.is_uniform():
         raise DomainError("this bound assumes equally probable states; priors are not uniform")
-    return _schmidt_cap(ensemble, ensemble.schmidt_coefficients[:, 0].max())
+    lam = ensemble.schmidt_coefficients[:, 0].max()
+    return min(1.0, float(lam * ensemble.dim_a * ensemble.dim_b / ensemble.k))
 
 
 def von_neumann_entropy_bits(rho):
@@ -158,7 +158,7 @@ def von_neumann_entropy_bits(rho):
     rho = np.asarray(rho)
     vals = np.linalg.eigvalsh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
     vals = np.where(vals > EIGENVALUE_CLIP, vals, 1.0)  # log2(1) = 0: dropped eigenvalues add nothing
-    ent = -np.sum(vals * np.log2(vals), axis=-1)
+    ent = 0.0 - np.sum(vals * np.log2(vals), axis=-1)  # 0.0 - x, not -x: a pure state gives +0.0
     return float(ent) if ent.ndim == 0 else ent
 
 
@@ -174,10 +174,7 @@ def entropy_bound_bits(ensemble: StateEnsemble) -> float:
 
 def g_bounds_bits(k: int, n: int) -> tuple[float, float]:
     """Bounds ((2/k) bits, log2 ceil(sqrt(k))) on worst-case mutual information."""
-    if n < 2:
-        raise DomainError("need n >= 2")
-    if k < 2 or k > n * n:
-        raise DomainError(f"need 1 < k <= n^2, got k = {k}, n = {n}")
+    _check_square(k, n)
     return (2.0 / k, math.log2(math.ceil(math.sqrt(k))))
 
 
@@ -211,8 +208,6 @@ def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:
 
 def _try_synthesizers(ensemble: StateEnsemble):
     """Attempt every shipped perfect-protocol construction; return (name, protocol)."""
-    from . import locc, synth  # deferred to avoid import cycles
-
     attempts = []
     if ensemble.k == 1:
         attempts.append(("single-state", lambda: locc.blind_guess_protocol(ensemble.dim_a, ensemble.dim_b, 0)))
@@ -233,6 +228,14 @@ def _try_synthesizers(ensemble: StateEnsemble):
         if result.success_probability >= 1.0 - 1e-9:
             return name, protocol
     return None, None
+
+
+def _window(bounds, *args):
+    """``bounds(*args)``, or (None, None) outside its domain."""
+    try:
+        return bounds(*args)
+    except DomainError:
+        return (None, None)
 
 
 def verdict(ensemble: StateEnsemble) -> BoundsReport:
@@ -257,20 +260,10 @@ def verdict(ensemble: StateEnsemble) -> BoundsReport:
             Witness("entropy-ceiling", "information_bits", entropy_bits, req, entropy_bits < req - 1e-9)
         )
 
-    square = m == n
-    f_lo = f_hi = None
-    if 2 <= k:
-        if square and k <= n * n:
-            f_lo, f_hi = f_bounds(k, n)
-        elif m <= n and k <= m * n and m >= 2:
-            f_lo, f_hi = f_mixed_dims_bounds(k, m, n)
-    fme_lo = fme_hi = None
-    if me and 2 <= k <= n * n:
-        fme_lo, fme_hi = fme_bounds(k, n)
-    g_lo = g_hi = None
-    if square and 2 <= k <= n * n:
-        g_lo, g_hi = g_bounds_bits(k, n)
-    schmidt_up = _schmidt_cap(ensemble, lam) if ensemble.is_uniform() else None
+    f_lo, f_hi = _window(f_mixed_dims_bounds, k, m, n)
+    fme_lo, fme_hi = _window(fme_bounds, k, n) if me else (None, None)
+    g_lo, g_hi = _window(g_bounds_bits, k, n) if m == n else (None, None)
+    schmidt_up = schmidt_bound(ensemble) if ensemble.is_uniform() else None
 
     impossible = any(w.violated for w in witnesses)
     possible_via = None

@@ -162,8 +162,8 @@ def bell_basis(n: int) -> StateEnsemble:
     return uniform_ensemble([state_from_matrix(u, n) for u in stack.reshape(-1, n, n)])
 
 
-def bell_subset(n: int, labels) -> StateEnsemble:
-    """Uniform ensemble of the generalized Bell states with the given (m, l) labels."""
+def _bell_labels(n: int, labels) -> list[tuple[int, int]]:
+    """The (m, l) labels as integer pairs, refused unless nonempty, distinct and in range(n)."""
     labels = [(as_int(m, "Bell label"), as_int(l, "Bell label")) for m, l in labels]
     if not labels:
         raise DomainError("empty Bell subset")
@@ -172,7 +172,12 @@ def bell_subset(n: int, labels) -> StateEnsemble:
     for m, l in labels:
         if not (0 <= m < n and 0 <= l < n):
             raise DomainError(f"Bell label {(m, l)} out of range for n = {n}")
-    ms, ls = np.array(labels).T
+    return labels
+
+
+def bell_subset(n: int, labels) -> StateEnsemble:
+    """Uniform ensemble of the generalized Bell states with the given (m, l) labels."""
+    ms, ls = np.array(_bell_labels(n, labels)).T
     return uniform_ensemble([state_from_matrix(u, n) for u in _bell_unitaries(n, ms, ls)])
 
 
@@ -309,6 +314,6 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
                     raise TypeError(f"priors must be JSON numbers, got {bad[0]!r}")
                 priors = np.asarray(priors, float)
             return StateEnsemble(tuple(states), priors)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed ensemble descriptor: {exc}") from exc
     raise DomainError(f"unknown ensemble kind: {kind!r}")

@@ -5,6 +5,8 @@ spans the constructions in this package (standard Bell measurements,
 three-qutrit and common-unbiased-basis synthesis, discard wrappers,
 two-state separations, product-basis measurements, and blind guessing) so
 bound-consistency and Monte-Carlo checks exercise the whole surface.
+The product-basis and discard builders are public: :mod:`loccdisc.selftest`
+builds its exact-value and verdict cases with them.
 """
 
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ def _product_state(dim_a, dim_b, a_idx, b_idx) -> BipartiteState:
     return BipartiteState(dim_a, dim_b, amps)
 
 
-def _product_basis_ensemble(dim_a, dim_b) -> StateEnsemble:
+def product_basis_ensemble(dim_a, dim_b) -> StateEnsemble:
     return uniform_ensemble(
         [_product_state(dim_a, dim_b, a, b) for a in range(dim_a) for b in range(dim_b)]
     )
@@ -62,7 +64,7 @@ def _cub_entry(name, n, labels) -> LibraryEntry:
     return LibraryEntry(name, ens, synth.synthesize_cub_protocol(ens).as_protocol())
 
 
-def _discard_bell2_entry(name, keep_labels, all_labels) -> LibraryEntry:
+def discard_bell2_entry(name, keep_labels, all_labels) -> LibraryEntry:
     ens = bell_subset(2, all_labels)
     kept_idx = [all_labels.index(lab) for lab in keep_labels]
     inner_states = [ens.states[i] for i in kept_idx]
@@ -70,7 +72,7 @@ def _discard_bell2_entry(name, keep_labels, all_labels) -> LibraryEntry:
     return LibraryEntry(name, ens, locc.discard_protocol(inner, kept_idx, ens.k))
 
 
-def _discard_bell3_entry(name, k) -> LibraryEntry:
+def discard_bell3_entry(name, k) -> LibraryEntry:
     labels = [(m, l) for m in range(3) for l in range(3)][:k]
     ens = bell_subset(3, labels)
     triple = uniform_ensemble(ens.states[:3])
@@ -123,19 +125,19 @@ def build_library() -> tuple:
     entries.append(_cub_entry("cub-7-k3", 7, [(2, 1), (4, 0), (6, 5)]))
 
     entries.append(
-        _discard_bell2_entry(
+        discard_bell2_entry(
             "discard-bell2-keep2of3", [(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]
         )
     )
     entries.append(
-        _discard_bell2_entry(
+        discard_bell2_entry(
             "discard-bell2-keep2of4",
             [(0, 0), (0, 1)],
             [(0, 0), (0, 1), (1, 0), (1, 1)],
         )
     )
     for k in (4, 5, 7, 9):
-        entries.append(_discard_bell3_entry(f"discard-bell3-keep3of{k}", k))
+        entries.append(discard_bell3_entry(f"discard-bell3-keep3of{k}", k))
 
     bell2_pair = bell_subset(2, [(0, 0), (1, 1)])
     entries.append(
@@ -152,14 +154,14 @@ def build_library() -> tuple:
 
     bb2 = bell_basis(2)
     entries.append(LibraryEntry("blind-guess-bell2", bb2, locc.blind_guess_protocol(2, 2, 0)))
-    prod23 = _product_basis_ensemble(2, 3)
+    prod23 = product_basis_ensemble(2, 3)
     entries.append(LibraryEntry("blind-guess-prod23", prod23, locc.blind_guess_protocol(2, 3, 0)))
 
     entries.append(
         LibraryEntry(
             "product-basis-2x2",
-            _product_basis_ensemble(2, 2),
-            locc.product_basis_protocol(_product_basis_ensemble(2, 2)),
+            product_basis_ensemble(2, 2),
+            locc.product_basis_protocol(product_basis_ensemble(2, 2)),
         )
     )
     entries.append(

@@ -49,7 +49,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from .ensembles import StateEnsemble
+from .ensembles import StateEnsemble, _bell_labels
 from .errors import DomainError, ToleranceError
 from .qstate import BipartiteState, as_int, as_matrix, frozen_array, is_unitary
 
@@ -683,37 +683,26 @@ def standard_bell_protocol(n: int, subset=None) -> LoccProtocol:
 
     For a Bell state labelled (m, l) the outcome pair (a, b) always satisfies
     a - b = m (mod n), so the shift m is learned exactly and l not at all.
-    The guess is the subset member with that shift and the smallest l; ties
-    and shift misses fall back to the lowest label.  ``subset`` lists (m, l)
-    pairs and defaults to the full n^2 Bell basis, matching the state order
-    of the corresponding ensemble.
+    The guess is the subset member with that shift and the smallest l; a
+    shift no member has falls back to the first member.  ``subset`` lists
+    (m, l) pairs under the rule of :func:`loccdisc.ensembles.bell_subset` and
+    defaults to the full n^2 Bell basis, matching the state order of the
+    corresponding ensemble.
     """
     if n < 2:
         raise DomainError("need dimension >= 2")
     if subset is None:
         subset = [(m, l) for m in range(n) for l in range(n)]
-    subset = [(as_int(m, "subset label"), as_int(l, "subset label")) for m, l in subset]
-    if not subset:
-        raise DomainError("subset must be nonempty")
-    if len(set(subset)) != len(subset):
-        raise DomainError("duplicate subset labels")
-    for m, l in subset:
-        if not (0 <= m < n and 0 <= l < n):
-            raise DomainError(f"label {(m, l)} out of range")
-
+    labels = _bell_labels(n, subset)
+    best = {}  # shift m -> index of the member with that shift and the smallest l
+    for idx, (m, l) in enumerate(labels):
+        if m not in best or l < labels[best[m]][1]:
+            best[m] = idx
     comp = projective_povm(np.eye(n, dtype=complex))
-    children = []
-    for a in range(n):
-        leaves = []
-        for b in range(n):
-            shift = (a - b) % n
-            matches = [idx for idx, (m, _) in enumerate(subset) if m == shift]
-            if matches:
-                guess = min(matches, key=lambda idx: subset[idx][1])
-            else:
-                guess = 0
-            leaves.append(Leaf(guess))
-        children.append(ProtocolNode(BOB, comp, tuple(leaves)))
+    children = [
+        ProtocolNode(BOB, comp, tuple(Leaf(best.get((a - b) % n, 0)) for b in range(n)))
+        for a in range(n)
+    ]
     root = ProtocolNode(ALICE, comp, tuple(children))
     return LoccProtocol(n, n, root)
 

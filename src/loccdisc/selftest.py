@@ -1,7 +1,9 @@
 """Acceptance checks runnable from pytest and from the CLI ``selftest`` command.
 
 Each criterion is a function returning a CriterionResult; tolerances are
-stated inline and are part of the contract.
+stated inline and are part of the contract.  The discard cases and the
+product basis come from the builders of :mod:`loccdisc.library`, so a
+criterion checks the very pairs the library ships.
 """
 
 import itertools
@@ -17,11 +19,10 @@ from .ensembles import (
     bell_subset,
     mub_prime_bases,
     random_orthogonal_me_triple,
-    uniform_ensemble,
 )
 from .errors import DomainError
-from .library import build_library
-from .qstate import BipartiteState, transpose_identity_check
+from .library import build_library, discard_bell2_entry, discard_bell3_entry, product_basis_ensemble
+from .qstate import transpose_identity_check
 
 
 @dataclass(frozen=True)
@@ -110,27 +111,12 @@ def criterion_exact_discard_values() -> CriterionResult:
     states of C^3 (x) C^3 for k = 4..9.
     """
     start = time.perf_counter()
-    deviations = []
-
-    ens3 = bell_subset(2, [(0, 0), (1, 0), (1, 1)])
-    inner = locc.two_state_protocol(ens3.states[0], ens3.states[1])
-    res = locc.evaluate(locc.discard_protocol(inner, [0, 1], 3), ens3)
-    deviations.append(abs(res.success_probability - 2.0 / 3.0))
-
-    ens4 = bell_subset(2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-    inner = locc.two_state_protocol(ens4.states[0], ens4.states[1])
-    res = locc.evaluate(locc.discard_protocol(inner, [0, 1], 4), ens4)
-    deviations.append(abs(res.success_probability - 0.5))
-
-    labels9 = [(m, l) for m in range(3) for l in range(3)]
-    for k in range(4, 10):
-        ens = bell_subset(3, labels9[:k])
-        triple = uniform_ensemble(ens.states[:3])
-        inner = synth.synthesize_three_qutrit_protocol(triple).as_protocol()
-        res = locc.evaluate(locc.discard_protocol(inner, [0, 1, 2], k), ens)
-        deviations.append(abs(res.success_probability - 3.0 / k))
-
-    worst = max(deviations)
+    cases = [
+        (discard_bell2_entry("discard-bell2-keep2of3", [(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]), 2.0 / 3.0),
+        (discard_bell2_entry("discard-bell2-keep2of4", [(0, 0), (0, 1)], [(0, 0), (0, 1), (1, 0), (1, 1)]), 0.5),
+    ]
+    cases += [(discard_bell3_entry(f"discard-bell3-keep3of{k}", k), 3.0 / k) for k in range(4, 10)]
+    worst = max(abs(locc.evaluate(entry.protocol, entry.ensemble).success_probability - exact) for entry, exact in cases)
     return _result(
         "exact-discard-values", start, worst <= 1e-12, f"max deviation = {worst:.2e}"
     )
@@ -196,13 +182,7 @@ def criterion_verdicts() -> CriterionResult:
     rep = bounds.verdict(bell_basis(2))
     checks.append(("bell2-full", rep.verdict == bounds.VERDICT_IMPOSSIBLE))
 
-    prod = uniform_ensemble(
-        [
-            BipartiteState(2, 2, np.eye(4, dtype=complex)[i])
-            for i in range(4)
-        ]
-    )
-    rep = bounds.verdict(prod)
+    rep = bounds.verdict(product_basis_ensemble(2, 2))
     checks.append(("product-basis", rep.verdict == bounds.VERDICT_POSSIBLE))
 
     rep = bounds.verdict(random_orthogonal_me_triple(3, 42))

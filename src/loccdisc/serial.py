@@ -158,7 +158,7 @@ def one_way_spec_to_json(spec) -> dict:
 def one_way_spec_from_json(data):
     try:
         groups = tuple(
-            tuple((as_int(entry["label"], "label"), vector_from_json(entry["vector"])) for entry in group)
+            tuple((entry["label"], vector_from_json(entry["vector"])) for entry in group)
             for group in data["bob_discriminators"]
         )
         return locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), groups)

@@ -165,6 +165,21 @@ class TestGBounds:
             g_bounds_bits(5, 2)
 
 
+def _reference_windows(k, m, n, me):
+    """The (f, f_me, g) windows by the explicit domain guards verdict once carried."""
+    f = fme = g = (None, None)
+    if 2 <= k:
+        if m == n and k <= n * n:
+            f = f_bounds(k, n)
+        elif m <= n and k <= m * n and m >= 2:
+            f = f_mixed_dims_bounds(k, m, n)
+    if me and 2 <= k <= n * n:
+        fme = fme_bounds(k, n)
+    if m == n and 2 <= k <= n * n:
+        g = g_bounds_bits(k, n)
+    return f + fme + g
+
+
 class TestVerdict:
     def test_full_bell2_impossible(self):
         rep = verdict(bell_basis(2))
@@ -212,6 +227,22 @@ class TestVerdict:
         counts = Counter((rep.verdict, rep.possible_via) for rep in reports)
         assert len(classes) == 122
         assert counts == {(VERDICT_POSSIBLE, "cub"): 20, (VERDICT_UNKNOWN, None): 102}
+
+    def test_windows_over_whole_domain(self, monkeypatch):
+        # every k <= mn for m, n <= 6, k = 1, m > n and the ME flag (1x1 states are ME);
+        # synthesis does not touch the windows, so it is skipped to keep the sweep fast
+        monkeypatch.setattr(bounds, "_try_synthesizers", lambda ens: (None, None))
+        seen = set()
+        for m, n in itertools.product(range(1, 7), repeat=2):
+            families = [_product_basis(m, n)] + ([bell_basis(n)] if m == n >= 2 else [])
+            for family, k in itertools.product(families, range(1, m * n + 1)):
+                ens = uniform_ensemble(family.states[:k])
+                me = ens.is_maximally_entangled(1e-10)
+                rep = verdict(ens)
+                got = (rep.f_lower, rep.f_upper, rep.fme_lower, rep.fme_upper, rep.g_lower_bits, rep.g_upper_bits)
+                assert got == _reference_windows(k, m, n, me), (k, m, n, me)
+                seen.add((k, m, n, me))
+        assert len(seen) == 441 + 90  # every (k, m, n) with product states, every square n >= 2 with Bell states
 
     def test_large_dim_triple_unknown(self):
         # whether three orthogonal ME states are distinguishable beyond

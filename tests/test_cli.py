@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,10 +9,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from loccdisc import bell_subset, standard_bell_protocol, synthesize_three_qutrit_protocol
 from loccdisc.cli import main
-from loccdisc.ensembles import haar_unitary
-from loccdisc.serial import matrix_to_json
+from loccdisc.ensembles import fourier_matrix, haar_unitary
+from loccdisc.serial import matrix_to_json, one_way_spec_to_json, protocol_to_json
 
 
 def _run(capsys, *argv):
@@ -196,6 +201,14 @@ class TestBoundsCommand:
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "PerfectPossible"
 
+    def test_single_product_state(self, capsys):
+        # a pure state has zero entropy, printed as 0.0 and never as -0.0
+        state = {"dim_a": 2, "dim_b": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}
+        code, out, err = _run(capsys, "bounds", "--ensemble", json.dumps({"states": [state]}))
+        _assert_clean_exit(code, out, err, 0)
+        assert '"entropy_upper_bits":0.0,' in out
+        assert json.loads(out)["report"]["possible_via"] == "single-state"
+
     def test_nonorthogonal_exits_2(self, capsys):
         from loccdisc import me_state, uniform_ensemble
         from loccdisc.serial import ensemble_to_json
@@ -256,6 +269,104 @@ def _assert_clean_exit(code, out, err, expected):
         assert out == ""
 
 
+# n = 10**30 overflows numpy's index type in random_me_triple before anything is allocated
+OVERFLOW_DESCRIPTOR = '{"kind":"random_me_triple","n":1000000000000000000000000000000,"seed":1}'
+
+# Fuzzed inputs: valid payloads of every kind with up to two fields replaced
+# by junk or deleted.  Every dimension stays at 8 or below.
+_DIM = st.integers(1, 5)
+_JUNK = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.integers(-2, 8),
+    st.sampled_from(['0.5', '2.5', '"2"', '"alice"', "[]", "{}", "[[0, 0]]"]).map(json.loads),
+)
+
+
+def _explicit(dim_a, dim_b, k, with_priors):
+    """The first k product basis states of C^dim_a (x) C^dim_b, with uniform priors spelled out or left implicit."""
+    k = min(k, dim_a * dim_b)
+    states = [
+        {"dim_a": dim_a, "dim_b": dim_b, "amplitudes": [[float(i == j), 0.0] for j in range(dim_a * dim_b)]}
+        for i in range(k)
+    ]
+    return {"kind": "explicit", "states": states, **({"priors": [1.0 / k] * k} if with_priors else {})}
+
+
+_DESCRIPTORS = st.one_of(
+    st.builds(lambda n: {"kind": "bell", "n": n}, _DIM),
+    st.builds(
+        lambda n, labels: {"kind": "bell_subset", "n": n, "labels": labels},
+        _DIM,
+        st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), min_size=1, max_size=4, unique_by=tuple),
+    ),
+    st.builds(lambda n, seed: {"kind": "random_me_triple", "n": n, "seed": seed}, _DIM, st.integers(0, 3)),
+    st.builds(lambda n: {"kind": "simdiag", "u": matrix_to_json(fourier_matrix(n))}, _DIM),
+    st.builds(_explicit, st.integers(1, 3), st.integers(1, 3), st.integers(1, 9), st.booleans()),
+)
+_TRIPLE3 = [(0, 0), (1, 0), (1, 1)]
+# (protocol, ensemble) pairs that evaluate cleanly before mutation: a tree, a bare leaf, a one-way spec
+_PROTOCOL_PAIRS = [
+    json.dumps(pair)
+    for pair in (
+        (protocol_to_json(standard_bell_protocol(2)), {"kind": "bell", "n": 2}),
+        ({"dim_a": 3, "dim_b": 3, "root": {"guess": 1}}, {"kind": "bell_subset", "n": 3, "labels": _TRIPLE3}),
+        (
+            one_way_spec_to_json(synthesize_three_qutrit_protocol(bell_subset(3, _TRIPLE3))),
+            {"kind": "bell_subset", "n": 3, "labels": _TRIPLE3},
+        ),
+    )
+]
+
+
+def _slots(node):
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def _mutated(draw, doc):
+    for _ in range(draw(st.integers(0, 2))):
+        slots = list(_slots(doc))
+        if not slots:
+            break
+        parent, key = draw(st.sampled_from(slots))
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[key]
+        else:
+            parent[key] = draw(_JUNK)
+    return doc
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(["ensemble", "bounds", "synthesize", "evaluate", "simulate"]))
+    if command in ("evaluate", "simulate"):
+        protocol, ensemble = draw(_mutated(json.loads(draw(st.sampled_from(_PROTOCOL_PAIRS)))))
+        argv = [command, "--protocol", json.dumps(protocol), "--ensemble", json.dumps(ensemble)]
+        return argv + (["--trials", "20", "--seed", "0"] if command == "simulate" else [])
+    ensemble = json.dumps(draw(_mutated(draw(_DESCRIPTORS))))
+    if command == "ensemble":
+        return ["ensemble", ensemble]
+    if command == "bounds":
+        return ["bounds", "--ensemble", ensemble]
+    return ["synthesize", "--method", draw(st.sampled_from(["prop1", "cub"])), "--ensemble", ensemble]
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(argv=_cli_argv())
+    @example(argv=["ensemble", OVERFLOW_DESCRIPTOR])
+    def test_exit_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2, 3), err.getvalue()
+        _assert_clean_exit(code, out.getvalue(), err.getvalue(), code)
+
+
 class TestOutputBoundary:
     @pytest.fixture
     def bell2_protocol(self):
@@ -280,6 +391,7 @@ class TestOutputBoundary:
             '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}],"priors":[true]}',
             '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[true,0]]}]}',
             '{"kind":"bell","n":2,"priors":[0.7,0.1,0.1,0.1]}',
+            OVERFLOW_DESCRIPTOR,
         ],
     )
     def test_bad_descriptors_exit_2(self, capsys, descriptor):
