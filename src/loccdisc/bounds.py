@@ -244,7 +244,9 @@ def verdict(ensemble: StateEnsemble) -> BoundsReport:
     PerfectImpossible requires a violated witness inequality;
     PerfectPossible requires a shipped synthesizer to produce a protocol
     that verifiably succeeds.  Failed synthesis alone never proves
-    impossibility, so everything else stays Unknown.
+    impossibility, so everything else stays Unknown.  The f window holds
+    for C^m (x) C^n in either order, so it takes the smaller of the two
+    local dimensions as :func:`f_mixed_dims_bounds`' m.
     """
     if not ensemble.is_orthogonal(1e-10):
         raise DomainError("verdict is defined for orthogonal ensembles")
@@ -260,7 +262,7 @@ def verdict(ensemble: StateEnsemble) -> BoundsReport:
             Witness("entropy-ceiling", "information_bits", entropy_bits, req, entropy_bits < req - 1e-9)
         )
 
-    f_lo, f_hi = _window(f_mixed_dims_bounds, k, m, n)
+    f_lo, f_hi = _window(f_mixed_dims_bounds, k, min(m, n), max(m, n))
     fme_lo, fme_hi = _window(fme_bounds, k, n) if me else (None, None)
     g_lo, g_hi = _window(g_bounds_bits, k, n) if m == n else (None, None)
     schmidt_up = schmidt_bound(ensemble) if ensemble.is_uniform() else None

@@ -8,7 +8,6 @@ quietly with 0.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -150,11 +149,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_selftest(args) -> int:
     from . import selftest
 
-    results = selftest.run_all(stream=sys.stderr)
-    report = {
-        "criteria": [dataclasses.asdict(r) for r in results],
-        "passed": all(r.passed for r in results),
-    }
+    results = selftest.run_all(sys.stderr)
+    report = {"criteria": results, "passed": all(r["passed"] for r in results)}
     _emit("selftest", {}, report)
     return 0 if report["passed"] else 1
 

@@ -410,34 +410,34 @@ def _run_key(pair):
     Every leaf has one key, so a node's consecutive leaves form one group.
     Run nodes have leaf children only, one POVM shape and offsets, and
     parent operators of one row count, so their inputs are equal blocks.
+    A node with internal children gets a fresh key equal to no other, so
+    it is a group of its own even beside the same node object.
     """
     child, op = pair
     if isinstance(child, Leaf):
         return Leaf
     if not all(isinstance(leaf, Leaf) for leaf in child.children):
-        return child
+        return object()
     return op.shape[0], child.povm.stacked.shape, child.povm.offsets.tobytes()
 
 
 def _child_groups(node):
     """(first outcome, children, product rows) of each group of ``node``'s children.
 
-    Children are grouped by :func:`_run_key`: consecutive leaves form one
-    group, and so does a run of sibling nodes whose children are all
-    leaves; any other node is a group of its own, a run of one.  The rows
-    are the slice of the node's stacked POVM, and so of its product, that
-    belongs to the group's outcomes.
+    The groups are those of :func:`_run_key`, in outcome order:
+    consecutive leaves, a run of sibling nodes whose children are all
+    leaves, or a lone node with internal children.  The rows are the slice
+    of the node's stacked POVM, and so of its product, that belongs to the
+    group's outcomes.
     """
     povm, lo = node.povm, 0
     starts = povm.offsets.tolist()
     ends = [*starts[1:], povm.stacked.shape[0]]
-    for key, pairs in groupby(zip(node.children, povm.elements), _run_key):
+    for _, pairs in groupby(zip(node.children, povm.elements), _run_key):
         group = [child for child, _ in pairs]
-        whole = isinstance(key, tuple) or isinstance(group[0], Leaf)
-        for sub in [group] if whole else [[child] for child in group]:
-            hi = lo + len(sub)
-            yield lo, sub, slice(starts[lo], ends[hi - 1])
-            lo = hi
+        hi = lo + len(group)
+        yield lo, group, slice(starts[lo], ends[hi - 1])
+        lo = hi
 
 
 def _run_stack(run):

@@ -223,20 +223,21 @@ def pairwise_product_eigenbases(ensemble: StateEnsemble):
 
     Returns (pairs, vecs): the index pairs and the matching read-only
     (pairs, n, n) stack of eigenbases, eigenvectors as columns.  All
-    k(k-1)/2 products are formed by one stacked product and diagonalized by
-    one stacked :func:`~loccdisc.qstate.normal_eigensystem` call.  Products
-    must be normal (orthogonally diagonalizable); this holds for maximally
-    entangled ensembles (the products are unitary) and for simultaneously
-    diagonal ones.  A reference for :func:`synthesize_cub_protocol`, which
-    takes no eigensystem and tests its candidates on the products themselves.
+    k(k-1)/2 products are formed by one stacked product and diagonalized
+    one by one by :func:`~loccdisc.qstate.normal_eigensystem`; the first
+    product that is not normal (orthogonally diagonalizable) is named in
+    the error.  Products are normal for maximally entangled ensembles (they
+    are unitary) and for simultaneously diagonal ones.  A reference for
+    :func:`synthesize_cub_protocol`, which takes no eigensystem and tests
+    its candidates on the products themselves.
     """
     pairs, products = _pairwise_products(ensemble)
-    try:
-        _, vecs = normal_eigensystem(products)
-    except DomainError as exc:
-        raise DomainError(
-            f"pairwise product {pairs[exc.index]} is not orthogonally diagonalizable: {exc}"
-        ) from exc
+    vecs = []
+    for pair, product in zip(pairs, products):
+        try:
+            vecs.append(normal_eigensystem(product)[1])
+        except DomainError as exc:
+            raise DomainError(f"pairwise product {pair} is not orthogonally diagonalizable: {exc}") from exc
     return pairs, frozen_array(vecs)
 
 

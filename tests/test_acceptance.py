@@ -1,8 +1,10 @@
-"""Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
+"""Acceptance suite: one test per criterion.
 
-Criteria and tolerances live in loccdisc.selftest; the CLI ``selftest``
-command runs the same checks.
+Criteria, their report names and tolerances live in loccdisc.selftest; the
+CLI ``selftest`` command runs the same checks.
 """
+
+import time
 
 import pytest
 
@@ -17,11 +19,13 @@ BUDGETS_S = {
 }
 
 
-@pytest.mark.parametrize("criterion", selftest.CRITERIA, ids=lambda fn: fn.__name__)
-def test_criterion(criterion):
-    result = criterion()
-    tag = "PASS" if result.passed else "FAIL"
-    print(f"[{tag}] {result.name}: {result.detail} ({result.elapsed_s:.2f}s)")
-    assert result.passed, f"{result.name}: {result.detail}"
+@pytest.mark.parametrize(
+    "name, criterion", selftest.CRITERIA.items(), ids=[fn.__name__ for fn in selftest.CRITERIA.values()]
+)
+def test_criterion(name, criterion):
+    start = time.perf_counter()
+    passed, detail = criterion()
+    elapsed = time.perf_counter() - start
+    assert passed, f"{name}: {detail}"
     limit = BUDGETS_S.get(criterion)
-    assert limit is None or result.elapsed_s < limit, f"{result.name} took {result.elapsed_s:.1f}s"
+    assert limit is None or elapsed < limit, f"{name} took {elapsed:.1f}s"

@@ -171,8 +171,8 @@ def _reference_windows(k, m, n, me):
     if 2 <= k:
         if m == n and k <= n * n:
             f = f_bounds(k, n)
-        elif m <= n and k <= m * n and m >= 2:
-            f = f_mixed_dims_bounds(k, m, n)
+        elif min(m, n) >= 2 and k <= m * n:
+            f = f_mixed_dims_bounds(k, min(m, n), max(m, n))
     if me and 2 <= k <= n * n:
         fme = fme_bounds(k, n)
     if m == n and 2 <= k <= n * n:
@@ -243,6 +243,15 @@ class TestVerdict:
                 assert got == _reference_windows(k, m, n, me), (k, m, n, me)
                 seen.add((k, m, n, me))
         assert len(seen) == 441 + 90  # every (k, m, n) with product states, every square n >= 2 with Bell states
+
+    @pytest.mark.parametrize("dims, k", [((12, 3), 2), ((3, 2), 6), ((3, 2), 4), ((4, 2), 5)], ids=["12x3-k2", "3x2-k6", "3x2-k4", "4x2-k5"])
+    def test_f_window_either_order(self, dims, k):
+        # the bound covers C^n (x) C^m in either order, so swapping the parties keeps the window
+        windows = []
+        for dim_a, dim_b in (dims, dims[::-1]):
+            rep = verdict(uniform_ensemble(_product_basis(dim_a, dim_b).states[:k]))
+            windows.append((rep.f_lower, rep.f_upper))
+        assert windows[0] == windows[1] and None not in windows[0]
 
     def test_large_dim_triple_unknown(self):
         # whether three orthogonal ME states are distinguishable beyond

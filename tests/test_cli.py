@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,28 @@ class TestEvaluateAndSimulate:
         _, out1, _ = _run(capsys, *args)
         _, out2, _ = _run(capsys, *args)
         assert out1 == out2
+
+
+class TestSelftestCommand:
+    def test_report_exit_code_and_times(self, capsys, monkeypatch):
+        from loccdisc import selftest
+
+        checks = {"cheap-pass": lambda: (True, "ok"), "cheap-fail": lambda: (False, "off by one")}
+        monkeypatch.setattr(selftest, "CRITERIA", checks)
+        first, second = _run(capsys, "selftest"), _run(capsys, "selftest")
+        assert first[0] == 1 and first[1] == second[1]
+        assert json.loads(first[1])["report"] == {
+            "criteria": [
+                {"name": "cheap-pass", "passed": True, "detail": "ok"},
+                {"name": "cheap-fail", "passed": False, "detail": "off by one"},
+            ],
+            "passed": False,
+        }
+        assert re.fullmatch(r"\[PASS\] cheap-pass: ok \(\d+\.\d\ds\)\n\[FAIL\] cheap-fail: off by one \(\d+\.\d\ds\)\n", first[2])
+
+        monkeypatch.setattr(selftest, "CRITERIA", {"cheap-pass": checks["cheap-pass"]})
+        code, out, _ = _run(capsys, "selftest")
+        assert code == 0 and json.loads(out)["report"]["passed"] is True
 
 
 class TestRoundTrips:
@@ -367,6 +390,62 @@ class TestFuzzedInputs:
         _assert_clean_exit(code, out.getvalue(), err.getvalue(), code)
 
 
+_BELL2_DOC = '{"kind":"bell","n":2}'
+
+
+def _tree(povm, children):
+    """Protocol JSON for a 2x2 tree whose root is an Alice node on ``povm``."""
+    return json.dumps({"dim_a": 2, "dim_b": 2, "root": {"actor": "alice", "povm": [matrix_to_json(m) for m in povm], "children": children}})
+
+
+# (argv, start of the error line) for refusals the other tests do not reach; stdin reads "not json"
+_REFUSALS = {
+    "child-count": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", _tree([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])], [{"guess": 0}])),
+        "one child per POVM outcome required",
+    ),
+    "povm-input-dim": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", _tree([np.eye(3)], [{"guess": 0}])),
+        "alice POVM input dim 3 != current dim 2",
+    ),
+    "one-way-basis": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps(
+            {"alice_basis": matrix_to_json(np.ones((2, 2))), "bob_discriminators": [[], []]})),
+        "Alice basis is not orthonormal",
+    ),
+    "one-way-groups": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps({"alice_basis": matrix_to_json(np.eye(2)), "bob_discriminators": [[]]})),
+        "need one Bob group per Alice outcome",
+    ),
+    "ensemble-not-object": (("ensemble", "[1]"), "ensemble payload must be a JSON object"),
+    "protocol-not-object": (("evaluate", "--ensemble", _BELL2_DOC, "--protocol", "[1]"), "protocol payload must be a JSON object"),
+    "node-not-object": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", '{"dim_a":2,"dim_b":2,"root":[1]}'),
+        "protocol node must be a JSON object",
+    ),
+    "simulate-dims": (
+        ("simulate", "--ensemble", '{"kind":"bell","n":3}', "--trials", "10",
+         "--protocol", json.dumps(protocol_to_json(standard_bell_protocol(2)))),
+        "protocol and ensemble dimensions disagree",
+    ),
+    "cub-unequal-dims": (
+        ("synthesize", "--method", "cub", "--ensemble", json.dumps(_explicit(2, 3, 2, False))),
+        "construction needs equal local dimensions",
+    ),
+    "cub-source-shape": (
+        ("synthesize", "--method", "cub", "--ensemble", '{"kind":"bell_subset","n":3,"labels":[[0,0],[1,0]]}',
+         "--cub-source", json.dumps(matrix_to_json(np.eye(2)))),
+        "basis dimension does not match the ensemble",
+    ),
+    "explicit-no-states": (("ensemble", '{"kind":"explicit","states":[]}'), "ensemble needs at least one state"),
+    "priors-length": (
+        ("ensemble", json.dumps({**_explicit(2, 2, 2, False), "priors": [0.5, 0.25, 0.25]})),
+        "priors length must match number of states",
+    ),
+    "stdin": (("ensemble", "-"), "invalid JSON: "),
+}
+
+
 class TestOutputBoundary:
     @pytest.fixture
     def bell2_protocol(self):
@@ -396,6 +475,13 @@ class TestOutputBoundary:
     )
     def test_bad_descriptors_exit_2(self, capsys, descriptor):
         _assert_clean_exit(*_run(capsys, "ensemble", descriptor), 2)
+
+    @pytest.mark.parametrize("argv, message", _REFUSALS.values(), ids=list(_REFUSALS))
+    def test_refusals_exit_2(self, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("not json"))
+        code, out, err = _run(capsys, *argv)
+        _assert_clean_exit(code, out, err, 2)
+        assert err.startswith(f"error: {message}"), err
 
     @pytest.mark.parametrize(
         "argv",
