@@ -216,7 +216,7 @@ def main(argv=None) -> int:
         # point stdout at devnull so the interpreter's final flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ValueError, RecursionError) as exc:
+    except (ValueError, RecursionError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,7 +23,6 @@ from .qstate import (
     is_unitary,
     schmidt_coefficients,
     state_from_matrix,
-    unitary_eigensystem,
 )
 
 
@@ -195,19 +194,22 @@ def is_prime(n: int) -> bool:
 def mub_prime_bases(n: int) -> Iterator[np.ndarray]:
     """Yield the n+1 mutually unbiased bases of C^n for prime n, one at a time.
 
-    Uses the cyclic construction: the computational basis, then the
-    eigenbases of X Z^t for t = 0, ..., n-1.  Every cross-basis overlap
-    satisfies |<b|a>|^2 = 1/n.  Each basis costs one eigensystem, computed
-    only when it is requested.
+    The computational basis, then the eigenbases of X Z^t for t = 0, ..., n-1
+    in closed form (Wootters and Fields 1989): column m is v[j] = l^j
+    w^(-t j(j+1)/2) / sqrt(n), l the m-th n-th root of w^s, s = t n(n+1)/2 mod
+    n.  Phases stay integer counts of 1/n^2 turns until one ``exp``.  Each
+    basis is built only when requested.
     """
     if not is_prime(n):
         raise DomainError(f"{n} is not prime; this construction needs a prime dimension")
-    x, z = generalized_pauli(n)
     yield np.eye(n, dtype=complex)
-    zt = np.eye(n, dtype=complex)
-    for _ in range(n):
-        yield unitary_eigensystem(x @ zt)[1]
-        zt = zt @ z
+    j = np.arange(n)[:, None]
+    m = np.arange(n)
+    for t in range(n):
+        s = t * n * (n + 1) // 2 % n
+        # t j(j+1)/2 is reduced mod n first, so no int64 term grows past n^3
+        turns = (j * (s + n * m) - n * (t * (j * (j + 1) // 2) % n)) % (n * n)
+        yield np.exp(2j * np.pi * turns / (n * n)) / np.sqrt(n)
 
 
 def mub_prime(n: int) -> np.ndarray:
@@ -286,14 +288,17 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
       {"kind": "random_me_triple", "n": 3, "seed": 7}
       {"kind": "simdiag", "u": <matrix>}
       {"kind": "explicit", "states": [<state>...], "priors": [...]}
-    Priors are optional, numbers only, and refused on any other kind.
+    A descriptor with "states" but no "kind" is read as "explicit".  Priors
+    are optional, numbers only, and refused on any other kind.
     Matrix/state payload encodings live in :mod:`loccdisc.serial`.
     """
     from . import serial  # deferred: serial imports this module's types
 
     if not isinstance(descriptor, dict):
-        raise DomainError("ensemble descriptor must be a JSON object")
-    kind = descriptor.get("kind")
+        raise DomainError("ensemble payload must be a JSON object")
+    if "kind" not in descriptor and "states" not in descriptor:
+        raise DomainError("ensemble payload needs a 'kind' or a 'states' field")
+    kind = descriptor.get("kind", "explicit")
     try:
         if "priors" in descriptor and kind != "explicit":
             raise TypeError(f"priors apply to kind 'explicit' only, not {kind!r}")

@@ -236,12 +236,3 @@ def normal_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("matrix is not normal within tolerance; no orthonormal eigenbasis")
     return vals, q
 
-
-def unitary_eigensystem(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Eigensystem of a unitary matrix, eigenvalues projected onto the unit circle."""
-    m = as_matrix(matrix)
-    if not is_unitary(m):
-        raise DomainError("matrix is not unitary within tolerance")
-    vals, vecs = normal_eigensystem(m)
-    vals = vals / np.abs(vals)
-    return vals, vecs

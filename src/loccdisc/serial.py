@@ -88,14 +88,8 @@ def ensemble_to_json(ensemble: StateEnsemble) -> dict:
 
 
 def ensemble_from_json(data) -> StateEnsemble:
-    """Accepts a constructor descriptor ({"kind": ...}); {"states": ...} without a kind is read as "explicit"."""
-    if not isinstance(data, dict):
-        raise DomainError("ensemble payload must be a JSON object")
-    if "kind" in data:
-        return from_descriptor(data)
-    if "states" in data:
-        return from_descriptor({**data, "kind": "explicit"})
-    raise DomainError("ensemble payload needs a 'kind' or a 'states' field")
+    """Accepts a constructor descriptor, as :func:`~loccdisc.ensembles.from_descriptor` reads it."""
+    return from_descriptor(data)
 
 
 def povm_to_json(povm: locc.Povm) -> list:

@@ -13,8 +13,8 @@ basis it scans the default candidates itself.  It tests each candidate by
 that condition directly: all k(k-1)/2 pairwise products are formed by one
 stacked product, and a candidate is kept when every <b|B_i^dag B_j|b> over
 its columns and all pairs, computed in one stacked product, vanishes.  No
-eigensystem of a product is taken; a cheap normality test on the same stack
-keeps the construction to orthogonally diagonalizable products.
+eigensystem is taken (the prime-n candidates are closed-form MUBs); a cheap
+normality test on the same stack keeps the products orthogonally diagonalizable.
 ``pairwise_product_eigenbases`` and ``find_cub`` state the construction in
 terms of eigenbases and stay as its reference; a family of eigenbases is a
 plain read-only (pairs, n, n) array.  Likewise the three-qutrit phase solve,
@@ -26,8 +26,8 @@ derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
 :class:`~loccdisc.locc.OneWayProtocolSpec`, which lives in ``locc`` and is
 re-exported here.
 
-Synthesis outputs are validated at 1e-8 (they sit downstream of eigensolves,
-looser than the 1e-12 used for plain algebraic identities).
+Synthesis outputs are validated at 1e-8, looser than the 1e-12 used for plain
+algebraic identities.
 """
 
 from collections.abc import Iterator
@@ -44,7 +44,7 @@ from .ensembles import (
 )
 from .errors import DomainError, ToleranceError
 from .locc import OneWayProtocolSpec
-from .qstate import EIGEN_TOL, as_matrix, frozen_array, is_unitary, normal_eigensystem, unitary_eigensystem
+from .qstate import EIGEN_TOL, as_matrix, frozen_array, is_unitary, normal_eigensystem
 
 OMEGA = np.exp(2j * np.pi / 3)
 
@@ -63,8 +63,9 @@ def traceless_unitary_eigensystem(matrix) -> tuple[complex, np.ndarray]:
 
     A traceless 3x3 unitary has spectrum c * {1, w, w^2} for some unit c
     (w = exp(2 pi i/3)); c is only determined up to a factor of w, so the
-    eigenvalue closest to the positive real axis is chosen.  Returns (c, E)
-    with E's column i the eigenvector for c w^i, satisfying
+    eigenvalue closest to the positive real axis is chosen.  The input must be
+    unitary within 1e-10; eigenvalues are projected onto the unit circle.
+    Returns (c, E) with E's column i the eigenvector for c w^i, satisfying
     ``M = c sum_i w^i |e_i><e_i|`` to 1e-9.
     """
     m = as_matrix(matrix)
@@ -72,7 +73,10 @@ def traceless_unitary_eigensystem(matrix) -> tuple[complex, np.ndarray]:
         raise DomainError("expected a 3x3 matrix")
     if abs(np.trace(m)) > 1e-8:
         raise DomainError(f"matrix is not traceless (|tr| = {abs(np.trace(m)):.3e})")
-    vals, vecs = unitary_eigensystem(m)
+    if not is_unitary(m):
+        raise DomainError("matrix is not unitary within tolerance")
+    vals, vecs = normal_eigensystem(m)
+    vals = vals / np.abs(vals)
 
     angles = np.angle(vals)
     for i in range(3):
@@ -292,8 +296,8 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
 def default_cub_candidates(n: int) -> Iterator[np.ndarray]:
     """Candidate bases tried by :func:`synthesize_cub_protocol`, built lazily.
 
-    The MUB set for prime n (so a scan that stops early skips the remaining
-    eigensystems), else the Fourier basis alone.
+    The closed-form MUB set for prime n (so a scan that stops early never
+    builds the rest), else the Fourier basis alone.
     """
     if is_prime(n):
         return mub_prime_bases(n)

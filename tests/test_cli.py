@@ -248,12 +248,12 @@ class TestBoundsCommand:
 BYTE_PINS = {
     "bell-subset-n5": (
         lambda: {"kind": "bell_subset", "n": 5, "labels": [[0, 0], [1, 0], [0, 1]]},
-        "acfbeccbadd491af3f831e941e6b015d6b953770ef266aba5b5e5a81dd9be09c",
+        "e3947035ef2b3ce3b28329699b100565a912bef76548289ea0a3b2b3f95715fb",
         "01d8b6c501124fb8e9d4d5c3eeb7d067823806b4cdb7ab8cf8797c4e12494ed7",
     ),
     "bell-subset-n17": (
         lambda: {"kind": "bell_subset", "n": 17, "labels": [[0, 0], [1, 0], [0, 1], [2, 3], [5, 7], [11, 13]]},
-        "e8e15c9ee54ff7408fb99baa29997eaba9ad9d1c67a4c44aa7903a1a871fe952",
+        "51cd6565257018865f185f40aee34040fd8cdabb3e4ec2faad18669568b23781",
         "24cbe3805f8cbb52526f58d3125472f353deb7c9ec6f0ce6770b4491a6ea80ef",
     ),
     "simdiag-n8": (
@@ -471,6 +471,10 @@ class TestOutputBoundary:
             '{"kind":"explicit","states":[{"dim_a":1,"dim_b":1,"amplitudes":[[true,0]]}]}',
             '{"kind":"bell","n":2,"priors":[0.7,0.1,0.1,0.1]}',
             OVERFLOW_DESCRIPTOR,
+            # numpy refuses each first allocation (over a PiB) at once, before touching memory
+            '{"kind":"bell","n":10000000}',
+            '{"kind":"bell_subset","n":10000000,"labels":[[0,0]]}',
+            '{"kind":"random_me_triple","n":10000000,"seed":1}',
         ],
     )
     def test_bad_descriptors_exit_2(self, capsys, descriptor):

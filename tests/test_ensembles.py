@@ -23,7 +23,7 @@ from loccdisc.ensembles import (
     mub_prime,
     mub_prime_bases,
 )
-from loccdisc.qstate import generalized_pauli, unitary_eigensystem
+from loccdisc.qstate import generalized_pauli, normal_eigensystem
 
 from conftest import random_state
 
@@ -100,6 +100,14 @@ class TestMubPrime:
             with pytest.raises(DomainError):
                 mub_prime(n)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 11, 13, 17, 19])
+    def test_member_diagonalizes_x_z_power(self, n):
+        # member t + 1 is an eigenbasis of X Z^t, in that order
+        fam = mub_prime(n)
+        for t in range(n):
+            d = fam[t + 1].conj().T @ bell_unitary(n, 1, t) @ fam[t + 1]
+            assert np.max(np.abs(d - np.diag(np.diag(d)))) <= 1e-13
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_pauli_power_eigenbases_stay_in_family(self, n):
         # eigenbasis of every nonidentity X^a Z^b matches one member up to
@@ -109,7 +117,7 @@ class TestMubPrime:
             for b in range(n):
                 if (a, b) == (0, 0):
                     continue
-                _, vecs = unitary_eigensystem(bell_unitary(n, a, b))
+                _, vecs = normal_eigensystem(bell_unitary(n, a, b))
                 matched = False
                 for member in fam:
                     ov = np.abs(member.conj().T @ vecs)

@@ -841,11 +841,11 @@ class TestEvaluatorGolden:
         "three-qutrit-seed3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "882a8de56f9a354f"),
         "three-qutrit-seed4": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "467a4c3c1f9588d1"),
         "three-qutrit-bell-triple": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "f032d51b79c8b066"),
-        "cub-3-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "459fb1c8353a72e2"),
+        "cub-3-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "d29fa5840a6d3f99"),
         "cub-3-k2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "be4b678cf0e0b001"),
-        "cub-5-k3": ("0x1.ffffffffffffep-1", "0x1.95c01a39fbd68p+0", "cc38247a20a00176"),
+        "cub-5-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "400712786ad705aa"),
         "cub-5-k2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "c01a7466e4cfcbbf"),
-        "cub-7-k4": ("0x1.ffffffffffffep-1", "0x1.0000000000000p+1", "7385df721b28a622"),
+        "cub-7-k4": ("0x1.ffffffffffffdp-1", "0x1.fffffffffffffp+0", "600f108b11565aea"),
         "cub-7-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd66p+0", "0a6d80f7640960b3"),
         "discard-bell2-keep2of3": ("0x1.5555555555555p-1", "0x1.d62adf1ea257ap-1", "8995c31f80094091"),
         "discard-bell2-keep2of4": ("0x1.0000000000000p-1", "0x1.fffffffffffffp-1", "388b7e630cf37199"),

@@ -13,7 +13,7 @@ from loccdisc import (
     state_from_matrix,
     transpose_identity_check,
 )
-from loccdisc.qstate import normal_eigensystem, schmidt, unitary_eigensystem
+from loccdisc.qstate import normal_eigensystem, schmidt
 
 from conftest import random_state
 
@@ -198,23 +198,9 @@ class TestPredicatesAndEigensystems:
         assert not is_unitary(2 * np.eye(3))
         assert not is_unitary(np.ones((2, 3)))
 
-    def test_unitary_eigensystem_reconstructs(self, rng):
-        from loccdisc import haar_unitary
-
-        for _ in range(20):
-            u = haar_unitary(4, rng)
-            vals, vecs = unitary_eigensystem(u)
-            np.testing.assert_allclose(np.abs(vals), 1.0, atol=1e-14)
-            recon = vecs @ np.diag(vals) @ vecs.conj().T
-            np.testing.assert_allclose(recon, u, atol=1e-10)
-
     def test_normal_eigensystem_rejects_jordan_block(self):
         with pytest.raises(DomainError):
             normal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_unitary_eigensystem_rejects_nonunitary(self):
-        with pytest.raises(DomainError):
-            unitary_eigensystem(np.diag([1.0, 2.0]))
 
 
 def _assert_eigensystem(m, vals, vecs):

@@ -78,6 +78,11 @@ class TestTracelessEigensystem:
         with pytest.raises(DomainError):
             traceless_unitary_eigensystem(np.diag([1.0, 1.0, -2.0]))
 
+    def test_rejects_nonunitary_distinct_moduli(self):
+        # traceless, and refused by the unitarity check before any eigensolve
+        with pytest.raises(DomainError, match="not unitary"):
+            traceless_unitary_eigensystem(np.diag([1.0, 2.0, -3.0]))
+
     def test_rejects_wrong_shape(self):
         with pytest.raises(DomainError):
             traceless_unitary_eigensystem(np.diag([1.0, -1.0]))
@@ -279,21 +284,14 @@ class TestFindCub:
         assert len(list(default_cub_candidates(4))) == 1
 
     def test_default_candidates_built_lazily(self, monkeypatch):
-        from loccdisc import ensembles
+        def no_eig(m):
+            raise AssertionError("the candidate scan runs no eigensolver")
 
-        calls = []
-        original = ensembles.unitary_eigensystem
-
-        def counting(m):
-            calls.append(m.shape)
-            return original(m)
-
-        monkeypatch.setattr(ensembles, "unitary_eigensystem", counting)
-        candidates = default_cub_candidates(17)
-        np.testing.assert_array_equal(next(candidates), np.eye(17))
-        assert calls == []
-        next(candidates)
-        assert len(calls) == 1
+        monkeypatch.setattr(np.linalg, "eig", no_eig)
+        for n in (2, 3, 5, 7, 11, 13, 17, 19):
+            candidates = default_cub_candidates(n)
+            np.testing.assert_array_equal(next(candidates), np.eye(n))
+            assert len(list(candidates)) == n
         # the lazy scan yields the bases of mub_prime in the same order
         for lazy, eager in zip(default_cub_candidates(5), mub_prime(5), strict=True):
             np.testing.assert_array_equal(lazy, eager)
