@@ -29,6 +29,25 @@ fixed row count, so it draws in the node-by-node order.  Both walks group
 a node's children, stack a run's operators and take squared magnitudes
 through shared helpers.
 
+Computational-basis measurements and identity rounds stack the identity
+(:attr:`Povm.is_identity`).  A step whose run shares one such POVM takes
+its input as the product, a view with no copy and no matmul.  The bits are
+the product's: each entry of a product with a 0/1 row is 1 x plus exact
+zeros, so it equals x up to the sign of a zero, which the squares drop;
+and the sums over the summed-away axis run in the product's order.  The
+sampler's inputs (the amplitude stack, or rows it gathered) are
+C-contiguous, laid out as its products are.  The evaluator's input is a
+slice of the parent's product.  For Bob its summed axis (Alice's
+coordinates) is innermost, as in the product, so numpy sums it pairwise
+alike; for Alice it is an outer axis, summed in sequence in both, while
+Alice's coordinates are innermost.  With one Alice coordinate left the
+product's summed axis becomes innermost, summed pairwise, while a view of
+a Bob parent's product, whose states are innermost, would sum it in
+sequence, so such a step keeps the product.  A view aliases memory the
+step does not own (the parent's product, the ensemble's read-only stacks),
+so in both walks it is squared out of place.  Dense POVMs, and runs that
+stack distinct POVM objects, keep the product.
+
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
 representation of such a protocol; :func:`one_way_protocol` derives Bob's
@@ -129,6 +148,14 @@ class Povm:
     @property
     def input_dim(self) -> int:
         return self.stacked.shape[1]
+
+    @cached_property
+    def is_identity(self) -> bool:
+        """Whether ``stacked`` is the identity, so a walk step may take its input as the product.
+
+        Found on first use, so a POVM that no walk steps on pays nothing.
+        """
+        return np.array_equal(self.stacked, np.eye(self.input_dim))
 
     def completeness_defect(self) -> float:
         gram = self.stacked.conj().T @ self.stacked
@@ -464,6 +491,10 @@ def _collect_leaves(run, y, prefixes, paths, guesses, blocks):
     is viewed with the states leading, so squares that must leave it
     intact go in blocks of states (:func:`_squared_norms`).
 
+    A run that shares an identity POVM takes the reshaped Y itself as its
+    product, but for Alice with one coordinate (c = 1); the module
+    docstring says why the bits hold.
+
     Of the :func:`_child_groups`, each group of leaves gives one block,
     sliced from the weights of the step's whole product (a squared slice
     would sum in another order, so other last bits), and each group of
@@ -475,17 +506,24 @@ def _collect_leaves(run, y, prefixes, paths, guesses, blocks):
     m, k, node = len(run), y.shape[0], run[0]
     stack, children = _run_stack(run), node.children
     alice = node.actor == ALICE
+    view = stack is node.povm.stacked and node.povm.is_identity and not (alice and y.shape[2] == 1)
     if alice:  # Y_j S_j^T on each (k e, c) block: (k, m, e, rows) over memory (m, k, e, rows)
         e = y.shape[1] // m
-        z = y.reshape(k, m, e, -1).transpose(1, 0, 2, 3).reshape(m, k * e, -1) @ np.swapaxes(stack, -1, -2)
-        z = z.reshape(m, k, e, -1).transpose(1, 0, 2, 3)
+        z = y.reshape(k, m, e, -1)
+        if not view:
+            z = z.transpose(1, 0, 2, 3).reshape(m, k * e, -1) @ np.swapaxes(stack, -1, -2)
+            z = z.reshape(m, k, e, -1).transpose(1, 0, 2, 3)
     else:  # S_j Y_j on each (r, k e) block, as a 3-D matmul over the k matrices would loop: (k, m, rows, e)
         e = y.shape[2] // m
-        z = stack @ y.reshape(k, -1, m, e).transpose(2, 1, 0, 3).reshape(m, -1, k * e)
-        z = z.reshape(m, -1, k, e).transpose(2, 0, 1, 3)
+        z = y.reshape(k, -1, m, e)
+        if view:
+            z = z.transpose(0, 2, 1, 3)
+        else:
+            z = stack @ z.transpose(2, 1, 0, 3).reshape(m, -1, k * e)
+            z = z.reshape(m, -1, k, e).transpose(2, 0, 1, 3)
     is_leaf = [isinstance(child, Leaf) for child in children]
     if any(is_leaf):
-        w = _squared_norms(z, 2 if alice else 3, in_place=all(is_leaf)).transpose(1, 2, 0)
+        w = _squared_norms(z, 2 if alice else 3, in_place=all(is_leaf) and not view).transpose(1, 2, 0)
         if w.shape[1] != len(children):
             w = np.add.reduceat(w, node.povm.offsets, axis=1)
     runs = []
@@ -631,6 +669,8 @@ def _sample(run, ops, guesses, y, labels, counts, which, rng) -> int:
     outcome has one row), splits every row's trials by one multinomial draw
     and scores the draws landing on leaves in one masked sum.  Leaves draw
     nothing, so node-major rows draw in the order node-by-node steps would.
+    A step with one identity POVM (2-D ``ops``) takes ``y`` itself as its
+    product (see the module docstring).
 
     A lone node's children are grouped by :func:`_child_groups`, as in the
     evaluator.  Each group of nodes takes the (state, node) rows that drew
@@ -642,15 +682,18 @@ def _sample(run, ops, guesses, y, labels, counts, which, rng) -> int:
     """
     node = run[0]
     alice = node.actor == ALICE
+    view = ops.ndim == 2 and node.povm.is_identity
     if ops.ndim == 3:  # nodes of distinct POVMs: each row takes its node's operators
         ops = ops[which]
         z = ops @ y if alice else y @ ops.transpose(0, 2, 1)
+    elif view:
+        z = y
     elif alice:
         z = ops @ y
     else:  # reshaped to one 2-D product: a 3-D matmul would loop over the rows' matrices
         z = (y.reshape(-1, y.shape[2]) @ ops.T).reshape(*y.shape[:2], -1)
     inner = not all(isinstance(child, Leaf) for child in node.children)
-    probs = _squared_norms(z, 2 if alice else 1, in_place=not inner)
+    probs = _squared_norms(z, 2 if alice else 1, in_place=not inner and not view)
     if probs.shape[1] != guesses.shape[1]:  # not one row per outcome
         probs = np.add.reduceat(probs, node.povm.offsets, axis=1)
     probs /= probs.sum(axis=1, keepdims=True)

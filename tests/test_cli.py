@@ -16,7 +16,10 @@ from hypothesis import strategies as st
 from loccdisc import bell_subset, standard_bell_protocol, synthesize_three_qutrit_protocol
 from loccdisc.cli import main
 from loccdisc.ensembles import fourier_matrix, haar_unitary
-from loccdisc.serial import matrix_to_json, one_way_spec_to_json, protocol_to_json
+from loccdisc.library import build_library
+from loccdisc.serial import ensemble_to_json, matrix_to_json, one_way_spec_to_json, protocol_to_json
+
+from conftest import refined_bell_protocol
 
 
 def _run(capsys, *argv):
@@ -264,6 +267,34 @@ BYTE_PINS = {
 }
 
 
+def _library_case(name):
+    entry = next(entry for entry in build_library() if entry.name == name)
+    return protocol_to_json(entry.protocol), ensemble_to_json(entry.ensemble)
+
+
+# sha256 of stdout of `evaluate` and of `simulate --trials 10000 --seed 7`, recorded
+# from the walks that multiplied every POVM in: a parsed tree gives each node its own
+# POVM, so the identity roots take the view of their input and the Bob runs (distinct
+# POVM objects) the product.  ``cub-5-k3`` measures dense bases throughout.
+WALK_PINS = {
+    "std-4": (
+        lambda: (protocol_to_json(standard_bell_protocol(4)), {"kind": "bell", "n": 4}),
+        "f805234be47b19a4c7a60f29303399b445cabb1543692f75265ba3306e23039c",
+        "c449576acbdebae2a5672632cd70ec3bbea6ed2f03f0fc951cb4d1e5209e2215",
+    ),
+    "refined-4": (
+        lambda: (protocol_to_json(refined_bell_protocol(4)), {"kind": "bell", "n": 4}),
+        "386b7c0fe845cc8a6328fce157f41b5caa2fc85d8fcd24de2819612521dcdf77",
+        "f057e43c22b91f46832eaf8aec3ca00f94a891fb67fcd46e1f905ea5a2d35adf",
+    ),
+    "cub-5-k3": (
+        lambda: _library_case("cub-5-k3"),
+        "742d7b6115a301fc357c303afb50a9e5f8f72cfdda5080a3857f049e8ea147a3",
+        "df93d567386c64cb696dcae174d28a69082e687870db73a21dbaf8e61dfd7644",
+    ),
+}
+
+
 class TestBytePins:
     @pytest.mark.parametrize("name", sorted(BYTE_PINS))
     def test_synthesize_and_bounds_stdout(self, capsys, name):
@@ -274,6 +305,18 @@ class TestBytePins:
             (("bounds",), bounds_digest),
         ):
             code, out, err = _run(capsys, *argv, "--ensemble", ensemble)
+            assert code == 0, err
+            assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(WALK_PINS))
+    def test_evaluate_and_simulate_stdout(self, capsys, name):
+        case, eval_digest, sim_digest = WALK_PINS[name]
+        protocol, ensemble = (json.dumps(doc) for doc in case())
+        for argv, digest in (
+            (("evaluate",), eval_digest),
+            (("simulate", "--trials", "10000", "--seed", "7"), sim_digest),
+        ):
+            code, out, err = _run(capsys, *argv, "--protocol", protocol, "--ensemble", ensemble)
             assert code == 0, err
             assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -28,6 +28,7 @@ from loccdisc import (
 )
 from loccdisc import locc, serial
 from loccdisc.bounds import VERDICT_POSSIBLE, verdict
+from loccdisc.ensembles import haar_unitary
 from loccdisc.library import build_library
 from loccdisc.locc import (
     ALICE,
@@ -554,6 +555,170 @@ class TestSquaredNorms:
         assert np.ascontiguousarray(locc._squared_norms(z, axis, in_place=False)).tobytes() == expected.tobytes()
         assert z.tobytes() == before.tobytes()
         assert np.ascontiguousarray(locc._squared_norms(z, axis, in_place=True)).tobytes() == expected.tobytes()
+
+
+def _spy_views(monkeypatch):
+    """Record, per walk step that squares its product, the walk and whether the product views the step's input."""
+    inputs, kinds = [], []
+
+    def spy(name, step, at):
+        def wrapped(*args):
+            inputs.append(args[at])
+            try:
+                return step(*args)
+            finally:
+                inputs.pop()
+
+        monkeypatch.setattr(locc, name, wrapped)
+
+    def squares(z, axis, in_place):
+        kinds.append("view" if np.shares_memory(z, inputs[-1]) else "product")
+        return squared_norms(z, axis, in_place)
+
+    squared_norms = locc._squared_norms
+    spy("_collect_leaves", locc._collect_leaves, 1)
+    spy("_sample", locc._sample, 3)
+    monkeypatch.setattr(locc, "_squared_norms", squares)
+    return kinds
+
+
+def _no_views(monkeypatch):
+    monkeypatch.setattr(Povm, "is_identity", property(lambda povm: False))
+
+
+def _walk_outputs(protocol, ens):
+    """Every bit ``evaluate`` and ``simulate`` (three seeds) report: ``float.hex`` of the values, the joint rows."""
+    res = evaluate(protocol, ens)
+    rows = [(v, path, g, p.hex()) for v, path, g, p in res.joint]
+    values = [res.success_probability.hex(), res.mutual_information_bits.hex(), *(x.hex() for x in res.per_state_success)]
+    return values, rows, [simulate(protocol, ens, trials=20_000, seed=s) for s in range(3)]
+
+
+def _identity_tree(name):
+    """A seeded 3 x 3 tree whose POVMs include identities, with guesses below 5."""
+    rng = np.random.default_rng(list(IDENTITY_TREES).index(name))
+    eye = np.eye(3, dtype=complex)
+
+    def leaves(actor, povm):
+        return ProtocolNode(actor, povm, tuple(Leaf(int(g)) for g in rng.integers(5, size=len(povm.elements))))
+
+    def haar():
+        return projective_povm(np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0])
+
+    if name == "padded-coarse-split":
+        # in-order blocks of ranks 2 and 1 stack the identity; Alice then holds C^2 or C^1
+        rank2 = ProtocolNode(BOB, projective_povm(eye), tuple(leaves(ALICE, projective_povm(np.eye(2))) for _ in range(3)))
+        root = ProtocolNode(ALICE, Povm((eye[:2], eye[2:])), (rank2, leaves(BOB, haar())))
+        return _pad_with_identity_rounds(LoccProtocol(3, 3, root))
+    if name == "identity-over-dense":
+        shared = haar()
+        root = ProtocolNode(ALICE, projective_povm(eye), (leaves(BOB, haar()), leaves(BOB, shared), leaves(BOB, shared)))
+    elif name == "dense-over-identity":
+        shared = projective_povm(eye)  # one POVM object, so the three Bob nodes step as one run
+        root = ProtocolNode(ALICE, haar(), tuple(leaves(BOB, shared) for _ in range(3)))
+    elif name == "std-3":
+        return standard_bell_protocol(3)
+    elif name == "refined-3":
+        return refined_bell_protocol(3)
+    else:  # padded-blind: a trivial round on every path
+        return _pad_with_identity_rounds(blind_guess_protocol(3, 3, 1))
+    return LoccProtocol(3, 3, root)
+
+
+# The products the squared steps of each ``_identity_tree`` take.  Dense rounds take the
+# product, and so does a padded Alice round left with one coordinate.
+IDENTITY_TREES = {
+    "padded-coarse-split": {"view", "product"},
+    "identity-over-dense": {"view", "product"},
+    "dense-over-identity": {"view", "product"},
+    "std-3": {"view"},
+    "refined-3": {"view"},
+    "padded-blind": {"view"},
+}
+
+
+def _skewed_ensemble(seed, dim_a=3, dim_b=3, k=9):
+    """Seeded random states, priors 4^-i in seeded order with two of them zero, so the sampler's root copies its live rows."""
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal((k, dim_a * dim_b)) + 1j * rng.standard_normal((k, dim_a * dim_b))
+    priors = 4.0 ** -rng.permutation(k)
+    priors[rng.choice(k, size=2, replace=False)] = 0.0
+    return StateEnsemble(tuple(BipartiteState(dim_a, dim_b, a / np.linalg.norm(a)) for a in amps), priors / priors.sum())
+
+
+class TestIdentityViewSteps:
+    """A step on an identity POVM views its input, bit for bit the product."""
+
+    @pytest.mark.parametrize("ens_name", ["bell-3", "skewed-0", "skewed-1"])
+    @pytest.mark.parametrize("name", list(IDENTITY_TREES))
+    def test_equals_product(self, name, ens_name, monkeypatch):
+        ens = bell_basis(3) if ens_name == "bell-3" else _skewed_ensemble(int(ens_name[-1]))
+        protocol = _identity_tree(name)
+        kinds = _spy_views(monkeypatch)
+        fast = _walk_outputs(protocol, ens)
+        assert set(kinds) == IDENTITY_TREES[name]
+        _no_views(monkeypatch)
+        assert _walk_outputs(protocol, ens) == fast
+
+    @pytest.mark.parametrize("dim_b", [3, 8, 16])
+    def test_one_alice_coordinate_under_dense_bob(self, dim_b, monkeypatch):
+        # Bob's product leaves the states innermost in memory, so a view of it would sum
+        # Bob's coordinates in sequence where the product sums them pairwise (other bits from 8 on)
+        ens = _skewed_ensemble(dim_b, dim_a=2, dim_b=dim_b)
+        u = Povm((haar_unitary(dim_b, np.random.default_rng(dim_b)),))
+        bob = [ProtocolNode(BOB, u, (ProtocolNode(ALICE, identity_round(1), (Leaf(g),)),)) for g in (3, 5)]
+        protocol = LoccProtocol(2, dim_b, ProtocolNode(ALICE, projective_povm(np.eye(2)), tuple(bob)))
+        kinds = _spy_views(monkeypatch)
+        evaluate(protocol, ens)
+        assert kinds == ["product", "product"]
+        fast = _walk_outputs(protocol, ens)
+        _no_views(monkeypatch)
+        assert _walk_outputs(protocol, ens) == fast
+
+    @pytest.mark.parametrize("actor", [ALICE, BOB])
+    @pytest.mark.parametrize("povm", ["one-outcome", "projective"])
+    @pytest.mark.parametrize("priors", ["all-live", "zero-prior"])
+    def test_identity_root_leaves_inputs_alone(self, actor, povm, priors, monkeypatch):
+        # the evaluator's root step views the ensemble's read-only B stack, and with every state
+        # live the sampler's views its amplitude stack: an in-place square there would raise
+        ens = _skewed_ensemble(2, dim_a=2, dim_b=3, k=4)
+        if priors == "all-live":
+            ens = StateEnsemble(ens.states, np.full(4, 0.25))
+            assert all(np.random.default_rng(s).multinomial(20_000, ens.priors).all() for s in range(3))
+        dim = ens.dim_a if actor == ALICE else ens.dim_b
+        op = identity_round(dim) if povm == "one-outcome" else projective_povm(np.eye(dim))
+        protocol = LoccProtocol(2, 3, ProtocolNode(actor, op, tuple(Leaf(g % 4) for g in range(len(op.elements)))))
+        stacks = ens.b_matrices(), ens.amplitude_matrices()
+        before = [s.tobytes() for s in stacks]
+        kinds = _spy_views(monkeypatch)
+        fast = _walk_outputs(protocol, ens)
+        assert set(kinds) == {"view"}
+        assert [s.tobytes() for s in stacks] == before and not any(s.flags.writeable for s in stacks)
+        _no_views(monkeypatch)
+        assert _walk_outputs(protocol, ens) == fast
+
+
+class TestIdentityRule:
+    """``Povm.is_identity``: whether the stacked rows are the identity's, in order."""
+
+    @pytest.mark.parametrize(
+        "elements, expected",
+        [
+            pytest.param(lambda eye, rng: (eye,), True, id="eye"),
+            pytest.param(lambda eye, rng: tuple(eye[:, None, :]), True, id="eye-projective"),
+            pytest.param(lambda eye, rng: (eye[:2], eye[2:]), True, id="coarse-in-order"),
+            pytest.param(lambda eye, rng: tuple(eye[[2, 0, 3, 1]][:, None, :]), False, id="permutation"),
+            pytest.param(lambda eye, rng: (eye[[3]], eye[[0, 2]], eye[[1]]), False, id="coarse-blocks"),
+            pytest.param(lambda eye, rng: projective_povm(haar_unitary(4, rng)).elements, False, id="haar"),
+            pytest.param(lambda eye, rng: (np.diag([2.0, 1.0, 1.0, 1.0]),), False, id="entry-2"),
+            pytest.param(lambda eye, rng: (np.diag([1.0, -1.0, 1.0, 1.0]),), False, id="entry-minus-1"),
+            pytest.param(lambda eye, rng: (np.diag([1.0, 1j, 1.0, 1.0]),), False, id="entry-1j"),
+            pytest.param(lambda eye, rng: (eye[:1], np.zeros((1, 4)), eye[1:]), False, id="zero-row"),
+        ],
+    )
+    def test_identity_rows_in_order(self, elements, expected, rng):
+        povm = Povm(elements(np.eye(4, dtype=complex), rng))
+        assert povm.is_identity is expected
 
 
 class TestSimulate:
