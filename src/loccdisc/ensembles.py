@@ -235,7 +235,7 @@ def common_unbiased_basis_check(candidate, family) -> bool:
     return bool(np.all(np.abs(overlaps - 1.0 / n) <= EIGEN_TOL))
 
 
-def haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(n: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, R-diagonal phases absorbed."""
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)

@@ -50,9 +50,11 @@ stack distinct POVM objects, keep the product.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
-representation of such a protocol; :func:`one_way_protocol` derives Bob's
-vectors from the states and :meth:`OneWayProtocolSpec.as_protocol` expands a
+representation of such a protocol; it stores Bob's vectors once, as one
+zero-padded array.  :func:`one_way_protocol` derives all of them from the
+states in one product, and :meth:`OneWayProtocolSpec.as_protocol` expands a
 spec into a tree, each round's :class:`Povm` built from one stacked array.
+One batched complete QR, :func:`_completed_bases`, completes every basis.
 The two-state separator deflates a traceless matrix one zero-value vector
 at a time; each step scans the diagonal's segments, then its triangles in
 blocks of equal first index up to the first hit, and rotates only the 2 or
@@ -274,26 +276,24 @@ def identity_round(dim: int) -> Povm:
     return Povm((np.eye(dim, dtype=complex),))
 
 
-def orthonormal_completion(vectors, dim: int) -> np.ndarray:
-    """Extend near-orthonormal vectors to an exactly orthonormal basis of C^dim.
+def _completed_bases(rows, counts) -> np.ndarray:
+    """Per block x of the (blocks, width, dim) stack ``rows``, an orthonormal basis of C^dim, column-wise.
 
-    A complete QR factorization tightens the given vectors (phases fixed so
-    columns track the inputs) and supplies the complement, so the assembled
-    basis is orthonormal to machine precision.
+    Block x holds counts[x] near-orthonormal vectors as its first rows, then
+    zero rows.  One batched complete QR tightens them, each phase fixed so
+    the columns track the inputs, and supplies the complement, so each basis
+    is orthonormal to machine precision.  A zero row adds an identity
+    reflector, so the padding does not change a block's basis, and an empty
+    block gives exactly the identity.
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
-    if not vecs:
-        return np.eye(dim, dtype=complex)
-    v = np.column_stack(vecs)
-    if v.shape[0] != dim:
-        raise DomainError("vector length does not match dimension")
-    if v.shape[1] > dim:
-        raise DomainError("more vectors than the dimension allows")
-    q, r = np.linalg.qr(v, mode="complete")
-    d = np.diag(r)
-    if np.any(np.abs(d) < 1e-6):
+    width = rows.shape[1]
+    q, r = np.linalg.qr(rows.transpose(0, 2, 1), mode="complete")
+    d = np.diagonal(r, axis1=1, axis2=2)
+    real = np.arange(width) < np.asarray(counts)[:, None]
+    if np.any(real & (np.abs(d) < 1e-6)):
         raise DomainError("vectors are numerically dependent")
-    q[:, : d.size] *= d / np.abs(d)
+    phase = d / np.where(real, np.abs(d), 1.0)
+    np.multiply(q[:, :, :width], phase[:, None, :], out=q[:, :, :width], where=real[:, None, :])
     return q
 
 
@@ -303,24 +303,40 @@ class OneWayProtocolSpec:
 
     ``alice_basis`` columns are the vectors Alice projects onto;
     ``bob_discriminators[x]`` holds (label, unit vector) pairs that are
-    pairwise orthogonal within the synthesis tolerance.
+    pairwise orthogonal within the synthesis tolerance.  The vectors are
+    stored once, in the read-only (outcomes, largest group, dim_b) array
+    ``_bob``: group x fills its first rows and zeros the rest, and the pairs
+    hold views of those rows.  dim_b is the vectors' common length (dim_a
+    when every group is empty), and no group has more than dim_b vectors.
     """
 
     alice_basis: np.ndarray
     bob_discriminators: tuple
+    _bob: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ab = frozen_array(as_matrix(self.alice_basis))
         if not is_unitary(ab, 1e-10):
             raise DomainError("Alice basis is not orthonormal")
-        if len(self.bob_discriminators) != ab.shape[1]:
+        groups = self.bob_discriminators
+        if len(groups) != ab.shape[1]:
             raise DomainError("need one Bob group per Alice outcome")
-        groups = tuple(
-            tuple((as_int(lab, "label"), frozen_array(np.asarray(v, dtype=complex).reshape(-1))) for lab, v in group)
-            for group in self.bob_discriminators
-        )
+        labels = [[as_int(lab, "label") for lab, _ in group] for group in groups]
+        vecs = [np.asarray(v, dtype=complex).reshape(-1) for group in groups for _, v in group]
+        sizes = [len(group) for group in groups]
+        width = max(sizes)
+        db = vecs[0].size if vecs else ab.shape[0]
+        if width > db:
+            raise DomainError("more vectors than the dimension allows")
+        if any(v.size != db for v in vecs):
+            raise DomainError("vector length does not match dimension")
+        bob = np.zeros((len(groups), width, db), dtype=complex)
+        if vecs:
+            bob[np.arange(width) < np.array(sizes)[:, None]] = vecs
+        bob.setflags(write=False)
         object.__setattr__(self, "alice_basis", ab)
-        object.__setattr__(self, "bob_discriminators", groups)
+        object.__setattr__(self, "bob_discriminators", tuple(tuple(zip(labs, rows)) for labs, rows in zip(labels, bob)))
+        object.__setattr__(self, "_bob", bob)
 
     @property
     def dim_a(self) -> int:
@@ -328,54 +344,37 @@ class OneWayProtocolSpec:
 
     @property
     def dim_b(self) -> int:
-        for group in self.bob_discriminators:
-            for _, v in group:
-                return v.size
-        return self.dim_a
+        return self._bob.shape[2]
 
     def max_bob_overlap(self) -> float:
-        """Largest |<v_i|v_j>| over distinct labeled vectors of one outcome."""
-        worst = 0.0
-        for group in self.bob_discriminators:
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    worst = max(worst, abs(np.vdot(group[i][1], group[j][1])))
-        return worst
+        """Largest |<v_i|v_j>| over distinct labeled vectors of one outcome.
+
+        Every pair's inner product comes from one product of vector-shaped
+        operands and its magnitude from ``np.hypot``: bit for bit
+        ``abs(np.vdot(v_i, v_j))``, which ``np.abs`` on an array is not.
+        Pairs with a padding row give 0.
+        """
+        x = np.arange(self._bob.shape[1])
+        i, j = np.nonzero(x[:, None] < x)  # np.triu_indices(width, 1), at a fraction of its cost
+        dots = self._bob[:, i, None].conj() @ self._bob[:, j, :, None]
+        return float(np.hypot(dots.real, dots.imag).max(initial=0.0))
 
     def as_protocol(self) -> LoccProtocol:
         """Expand into an explicit two-round protocol tree.
 
-        Each outcome's Bob vectors are completed to a full basis; completion
-        outcomes guess ``COMPLETION_GUESS``.  The groups are zero-padded to one
-        (outcomes, dim_b, largest group) stack and completed by one batched
-        complete QR; a zero column adds an identity reflector, so each
-        outcome's basis is the one :func:`orthonormal_completion` gives, and
-        an empty group gives exactly the identity.  Each Bob round is a
-        :class:`Povm` built from its outcome's conjugated basis in one piece,
-        and equal labels share one :class:`Leaf`.
+        Each outcome's Bob vectors are completed to a full basis by
+        :func:`_completed_bases`; completion outcomes guess
+        ``COMPLETION_GUESS``.  Each Bob round is a :class:`Povm` built from
+        its outcome's conjugated basis in one piece, and equal labels share
+        one :class:`Leaf`.
         """
         groups, db = self.bob_discriminators, self.dim_b
-        width = max(len(group) for group in groups)
-        if width > db:
-            raise DomainError("more vectors than the dimension allows")
-        v = np.zeros((len(groups), db, width), dtype=complex)
-        for x, group in enumerate(groups):
-            for j, (_, vec) in enumerate(group):
-                if vec.size != db:
-                    raise DomainError("vector length does not match dimension")
-                v[x, :, j] = vec
-        q, r = np.linalg.qr(v, mode="complete")
-        d = np.diagonal(r, axis1=1, axis2=2)
-        real = np.arange(width) < np.array([len(group) for group in groups])[:, None]
-        if np.any(real & (np.abs(d) < 1e-6)):
-            raise DomainError("vectors are numerically dependent")
-        # phases fixed (columns track the inputs) on each group's real columns only
-        phase = d / np.where(real, np.abs(d), 1.0)
-        np.multiply(q[:, :, :width], phase[:, None, :], out=q[:, :, :width], where=real[:, None, :])
-        leaf = {lab: Leaf(lab) for lab in {COMPLETION_GUESS, *(lab for group in groups for lab, _ in group)}}
+        q = _completed_bases(self._bob, [len(group) for group in groups])
+        labels = [next(zip(*group), ()) for group in groups]  # each group's labels, one tuple
+        leaf = {lab: Leaf(lab) for lab in {COMPLETION_GUESS}.union(*labels)}
         children = tuple(
-            ProtocolNode(BOB, Povm(rows), tuple(leaf[lab] for lab, _ in group) + (leaf[COMPLETION_GUESS],) * (db - len(group)))
-            for rows, group in zip(q.conj().transpose(0, 2, 1)[:, :, None, :], groups)
+            ProtocolNode(BOB, Povm(rows), tuple(map(leaf.get, labs)) + (leaf[COMPLETION_GUESS],) * (db - len(labs)))
+            for rows, labs in zip(q.conj().transpose(0, 2, 1)[:, :, None, :], labels)
         )
         root = ProtocolNode(ALICE, projective_povm(self.alice_basis), children)
         return LoccProtocol(self.dim_a, db, root)
@@ -389,20 +388,20 @@ def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
     vector is normalized and labeled i, or dropped when its norm is at most
     1e-12 because state i cannot produce outcome x.  The spec separates the
     states perfectly exactly when every outcome's vectors are orthogonal.
+    All vectors come from one matrix-vector product and all norms from one
+    product of vector-shaped operands on the real and imaginary parts: bit
+    for bit each B_i's own ``B_i @ conj(c_x)`` and ``np.linalg.norm``.
     """
     ab = as_matrix(alice_basis)
-    b = [psi.b_matrix for psi in states]
-    groups = []
-    for col in ab.conj().T.copy():  # row x is conj(c_x)
-        group = []
-        for label, bi in enumerate(b):
-            v = bi @ col
-            # np.linalg.norm(v) bit for bit, without its per-call dispatch
-            nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))
-            if nrm > 1e-12:
-                group.append((label, v / nrm))
-        groups.append(tuple(group))
-    return OneWayProtocolSpec(ab, tuple(groups))
+    amps = np.array([psi.amplitude_matrix for psi in states])
+    b = np.sqrt(amps.shape[1]) * amps.transpose(0, 2, 1)  # laid out as each psi.b_matrix
+    v = b @ ab.conj().T.copy()[:, None, :, None]  # (outcomes, states, dim_b, 1): B_i conj(c_x)
+    re, im = v.real, v.imag
+    nrm = np.sqrt(re.swapaxes(2, 3) @ re + im.swapaxes(2, 3) @ im)[..., 0]  # (outcomes, states, 1)
+    keep = nrm[..., 0] > 1e-12
+    v = np.divide(v[..., 0], nrm, out=np.zeros(v.shape[:3], dtype=complex), where=keep[..., None])
+    groups = tuple(tuple(zip(np.flatnonzero(kx).tolist(), vx[kx])) for vx, kx in zip(v, keep))
+    return OneWayProtocolSpec(ab, groups)
 
 
 def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
@@ -968,7 +967,8 @@ def product_basis_protocol(ensemble: StateEnsemble) -> LoccProtocol:
 
     bob_groups = [tuple((idx, factors[idx][1]) for idx in members) for members in groups]
     bob_groups += [()] * (ensemble.dim_a - len(reps))
-    spec = OneWayProtocolSpec(orthonormal_completion(reps, ensemble.dim_a), tuple(bob_groups))
+    alice_basis = _completed_bases(np.array(reps)[None], [len(reps)])[0]
+    spec = OneWayProtocolSpec(alice_basis, tuple(bob_groups))
     if spec.max_bob_overlap() > 1e-8:
         raise DomainError("Bob factors within a group are not orthogonal")
     return spec.as_protocol()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,61 @@ def random_orthogonal_pair(rng, dim_a, dim_b):
     v2 -= np.vdot(v1, v2) * v1
     v2 /= np.linalg.norm(v2)
     return BipartiteState(dim_a, dim_b, v1), BipartiteState(dim_a, dim_b, v2)
+
+
+def orthonormal_completion(vectors, dim: int) -> np.ndarray:
+    """Extend near-orthonormal vectors to an exactly orthonormal basis of C^dim, one complete QR.
+
+    The per-outcome reference for ``OneWayProtocolSpec.as_protocol``'s batched completion.
+    """
+    from loccdisc import DomainError
+
+    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    if not vecs:
+        return np.eye(dim, dtype=complex)
+    v = np.column_stack(vecs)
+    if v.shape[0] != dim:
+        raise DomainError("vector length does not match dimension")
+    if v.shape[1] > dim:
+        raise DomainError("more vectors than the dimension allows")
+    q, r = np.linalg.qr(v, mode="complete")
+    d = np.diag(r)
+    if np.any(np.abs(d) < 1e-6):
+        raise DomainError("vectors are numerically dependent")
+    q[:, : d.size] *= d / np.abs(d)
+    return q
+
+
+def one_way_groups_per_vector(states, alice_basis):
+    """Bob's labeled vectors per Alice outcome, one state and one outcome at a time.
+
+    The reference for ``one_way_protocol``'s batched products.
+    """
+    ab = np.asarray(alice_basis, dtype=complex)
+    b = [psi.b_matrix for psi in states]
+    groups = []
+    for col in ab.conj().T.copy():  # row x is conj(c_x)
+        group = []
+        for label, bi in enumerate(b):
+            v = bi @ col
+            nrm = math.sqrt(v.real.dot(v.real) + v.imag.dot(v.imag))  # np.linalg.norm(v) bit for bit
+            if nrm > 1e-12:
+                group.append((label, v / nrm))
+        groups.append(tuple(group))
+    return tuple(groups)
+
+
+def max_overlap_per_pair(groups) -> float:
+    """Largest |<v_i|v_j>| over distinct vectors of one group, one pair at a time.
+
+    The reference for ``OneWayProtocolSpec.max_bob_overlap``.
+    """
+    worst = 0.0
+    for group in groups:
+        for i in range(len(group)):
+            for j in range(i + 1, len(group)):
+                worst = max(worst, abs(np.vdot(group[i][1], group[j][1])))
+    return worst
 
 
 def _isometry_povm(rng, dim_in):

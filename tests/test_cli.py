@@ -460,6 +460,16 @@ _REFUSALS = {
         ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps({"alice_basis": matrix_to_json(np.eye(2)), "bob_discriminators": [[]]})),
         "need one Bob group per Alice outcome",
     ),
+    "one-way-vector-lengths": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps({"alice_basis": matrix_to_json(np.eye(2)), "bob_discriminators": [
+            [{"label": 0, "vector": [[1, 0], [0, 0]]}], [{"label": 1, "vector": [[1, 0], [0, 0], [0, 0]]}]]})),
+        "vector length does not match dimension",
+    ),
+    "one-way-vector-count": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps({"alice_basis": matrix_to_json(np.eye(2)), "bob_discriminators": [
+            [{"label": lab, "vector": [[float(lab == j), 0] for j in range(2)]} for lab in range(3)], []]})),
+        "more vectors than the dimension allows",
+    ),
     "ensemble-not-object": (("ensemble", "[1]"), "ensemble payload must be a JSON object"),
     "protocol-not-object": (("evaluate", "--ensemble", _BELL2_DOC, "--protocol", "[1]"), "protocol payload must be a JSON object"),
     "node-not-object": (

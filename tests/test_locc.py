@@ -23,6 +23,7 @@ from loccdisc import (
     standard_bell_protocol,
     synthesize_three_qutrit_protocol,
     random_orthogonal_me_triple,
+    simultaneously_diagonal_ensemble,
     two_state_protocol,
     uniform_ensemble,
 )
@@ -36,11 +37,19 @@ from loccdisc.locc import (
     PRUNE_TOL,
     OneWayProtocolSpec,
     identity_round,
-    orthonormal_completion,
     projective_povm,
 )
 
-from conftest import random_kraus_case, random_orthogonal_pair, refined_bell_protocol
+from loccdisc.synth import default_cub_candidates
+
+from conftest import (
+    max_overlap_per_pair,
+    one_way_groups_per_vector,
+    orthonormal_completion,
+    random_kraus_case,
+    random_orthogonal_pair,
+    refined_bell_protocol,
+)
 
 
 def _product_state(dim_a, dim_b, a, b):
@@ -1097,6 +1106,13 @@ class TestOneWayExpansion:
         assert np.array_equal(protocol.root.children[0].povm.stacked, np.eye(3))
         assert np.array_equal(protocol.root.children[1].povm.stacked[0], [0.0, 1.0, 0.0])
 
+    def test_all_groups_empty(self):
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), ((), ()))
+        assert spec.dim_b == 2 and spec.max_bob_overlap() == 0.0
+        protocol = spec.as_protocol()
+        protocol.validate()
+        assert all(np.array_equal(node.povm.stacked, np.eye(2)) for node in protocol.root.children)
+
     def test_dependent_vectors_rejected(self):
         v = np.array([1.0, 0.0])
         spec = OneWayProtocolSpec(np.eye(2, dtype=complex), (((0, v), (1, v)), ()))
@@ -1105,15 +1121,80 @@ class TestOneWayExpansion:
 
     def test_too_many_vectors_rejected(self):
         vecs = ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0])), (2, np.array([1.0, 1.0]) / np.sqrt(2)))
-        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), (vecs, ()))
         with pytest.raises(DomainError, match="more vectors than the dimension allows"):
-            spec.as_protocol()
+            OneWayProtocolSpec(np.eye(2, dtype=complex), (vecs, ()))
 
     def test_vector_length_checked(self):
         groups = (((0, np.array([1.0, 0.0])),), ((1, np.ones(3) / np.sqrt(3)),))
-        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), groups)
         with pytest.raises(DomainError, match="vector length does not match dimension"):
-            spec.as_protocol()
+            OneWayProtocolSpec(np.eye(2, dtype=complex), groups)
+
+
+def _bell_subset_cases():
+    """Seeded Bell subsets at prime n with every default CUB candidate, and the n = 17 byte pin's labels."""
+    rng = np.random.default_rng(23)
+    cases = []
+    for n in (3, 5, 7, 11, 17):
+        pairs = [(m, l) for m in range(n) for l in range(n)]
+        for k in (3, int(rng.integers(4, 7))):
+            labels = [pairs[i] for i in rng.choice(len(pairs), size=k, replace=False)]
+            cases.append((f"bell-n{n}-k{k}", bell_subset(n, labels), [c.conj() for c in default_cub_candidates(n)]))
+    pin = bell_subset(17, [(0, 0), (1, 0), (0, 1), (2, 3), (5, 7), (11, 13)])
+    cases.append(("bell-subset-n17-pin", pin, [c.conj() for c in default_cub_candidates(17)]))
+    return cases
+
+
+def _pair_cases():
+    """Seeded orthogonal pairs with the two-state separator's Alice basis."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for da, db in ((3, 12), (8, 8), (16, 16), (24, 24)):
+        psi1, psi2 = random_orthogonal_pair(rng, da, db)
+        w = locc._zero_diagonal_basis(psi1.amplitude_matrix.conj() @ psi2.amplitude_matrix.T)
+        cases.append((f"pair-{da}x{db}", uniform_ensemble([psi1, psi2]), [w.conj()]))
+    return cases
+
+
+def _simdiag_and_triple_cases():
+    """Simultaneously diagonal sets (the ``simdiag-n8`` pin among them) and three-qutrit triples."""
+    cases = []
+    for n, seed in ((7, 7), (8, 8), (8, 9)):
+        ens = simultaneously_diagonal_ensemble(haar_unitary(n, np.random.default_rng(seed)))
+        cases.append((f"simdiag-n{n}-seed{seed}", ens, [c.conj() for c in default_cub_candidates(n)]))
+    for seed in range(3):
+        ens = random_orthogonal_me_triple(3, seed)
+        cases.append((f"me-triple-seed{seed}", ens, [synthesize_three_qutrit_protocol(ens).alice_basis]))
+    triple = bell_subset(3, [(0, 0), (1, 0), (1, 1)])
+    cases.append(("bell-triple-n3", triple, [synthesize_three_qutrit_protocol(triple).alice_basis]))
+    return cases
+
+
+_BATCHING_CASES = _bell_subset_cases() + _pair_cases() + _simdiag_and_triple_cases()
+
+
+class TestOneWayBatching:
+    """``one_way_protocol`` and ``max_bob_overlap`` give the per-vector and per-pair loops' bits."""
+
+    @pytest.mark.parametrize("name, ens, bases", _BATCHING_CASES, ids=[case[0] for case in _BATCHING_CASES])
+    def test_matches_per_vector_loops(self, name, ens, bases):
+        for basis in bases:
+            ref = one_way_groups_per_vector(ens.states, basis)
+            if max(map(len, ref)) > ens.dim_b:  # such a spec cannot exist, nor be expanded
+                with pytest.raises(DomainError, match="more vectors than the dimension allows"):
+                    locc.one_way_protocol(ens.states, basis)
+                continue
+            spec = locc.one_way_protocol(ens.states, basis)
+            assert [[lab for lab, _ in g] for g in spec.bob_discriminators] == [[lab for lab, _ in g] for g in ref]
+            for group, ref_group in zip(spec.bob_discriminators, ref):
+                for (_, v), (_, w) in zip(group, ref_group):
+                    assert np.array_equal(v, w)
+            assert spec.max_bob_overlap() == max_overlap_per_pair(ref)
+
+    def test_vectors_are_views_of_one_array(self):
+        spec = locc.one_way_protocol(bell_subset(3, [(0, 0), (1, 0), (2, 1)]).states, np.eye(3, dtype=complex))
+        stored = [v for group in spec.bob_discriminators for _, v in group]
+        assert len(stored) == 9
+        assert all(v.base is spec._bob and not v.flags.writeable for v in stored)
 
 
 class TestStandardBellProtocol:

@@ -1,11 +1,15 @@
 """Names that other code looks up: the benchmark's span tracer patches functions by name, so every
 name it lists must still resolve, the package's ``__all__`` must list exactly what it exports, and the
 README must name every public call that takes a tolerance.  The benchmark's refined Bell trees must be
-the ones the evaluator and sampler pins in ``test_locc.py`` cover."""
+the ones the evaluator and sampler pins in ``test_locc.py`` cover.  Loading the CLI must not load
+``numpy.random``, which only seeded commands need."""
 
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -94,3 +98,10 @@ def test_benchmark_refined_trees_are_the_pinned_ones(n):
     tree = refined_bell_protocol(n)
     assert (bench_tree.dim_a, bench_tree.dim_b) == (tree.dim_a, tree.dim_b)
     assert _tree_signature(bench_tree.root) == _tree_signature(tree.root)
+
+
+def test_cli_import_leaves_numpy_random_unloaded():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    code = "import sys, loccdisc.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"
