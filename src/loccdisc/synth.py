@@ -1,13 +1,13 @@
 """One-way protocol synthesis for maximally entangled ensembles.
 
 Two constructions are provided.  For any three orthogonal maximally
-entangled states of C^3 (x) C^3 the pairwise matrices B2^dag B1 and
-B3^dag B2 are traceless unitaries; after aligning eigenvector phases so the
-eigenbasis overlap matrix is circulant, Alice measuring the conjugated
-Fourier mix of that eigenbasis leaves Bob three orthogonal states on every
-outcome.  For k orthogonal states whose pairwise products share a common
-unbiased basis, Alice measuring that (conjugated) basis does the same,
-because <b|B_i^dag B_j|b> = Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
+entangled states of C^3 (x) C^3, Alice measures the conjugated Fourier mix
+E D F of the eigenbasis E of B2^dag B1, with a diagonal of phases D read in
+closed form off one cyclic diagonal of E^dag B3^dag B2 E, and Bob is left
+three orthogonal states on every outcome.  For k orthogonal states whose
+pairwise products share a common unbiased basis, Alice measuring that
+(conjugated) basis does the same, because <b|B_i^dag B_j|b> =
+Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
 ``synthesize_cub_protocol`` is the one entry point for the latter; given no
 basis it scans the default candidates itself.  It tests each candidate by
 that condition directly: all k(k-1)/2 pairwise products are formed by one
@@ -17,9 +17,7 @@ eigensystem is taken (the prime-n candidates are closed-form MUBs); a cheap
 normality test on the same stack keeps the products orthogonally diagonalizable.
 ``pairwise_product_eigenbases`` and ``find_cub`` state the construction in
 terms of eigenbases and stay as its reference; a family of eigenbases is a
-plain read-only (pairs, n, n) array.  Likewise the three-qutrit phase solve,
-``overlap_phase_normalize``, returns its four angles and the adjusted
-overlap matrix as plain values.
+plain read-only (pairs, n, n) array.
 
 Both constructions only choose Alice's basis.  ``locc.one_way_protocol``
 derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
@@ -46,137 +44,6 @@ from .errors import DomainError, ToleranceError
 from .locc import OneWayProtocolSpec
 from .qstate import EIGEN_TOL, as_matrix, frozen_array, is_unitary, normal_eigensystem
 
-OMEGA = np.exp(2j * np.pi / 3)
-
-
-def _circulant_defect(v: np.ndarray) -> float:
-    worst = 0.0
-    for s in range(3):
-        vals = [v[i, (i + s) % 3] for i in range(3)]
-        for i in range(3):
-            worst = max(worst, abs(vals[i] - vals[(i + 1) % 3]))
-    return worst
-
-
-def traceless_unitary_eigensystem(matrix) -> tuple[complex, np.ndarray]:
-    """Orthonormal eigenvectors of a traceless 3x3 unitary, labeled by phase.
-
-    A traceless 3x3 unitary has spectrum c * {1, w, w^2} for some unit c
-    (w = exp(2 pi i/3)); c is only determined up to a factor of w, so the
-    eigenvalue closest to the positive real axis is chosen.  The input must be
-    unitary within 1e-10; eigenvalues are projected onto the unit circle.
-    Returns (c, E) with E's column i the eigenvector for c w^i, satisfying
-    ``M = c sum_i w^i |e_i><e_i|`` to 1e-9.
-    """
-    m = as_matrix(matrix)
-    if m.shape != (3, 3):
-        raise DomainError("expected a 3x3 matrix")
-    if abs(np.trace(m)) > 1e-8:
-        raise DomainError(f"matrix is not traceless (|tr| = {abs(np.trace(m)):.3e})")
-    if not is_unitary(m):
-        raise DomainError("matrix is not unitary within tolerance")
-    vals, vecs = normal_eigensystem(m)
-    vals = vals / np.abs(vals)
-
-    angles = np.angle(vals)
-    for i in range(3):
-        for j in range(i + 1, 3):
-            gap = abs((angles[i] - angles[j] + np.pi) % (2 * np.pi) - np.pi)
-            if gap < 1e-6:
-                raise ToleranceError("near-degenerate eigenvalues; input is not a valid traceless unitary")
-
-    c_idx = max(range(3), key=lambda i: (vals[i].real, vals[i].imag))
-    c = vals[c_idx]
-    labels = np.round(3.0 * np.angle(vals / c) / (2.0 * np.pi)).astype(int) % 3
-    if sorted(labels.tolist()) != [0, 1, 2]:
-        raise ToleranceError("eigenvalues are not in equilateral configuration")
-    order = np.argsort(labels)
-    vecs = vecs[:, order]
-
-    recon = c * sum(OMEGA**i * np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(3))
-    if float(np.max(np.abs(m - recon))) > 1e-9:
-        raise ToleranceError("eigensystem reconstruction missed 1e-9")
-    return complex(c), vecs
-
-
-def overlap_phase_normalize(e_basis, f_basis) -> tuple[tuple[float, float, float, float], np.ndarray]:
-    """Phase-align two labeled eigenbases so their overlap matrix is circulant.
-
-    Returns ``((gamma, alpha, beta, delta), adjusted)``: with
-    U1 = diag(1, e^{i alpha}, e^{i beta}) and U2 = diag(1, e^{i gamma},
-    e^{i delta}), the read-only ``adjusted = U1 V U2^dag`` is a circulant
-    unitary.
-
-    The overlap V[i, j] = <e_i|f_j> of valid inputs has |V[i, j]| depending
-    only on (j - i) mod 3.  Phases are then fixed by a linear solve on the
-    first two columns (with the remaining entries forced by unitarity); the
-    column-difference average determining gamma is only meaningful mod
-    2 pi/3, so all three branches are tried and the one yielding a circulant
-    result is kept.  Overlap patterns concentrated on a single cyclic
-    diagonal (commuting pairwise products) are aligned directly.
-    """
-    e = as_matrix(e_basis)
-    f = as_matrix(f_basis)
-    if e.shape != (3, 3) or f.shape != (3, 3):
-        raise DomainError("expected 3x3 bases")
-    if not (is_unitary(e, 1e-10) and is_unitary(f, 1e-10)):
-        raise DomainError("bases must be orthonormal")
-    v = e.conj().T @ f
-
-    mods = np.abs(v)
-    radii = []
-    for s in range(3):
-        vals = [mods[i, (i + s) % 3] for i in range(3)]
-        if max(vals) - min(vals) > EIGEN_TOL:
-            raise DomainError(
-                "overlap magnitudes are not circulant; upstream states are not a valid orthogonal triple"
-            )
-        radii.append(float(np.mean(vals)))
-
-    m = np.angle(v)
-    nonzero = [s for s in range(3) if radii[s] > 1e-6]
-    if len(nonzero) == 1:
-        s = nonzero[0]
-        if s == 0:
-            alpha, beta = 0.0, 0.0
-            gamma = m[1, 1] - m[0, 0]
-            delta = m[2, 2] - m[0, 0]
-        elif s == 1:
-            alpha, gamma = 0.0, 0.0
-            delta = m[1, 2] - m[0, 1]
-            beta = m[0, 1] - m[2, 0]
-        else:
-            alpha, gamma = 0.0, 0.0
-            delta = m[0, 2] - m[1, 0]
-            beta = m[1, 0] - m[2, 1]
-        candidates = [(gamma, alpha, beta, delta)]
-    else:
-        gamma_base = float(np.sum(m[:, 1] - m[:, 0]) / 3.0)
-        candidates = []
-        for branch in (0.0, 2 * np.pi / 3, -2 * np.pi / 3):
-            gamma = gamma_base + branch
-            alpha = m[0, 0] - m[1, 1] + gamma
-            beta = m[0, 1] - m[2, 0] - gamma
-            delta = m[0, 2] - alpha - m[1, 0]
-            candidates.append((gamma, alpha, beta, delta))
-
-    best = None
-    for gamma, alpha, beta, delta in candidates:
-        u1 = np.diag([1.0, np.exp(1j * alpha), np.exp(1j * beta)])
-        u2 = np.diag([1.0, np.exp(1j * gamma), np.exp(1j * delta)])
-        vp = u1 @ v @ u2.conj().T
-        defect = _circulant_defect(vp)
-        if best is None or defect < best[0]:
-            best = (defect, gamma, alpha, beta, delta, vp)
-
-    defect, gamma, alpha, beta, delta, vp = best
-    if defect > 1e-9:
-        raise ToleranceError(f"phase solve left a circulant defect of {defect:.3e}")
-    if not is_unitary(vp, 1e-9):
-        raise ToleranceError("adjusted overlap matrix is not unitary within 1e-9")
-    return (float(gamma), float(alpha), float(beta), float(delta)), frozen_array(vp)
-
-
 def _checked_one_way(ensemble: StateEnsemble, alice_basis) -> OneWayProtocolSpec:
     """The one-way spec for ``alice_basis``, refused unless Bob's vectors are orthogonal to EIGEN_TOL."""
     spec = locc.one_way_protocol(ensemble.states, alice_basis)
@@ -189,10 +56,22 @@ def _checked_one_way(ensemble: StateEnsemble, alice_basis) -> OneWayProtocolSpec
 def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolSpec:
     """Perfect one-way protocol for three orthogonal ME states of C^3 (x) C^3.
 
-    Alice measures the conjugated basis U|x> = (1/sqrt(3)) sum_i w^{ix}|e_i>
-    built from the phase-aligned eigenbasis of B2^dag B1; conditioned on any
-    outcome, Bob's three states B_i U|x> are pairwise orthogonal and a
-    projective measurement finishes the job.
+    With M1 = B2^dag B1 = E diag(l) E^dag (one eigensystem, any order) and
+    A = E^dag M2 E for M2 = B3^dag B2, Alice measures the conjugated columns
+    u_x = E D f_x of E D F, F the 3x3 Fourier matrix and D = diag(d) phases.
+    Up to 1/3, u_x^dag M u_x is the DFT over shifts s of the sums
+    sum_i conj(d_i) (E^dag M E)[i, i+s] d_{i+s}, so Bob's states B_i u_x are
+    orthogonal on every outcome when these vanish for M1, M2 and
+    B3^dag B1 = M2 M1.  For M1 they do for any D (E^dag M1 E is diagonal and
+    traceless); for shift 0 of the others, Tr M2 = Tr M2 M1 = 0.  For a
+    shift s with cyclic diagonal a_i = A[i, i+s], the sums of
+    z_i = a_i d_{i+s} / d_i and of l_{i+s} z_i both vanish exactly when z is
+    parallel to (1, 1, 1) x (l_{i+s}), whose entry i is l_{i+s+2} - l_{i+s+1}.
+    The phases are read off the shift whose smallest |a_i| is larger, with
+    no threshold: the error in each z_i scales with |a_i|, so products that
+    nearly commute are handled too.  Commuting products accept any D (D = I
+    when that diagonal holds an exact zero).  The other shift follows by the
+    theorem, and ``_checked_one_way`` verifies Bob's states.
     """
     if ensemble.k != 3:
         raise DomainError(f"need exactly 3 states, got {ensemble.k}")
@@ -204,14 +83,18 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
         raise DomainError("states must be pairwise orthogonal")
 
     b = ensemble.b_matrices()
-    _, e_vecs = traceless_unitary_eigensystem(b[1].conj().T @ b[0])
-    _, f_vecs = traceless_unitary_eigensystem(b[2].conj().T @ b[1])
-    (_, alpha, beta, _), _ = overlap_phase_normalize(e_vecs, f_vecs)
-    e_hat = e_vecs @ np.diag([1.0, np.exp(1j * alpha), np.exp(1j * beta)]).conj()
-
-    fourier = np.array([[OMEGA ** (i * x) for x in range(3)] for i in range(3)]) / np.sqrt(3)
-    u = e_hat @ fourier
-    return _checked_one_way(ensemble, u.conj())
+    l, e = normal_eigensystem(b[1].conj().T @ b[0])
+    a = e.conj().T @ b[2].conj().T @ b[1] @ e
+    i = np.arange(3)
+    s = max((1, 2), key=lambda s: np.abs(a[i, (i + s) % 3]).min())
+    a_s = a[i, (i + s) % 3]
+    d = np.ones(3, dtype=complex)
+    if np.abs(a_s).min() > 0:
+        w = (l[(i + s + 2) % 3] - l[(i + s + 1) % 3]) * a_s.conj()
+        w /= np.abs(w)
+        w /= np.prod(w) ** (1 / 3)
+        d[s], d[2 * s % 3] = w[0], w[0] * w[s]
+    return _checked_one_way(ensemble, (e * d @ fourier_matrix(3)).conj())
 
 
 def _pairwise_products(ensemble: StateEnsemble):

@@ -151,3 +151,30 @@ def refined_bell_protocol(n):
         return ProtocolNode(BOB, coarse, tuple(alice_fine(half_a, hb) for hb in range(2)))
 
     return LoccProtocol(n, n, ProtocolNode(ALICE, coarse, tuple(bob_coarse(ha) for ha in range(2))))
+
+
+def near_commuting_triple(delta, seed):
+    """Three orthogonal maximally entangled states of C^3 (x) C^3 whose pairwise products nearly commute.
+
+    With L = diag(1, w, w^2), C = F diag(exp(2 pi i delta theta)) F^dag (F the 3x3 Fourier matrix, theta
+    seeded in [0, 1)^3) and A = L C, the states' matrices are U_B B U_A for B in (I, L^dag, L^dag A^dag),
+    U_A and U_B Haar.  Before the local unitaries B2^dag B1 = L and B3^dag B2 = A, so as delta -> 0
+    both off-diagonal cyclic diagonals of A shrink with delta; at delta = 1 both are nonzero, which no
+    Weyl-like triple (Bell or ``random_me_triple``) has.
+    """
+    from loccdisc import state_from_matrix, uniform_ensemble
+
+    rng = np.random.default_rng(seed)
+    j = np.arange(3)
+    fourier = np.exp(2j * np.pi * np.outer(j, j) / 3) / np.sqrt(3)
+    lam = np.diag(np.exp(2j * np.pi * j / 3))
+    c = fourier @ np.diag(np.exp(2j * np.pi * delta * rng.random(3))) @ fourier.conj().T
+    a = lam @ c
+
+    def haar():
+        q, r = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    u_a, u_b = haar(), haar()
+    mats = (np.eye(3), lam.conj().T, lam.conj().T @ a.conj().T)
+    return uniform_ensemble([state_from_matrix(u_b @ m @ u_a, 3) for m in mats])

@@ -19,7 +19,7 @@ from loccdisc.ensembles import fourier_matrix, haar_unitary
 from loccdisc.library import build_library
 from loccdisc.serial import ensemble_to_json, matrix_to_json, one_way_spec_to_json, protocol_to_json
 
-from conftest import refined_bell_protocol
+from conftest import near_commuting_triple, refined_bell_protocol
 
 
 def _run(capsys, *argv):
@@ -227,6 +227,14 @@ class TestBoundsCommand:
         assert code == 0
         assert json.loads(out)["report"]["verdict"] == "PerfectPossible"
 
+    def test_near_commuting_triple_possible(self, capsys):
+        # a valid qutrit triple whose pairwise products nearly commute: the three-qutrit rung builds it
+        payload = json.dumps(ensemble_to_json(near_commuting_triple(1e-7, 0)))
+        code, out, err = _run(capsys, "bounds", "--ensemble", payload)
+        _assert_clean_exit(code, out, err, 0)
+        report = json.loads(out)["report"]
+        assert (report["verdict"], report["possible_via"]) == ("PerfectPossible", "three-qutrit")
+
     def test_single_product_state(self, capsys):
         # a pure state has zero entropy, printed as 0.0 and never as -0.0
         state = {"dim_a": 2, "dim_b": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0]]}
@@ -263,6 +271,20 @@ BYTE_PINS = {
         lambda: {"kind": "simdiag", "u": matrix_to_json(haar_unitary(8, np.random.default_rng(8)))},
         "66b8f076e6ad3158dcb78af9828bf886f56ee8c44d9e4ebb69b30b3517538f89",
         "4d196ebf7041c2123272226b74bc70a5bf30c4ddcb75d0ece19dc101513a7a96",
+    ),
+}
+
+
+# sha256 of `synthesize --method prop1` stdout, recorded from the three-qutrit construction that
+# takes one eigensystem and reads its phases off one matrix.
+PROP1_PINS = {
+    "random-me-triple-n3-seed7": (
+        {"kind": "random_me_triple", "n": 3, "seed": 7},
+        "c6646d18777f321d5bd0e9b69162f596b46a8ddf75e068604cba44172fd47966",
+    ),
+    "bell-subset-n3": (
+        {"kind": "bell_subset", "n": 3, "labels": [[0, 0], [0, 1], [1, 0]]},
+        "b8579cd3b0a92265779596d03e73a243bf075f429ddb7d7bc931cd64f319875d",
     ),
 }
 
@@ -307,6 +329,13 @@ class TestBytePins:
             code, out, err = _run(capsys, *argv, "--ensemble", ensemble)
             assert code == 0, err
             assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(PROP1_PINS))
+    def test_synthesize_prop1_stdout(self, capsys, name):
+        descriptor, digest = PROP1_PINS[name]
+        code, out, err = _run(capsys, "synthesize", "--method", "prop1", "--ensemble", json.dumps(descriptor))
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", sorted(WALK_PINS))
     def test_evaluate_and_simulate_stdout(self, capsys, name):

@@ -969,7 +969,10 @@ class TestEvaluatorGolden:
     (state, path, guess and ``float.hex`` of p, one line per row).  ``BELL``
     and ``KRAUS`` were recorded from the evaluator that gave every leaf-only
     node its own product; ``EDGE``, ``RUN`` and ``LIBRARY`` from the one
-    that weighed a node's leaves beside internal children one row each.
+    that weighed a node's leaves beside internal children one row each.  The
+    ``three-qutrit-*`` and ``discard-bell3-*`` entries, whose protocols come from
+    ``synthesize_three_qutrit_protocol``, were recorded from its one-eigensystem
+    form.
     """
 
     BELL = {
@@ -1009,12 +1012,12 @@ class TestEvaluatorGolden:
         "bell-standard-sub-3-k4": ("0x1.8000000000000p-1", "0x1.8000000000000p+0", "896d534633430dc5"),
         "bell-standard-sub-3-k6": ("0x1.0000000000000p-1", "0x1.95c01a39fbd6ap+0", "ca1cccea0ce5661b"),
         "bell-standard-sub-4-k5": ("0x1.999999999999ap-1", "0x1.ec037ac8ce07cp+0", "f60eab073dde59a6"),
-        "three-qutrit-seed0": ("0x1.0000000000000p+0", "0x1.95c01a39fbd6ap+0", "b7c0ffa15374c375"),
-        "three-qutrit-seed1": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "3815c59889a8bba8"),
-        "three-qutrit-seed2": ("0x1.fffffffffffffp-1", "0x1.95c01a39fbd69p+0", "77c12b5789c9b39c"),
-        "three-qutrit-seed3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "882a8de56f9a354f"),
-        "three-qutrit-seed4": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "467a4c3c1f9588d1"),
-        "three-qutrit-bell-triple": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "f032d51b79c8b066"),
+        "three-qutrit-seed0": ("0x1.0000000000000p+0", "0x1.95c01a39fbd6ap+0", "590d142dc943305b"),
+        "three-qutrit-seed1": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "6cca004029f086fa"),
+        "three-qutrit-seed2": ("0x1.0000000000000p+0", "0x1.95c01a39fbd6ap+0", "6ff679ccc0190b6f"),
+        "three-qutrit-seed3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "4551c24a32efde00"),
+        "three-qutrit-seed4": ("0x1.0000000000000p+0", "0x1.95c01a39fbd6ap+0", "2943bc32b15a5708"),
+        "three-qutrit-bell-triple": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "88aa8ced1aff1c0f"),
         "cub-3-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "d29fa5840a6d3f99"),
         "cub-3-k2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "be4b678cf0e0b001"),
         "cub-5-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd69p+0", "400712786ad705aa"),
@@ -1023,10 +1026,10 @@ class TestEvaluatorGolden:
         "cub-7-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd66p+0", "0a6d80f7640960b3"),
         "discard-bell2-keep2of3": ("0x1.5555555555555p-1", "0x1.d62adf1ea257ap-1", "8995c31f80094091"),
         "discard-bell2-keep2of4": ("0x1.0000000000000p-1", "0x1.fffffffffffffp-1", "388b7e630cf37199"),
-        "discard-bell3-keep3of4": ("0x1.8000000000003p-1", "0x1.8000000000000p+0", "f7a72470f641a572"),
-        "discard-bell3-keep3of5": ("0x1.3333333333335p-1", "0x1.859d146267a18p+0", "fd54efe481357d51"),
-        "discard-bell3-keep3of7": ("0x1.b6db6db6db6ddp-2", "0x1.8e810dd1a6e07p+0", "7f333df49dc39957"),
-        "discard-bell3-keep3of9": ("0x1.5555555555557p-2", "0x1.95c01a39fbd68p+0", "b177e63cd21cdc83"),
+        "discard-bell3-keep3of4": ("0x1.8000000000003p-1", "0x1.7ffffffffffffp+0", "b940187a4e45bb82"),
+        "discard-bell3-keep3of5": ("0x1.3333333333336p-1", "0x1.859d146267a15p+0", "9d9e29f45f75817b"),
+        "discard-bell3-keep3of7": ("0x1.b6db6db6db6dep-2", "0x1.8e810dd1a6e08p+0", "7dcf29f19e200320"),
+        "discard-bell3-keep3of9": ("0x1.5555555555557p-2", "0x1.95c01a39fbd68p+0", "46b360824b799ea1"),
         "two-state-bell2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "8a0595c09fe0a94e"),
         "two-state-product": ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "bcb7c465dee890ca"),
         "two-state-random-2x3": ("0x1.ffffffffffffep-1", "0x1.0000000000001p+0", "a4839f28ae75a4a1"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,122 +19,10 @@ from loccdisc import (
     verdict,
 )
 from loccdisc.ensembles import haar_unitary, mub_prime
-from loccdisc.qstate import generalized_pauli
-from loccdisc.synth import (
-    default_cub_candidates,
-    find_cub,
-    overlap_phase_normalize,
-    pairwise_product_eigenbases,
-    traceless_unitary_eigensystem,
-)
+from loccdisc.qstate import generalized_pauli, normal_eigensystem
+from loccdisc.synth import default_cub_candidates, find_cub, pairwise_product_eigenbases
 
-OMEGA = np.exp(2j * np.pi / 3)
-
-
-def _rays_match(basisa, basisb, tol=1e-8):
-    ov = np.abs(basisa.conj().T @ basisb)
-    return np.allclose(ov @ ov.T, np.eye(basisa.shape[0]), atol=tol)
-
-
-class TestTracelessEigensystem:
-    def test_clock_matrix(self):
-        _, z = generalized_pauli(3)
-        c, vecs = traceless_unitary_eigensystem(z)
-        assert c == pytest.approx(1.0)
-        assert _rays_match(vecs, np.eye(3))
-        # labels track the eigenvalue order c * w^i
-        for i in range(3):
-            np.testing.assert_allclose(z @ vecs[:, i], OMEGA**i * vecs[:, i], atol=1e-12)
-
-    def test_global_phase_extraction(self):
-        # c * {1, w, w^2} is invariant under c -> c*w, so the returned phase
-        # is a gauge choice; the contract is |c| = 1, unchanged eigenrays,
-        # and an exact reconstruction of the rescaled input
-        _, z = generalized_pauli(3)
-        m = OMEGA * z
-        c, vecs = traceless_unitary_eigensystem(m)
-        assert abs(abs(c) - 1.0) < 1e-12
-        assert _rays_match(vecs, np.eye(3))
-        recon = c * sum(OMEGA**i * np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(3))
-        assert np.max(np.abs(m - recon)) < 1e-9
-
-    def test_shift_matrix_gives_fourier(self):
-        x, _ = generalized_pauli(3)
-        _, vecs = traceless_unitary_eigensystem(x)
-        assert _rays_match(vecs, fourier_matrix(3))
-
-    def test_reconstruction_random(self, rng):
-        for seed in range(30):
-            ens = random_orthogonal_me_triple(3, seed)
-            b = ens.b_matrices()
-            m = b[1].conj().T @ b[0]
-            c, vecs = traceless_unitary_eigensystem(m)
-            recon = c * sum(OMEGA**i * np.outer(vecs[:, i], vecs[:, i].conj()) for i in range(3))
-            assert np.max(np.abs(m - recon)) < 1e-9
-
-    def test_rejects_nontraceless(self):
-        with pytest.raises(DomainError):
-            traceless_unitary_eigensystem(np.eye(3))
-
-    def test_rejects_nonunitary(self):
-        with pytest.raises(DomainError):
-            traceless_unitary_eigensystem(np.diag([1.0, 1.0, -2.0]))
-
-    def test_rejects_nonunitary_distinct_moduli(self):
-        # traceless, and refused by the unitarity check before any eigensolve
-        with pytest.raises(DomainError, match="not unitary"):
-            traceless_unitary_eigensystem(np.diag([1.0, 2.0, -3.0]))
-
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(DomainError):
-            traceless_unitary_eigensystem(np.diag([1.0, -1.0]))
-
-
-class TestOverlapPhaseNormalize:
-    def test_identical_bases(self):
-        _, adjusted = overlap_phase_normalize(np.eye(3), np.eye(3))
-        assert not adjusted.flags.writeable
-        np.testing.assert_allclose(adjusted, np.eye(3), atol=1e-12)
-        row0 = adjusted[0]
-        np.testing.assert_allclose(np.abs(row0), [1, 0, 0], atol=1e-12)
-
-    def test_fourier_against_identity(self):
-        _, adjusted = overlap_phase_normalize(np.eye(3), fourier_matrix(3))
-        mods = np.abs(adjusted)
-        np.testing.assert_allclose(mods, 1 / np.sqrt(3), atol=1e-12)
-
-    def test_idempotent_on_circulant_input(self):
-        _, base = overlap_phase_normalize(np.eye(3), fourier_matrix(3))
-        angles, _ = overlap_phase_normalize(np.eye(3), base)
-        for angle in angles:
-            assert abs(np.exp(1j * angle) - 1.0) < 1e-9
-
-    def test_pipeline_property(self):
-        # moduli-squared of the eigenbasis overlaps are circulant and the
-        # phase solve leaves a circulant unitary, across 200 random triples
-        for seed in range(200):
-            ens = random_orthogonal_me_triple(3, seed)
-            b = ens.b_matrices()
-            _, e_vecs = traceless_unitary_eigensystem(b[1].conj().T @ b[0])
-            _, f_vecs = traceless_unitary_eigensystem(b[2].conj().T @ b[1])
-            v2 = np.abs(e_vecs.conj().T @ f_vecs) ** 2
-            for s in range(3):
-                vals = [v2[i, (i + s) % 3] for i in range(3)]
-                assert max(vals) - min(vals) < 1e-8
-            _, vp = overlap_phase_normalize(e_vecs, f_vecs)
-            for s in range(3):
-                vals = [vp[i, (i + s) % 3] for i in range(3)]
-                assert max(abs(vals[i] - vals[(i + 1) % 3]) for i in range(3)) < 1e-9
-
-    def test_rejects_nonorthonormal(self):
-        with pytest.raises(DomainError):
-            overlap_phase_normalize(np.ones((3, 3)), np.eye(3))
-
-    def test_rejects_noncirculant_overlaps(self, rng):
-        # a generic unitary has non-circulant overlap magnitudes vs identity
-        u = haar_unitary(3, rng)
-        with pytest.raises(DomainError):
-            overlap_phase_normalize(np.eye(3), u)
+from conftest import near_commuting_triple
 
 
 class TestThreeQutritSynthesis:
@@ -189,6 +79,44 @@ class TestThreeQutritSynthesis:
         ens = uniform_ensemble(states + [states[0]])
         with pytest.raises(DomainError):
             synthesize_three_qutrit_protocol(ens)
+
+
+def _assert_perfect(ens):
+    spec = synthesize_three_qutrit_protocol(ens)
+    assert spec.max_bob_overlap() <= 1e-12
+    assert evaluate(spec.as_protocol(), ens).success_probability >= 1 - 1e-12
+
+
+class TestAnyThreeQutritTriple:
+    """The paper's claim, any three orthogonal ME states of C^3 (x) C^3, met to 1e-12.
+
+    Bell triples have at most one nonzero off-diagonal cyclic diagonal of B3^dag B2 in the
+    eigenbasis of B2^dag B1 (as ``random_me_triple`` does); the delta = 1 triples have both.
+    """
+
+    @pytest.mark.parametrize(
+        "labels",
+        list(itertools.combinations([(m, l) for m in range(3) for l in range(3)], 3)),
+        ids=lambda labels: "-".join(f"{m}{l}" for m, l in labels),
+    )
+    def test_bell_triples(self, labels):
+        _assert_perfect(bell_subset(3, list(labels)))
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_both_cyclic_diagonals_nonzero(self, seed):
+        ens = near_commuting_triple(1.0, seed)
+        b = ens.b_matrices()
+        _, e = normal_eigensystem(b[1].conj().T @ b[0])
+        a = e.conj().T @ b[2].conj().T @ b[1] @ e
+        i = np.arange(3)
+        assert min(np.abs(a[i, (i + s) % 3]).min() for s in (1, 2)) > 0.05
+        _assert_perfect(ens)
+
+    @pytest.mark.parametrize("delta", [1e-10, 1e-8, 1e-7, 1e-6, 1e-5])
+    def test_near_commuting_triples(self, delta):
+        # cyclic diagonals of size ~delta: the phases are read off them with no magnitude threshold
+        for seed in range(20):
+            _assert_perfect(near_commuting_triple(delta, seed))
 
 
 class TestCubProtocol:
@@ -311,8 +239,6 @@ class TestStackedPairwise:
         ids=["bell-n11", "bell-n6", "me-triple-n8", "simdiag-n8"],
     )
     def test_matches_per_pair_eigensystems(self, ens):
-        from loccdisc.qstate import normal_eigensystem
-
         pairs, vecs = pairwise_product_eigenbases(ens)
         b = ens.b_matrices()
         assert pairs == [(i, j) for i in range(ens.k) for j in range(i + 1, ens.k)]

@@ -2,11 +2,13 @@
 name it lists must still resolve, the package's ``__all__`` must list exactly what it exports, and the
 README must name every public call that takes a tolerance.  The benchmark's refined Bell trees must be
 the ones the evaluator and sampler pins in ``test_locc.py`` cover.  Loading the CLI must not load
-``numpy.random``, which only seeded commands need."""
+``numpy.random``, which only seeded commands need.  Every code name the README cites must exist."""
 
+import dataclasses
 import importlib
 import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -105,3 +107,55 @@ def test_cli_import_leaves_numpy_random_unloaded():
     code = "import sys, loccdisc.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+# README names that are notation, not code (the Bell basis BB_n, the bound f_me); ``numpy.*`` names are numpy's
+README_NOTATION = {"BB_n", "f_me"}
+
+
+def _readme_code_names():
+    """Backticked spans outside fenced blocks that are a dotted name (a call's arguments dropped) with ``_`` or ``.``."""
+    text = re.sub(r"```.*?```", "", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.S)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        match = re.fullmatch(r"([A-Za-z_][\w.]*)(\(.*\))?", " ".join(span.split()))
+        if match and ("_" in match[1] or "." in match[1]):
+            names.add(match[1])
+    return sorted(names)
+
+
+def _loccdisc_namespace():
+    """Roots a dotted name may start from (the package, its modules, their module-level names) and member names."""
+    modules = {"loccdisc": loccdisc}
+    modules |= {info.name: importlib.import_module(f"loccdisc.{info.name}") for info in pkgutil.iter_modules(loccdisc.__path__)}
+    roots = dict(modules)
+    for module in modules.values():
+        roots |= {name: value for name, value in vars(module).items() if not name.startswith("__")}
+    members = set()
+    for value in roots.values():
+        if inspect.isclass(value) and value.__module__.startswith("loccdisc"):
+            members |= {attr for attr in dir(value) if not attr.startswith("__")}
+            if dataclasses.is_dataclass(value):
+                members |= {field.name for field in dataclasses.fields(value)}
+    return roots, members
+
+
+def _resolves(name, roots, members):
+    """A dotted path from a root, or a member (class attribute or dataclass field) reached through an instance."""
+    head, *rest = name.split(".")
+    if head in roots:
+        obj = roots[head]
+        try:
+            for attr in rest:
+                obj = getattr(obj, attr)
+            return True
+        except AttributeError:
+            pass
+    return name.rsplit(".", 1)[-1] in members
+
+
+def test_readme_names_resolve():
+    roots, members = _loccdisc_namespace()
+    cited = [name for name in _readme_code_names() if name not in README_NOTATION and not name.startswith("numpy.")]
+    assert cited
+    assert [name for name in cited if not _resolves(name, roots, members)] == []
