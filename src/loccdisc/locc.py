@@ -55,11 +55,10 @@ zero-padded array.  :func:`one_way_protocol` derives all of them from the
 states in one product, and :meth:`OneWayProtocolSpec.as_protocol` expands a
 spec into a tree, each round's :class:`Povm` built from one stacked array.
 One batched complete QR, :func:`_completed_bases`, completes every basis.
-The two-state separator deflates a traceless matrix one zero-value vector
-at a time; each step scans the diagonal's segments, then its triangles in
-blocks of equal first index up to the first hit, and rotates only the 2 or
-3 coordinates the vector lives on with a closed-form Householder
-reflection.
+The two-state separator makes a traceless matrix's diagonal real with one
+Hermitian eigensystem and the Fourier matrix, then deflates it one
+zero-value vector at a time: each step pairs a positive diagonal entry with
+a negative one and rotates those two coordinates in closed form.
 """
 
 import cmath
@@ -70,7 +69,7 @@ from itertools import accumulate, groupby
 
 import numpy as np
 
-from .ensembles import StateEnsemble, _bell_labels
+from .ensembles import StateEnsemble, _bell_labels, fourier_matrix
 from .errors import DomainError, ToleranceError
 from .qstate import BipartiteState, as_int, as_matrix, frozen_array, is_unitary
 
@@ -773,124 +772,66 @@ def discard_protocol(inner: LoccProtocol, kept, k: int) -> LoccProtocol:
     return inner.map_leaves(remap)
 
 
-def _solve_compression(b2, target):
-    """Unit coefficients (c0, c1) with [c0,c1]^dag B [c0,c1] = target.
+def _solve_compression(b2):
+    """Unit coefficients (c0, c1), c0 = cos t real, with [c0,c1]^dag B [c0,c1] = 0.
 
-    Requires ``target`` to lie on the segment between the diagonal entries of
-    the 2x2 compression ``b2`` (then a closed-form solution exists).  Scalar
-    math on Python complex numbers: at this size numpy's per-call overhead
-    would dominate.
+    Requires the 2x2 compression ``b2`` to have a real diagonal, its first
+    entry above zero and its second below: zero then lies on the segment
+    between them, and a closed-form solution exists.  Scalar math on Python
+    complex numbers: at this size numpy's per-call overhead would dominate.
     """
-    target = complex(target)
     (b00, b01), (b10, b11) = b2.tolist()
-    s00 = b00 - target
-    z = b11 - target - s00
-    if abs(z) < 1e-14:
-        return np.array([1.0, 0.0], dtype=complex)
-    mu = min(max(-(s00 / z).real, 0.0), 1.0)
+    z = b11 - b00
+    mu = -(b00 / z).real
     rot = cmath.exp(-1j * cmath.phase(z))
-    xp = b01 * rot
-    yp = b10 * rot
+    xp, yp = b01 * rot, b10 * rot
     phi = math.atan2(-(xp.imag + yp.imag), xp.real - yp.real)
     rho = ((b01 * cmath.exp(1j * phi) + b10 * cmath.exp(-1j * phi)) * rot).real
     az = abs(z)
     quad = (1.0 - mu) * az
-    if quad < 1e-14:
-        x = 0.0 if abs(rho) < 1e-14 else max(mu * az / rho, 0.0)
-    else:
-        x = (-rho + math.sqrt(rho * rho + 4.0 * quad * mu * az)) / (2.0 * quad)
+    x = (-rho + math.sqrt(rho * rho + 4.0 * quad * mu * az)) / (2.0 * quad)
     t = math.atan(x)
-    return np.array([math.cos(t), math.sin(t) * cmath.exp(1j * phi)], dtype=complex)
-
-
-def _vector_with_zero_value(mat):
-    """Unit w with <w|M|w> = 0 for a traceless square matrix M.
-
-    Each diagonal entry M_jj = <e_j|M|e_j> of the working basis lies in the
-    numerical range of M, and the entries sum to Tr M = 0, so zero lies in
-    their convex hull: on a segment between two entries or inside a triangle
-    of three.  The 2x2 compression onto the matching basis vectors then
-    reaches zero in closed form (numerical ranges are convex), with no
-    eigendecomposition of M needed.  The first segment (row-major order)
-    wins, else the first triangle (lexicographic order).  Triangles are
-    scanned in blocks of equal first index i, whose pairs (j, k) are the tail
-    of the segment list past row i, and the scan stops at the first block
-    with a hit; when no segment hits, the first block always holds one.
-    """
-    m = mat.shape[0]
-    d = np.diag(mat)
-    w = np.zeros(m, dtype=complex)
-    j = int(np.argmin(np.abs(d)))
-    if abs(d[j]) <= ZERO_DIAGONAL_TOL:
-        w[j] = 1.0
-        return w
-    # the first segment (i < j, row-major order as np.triu_indices lists them,
-    # built here at under a third of its cost) passing within ZERO_DIAGONAL_TOL of zero
-    x = np.arange(m)
-    i, j = np.nonzero(x[:, None] < x)
-    seg = d[j] - d[i]
-    usable = np.abs(seg) >= 1e-14
-    s = np.clip(np.real((0.0 - d[i]) / np.where(usable, seg, 1.0)), 0.0, 1.0)
-    hits = np.flatnonzero(usable & (np.abs(d[i] + s * seg) <= ZERO_DIAGONAL_TOL))
-    if hits.size:
-        pair = [i[hits[0]], j[hits[0]]]
-        w[pair] = _solve_compression(mat[pair][:, pair], 0.0)
-        return w
-    # no single segment hits zero: the first triangle (a < j < k) holding zero;
-    # a singular (collinear) triple gets NaN weights and never hits
-    for a in range(m - 2):
-        start = (a + 1) * (m - 1) - (a + 1) * a // 2  # first segment with i > a
-        dj, dk = d[i[start:]], d[j[start:]]
-        num = np.imag([dj.conj() * dk, dk.conj() * d[a], d[a].conj() * dj])
-        det = num.sum(axis=0)
-        lam = num / np.where(det == 0.0, np.nan, det)  # barycentric coordinates of zero
-        pos = np.clip(lam[:2], 0.0, None)
-        hits = np.flatnonzero(np.all(lam > -1e-9, axis=0) & (pos.sum(axis=0) >= 1e-14))
-        if hits.size:
-            t = hits[0]
-            support = [a, i[start + t], j[start + t]]
-            tau = (pos[0, t] * d[a] + pos[1, t] * dj[t]) / (pos[0, t] + pos[1, t])
-            sub = mat[support][:, support]
-            c = _solve_compression(sub[:2, :2], tau)
-            p = np.array([[c[0], 0.0], [c[1], 0.0], [0.0, 1.0]])
-            w[support] = p @ _solve_compression(p.conj().T @ sub @ p, 0.0)
-            return w
-    raise ToleranceError("could not locate a zero of the numerical range")
+    return math.cos(t), math.sin(t) * cmath.exp(1j * phi)
 
 
 def _zero_diagonal_basis(mat) -> np.ndarray:
     """Orthonormal basis in which the traceless matrix ``mat`` has zero diagonal.
 
-    Deflation: find one unit vector w with vanishing quadratic form (it
-    exists because the numerical range of a traceless matrix contains zero),
-    peel it off, and go on with the compression to the orthogonal
-    complement, which is traceless again.  w from
-    :func:`_vector_with_zero_value` has 2 or 3 nonzero coordinates (or is a
-    working basis vector), so each step rotates only that support: a
-    closed-form Householder reflection H, unitary and Hermitian, maps one
-    support coordinate onto w up to a phase.  The working matrix and basis
-    change in those rows and columns only, and that coordinate is dropped.
+    First the diagonal is made real: with K = (M - M^dag)/2i Hermitian, E its
+    eigenbasis and F the Fourier matrix, every diagonal entry of K in the
+    basis E F is Tr K / m = Im Tr M / m = 0, so M's diagonal there is real.
+    A diagonal that is already exactly real keeps the computational basis.
+    Then deflation: the real diagonal sums to Tr M = 0, so unless an entry is
+    zero (that basis vector is peeled off as it is), the smallest positive
+    entry and the negative entry closest to zero bracket it (pairing the two
+    extremes instead lets rounding grow over the steps).  The 2x2
+    compression onto those two vectors reaches zero in closed form
+    (:func:`_solve_compression`) at a unit x; the rotation
+    [[c0, -conj(c1)], [c1, c0]] of the two coordinates puts x in the
+    first and, in the second, the vector orthogonal to x in that plane,
+    whose value is the compression's trace, real again.  x is peeled off and
+    the compression to the rest, traceless and real on its diagonal, goes on.
     """
     m = mat.shape[0]
     if abs(np.trace(mat)) > 1e-9:
         raise DomainError("matrix must be traceless")
     mk = np.array(mat, dtype=complex)  # compression to the working basis
     iso = np.eye(m, dtype=complex)  # the working basis, column-wise
+    if np.any(np.diag(mk).imag):
+        iso = np.linalg.eigh((mk - mk.conj().T) / 2j)[1] @ fourier_matrix(m)
+        mk = iso.conj().T @ mk @ iso
     cols = []
     for _ in range(m - 1):
-        wk = _vector_with_zero_value(mk)
-        support = np.flatnonzero(wk)
-        q = support[0]
-        if support.size > 1:
-            ws = wk[support] / np.linalg.norm(wk[support])
-            p = int(np.argmin(np.abs(ws)))  # keeps |u|^2 = 2 - 2|ws[p]| away from zero
-            q = support[p]
-            u = -ws
-            u[p] += ws[p] / abs(ws[p])  # H maps phase * e_p to ws
-            h = np.eye(support.size) - (2.0 / np.vdot(u, u).real) * np.outer(u, u.conj())
-            mk[support] = h @ mk[support]
-            mk[:, support] = mk[:, support] @ h
-            iso[:, support] = iso[:, support] @ h
+        d = np.diag(mk).real
+        q = int(np.argmin(np.abs(d)))
+        if abs(d[q]) > ZERO_DIAGONAL_TOL:
+            q = int(np.argmin(np.where(d > 0.0, d, np.inf)))
+            pair = [q, int(np.argmax(np.where(d < 0.0, d, -np.inf)))]
+            c0, c1 = _solve_compression(mk[np.ix_(pair, pair)])
+            rot = np.array([[c0, -c1.conjugate()], [c1, c0]])
+            mk[:, pair] = mk[:, pair] @ rot
+            mk[pair] = rot.conj().T @ mk[pair]
+            iso[:, pair] = iso[:, pair] @ rot
         cols.append(iso[:, q])
         keep = np.arange(mk.shape[0]) != q
         mk = mk[keep][:, keep]

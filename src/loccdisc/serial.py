@@ -14,7 +14,7 @@ from . import bounds as bounds_mod
 from . import locc
 from .ensembles import StateEnsemble, from_descriptor
 from .errors import DomainError
-from .qstate import BipartiteState, as_int
+from .qstate import EIGEN_TOL, BipartiteState, as_int
 
 
 def _pair(z: complex) -> list:
@@ -150,14 +150,22 @@ def one_way_spec_to_json(spec) -> dict:
 
 
 def one_way_spec_from_json(data):
+    """A one-way spec, refused unless Bob's vectors are unit and per outcome orthogonal within
+    ``EIGEN_TOL``: ``as_protocol`` would orthonormalize them quietly into another protocol."""
     try:
         groups = tuple(
             tuple((entry["label"], vector_from_json(entry["vector"])) for entry in group)
             for group in data["bob_discriminators"]
         )
-        return locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), groups)
+        spec = locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), groups)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed one-way spec payload: {exc}") from exc
+    if any(abs(np.linalg.norm(v) - 1.0) > EIGEN_TOL for group in spec.bob_discriminators for _, v in group):
+        raise DomainError("Bob vector is not a unit vector")
+    worst = spec.max_bob_overlap()
+    if worst > EIGEN_TOL:
+        raise DomainError(f"Bob vectors of one outcome are not orthogonal (max overlap {worst:.3e})")
+    return spec
 
 
 def evaluation_to_json(result: locc.ProtocolEvaluation) -> dict:

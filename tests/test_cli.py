@@ -499,6 +499,16 @@ _REFUSALS = {
             [{"label": lab, "vector": [[float(lab == j), 0] for j in range(2)]} for lab in range(3)], []]})),
         "more vectors than the dimension allows",
     ),
+    "one-way-nonorthogonal": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps({"alice_basis": matrix_to_json(np.eye(2)), "bob_discriminators": [
+            [{"label": 0, "vector": [[1, 0], [0, 0]]}, {"label": 1, "vector": [[0.6, 0], [0.8, 0]]}], []]})),
+        "Bob vectors of one outcome are not orthogonal (max overlap 6.000e-01)",
+    ),
+    "one-way-non-unit": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps({"alice_basis": matrix_to_json(np.eye(2)), "bob_discriminators": [
+            [{"label": 0, "vector": [[5, 0], [0, 0]]}], []]})),
+        "Bob vector is not a unit vector",
+    ),
     "ensemble-not-object": (("ensemble", "[1]"), "ensemble payload must be a JSON object"),
     "protocol-not-object": (("evaluate", "--ensemble", _BELL2_DOC, "--protocol", "[1]"), "protocol payload must be a JSON object"),
     "node-not-object": (

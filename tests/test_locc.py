@@ -29,7 +29,7 @@ from loccdisc import (
 )
 from loccdisc import locc, serial
 from loccdisc.bounds import VERDICT_POSSIBLE, verdict
-from loccdisc.ensembles import haar_unitary
+from loccdisc.ensembles import fourier_matrix, haar_unitary
 from loccdisc.library import build_library
 from loccdisc.locc import (
     ALICE,
@@ -139,47 +139,46 @@ def _assert_matches_reference(protocol, ensemble, tol=1e-14):
     assert abs(res.mutual_information_bits - max(mi, 0.0)) <= tol
 
 
-def _reference_zero_value(mat, tol=1e-9):
-    """Loop form of the diagonal search in ``locc._vector_with_zero_value``: segments, then triangles."""
+def _reference_zero_diagonal_basis(mat, tol=1e-9):
+    """Loop form of ``locc._zero_diagonal_basis``: pairs picked by Python loops over the live
+    coordinates, the m x m working matrix and basis rotated in place and never shrunk."""
     m = mat.shape[0]
-    eye = np.eye(m, dtype=complex)
-    d = np.diag(mat)
-    j = int(np.argmin(np.abs(d)))
-    if abs(d[j]) <= tol:
-        return eye[:, j]
-    for i in range(m):
-        for j in range(i + 1, m):
-            seg = d[j] - d[i]
-            if abs(seg) < 1e-14:
-                continue
-            s = float(np.clip(np.real((0.0 - d[i]) / seg), 0.0, 1.0))
-            if abs(d[i] + s * seg) <= tol:
-                return eye[:, [i, j]] @ locc._solve_compression(mat[np.ix_([i, j], [i, j])], 0.0)
-    for i in range(m):
-        for j in range(i + 1, m):
-            for k in range(j + 1, m):
-                a = np.array([[d[i].real, d[j].real, d[k].real], [d[i].imag, d[j].imag, d[k].imag], [1.0, 1.0, 1.0]])
-                try:
-                    lam = np.linalg.solve(a, np.array([0.0, 0.0, 1.0]))
-                except np.linalg.LinAlgError:
-                    continue
-                if np.all(lam > -1e-9):
-                    lam = np.clip(lam, 0.0, None)
-                    if lam[0] + lam[1] < 1e-14:
-                        continue
-                    tau = (lam[0] * d[i] + lam[1] * d[j]) / (lam[0] + lam[1])
-                    c = locc._solve_compression(mat[np.ix_([i, j], [i, j])], tau)
-                    p = np.column_stack([eye[:, [i, j]] @ c, eye[:, k]])
-                    return p @ locc._solve_compression(p.conj().T @ mat @ p, 0.0)
-    raise AssertionError("reference found no zero")
+    w = np.eye(m, dtype=complex)
+    if np.any(np.diag(mat).imag):
+        w = np.linalg.eigh((mat - mat.conj().T) / 2j)[1] @ fourier_matrix(m)
+    b = w.conj().T @ mat @ w
+    live, cols = list(range(m)), []
+    while len(live) > 1:
+        d = {i: b[i, i].real for i in live}
+        q = min(live, key=lambda i: abs(d[i]))
+        if abs(d[q]) > tol:
+            q = min((i for i in live if d[i] > 0), key=d.get)
+            pair = [q, max((i for i in live if d[i] < 0), key=d.get)]
+            c0, c1 = locc._solve_compression(b[np.ix_(pair, pair)])
+            g = np.array([[c0, -np.conj(c1)], [c1, np.conj(c0)]])
+            b[:, pair] = b[:, pair] @ g
+            b[pair] = g.conj().T @ b[pair]
+            w[:, pair] = w[:, pair] @ g
+        cols.append(w[:, q])
+        live.remove(q)
+    return np.column_stack(cols + [w[:, live[0]]])
 
 
 def _traceless(rng, m, kind):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     if kind == "hermitian":
         a = a + a.conj().T
+    elif kind == "anti-hermitian":
+        a = a - a.conj().T
     elif kind == "near-diagonal":
         a = np.diag(np.diag(a)) + 1e-3 * a
+    elif kind == "zero":
+        a = np.zeros((m, m), dtype=complex)
+    elif kind in ("jordan", "rotated-clock"):
+        # a nilpotent Jordan block, or the clock matrix diag(w^j), in a Haar-random basis
+        core = np.eye(m, k=1) if kind == "jordan" else np.diag(np.exp(2j * np.pi * np.arange(m) / m))
+        u = haar_unitary(m, rng)
+        a = u @ core @ u.conj().T
     return a - np.trace(a) / m * np.eye(m)
 
 
@@ -972,7 +971,9 @@ class TestEvaluatorGolden:
     that weighed a node's leaves beside internal children one row each.  The
     ``three-qutrit-*`` and ``discard-bell3-*`` entries, whose protocols come from
     ``synthesize_three_qutrit_protocol``, were recorded from its one-eigensystem
-    form.
+    form, and ``two-state-random-2x3`` and ``discard-bell2-keep2of4``, whose
+    protocols come from ``two_state_protocol``, from its real-diagonal
+    deflation.
     """
 
     BELL = {
@@ -1025,14 +1026,14 @@ class TestEvaluatorGolden:
         "cub-7-k4": ("0x1.ffffffffffffdp-1", "0x1.fffffffffffffp+0", "600f108b11565aea"),
         "cub-7-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd66p+0", "0a6d80f7640960b3"),
         "discard-bell2-keep2of3": ("0x1.5555555555555p-1", "0x1.d62adf1ea257ap-1", "8995c31f80094091"),
-        "discard-bell2-keep2of4": ("0x1.0000000000000p-1", "0x1.fffffffffffffp-1", "388b7e630cf37199"),
+        "discard-bell2-keep2of4": ("0x1.ffffffffffffep-2", "0x1.0000000000000p+0", "925cf3b4abfe9fdf"),
         "discard-bell3-keep3of4": ("0x1.8000000000003p-1", "0x1.7ffffffffffffp+0", "b940187a4e45bb82"),
         "discard-bell3-keep3of5": ("0x1.3333333333336p-1", "0x1.859d146267a15p+0", "9d9e29f45f75817b"),
         "discard-bell3-keep3of7": ("0x1.b6db6db6db6dep-2", "0x1.8e810dd1a6e08p+0", "7dcf29f19e200320"),
         "discard-bell3-keep3of9": ("0x1.5555555555557p-2", "0x1.95c01a39fbd68p+0", "46b360824b799ea1"),
         "two-state-bell2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "8a0595c09fe0a94e"),
         "two-state-product": ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "bcb7c465dee890ca"),
-        "two-state-random-2x3": ("0x1.ffffffffffffep-1", "0x1.0000000000001p+0", "a4839f28ae75a4a1"),
+        "two-state-random-2x3": ("0x1.ffffffffffffcp-1", "0x1.0000000000001p+0", "6cb355e662b279c4"),
         "blind-guess-bell2": ("0x1.0000000000000p-2", "0x0.0p+0", "f3bf06b8f1c12eb9"),
         "blind-guess-prod23": ("0x1.5555555555556p-3", "0x0.0p+0", "4e4afabe10905076"),
         "product-basis-2x2": ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "094441bf7cf37b2f"),
@@ -1247,31 +1248,56 @@ class TestDiscardProtocol:
 
 
 class TestZeroValueScan:
-    """The array scan picks the same basis directions as the loop over pairs and triples."""
+    """The deflation's search for a zero diagonal entry or a sign pair: the basis of a dense loop
+    reference, at most one eigensystem, and a zero diagonal on structured and large inputs."""
+
+    KINDS = ("generic", "hermitian", "near-diagonal", "anti-hermitian", "jordan", "zero", "rotated-clock")
+
+    @staticmethod
+    def _assert_zero_diagonal(mat, w, tol):
+        m = mat.shape[0]
+        assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= tol
+        assert float(np.max(np.abs(w.conj().T @ w - np.eye(m)))) <= 1e-12
 
     @pytest.mark.parametrize("m", range(2, 25))
     def test_matches_loop_reference(self, m):
+        """Hermitian inputs are left out of the comparison: every phase of c1 solves a Hermitian
+        compression, so rounding, which differs between the two forms, picks it."""
         rng = np.random.default_rng(500 + m)
-        for kind in ("generic", "hermitian", "near-diagonal"):
+        for kind in self.KINDS:
             mat = _traceless(rng, m, kind)
-            got = locc._vector_with_zero_value(mat)
-            ref = _reference_zero_value(mat)
-            support = np.flatnonzero(got)
-            assert support.tolist() == np.flatnonzero(ref).tolist()
-            if support.size < 3:
-                np.testing.assert_array_equal(got, ref)
-            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
-            assert abs(np.vdot(got, mat @ got)) <= 1e-9
-
-    def test_fallback_reached_and_zero_diagonal(self):
-        rng = np.random.default_rng(77)
-        triangles = 0
-        for m in range(3, 25):
-            mat = _traceless(rng, m, "generic")
-            triangles += np.count_nonzero(locc._vector_with_zero_value(mat)) == 3
             w = locc._zero_diagonal_basis(mat)
-            assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= 1e-9
-        assert triangles >= 10
+            if kind != "hermitian":
+                np.testing.assert_allclose(w, _reference_zero_diagonal_basis(mat), rtol=0, atol=1e-12)
+            self._assert_zero_diagonal(mat, w, 1e-9)
+
+    def test_fallback_reached_and_zero_diagonal(self, monkeypatch):
+        """A diagonal with any imaginary part takes one eigensystem, an exactly real one none."""
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        rng = np.random.default_rng(77)
+        for m in range(3, 25):
+            for kind, expected in (("generic", 1), ("anti-hermitian", 1), ("hermitian", 0), ("zero", 0)):
+                calls.clear()
+                mat = _traceless(rng, m, kind)
+                self._assert_zero_diagonal(mat, locc._zero_diagonal_basis(mat), 1e-9)
+                assert len(calls) == expected, (m, kind)
+
+    def test_residual_scales_with_the_matrix(self):
+        rng = np.random.default_rng(2026)
+        for m in range(2, 41):
+            for kind in self.KINDS:
+                mat = _traceless(rng, m, kind)
+                self._assert_zero_diagonal(mat, locc._zero_diagonal_basis(mat), 1e-11 * float(np.max(np.abs(mat))))
+
+    def test_compression_reaches_zero(self, rng):
+        for _ in range(50):
+            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            b[0, 0], b[1, 1] = rng.uniform(1e-9, 2.0), -rng.uniform(1e-9, 2.0)
+            c = np.array(locc._solve_compression(b))
+            assert abs(np.vdot(c, c) - 1.0) <= 1e-15
+            assert abs(np.vdot(c, b @ c)) <= 1e-14
 
 
 class TestTwoStateProtocol:
@@ -1420,7 +1446,7 @@ def _product_pair(rng, dim_a, dim_b):
 
 
 class TestTwoStateDeflation:
-    """The Householder deflation gives a zero-diagonal unitary basis and a perfect protocol."""
+    """The deflation by two-coordinate rotations gives a zero-diagonal unitary basis and a perfect protocol."""
 
     @staticmethod
     def _assert_basis_and_protocol(s1, s2):

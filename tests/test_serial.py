@@ -12,7 +12,26 @@ from loccdisc import (
     synthesize_three_qutrit_protocol,
     verdict,
 )
-from loccdisc import serial
+from loccdisc import locc, serial
+from loccdisc.ensembles import fourier_matrix
+from loccdisc.library import build_library
+from loccdisc.synth import synthesize_cub_protocol
+
+
+def _library_spec(entry):
+    """The one-way spec behind a CUB, prop1 or two-state library entry, built as the library builds it."""
+    ens = entry.ensemble
+    if entry.name.startswith("cub-"):
+        return synthesize_cub_protocol(ens)
+    if entry.name.startswith("simdiag-"):
+        return synthesize_cub_protocol(ens, fourier_matrix(ens.dim_a))
+    if entry.name.startswith("three-qutrit-"):
+        return synthesize_three_qutrit_protocol(ens)
+    s1, s2 = ens.states
+    return locc.one_way_protocol(ens.states, locc._zero_diagonal_basis(s1.amplitude_matrix.conj() @ s2.amplitude_matrix.T).conj())
+
+
+_SPEC_ENTRIES = [e for e in build_library() if e.name.startswith(("cub-", "simdiag-", "three-qutrit-", "two-state-"))]
 
 
 class TestMatrixJson:
@@ -70,6 +89,12 @@ class TestProtocolJson:
         doc = serial.one_way_spec_to_json(spec)
         proto = serial.protocol_from_json(doc)
         assert evaluate(proto, ens).success_probability > 1 - 1e-9
+
+    @pytest.mark.parametrize("entry", _SPEC_ENTRIES, ids=lambda e: e.name)
+    def test_library_specs_pass_the_payload_checks(self, entry):
+        """Synthesized specs keep Bob's vectors within the bound the loader refuses beyond."""
+        back = serial.protocol_from_json(serial.one_way_spec_to_json(_library_spec(entry)))
+        assert evaluate(back, entry.ensemble).success_probability == evaluate(entry.protocol, entry.ensemble).success_probability
 
     def test_malformed_node(self):
         with pytest.raises(DomainError):

@@ -2,7 +2,7 @@
 name it lists must still resolve, the package's ``__all__`` must list exactly what it exports, and the
 README must name every public call that takes a tolerance.  The benchmark's refined Bell trees must be
 the ones the evaluator and sampler pins in ``test_locc.py`` cover.  Loading the CLI must not load
-``numpy.random``, which only seeded commands need.  Every code name the README cites must exist."""
+``numpy.random``, which only seeded commands need, and loading the package must not load scipy.  Every code name the README cites must exist."""
 
 import dataclasses
 import importlib
@@ -107,6 +107,19 @@ def test_cli_import_leaves_numpy_random_unloaded():
     code = "import sys, loccdisc.cli; print('numpy.random' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_package_loads_no_scipy():
+    """The core is numpy-only: importing every ``loccdisc`` module loads no ``scipy`` module, though
+    scipy may be installed beside it."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    code = (
+        "import importlib, pkgutil, sys, loccdisc; "
+        "[importlib.import_module(f'loccdisc.{m.name}') for m in pkgutil.iter_modules(loccdisc.__path__)]; "
+        "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 # README names that are notation, not code (the Bell basis BB_n, the bound f_me); ``numpy.*`` names are numpy's
