@@ -18,16 +18,9 @@ and a step's consecutive leaf children get their weights as one
 (leaves, k) block.  Success and mutual information are array reductions
 over the stacked (leaves, k) weights; the leaf paths are kept per block,
 and the joint table's row tuples are built only when first read.
-The Monte-Carlo sampler is an independent route: it propagates the live
-states' amplitude matrices as its own stacked array.  Each step applies its
-stacked POVMs to them in one product, takes every state's Born weights from
-one block reduction, and splits every state's trials over the outcomes with
-one multinomial draw; the trials drawn into all of the step's leaves are
-scored in one array step, and only internal children are walked further.
-A run steps on all of its (state, node) rows, node-major and in blocks of a
-fixed row count, so it draws in the node-by-node order.  Both walks group
-a node's children, stack a run's operators and take squared magnitudes
-through shared helpers.
+The Monte-Carlo runs take the same weights: per-state trial counts are
+drawn from the priors, and each state's correct trials are one binomial
+draw with its exact success, so the tree is walked once, by the evaluator.
 
 Computational-basis measurements and identity rounds stack the identity
 (:attr:`Povm.is_identity`).  A step whose run shares one such POVM takes
@@ -35,18 +28,17 @@ its input as the product, a view with no copy and no matmul.  The bits are
 the product's: each entry of a product with a 0/1 row is 1 x plus exact
 zeros, so it equals x up to the sign of a zero, which the squares drop;
 and the sums over the summed-away axis run in the product's order.  The
-sampler's inputs (the amplitude stack, or rows it gathered) are
-C-contiguous, laid out as its products are.  The evaluator's input is a
-slice of the parent's product.  For Bob its summed axis (Alice's
-coordinates) is innermost, as in the product, so numpy sums it pairwise
-alike; for Alice it is an outer axis, summed in sequence in both, while
-Alice's coordinates are innermost.  With one Alice coordinate left the
-product's summed axis becomes innermost, summed pairwise, while a view of
-a Bob parent's product, whose states are innermost, would sum it in
-sequence, so such a step keeps the product.  A view aliases memory the
-step does not own (the parent's product, the ensemble's read-only stacks),
-so in both walks it is squared out of place.  Dense POVMs, and runs that
-stack distinct POVM objects, keep the product.
+step's input is a slice of the parent's product (the ensemble's B stack
+at the root).  For Bob its summed axis (Alice's coordinates) is
+innermost, as in the product, so numpy sums it pairwise alike; for Alice
+it is an outer axis, summed in sequence in both, while Alice's
+coordinates are innermost.  With one Alice coordinate left the product's
+summed axis becomes innermost, summed pairwise, while a view of a Bob
+parent's product, whose states are innermost, would sum it in sequence,
+so such a step keeps the product.  A view aliases memory the step does
+not own (the parent's product, the ensemble's read-only stack), so it is
+squared out of place.  Dense POVMs, and runs that stack distinct POVM
+objects, keep the product.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
@@ -79,12 +71,6 @@ BOB = "bob"
 # Branches lighter than this are dropped from joint tables (keeps entropy
 # sums away from log(0); the discarded mass bounds the induced error).
 PRUNE_TOL = 1e-14
-
-# Rows of a run of sibling nodes of leaves that one ``simulate`` step takes:
-# bounds the step's gathered input, product and squares.  Unbounded, the
-# n = 16 standard Bell tree's 4096 rows make them fresh 1 MiB blocks, which
-# fault in new pages on every call.
-_SAMPLE_BLOCK_ROWS = 1024
 
 # The largest squares buffer ``_squared_norms`` allocates beside a product
 # it must keep; larger products are squared in blocks of rows.
@@ -613,16 +599,17 @@ def evaluate(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10
 def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed: int) -> float:
     """Empirical success rate over seeded Monte-Carlo runs.
 
-    Independent of :func:`evaluate`: per-state trial counts are drawn from
-    the priors, and the live states' amplitude matrices travel down the tree
-    as one stacked array, walked by :func:`_sample`.  Each step applies a
-    POVM in one product, takes the Born weights from the squared norms of
-    its outcome blocks, and splits every state's trials over the outcomes
-    with one multinomial draw, which is distribution-identical to per-trial
-    sampling.  A run of sibling nodes whose children are all leaves takes
-    one step for all of its rows, in blocks of a fixed row count.  Draws
-    happen only at internal nodes, in preorder, and a run's rows are
-    node-major, so the random stream is the one a node-by-node walk draws.
+    Per-state trial counts n_i are drawn from the priors; state i's correct
+    trials are then one binomial draw with its exact success s_i, which is
+    distribution-identical to sampling every trial down the tree by the
+    Born rule.  s_i is the weight of the leaves guessing i in column i of
+    :func:`_leaf_weights`, over that column's sum, clipped to [0, 1]: a POVM
+    complete only to ``validate``'s tolerance can give a column sum above 1,
+    and numpy's binomial refuses p > 1.  Unlike
+    :attr:`ProtocolEvaluation.per_state_success` no row is pruned, so a rare
+    state keeps its success.  A column whose weight all sits on hits gives
+    s_i = 1 exactly (the two sums add the same terms in the same order), and
+    a binomial draw with p = 0 or 1 consumes no randomness.
     """
     trials = as_int(trials, "trials")
     if not 1 <= trials <= 2**63 - 1:
@@ -635,88 +622,10 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     protocol.validate(k=ensemble.k)
     rng = np.random.default_rng(seed)
     per_state = rng.multinomial(trials, ensemble.priors)
-    if isinstance(protocol.root, Leaf):
-        return int(per_state[protocol.root.guess]) / trials
-    live = np.flatnonzero(per_state)
-    amps = ensemble.amplitude_matrices()
-    if live.size < amps.shape[0]:  # no copy when every state is live
-        amps = amps[live]
-    run = (protocol.root,)
-    correct = _sample(run, *_run_tables(run), amps, live, per_state[live], np.zeros(live.size, np.intp), rng)
-    return correct / trials
-
-
-def _run_tables(run):
-    """The operators (:func:`_run_stack`) and the (nodes, outcomes) guess table of a sampler step on ``run``.
-
-    An internal child guesses -1, which no state label equals.
-    """
-    guesses = [[child.guess if isinstance(child, Leaf) else -1 for child in node.children] for node in run]
-    return _run_stack(run), np.array(guesses)
-
-
-def _sample(run, ops, guesses, y, labels, counts, which, rng) -> int:
-    """Correct trials below one sampler step on ``run``: one node, or a run of sibling nodes of leaves.
-
-    Row i of the stacked input ``y`` holds state ``labels[i]`` at node
-    ``which[i]`` of the run with ``counts[i]`` trials; rows are node-major,
-    and ``ops`` and ``guesses`` come from :func:`_run_tables`.  The step
-    applies the POVMs in one product (Alice maps a row S to stacked S, Bob
-    to S stacked^T), takes the Born weights from the outcome blocks' squared
-    norms (:func:`_squared_norms`, then one ``np.add.reduceat`` unless each
-    outcome has one row), splits every row's trials by one multinomial draw
-    and scores the draws landing on leaves in one masked sum.  Leaves draw
-    nothing, so node-major rows draw in the order node-by-node steps would.
-    A step with one identity POVM (2-D ``ops``) takes ``y`` itself as its
-    product (see the module docstring).
-
-    A lone node's children are grouped by :func:`_child_groups`, as in the
-    evaluator.  Each group of nodes takes the (state, node) rows that drew
-    trials into it, gathered node-major from the product and renormalized;
-    a run of nodes of leaves steps on them in blocks of
-    ``_SAMPLE_BLOCK_ROWS`` rows, a node with internal children on all of
-    them in one piece.  A module-level function rather than a recursive
-    closure, which would be a reference cycle.
-    """
-    node = run[0]
-    alice = node.actor == ALICE
-    view = ops.ndim == 2 and node.povm.is_identity
-    if ops.ndim == 3:  # nodes of distinct POVMs: each row takes its node's operators
-        ops = ops[which]
-        z = ops @ y if alice else y @ ops.transpose(0, 2, 1)
-    elif view:
-        z = y
-    elif alice:
-        z = ops @ y
-    else:  # reshaped to one 2-D product: a 3-D matmul would loop over the rows' matrices
-        z = (y.reshape(-1, y.shape[2]) @ ops.T).reshape(*y.shape[:2], -1)
-    inner = not all(isinstance(child, Leaf) for child in node.children)
-    probs = _squared_norms(z, 2 if alice else 1, in_place=not inner and not view)
-    if probs.shape[1] != guesses.shape[1]:  # not one row per outcome
-        probs = np.add.reduceat(probs, node.povm.offsets, axis=1)
-    probs /= probs.sum(axis=1, keepdims=True)
-    drawn = rng.multinomial(counts, probs)
-    correct = int((drawn * (labels[:, None] == guesses[which])).sum())
-    if not inner:
-        return correct
-    for lo, group, rows in _child_groups(node):
-        if isinstance(group[0], Leaf):
-            continue
-        j, s = np.nonzero(drawn[:, lo : lo + len(group)].T)  # (node, state) pairs that drew trials, node-major
-        if alice:
-            zr = z[:, rows].reshape(z.shape[0], len(group), -1, z.shape[2])
-        else:
-            zr = z[:, :, rows].reshape(*z.shape[:2], len(group), -1)
-        tables = _run_tables(group)
-        # a node with internal children steps in one piece, so the draws below it keep their order
-        step = max(s.size, 1) if any(isinstance(child, ProtocolNode) for child in group[0].children) else _SAMPLE_BLOCK_ROWS
-        for b in range(0, s.size, step):
-            jb, sb = j[b : b + step], s[b : b + step]
-            yb = zr[sb, jb] if alice else zr[sb, :, jb]
-            v = yb.view(float)
-            v *= (1.0 / np.sqrt(probs[sb, lo + jb]))[:, None, None]
-            correct += _sample(group, *tables, yb, labels[sb], drawn[sb, lo + jb], jb, rng)
-    return correct
+    _, guesses, w = _leaf_weights(protocol, ensemble)
+    hit = np.array(guesses)[:, None] == np.arange(ensemble.k)
+    s = np.clip((w * hit).sum(axis=0) / w.sum(axis=0), 0.0, 1.0)
+    return int(rng.binomial(per_state, s).sum()) / trials
 
 
 def standard_bell_protocol(n: int, subset=None) -> LoccProtocol:

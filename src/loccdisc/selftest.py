@@ -150,7 +150,13 @@ def criterion_verdicts() -> tuple[bool, str]:
 
 
 def criterion_monte_carlo() -> tuple[bool, str]:
-    """simulate vs evaluate within 5 sigma at 1e5 trials for every library pair."""
+    """simulate vs evaluate within 5 sigma at 1e5 trials for every library pair.
+
+    ``simulate`` draws from the exact leaf weights (per-state counts from the
+    priors, then one binomial per state), so this checks that sampling step,
+    not the weights; the exact cross-check of ``evaluate`` is the per-leaf,
+    per-state reference of the test suite's ``TestBatchedEvaluator``.
+    """
     trials = 100_000
     worst_ratio = 0.0
     for idx, entry in enumerate(build_library()):

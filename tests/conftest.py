@@ -123,6 +123,21 @@ def random_kraus_case(seed):
     return _random_tree(rng, da, db, k, rounds=3 + seed % 2), ens
 
 
+def overweight_perfect_case():
+    """A perfect protocol for two Bell states whose root POVM is scaled by 1 + 4e-11, and their ensemble.
+
+    Every leaf weight grows by about 8e-11, which ``validate``'s 1e-10
+    completeness check still accepts, so each state's exact success is
+    slightly above 1 before it is normalized.
+    """
+    from loccdisc import LoccProtocol, Povm, ProtocolNode, bell_basis, two_state_protocol, uniform_ensemble
+
+    s1, s2 = bell_basis(2).states[:2]
+    root = two_state_protocol(s1, s2).root
+    scaled = Povm(tuple(m * (1 + 4e-11) for m in root.povm.elements))
+    return LoccProtocol(2, 2, ProtocolNode(root.actor, scaled, root.children)), uniform_ensemble([s1, s2])
+
+
 def refined_bell_protocol(n):
     """Four-round refinement of ``standard_bell_protocol(n)``, for any n >= 2.
 

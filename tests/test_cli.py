@@ -19,7 +19,7 @@ from loccdisc.ensembles import fourier_matrix, haar_unitary
 from loccdisc.library import build_library
 from loccdisc.serial import ensemble_to_json, matrix_to_json, one_way_spec_to_json, protocol_to_json
 
-from conftest import near_commuting_triple, refined_bell_protocol
+from conftest import near_commuting_triple, overweight_perfect_case, refined_bell_protocol
 
 
 def _run(capsys, *argv):
@@ -628,6 +628,13 @@ class TestOutputBoundary:
         _assert_clean_exit(*first, 0)
         assert 0.0 < json.loads(first[1])["report"]["empirical_success_rate"] < 1.0
         assert _run(capsys, *argv)[1] == first[1]
+
+    def test_simulate_overweight_povm_exits_0(self, capsys):
+        protocol, ens = overweight_perfect_case()
+        argv = ("simulate", "--protocol", json.dumps(protocol_to_json(protocol)), "--ensemble", json.dumps(ensemble_to_json(ens)))
+        code, out, err = _run(capsys, *argv, "--trials", "100000", "--seed", "0")
+        _assert_clean_exit(code, out, err, 0)
+        assert json.loads(out)["report"]["empirical_success_rate"] == 1.0
 
     def test_evaluate_is_byte_deterministic(self, capsys, bell2_protocol):
         argv = ("evaluate", "--protocol", bell2_protocol, "--ensemble", '{"kind":"bell","n":2}')

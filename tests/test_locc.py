@@ -46,6 +46,7 @@ from conftest import (
     max_overlap_per_pair,
     one_way_groups_per_vector,
     orthonormal_completion,
+    overweight_perfect_case,
     random_kraus_case,
     random_orthogonal_pair,
     refined_bell_protocol,
@@ -547,7 +548,7 @@ class TestRunWeights:
 
 
 class TestSquaredNorms:
-    """The squares helper both walks share gives the bits of the plain ``real**2 + imag**2`` sums."""
+    """The walk's squares helper gives the bits of the plain ``real**2 + imag**2`` sums."""
 
     @pytest.mark.parametrize("block_bytes", ["default", 1000])
     @pytest.mark.parametrize("layout", ["c", "transposed"])
@@ -566,7 +567,7 @@ class TestSquaredNorms:
 
 
 def _spy_views(monkeypatch):
-    """Record, per walk step that squares its product, the walk and whether the product views the step's input."""
+    """Record, per walk step that squares its product, whether the product views the step's input."""
     inputs, kinds = [], []
 
     def spy(name, step, at):
@@ -585,7 +586,6 @@ def _spy_views(monkeypatch):
 
     squared_norms = locc._squared_norms
     spy("_collect_leaves", locc._collect_leaves, 1)
-    spy("_sample", locc._sample, 3)
     monkeypatch.setattr(locc, "_squared_norms", squares)
     return kinds
 
@@ -634,11 +634,12 @@ def _identity_tree(name):
 
 
 # The products the squared steps of each ``_identity_tree`` take.  Dense rounds take the
-# product, and so does a padded Alice round left with one coordinate.
+# product, and so do the padding rounds below leaves (each its own identity POVM, so a run of
+# them stacks distinct objects); an identity node whose children are all nodes squares nothing.
 IDENTITY_TREES = {
-    "padded-coarse-split": {"view", "product"},
-    "identity-over-dense": {"view", "product"},
-    "dense-over-identity": {"view", "product"},
+    "padded-coarse-split": {"product"},
+    "identity-over-dense": {"product"},
+    "dense-over-identity": {"view"},
     "std-3": {"view"},
     "refined-3": {"view"},
     "padded-blind": {"view"},
@@ -646,7 +647,7 @@ IDENTITY_TREES = {
 
 
 def _skewed_ensemble(seed, dim_a=3, dim_b=3, k=9):
-    """Seeded random states, priors 4^-i in seeded order with two of them zero, so the sampler's root copies its live rows."""
+    """Seeded random states, priors 4^-i in seeded order with two of them zero, so two states draw no trials."""
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal((k, dim_a * dim_b)) + 1j * rng.standard_normal((k, dim_a * dim_b))
     priors = 4.0 ** -rng.permutation(k)
@@ -687,21 +688,20 @@ class TestIdentityViewSteps:
     @pytest.mark.parametrize("povm", ["one-outcome", "projective"])
     @pytest.mark.parametrize("priors", ["all-live", "zero-prior"])
     def test_identity_root_leaves_inputs_alone(self, actor, povm, priors, monkeypatch):
-        # the evaluator's root step views the ensemble's read-only B stack, and with every state
-        # live the sampler's views its amplitude stack: an in-place square there would raise
+        # the root step of evaluate and simulate alike views the ensemble's read-only B stack:
+        # an in-place square there would raise
         ens = _skewed_ensemble(2, dim_a=2, dim_b=3, k=4)
         if priors == "all-live":
             ens = StateEnsemble(ens.states, np.full(4, 0.25))
-            assert all(np.random.default_rng(s).multinomial(20_000, ens.priors).all() for s in range(3))
         dim = ens.dim_a if actor == ALICE else ens.dim_b
         op = identity_round(dim) if povm == "one-outcome" else projective_povm(np.eye(dim))
         protocol = LoccProtocol(2, 3, ProtocolNode(actor, op, tuple(Leaf(g % 4) for g in range(len(op.elements)))))
-        stacks = ens.b_matrices(), ens.amplitude_matrices()
-        before = [s.tobytes() for s in stacks]
+        stack = ens.b_matrices()
+        before = stack.tobytes()
         kinds = _spy_views(monkeypatch)
         fast = _walk_outputs(protocol, ens)
         assert set(kinds) == {"view"}
-        assert [s.tobytes() for s in stacks] == before and not any(s.flags.writeable for s in stacks)
+        assert stack.tobytes() == before and not stack.flags.writeable
         _no_views(monkeypatch)
         assert _walk_outputs(protocol, ens) == fast
 
@@ -769,7 +769,7 @@ class TestSimulate:
 
 
 class TestBatchedSampler:
-    """Bookkeeping of the stacked sampler: live rows, labels, counts, and its own route."""
+    """``simulate``'s bookkeeping: the state draw, guess labels, and the success each state draws with."""
 
     @pytest.mark.parametrize("n", [4, 8])
     @pytest.mark.parametrize("seed", range(3))
@@ -800,50 +800,54 @@ class TestBatchedSampler:
         sigma = max(math.sqrt(p * (1.0 - p) / 100_000), 1e-12)
         assert abs(simulate(protocol, ens, trials=100_000, seed=100 + seed) - p) <= 5.0 * sigma
 
-    def test_independent_of_exact_evaluation(self, monkeypatch):
-        protocol, ens = random_kraus_case(3)
-        expected = simulate(protocol, ens, trials=20_000, seed=9)
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("simulate must not use the exact evaluator")
-
-        monkeypatch.setattr(locc, "_leaf_weights", refuse)
-        monkeypatch.setattr(locc, "evaluate", refuse)
-        monkeypatch.setattr(StateEnsemble, "b_matrices", refuse)
-        assert simulate(protocol, ens, trials=20_000, seed=9) == expected
-
     @pytest.mark.parametrize("name", list(RUN_CASES))
     def test_runs_found(self, name, monkeypatch):
-        # the run nodes of the evaluator's runs step together (the rows of five states fit one block)
+        # simulate takes its weights from the evaluator's walk: the same multi-node steps, once
         runs = []
 
         def record(run, *args):
-            runs.append(len(run))
-            return sample(run, *args)
+            if len(run) > 1:
+                runs.append((len(run), run[0].actor == BOB, all(child.povm is run[0].povm for child in run)))
+            return collect(run, *args)
 
-        sample = locc._sample
-        monkeypatch.setattr(locc, "_sample", record)
+        collect = locc._collect_leaves
+        monkeypatch.setattr(locc, "_collect_leaves", record)
         simulate(*_run_case(name), trials=100_000, seed=0)
-        assert [m for m in runs if m > 1] == [m for m, _, _ in RUN_CASES[name]]
+        assert runs == RUN_CASES[name]
 
     @pytest.mark.parametrize("block", ["default", 3])
     @pytest.mark.parametrize("protocol, ens", _run_trees())
     def test_runs_equal_node_by_node(self, protocol, ens, block, monkeypatch):
-        if block != "default":  # runs cut into many blocks, some across node boundaries
-            monkeypatch.setattr(locc, "_SAMPLE_BLOCK_ROWS", block)
+        if block != "default":  # every out-of-place square taken in blocks of one leading row
+            monkeypatch.setattr(locc, "_SQUARES_BLOCK_BYTES", block)
         fused = [simulate(protocol, ens, trials=20_000, seed=s) for s in range(3)]
         monkeypatch.setattr(locc, "_run_key", lambda pair: pair[0])  # every node on its own
         assert [simulate(protocol, ens, trials=20_000, seed=s) for s in range(3)] == fused
 
+    def test_rare_state_keeps_its_success(self):
+        # state 1 draws a few thousand of 2**62 trials and every leaf guesses it; evaluate
+        # prunes its rows (prior x weight 1e-15 < PRUNE_TOL), so its per-state success reads 0
+        states = bell_basis(2).states[:2]
+        ens = StateEnsemble(states, np.array([1.0 - 1e-15, 1e-15]))
+        protocol = two_state_protocol(*states).map_leaves(lambda leaf: Leaf(1))
+        assert evaluate(protocol, ens).per_state_success == (0.0, 0.0)
+        assert simulate(protocol, ens, trials=2**62, seed=0) > 0.0
+
+    def test_weights_above_one_are_normalized(self):
+        # numpy's binomial refuses p > 1, so an unnormalized success would escape as ValueError
+        protocol, ens = overweight_perfect_case()
+        assert simulate(protocol, ens, trials=100_000, seed=0) == 1.0
+
 
 class TestSamplerStream:
-    """Rates pinned exactly: the sampler's random stream and its bookkeeping must not move.
+    """Rates pinned exactly: the random stream and the per-state success it draws with must not move.
 
-    Counts are correct trials out of 100,000 at seeds 0, 1 and 2.  ``BELL``
-    below n = 16, ``KRAUS`` and ``EDGE`` were recorded from the per-element
-    sampler that preceded the stacked node step; the n = 16 ``BELL`` trees,
-    ``RUN`` and ``LIBRARY`` (whose one-way Bob rounds form runs of distinct
-    POVMs) from the node-by-node stacked sampler that preceded run fusion.
+    Counts are correct trials out of 100,000 at seeds 0, 1 and 2.  Where
+    every per-state success is 0 or 1 (``BELL``, ``LIBRARY``, the leaf
+    root) only the state draw decides, and the counts are those the
+    Born-rule tree walk drew before ``simulate`` took the exact weights.
+    ``KRAUS``, the other ``EDGE`` trees and ``RUN`` were recorded from the
+    binomial draw on the exact weights.
     """
 
     TRIALS = 100_000
@@ -863,27 +867,27 @@ class TestSamplerStream:
         ("refined", 16): (6234, 6213, 6298),
     }
     KRAUS = {
-        0: (18131, 18137, 18192),
-        1: (26289, 26359, 26418),
-        2: (38203, 38107, 38403),
-        3: (30377, 30425, 30424),
-        4: (18359, 18277, 18304),
-        5: (44376, 44291, 44655),
-        6: (44295, 44723, 44321),
-        7: (12542, 12623, 12444),
-        8: (52117, 51742, 51877),
-        9: (30152, 30068, 30043),
+        0: (18078, 18294, 18140),
+        1: (26475, 26225, 26506),
+        2: (38384, 38100, 38216),
+        3: (30518, 30220, 30343),
+        4: (18111, 18321, 18116),
+        5: (44406, 44160, 44257),
+        6: (44386, 44655, 44379),
+        7: (12520, 12321, 12477),
+        8: (51949, 51935, 51939),
+        9: (29990, 29793, 30178),
     }
     EDGE = {
         "leaf-root": (15169, 15052, 15110),
-        "mixed-children": (11898, 11937, 12018),
-        "dead-outcomes": (17570, 17567, 17543),
+        "mixed-children": (12081, 12012, 12027),
+        "dead-outcomes": (17568, 17308, 17613),
     }
     RUN = {
-        "bob-parent-shared": (22282, 22457, 22306),
-        "bob-parent-multirow-children": (22744, 22830, 22863),
-        "alice-parent-multirow": (14201, 14341, 14196),
-        "broken-runs": (20109, 20046, 19911),
+        "bob-parent-shared": (22553, 22472, 22363),
+        "bob-parent-multirow-children": (22736, 22690, 22648),
+        "alice-parent-multirow": (14324, 14240, 14264),
+        "broken-runs": (19824, 19963, 19825),
     }
     LIBRARY = {
         "bell-standard-full-2": (50127, 50050, 50082),

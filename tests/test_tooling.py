@@ -1,7 +1,7 @@
 """Names that other code looks up: the benchmark's span tracer patches functions by name, so every
 name it lists must still resolve, the package's ``__all__`` must list exactly what it exports, and the
 README must name every public call that takes a tolerance.  The benchmark's refined Bell trees must be
-the ones the evaluator and sampler pins in ``test_locc.py`` cover.  Loading the CLI must not load
+the ones the evaluator and ``simulate`` pins in ``test_locc.py`` cover.  Loading the CLI must not load
 ``numpy.random``, which only seeded commands need, and loading the package must not load scipy.  Every code name the README cites must exist."""
 
 import dataclasses
