@@ -42,10 +42,12 @@ objects, keep the product.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
-representation of such a protocol; it stores Bob's vectors once, as one
-zero-padded array.  :func:`one_way_protocol` derives all of them from the
-states in one product, and :meth:`OneWayProtocolSpec.as_protocol` expands a
-spec into a tree, each round's :class:`Povm` built from one stacked array.
+representation of such a protocol: per-outcome label tuples and one array of
+Bob's vectors, outcome by outcome, padded once into a zero-filled block.
+:func:`one_way_protocol` derives all of them from the states in one product,
+:func:`product_basis_protocol` from one batched SVD, and
+:meth:`OneWayProtocolSpec.as_protocol` expands a spec into a tree, each
+round's :class:`Povm` built from one stacked array.
 One batched complete QR, :func:`_completed_bases`, completes every basis.
 The two-state separator makes a traceless matrix's diagonal real with one
 Hermitian eigensystem and the Fourier matrix, then deflates it one
@@ -287,40 +289,47 @@ class OneWayProtocolSpec:
     """Alice's measurement basis plus, per outcome, Bob's labeled discriminators.
 
     ``alice_basis`` columns are the vectors Alice projects onto;
-    ``bob_discriminators[x]`` holds (label, unit vector) pairs that are
-    pairwise orthogonal within the synthesis tolerance.  The vectors are
-    stored once, in the read-only (outcomes, largest group, dim_b) array
-    ``_bob``: group x fills its first rows and zeros the rest, and the pairs
-    hold views of those rows.  dim_b is the vectors' common length (dim_a
-    when every group is empty), and no group has more than dim_b vectors.
+    ``labels[x]`` is the tuple of state labels Bob separates after outcome
+    x.  ``vectors`` is one read-only (number of labels, dim_b) array of
+    Bob's unit vectors, outcome by outcome in ``labels`` order, pairwise
+    orthogonal within an outcome to the synthesis tolerance.  They are
+    also kept in the read-only (outcomes, largest group, dim_b) array
+    ``_bob``: group x fills its first rows and zeros the rest.  dim_b is the
+    vectors' common length (dim_a when there are none), and no group has
+    more than dim_b vectors.
     """
 
     alice_basis: np.ndarray
-    bob_discriminators: tuple
+    labels: tuple
+    vectors: np.ndarray
     _bob: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ab = frozen_array(as_matrix(self.alice_basis))
         if not is_unitary(ab, 1e-10):
             raise DomainError("Alice basis is not orthonormal")
-        groups = self.bob_discriminators
-        if len(groups) != ab.shape[1]:
+        if len(self.labels) != ab.shape[1]:
             raise DomainError("need one Bob group per Alice outcome")
-        labels = [[as_int(lab, "label") for lab, _ in group] for group in groups]
-        vecs = [np.asarray(v, dtype=complex).reshape(-1) for group in groups for _, v in group]
-        sizes = [len(group) for group in groups]
-        width = max(sizes)
-        db = vecs[0].size if vecs else ab.shape[0]
+        labels = tuple(tuple(as_int(lab, "label") for lab in group) for group in self.labels)
+        sizes = np.array([len(group) for group in labels])
+        vecs = self.vectors
+        if len(vecs) != sizes.sum():
+            raise DomainError("need one Bob vector per label")
+        width, db = sizes.max(), np.size(vecs[0]) if len(vecs) else ab.shape[0]
         if width > db:
             raise DomainError("more vectors than the dimension allows")
-        if any(v.size != db for v in vecs):
-            raise DomainError("vector length does not match dimension")
-        bob = np.zeros((len(groups), width, db), dtype=complex)
-        if vecs:
-            bob[np.arange(width) < np.array(sizes)[:, None]] = vecs
+        try:
+            vecs = frozen_array(vecs).reshape(len(vecs), db)
+        except ValueError:  # a ragged block
+            raise DomainError("vector length does not match dimension") from None
+        if not np.all(np.isfinite(vecs)):
+            raise DomainError("Bob vectors contain non-finite entries")
+        bob = np.zeros((len(labels), width, db), dtype=complex)
+        bob[np.arange(width) < sizes[:, None]] = vecs
         bob.setflags(write=False)
         object.__setattr__(self, "alice_basis", ab)
-        object.__setattr__(self, "bob_discriminators", tuple(tuple(zip(labs, rows)) for labs, rows in zip(labels, bob)))
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "_bob", bob)
 
     @property
@@ -353,9 +362,8 @@ class OneWayProtocolSpec:
         its outcome's conjugated basis in one piece, and equal labels share
         one :class:`Leaf`.
         """
-        groups, db = self.bob_discriminators, self.dim_b
-        q = _completed_bases(self._bob, [len(group) for group in groups])
-        labels = [next(zip(*group), ()) for group in groups]  # each group's labels, one tuple
+        labels, db = self.labels, self.dim_b
+        q = _completed_bases(self._bob, [len(labs) for labs in labels])
         leaf = {lab: Leaf(lab) for lab in {COMPLETION_GUESS}.union(*labels)}
         children = tuple(
             ProtocolNode(BOB, Povm(rows), tuple(map(leaf.get, labs)) + (leaf[COMPLETION_GUESS],) * (db - len(labs)))
@@ -385,8 +393,7 @@ def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
     nrm = np.sqrt(re.swapaxes(2, 3) @ re + im.swapaxes(2, 3) @ im)[..., 0]  # (outcomes, states, 1)
     keep = nrm[..., 0] > 1e-12
     v = np.divide(v[..., 0], nrm, out=np.zeros(v.shape[:3], dtype=complex), where=keep[..., None])
-    groups = tuple(tuple(zip(np.flatnonzero(kx).tolist(), vx[kx])) for vx, kx in zip(v, keep))
-    return OneWayProtocolSpec(ab, groups)
+    return OneWayProtocolSpec(ab, tuple(tuple(np.flatnonzero(kx).tolist()) for kx in keep), v[keep])
 
 
 def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
@@ -789,36 +796,27 @@ def product_basis_protocol(ensemble: StateEnsemble) -> LoccProtocol:
     groups of pairwise-equal rays, distinct groups orthogonal, with the Bob
     factors orthogonal inside each group (true for any basis of the form
     {|a> (x) |b>}).  Alice measures the group rays, Bob the group's local
-    vectors.
+    vectors.  The product test reads the ensemble's cached Schmidt
+    coefficients; one batched SVD then gives every state's factors, and one
+    Gram matrix of the Alice factors gives the groups (each state joins its
+    first state with the same ray) and the equal-or-orthogonal check.
     """
-    states = ensemble.states
-    factors = []
-    for idx, psi in enumerate(states):
-        u, s, vh = np.linalg.svd(psi.amplitude_matrix, full_matrices=False)
-        if s[0] ** 2 < 1.0 - 1e-10:
-            raise DomainError(f"state {idx} is not a product state")
-        factors.append((u[:, 0], vh[0, :]))
-
-    groups: list[list[int]] = []
-    reps: list[np.ndarray] = []
-    for idx, (a_vec, _) in enumerate(factors):
-        placed = False
-        for g, rep in enumerate(reps):
-            ov = abs(np.vdot(rep, a_vec))
-            if ov > 1.0 - 1e-8:
-                groups[g].append(idx)
-                placed = True
-                break
-            if ov > 1e-8:
-                raise DomainError("Alice factors are neither equal nor orthogonal")
-        if not placed:
-            groups.append([idx])
-            reps.append(a_vec)
-
-    bob_groups = [tuple((idx, factors[idx][1]) for idx in members) for members in groups]
-    bob_groups += [()] * (ensemble.dim_a - len(reps))
-    alice_basis = _completed_bases(np.array(reps)[None], [len(reps)])[0]
-    spec = OneWayProtocolSpec(alice_basis, tuple(bob_groups))
+    bad = np.flatnonzero(ensemble.schmidt_coefficients[:, 0] < 1.0 - 1e-10)
+    if bad.size:
+        raise DomainError(f"state {bad[0]} is not a product state")
+    u, _, vh = np.linalg.svd(ensemble.amplitude_matrices(), full_matrices=False)
+    a = u[:, :, 0]  # Alice factors, one row per state
+    ov = np.abs(a.conj() @ a.T)
+    same = ov > 1.0 - 1e-8
+    if np.any(~same & (ov > 1e-8)):
+        raise DomainError("Alice factors are neither equal nor orthogonal")
+    first = same.argmax(axis=0)
+    order = np.argsort(first, kind="stable")  # the states group by group, each in label order
+    reps, sizes = np.unique(first, return_counts=True)
+    labels = [tuple(g.tolist()) for g in np.split(order, np.cumsum(sizes)[:-1])]
+    labels += [()] * (ensemble.dim_a - len(reps))
+    alice_basis = _completed_bases(a[reps][None], [len(reps)])[0]
+    spec = OneWayProtocolSpec(alice_basis, tuple(labels), vh[order, 0])
     if spec.max_bob_overlap() > 1e-8:
         raise DomainError("Bob factors within a group are not orthogonal")
     return spec.as_protocol()

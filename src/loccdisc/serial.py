@@ -128,7 +128,7 @@ def _node_from_json(data):
 
 
 def protocol_from_json(data) -> locc.LoccProtocol:
-    """Accepts a protocol tree or a one-way spec (alice_basis + bob_discriminators)."""
+    """Accepts a protocol tree or a one-way spec payload (alice_basis + bob_discriminators)."""
     if not isinstance(data, dict):
         raise DomainError("protocol payload must be a JSON object")
     if "alice_basis" in data:
@@ -140,27 +140,27 @@ def protocol_from_json(data) -> locc.LoccProtocol:
 
 
 def one_way_spec_to_json(spec) -> dict:
+    rows = iter(spec.vectors)
     return {
         "alice_basis": matrix_to_json(spec.alice_basis),
-        "bob_discriminators": [
-            [{"label": lab, "vector": vector_to_json(v)} for lab, v in group]
-            for group in spec.bob_discriminators
-        ],
+        "bob_discriminators": [[{"label": lab, "vector": vector_to_json(next(rows))} for lab in labs] for labs in spec.labels],
     }
 
 
 def one_way_spec_from_json(data):
     """A one-way spec, refused unless Bob's vectors are unit and per outcome orthogonal within
-    ``EIGEN_TOL``: ``as_protocol`` would orthonormalize them quietly into another protocol."""
+    ``EIGEN_TOL``: ``as_protocol`` would orthonormalize them quietly into another protocol.
+
+    The payload keeps its per-outcome lists of {"label", "vector"} entries; they are read
+    into the spec's ``labels`` and its one ``vectors`` block, in the same order."""
     try:
-        groups = tuple(
-            tuple((entry["label"], vector_from_json(entry["vector"])) for entry in group)
-            for group in data["bob_discriminators"]
-        )
-        spec = locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), groups)
+        groups = data["bob_discriminators"]
+        labels = tuple(tuple(entry["label"] for entry in group) for group in groups)
+        vectors = [vector_from_json(entry["vector"]) for group in groups for entry in group]
+        spec = locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), labels, vectors)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed one-way spec payload: {exc}") from exc
-    if any(abs(np.linalg.norm(v) - 1.0) > EIGEN_TOL for group in spec.bob_discriminators for _, v in group):
+    if not np.all(np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0) <= EIGEN_TOL):
         raise DomainError("Bob vector is not a unit vector")
     worst = spec.max_bob_overlap()
     if worst > EIGEN_TOL:

@@ -83,6 +83,40 @@ def max_overlap_per_pair(groups) -> float:
     return worst
 
 
+def product_basis_per_state(ensemble):
+    """``product_basis_protocol`` one state at a time: an SVD per state, then grouping against representatives.
+
+    The reference for the batched factoring and grouping.  Each state joins
+    the first representative whose Alice ray it shares, or becomes one.
+    """
+    from loccdisc import DomainError, OneWayProtocolSpec
+
+    factors = []
+    for idx, psi in enumerate(ensemble.states):
+        u, s, vh = np.linalg.svd(psi.amplitude_matrix, full_matrices=False)
+        if s[0] ** 2 < 1.0 - 1e-10:
+            raise DomainError(f"state {idx} is not a product state")
+        factors.append((u[:, 0], vh[0, :]))
+    groups, reps = [], []
+    for idx, (a_vec, _) in enumerate(factors):
+        for g, rep in enumerate(reps):
+            ov = abs(np.vdot(rep, a_vec))
+            if ov > 1.0 - 1e-8:
+                groups[g].append(idx)
+                break
+            if ov > 1e-8:
+                raise DomainError("Alice factors are neither equal nor orthogonal")
+        else:
+            groups.append([idx])
+            reps.append(a_vec)
+    labels = tuple(map(tuple, groups)) + ((),) * (ensemble.dim_a - len(reps))
+    vectors = [factors[idx][1] for members in groups for idx in members]
+    spec = OneWayProtocolSpec(orthonormal_completion(reps, ensemble.dim_a), labels, vectors)
+    if spec.max_bob_overlap() > 1e-8:
+        raise DomainError("Bob factors within a group are not orthogonal")
+    return spec.as_protocol()
+
+
 def _isometry_povm(rng, dim_in):
     """Kraus operators of random output dimensions, cut row-wise from one random isometry."""
     from loccdisc import Povm

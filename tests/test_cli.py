@@ -694,6 +694,20 @@ class TestOutputBoundary:
         assert done.stderr.splitlines() == ["error: state norm overflows; amplitudes too large for a state"]
         assert "RuntimeWarning" not in done.stderr
 
+    def test_non_finite_bob_vector_exits_2_without_warning(self):
+        # a NaN must be refused before the completion's division could print a RuntimeWarning
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        payload = '{"alice_basis":[[[1,0],[0,0]],[[0,0],[1,0]]],"bob_discriminators":[[{"label":0,"vector":[[NaN,0],[0,0]]}],[]]}'
+        done = subprocess.run(
+            [sys.executable, "-m", "loccdisc.cli", "evaluate", "--ensemble", _BELL2_DOC, "--protocol", payload],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and "Warning" not in done.stderr
+
 
 class TestDependencies:
     def test_cli_import_loads_no_scipy(self):

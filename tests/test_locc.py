@@ -47,6 +47,7 @@ from conftest import (
     one_way_groups_per_vector,
     orthonormal_completion,
     overweight_perfect_case,
+    product_basis_per_state,
     random_kraus_case,
     random_orthogonal_pair,
     refined_bell_protocol,
@@ -362,7 +363,7 @@ class TestProtocolStructure:
             with pytest.raises(DomainError, match="guess must be an integer"):
                 blind_guess_protocol(2, 2, guess)
         with pytest.raises(DomainError, match="label must be an integer"):
-            OneWayProtocolSpec(np.eye(2), (((1.7, [1, 0]),), ()))
+            OneWayProtocolSpec(np.eye(2), ((1.7,), ()), [[1, 0]])
         assert Leaf(np.int64(2)).guess == 2 and type(Leaf(2.0).guess) is int
 
     @pytest.mark.parametrize("name", ["leaf-root", "mixed-children", "dead-outcomes"])
@@ -1085,11 +1086,17 @@ def _random_spec(seed):
 
     sizes = rng.integers(0, db + 1, size=da)
     sizes[0], sizes[-1] = 0, max(int(sizes[-1]), 1)
-    groups = tuple(
-        tuple((int(rng.integers(3)), v + 1e-9 * rng.standard_normal(db)) for v in haar(db).T[:n])
-        for n in sizes
-    )
-    return OneWayProtocolSpec(haar(da), groups)
+    labels, vectors = [], []
+    for n in sizes:
+        group = [(int(rng.integers(3)), v + 1e-9 * rng.standard_normal(db)) for v in haar(db).T[:n]]
+        labels.append(tuple(lab for lab, _ in group))
+        vectors += [v for _, v in group]
+    return OneWayProtocolSpec(haar(da), tuple(labels), vectors)
+
+
+def _groups(spec):
+    """The spec's vectors cut into its outcomes' groups."""
+    return np.split(spec.vectors, np.cumsum([len(labs) for labs in spec.labels])[:-1])
 
 
 class TestOneWayExpansion:
@@ -1100,22 +1107,22 @@ class TestOneWayExpansion:
         spec = _random_spec(seed)
         protocol = spec.as_protocol()
         protocol.validate()
-        assert not spec.bob_discriminators[0]
-        for node, group in zip(protocol.root.children, spec.bob_discriminators):
-            ref = projective_povm(orthonormal_completion([v for _, v in group], spec.dim_b))
+        assert not spec.labels[0]
+        for node, labs, group in zip(protocol.root.children, spec.labels, _groups(spec)):
+            ref = projective_povm(orthonormal_completion(list(group), spec.dim_b))
             assert np.array_equal(node.povm.stacked, ref.stacked)
             guesses = [leaf.guess for leaf in node.children]
-            assert guesses == [lab for lab, _ in group] + [0] * (spec.dim_b - len(group))
+            assert guesses == list(labs) + [0] * (spec.dim_b - len(labs))
         assert np.array_equal(protocol.root.povm.stacked, spec.alice_basis.conj().T)
 
     def test_empty_group_gives_identity(self):
-        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), ((), ((1, np.array([0.0, 1.0, 0.0])),)))
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), ((), (1,)), [np.array([0.0, 1.0, 0.0])])
         protocol = spec.as_protocol()
         assert np.array_equal(protocol.root.children[0].povm.stacked, np.eye(3))
         assert np.array_equal(protocol.root.children[1].povm.stacked[0], [0.0, 1.0, 0.0])
 
     def test_all_groups_empty(self):
-        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), ((), ()))
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), ((), ()), [])
         assert spec.dim_b == 2 and spec.max_bob_overlap() == 0.0
         protocol = spec.as_protocol()
         protocol.validate()
@@ -1123,19 +1130,30 @@ class TestOneWayExpansion:
 
     def test_dependent_vectors_rejected(self):
         v = np.array([1.0, 0.0])
-        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), (((0, v), (1, v)), ()))
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), ((0, 1), ()), [v, v])
         with pytest.raises(DomainError, match="numerically dependent"):
             spec.as_protocol()
 
     def test_too_many_vectors_rejected(self):
-        vecs = ((0, np.array([1.0, 0.0])), (1, np.array([0.0, 1.0])), (2, np.array([1.0, 1.0]) / np.sqrt(2)))
+        vecs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.array([1.0, 1.0]) / np.sqrt(2))
         with pytest.raises(DomainError, match="more vectors than the dimension allows"):
-            OneWayProtocolSpec(np.eye(2, dtype=complex), (vecs, ()))
+            OneWayProtocolSpec(np.eye(2, dtype=complex), ((0, 1, 2), ()), vecs)
 
     def test_vector_length_checked(self):
-        groups = (((0, np.array([1.0, 0.0])),), ((1, np.ones(3) / np.sqrt(3)),))
+        vecs = (np.array([1.0, 0.0]), np.ones(3) / np.sqrt(3))
         with pytest.raises(DomainError, match="vector length does not match dimension"):
-            OneWayProtocolSpec(np.eye(2, dtype=complex), groups)
+            OneWayProtocolSpec(np.eye(2, dtype=complex), ((0,), (1,)), vecs)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_vector_count_checked(self, count):
+        vecs = np.eye(3, dtype=complex)[:count]
+        with pytest.raises(DomainError, match="need one Bob vector per label"):
+            OneWayProtocolSpec(np.eye(2, dtype=complex), ((0,), (1,)), vecs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        with pytest.raises(DomainError, match="non-finite"):
+            OneWayProtocolSpec(np.eye(2), ((0,), ()), [[bad, 0]])
 
 
 def _bell_subset_cases():
@@ -1192,17 +1210,16 @@ class TestOneWayBatching:
                     locc.one_way_protocol(ens.states, basis)
                 continue
             spec = locc.one_way_protocol(ens.states, basis)
-            assert [[lab for lab, _ in g] for g in spec.bob_discriminators] == [[lab for lab, _ in g] for g in ref]
-            for group, ref_group in zip(spec.bob_discriminators, ref):
-                for (_, v), (_, w) in zip(group, ref_group):
-                    assert np.array_equal(v, w)
+            assert [list(labs) for labs in spec.labels] == [[lab for lab, _ in g] for g in ref]
+            assert np.array_equal(spec.vectors, np.array([v for g in ref for _, v in g]).reshape(-1, ens.dim_b))
             assert spec.max_bob_overlap() == max_overlap_per_pair(ref)
 
-    def test_vectors_are_views_of_one_array(self):
+    def test_vectors_read_only_and_fill_bob(self):
         spec = locc.one_way_protocol(bell_subset(3, [(0, 0), (1, 0), (2, 1)]).states, np.eye(3, dtype=complex))
-        stored = [v for group in spec.bob_discriminators for _, v in group]
-        assert len(stored) == 9
-        assert all(v.base is spec._bob and not v.flags.writeable for v in stored)
+        assert spec.vectors.shape == (9, 3) and not spec.vectors.flags.writeable
+        filled = np.arange(spec._bob.shape[1]) < np.array([len(labs) for labs in spec.labels])[:, None]
+        assert np.array_equal(spec._bob[filled], spec.vectors)
+        assert not spec._bob[~filled].any() and not spec._bob.flags.writeable
 
 
 class TestStandardBellProtocol:
@@ -1388,6 +1405,62 @@ class TestProductBasisProtocol:
         s2 = BipartiteState(2, 2, np.kron(plus, np.array([0.0, 1.0])))
         with pytest.raises(DomainError):
             product_basis_protocol(uniform_ensemble([s1, s2]))
+
+
+def _rotated_product_set(seed, dim_a=3, dim_b=4, pairs=((0, 0), (1, 2), (0, 1), (2, 3), (1, 0))):
+    """Product states ua[:, x] (x) ub[:, y] with Haar ua, ub and a random phase each; Alice rays interleaved."""
+    rng = np.random.default_rng(seed)
+    ua, ub = haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)
+    phases = np.exp(2j * np.pi * rng.random(len(pairs)))
+    return uniform_ensemble([BipartiteState(dim_a, dim_b, p * np.kron(ua[:, x], ub[:, y])) for p, (x, y) in zip(phases, pairs)])
+
+
+def _product_cases():
+    """Product sets for the per-state reference: the library's, a full 3x4 basis and rotated interleaved sets."""
+    from loccdisc.library import product_basis_ensemble
+
+    cases = [(f"basis-{da}x{db}", product_basis_ensemble(da, db)) for da, db in ((2, 2), (2, 3), (3, 4))]
+    cases += [(f"rotated-seed{seed}", _rotated_product_set(seed)) for seed in range(5)]
+    full = [(x, y) for y in range(4) for x in (2, 0, 1)]
+    cases.append(("rotated-full-3x4", _rotated_product_set(5, pairs=full)))
+    return cases
+
+
+_PRODUCT_CASES = _product_cases()
+
+
+class TestProductBasisBatching:
+    """``product_basis_protocol``'s batched SVD and Gram grouping give the per-state loop's bits."""
+
+    @pytest.mark.parametrize("name, ens", _PRODUCT_CASES, ids=[case[0] for case in _PRODUCT_CASES])
+    def test_matches_per_state_reference(self, name, ens):
+        got, ref = product_basis_protocol(ens), product_basis_per_state(ens)
+        assert np.array_equal(got.root.povm.stacked, ref.root.povm.stacked)
+        assert len(got.root.children) == len(ref.root.children)
+        for node, ref_node in zip(got.root.children, ref.root.children):
+            assert np.array_equal(node.povm.stacked, ref_node.povm.stacked)
+            assert [leaf.guess for leaf in node.children] == [leaf.guess for leaf in ref_node.children]
+        assert evaluate(got, ens).success_probability > 1 - 1e-9
+
+    def test_interleaved_rays_group_in_first_seen_order(self):
+        protocol = product_basis_protocol(_rotated_product_set(0))
+        guesses = [[leaf.guess for leaf in node.children[:2]] for node in protocol.root.children]
+        assert guesses == [[0, 2], [1, 4], [3, 0]]
+
+    def test_first_non_product_state_named(self):
+        entangled = BipartiteState(3, 4, (np.eye(3, 4) / np.sqrt(3)).reshape(-1))
+        states = [*_rotated_product_set(1).states[:3], entangled, entangled]
+        with pytest.raises(DomainError, match="state 3 is not a product state"):
+            product_basis_protocol(uniform_ensemble(states))
+        with pytest.raises(DomainError, match="state 3 is not a product state"):
+            product_basis_per_state(uniform_ensemble(states))
+
+    def test_bob_factors_not_orthogonal_rejected(self):
+        plus = np.array([1.0, 1.0]) / np.sqrt(2)
+        ens = uniform_ensemble([_product_state(2, 2, 0, 0), BipartiteState(2, 2, np.kron([1.0, 0.0], plus))])
+        for build in (product_basis_protocol, product_basis_per_state):
+            with pytest.raises(DomainError, match="Bob factors within a group are not orthogonal"):
+                build(ens)
 
 
 class TestStackedPovm:
