@@ -44,18 +44,18 @@ Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
 representation of such a protocol: per-outcome label tuples and one array of
 Bob's vectors, outcome by outcome, padded once into a zero-filled block.
-:func:`one_way_protocol` derives all of them from the states in one product,
-:func:`product_basis_protocol` from one batched SVD, and
+:func:`one_way_protocol` derives all of them from the amplitude stack in
+one product, :func:`product_basis_protocol` from one batched SVD, and
 :meth:`OneWayProtocolSpec.as_protocol` expands a spec into a tree, each
 round's :class:`Povm` built from one stacked array.
 One batched complete QR, :func:`_completed_bases`, completes every basis.
 The two-state separator makes a traceless matrix's diagonal real with one
-Hermitian eigensystem and the Fourier matrix, then deflates it one
-zero-value vector at a time: each step pairs a positive diagonal entry with
-a negative one and rotates those two coordinates in closed form.
+Hermitian eigensystem and the Fourier matrix (none if it is real up to
+rounding), then deflates it one zero-value vector at a time, rotating a
+positive and a negative diagonal entry's coordinates in real closed form;
+:func:`_zero_diagonal_residual`, the CUB screen's test, checks its basis.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -65,7 +65,7 @@ import numpy as np
 
 from .ensembles import StateEnsemble, _bell_labels, fourier_matrix
 from .errors import DomainError, ToleranceError
-from .qstate import BipartiteState, as_int, as_matrix, frozen_array, is_unitary
+from .qstate import ROUNDING_ZERO, BipartiteState, as_int, as_matrix, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -373,11 +373,12 @@ class OneWayProtocolSpec:
         return LoccProtocol(self.dim_a, db, root)
 
 
-def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
+def one_way_protocol(amplitudes, alice_basis) -> OneWayProtocolSpec:
     """One-way spec in which Alice measures the columns of ``alice_basis``.
 
-    When Alice projects onto column c_x, state i leaves Bob holding
-    B_i conj(c_x) (unnormalized; B_i is its matrix picture).  Each such
+    ``amplitudes`` is the (k, dim_a, dim_b) stack of the states' amplitude
+    matrices S_i.  When Alice projects onto column c_x, state i leaves Bob
+    holding B_i conj(c_x) (unnormalized; B_i = sqrt(dim_a) S_i^T).  Each such
     vector is normalized and labeled i, or dropped when its norm is at most
     1e-12 because state i cannot produce outcome x.  The spec separates the
     states perfectly exactly when every outcome's vectors are orthogonal.
@@ -386,8 +387,7 @@ def one_way_protocol(states, alice_basis) -> OneWayProtocolSpec:
     for bit each B_i's own ``B_i @ conj(c_x)`` and ``np.linalg.norm``.
     """
     ab = as_matrix(alice_basis)
-    amps = np.array([psi.amplitude_matrix for psi in states])
-    b = np.sqrt(amps.shape[1]) * amps.transpose(0, 2, 1)  # laid out as each psi.b_matrix
+    b = np.sqrt(amplitudes.shape[1]) * amplitudes.transpose(0, 2, 1)  # laid out as each psi.b_matrix
     v = b @ ab.conj().T.copy()[:, None, :, None]  # (outcomes, states, dim_b, 1): B_i conj(c_x)
     re, im = v.real, v.imag
     nrm = np.sqrt(re.swapaxes(2, 3) @ re + im.swapaxes(2, 3) @ im)[..., 0]  # (outcomes, states, 1)
@@ -688,26 +688,27 @@ def discard_protocol(inner: LoccProtocol, kept, k: int) -> LoccProtocol:
     return inner.map_leaves(remap)
 
 
-def _solve_compression(b2):
-    """Unit coefficients (c0, c1), c0 = cos t real, with [c0,c1]^dag B [c0,c1] = 0.
+def _zero_diagonal_residual(products, basis) -> np.ndarray:
+    """Per P of the (pairs, n, n) stack ``products``, the largest |<b|P|b>| over the columns b of ``basis``."""
+    return np.abs(np.einsum("ax,pax->px", basis.conj(), products @ basis)).max(axis=1, initial=0.0)
 
-    Requires the 2x2 compression ``b2`` to have a real diagonal, its first
-    entry above zero and its second below: zero then lies on the segment
-    between them, and a closed-form solution exists.  Scalar math on Python
-    complex numbers: at this size numpy's per-call overhead would dominate.
+
+def _solve_compression(b2, scale):
+    """Unit (c0, c1), c0 = cos t real, with [c0,c1]^dag B [c0,c1] = 0 for a 2x2 B with real p = b00 > 0 > n = b11.
+
+    At c1 = sin t e^{i phi}, x = tan t, the value is cos^2 t (p + 2 r x + n x^2 + i Im(e^{i phi} g) x) with
+    r = Re(e^{i phi} h), h = (b01 + conj(b10))/2 and g = b01 - conj(b10): e^{i phi} = -conj(g)/|g| makes it
+    real, and x is the positive root (r + s)/(-n) = p/(s - r), s^2 = r^2 - p n.  A g within ``ROUNDING_ZERO``
+    of ``scale`` is a Hermitian B's rounding; every phase solves a Hermitian B, so c1 is then real.  Python
+    scalars, as numpy's per-call overhead would dominate at this size.
     """
-    (b00, b01), (b10, b11) = b2.tolist()
-    z = b11 - b00
-    mu = -(b00 / z).real
-    rot = cmath.exp(-1j * cmath.phase(z))
-    xp, yp = b01 * rot, b10 * rot
-    phi = math.atan2(-(xp.imag + yp.imag), xp.real - yp.real)
-    rho = ((b01 * cmath.exp(1j * phi) + b10 * cmath.exp(-1j * phi)) * rot).real
-    az = abs(z)
-    quad = (1.0 - mu) * az
-    x = (-rho + math.sqrt(rho * rho + 4.0 * quad * mu * az)) / (2.0 * quad)
-    t = math.atan(x)
-    return math.cos(t), math.sin(t) * cmath.exp(1j * phi)
+    (p, b01), (b10, n) = b2.tolist()
+    g = b01 - b10.conjugate()
+    phase = -g.conjugate() / abs(g) if abs(g) > ROUNDING_ZERO * scale else 1.0
+    r = (phase * (b01 + b10.conjugate())).real / 2.0
+    s = math.sqrt(r * r - p.real * n.real)
+    t = math.atan(p.real / (s - r) if r < 0.0 else (r + s) / -n.real)  # the form free of cancellation
+    return math.cos(t), math.sin(t) * phase
 
 
 def _zero_diagonal_basis(mat) -> np.ndarray:
@@ -716,24 +717,25 @@ def _zero_diagonal_basis(mat) -> np.ndarray:
     First the diagonal is made real: with K = (M - M^dag)/2i Hermitian, E its
     eigenbasis and F the Fourier matrix, every diagonal entry of K in the
     basis E F is Tr K / m = Im Tr M / m = 0, so M's diagonal there is real.
-    A diagonal that is already exactly real keeps the computational basis.
-    Then deflation: the real diagonal sums to Tr M = 0, so unless an entry is
-    zero (that basis vector is peeled off as it is), the smallest positive
-    entry and the negative entry closest to zero bracket it (pairing the two
-    extremes instead lets rounding grow over the steps).  The 2x2
-    compression onto those two vectors reaches zero in closed form
-    (:func:`_solve_compression`) at a unit x; the rotation
-    [[c0, -conj(c1)], [c1, c0]] of the two coordinates puts x in the
-    first and, in the second, the vector orthogonal to x in that plane,
-    whose value is the compression's trace, real again.  x is peeled off and
-    the compression to the rest, traceless and real on its diagonal, goes on.
+    One real up to rounding (``ROUNDING_ZERO`` of M's largest entry) keeps
+    the computational basis.  Then deflation: the real diagonal sums to
+    Tr M = 0, so unless an entry is zero (that vector is peeled off as it
+    is), the smallest positive entry and the negative entry closest to zero
+    bracket it (pairing the two extremes instead lets rounding grow over the
+    steps).  The 2x2 compression onto those two vectors reaches zero in
+    closed form (:func:`_solve_compression`) at a unit x; the rotation
+    [[c0, -conj(c1)], [c1, c0]] of the two coordinates puts x in the first
+    and, in the second, the vector orthogonal to x in that plane, whose
+    value is the compression's trace, real again.  x is peeled off and the
+    compression to the rest, traceless and real on its diagonal, goes on.
     """
     m = mat.shape[0]
     if abs(np.trace(mat)) > 1e-9:
         raise DomainError("matrix must be traceless")
     mk = np.array(mat, dtype=complex)  # compression to the working basis
     iso = np.eye(m, dtype=complex)  # the working basis, column-wise
-    if np.any(np.diag(mk).imag):
+    scale = float(np.max(np.abs(mk)))
+    if np.max(np.abs(np.diag(mk).imag)) > ROUNDING_ZERO * scale:
         iso = np.linalg.eigh((mk - mk.conj().T) / 2j)[1] @ fourier_matrix(m)
         mk = iso.conj().T @ mk @ iso
     cols = []
@@ -743,7 +745,7 @@ def _zero_diagonal_basis(mat) -> np.ndarray:
         if abs(d[q]) > ZERO_DIAGONAL_TOL:
             q = int(np.argmin(np.where(d > 0.0, d, np.inf)))
             pair = [q, int(np.argmax(np.where(d < 0.0, d, -np.inf)))]
-            c0, c1 = _solve_compression(mk[np.ix_(pair, pair)])
+            c0, c1 = _solve_compression(mk[np.ix_(pair, pair)], scale)
             rot = np.array([[c0, -c1.conjugate()], [c1, c0]])
             mk[:, pair] = mk[:, pair] @ rot
             mk[pair] = rot.conj().T @ mk[pair]
@@ -754,8 +756,7 @@ def _zero_diagonal_basis(mat) -> np.ndarray:
         iso = iso[:, keep]
     cols.append(iso[:, 0])
     w = np.column_stack(cols)
-    diag = np.abs(np.diag(w.conj().T @ mat @ w))
-    if float(np.max(diag)) > ZERO_DIAGONAL_TOL or float(np.max(np.abs(w.conj().T @ w - np.eye(m)))) > ZERO_DIAGONAL_TOL:
+    if _zero_diagonal_residual(mat[None], w)[0] > ZERO_DIAGONAL_TOL or not is_unitary(w, ZERO_DIAGONAL_TOL):
         raise ToleranceError("zero-diagonal basis construction failed tolerance")
     return w
 
@@ -775,8 +776,8 @@ def two_state_protocol(psi1: BipartiteState, psi2: BipartiteState) -> LoccProtoc
     overlap = abs(np.vdot(psi1.amplitudes, psi2.amplitudes))
     if overlap > 1e-10:
         raise DomainError(f"states are not orthogonal (|<1|2>| = {overlap:.3e})")
-    w = _zero_diagonal_basis(psi1.amplitude_matrix.conj() @ psi2.amplitude_matrix.T)
-    return one_way_protocol((psi1, psi2), w.conj()).as_protocol()
+    amps = np.array([psi1.amplitude_matrix, psi2.amplitude_matrix])
+    return one_way_protocol(amps, _zero_diagonal_basis(amps[0].conj() @ amps[1].T).conj()).as_protocol()
 
 
 def blind_guess_protocol(dim_a: int, dim_b: int, guess: int = 0) -> LoccProtocol:

@@ -28,6 +28,9 @@ ALGEBRAIC_TOL = 1e-12
 STRUCTURAL_TOL = 1e-10
 EIGEN_TOL = 1e-8
 
+# Where a closed form branches on an exact zero, a value within this share of its matrix's scale is that zero (no gate).
+ROUNDING_ZERO = 1e-14
+
 
 def frozen_array(values, dtype=complex) -> np.ndarray:
     """Copy ``values`` into a read-only C-ordered array."""

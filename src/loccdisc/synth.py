@@ -3,18 +3,17 @@
 Two constructions are provided.  For any three orthogonal maximally
 entangled states of C^3 (x) C^3, Alice measures the conjugated Fourier mix
 E D F of the eigenbasis E of B2^dag B1, with a diagonal of phases D read in
-closed form off one cyclic diagonal of E^dag B3^dag B2 E, and Bob is left
-three orthogonal states on every outcome.  For k orthogonal states whose
-pairwise products share a common unbiased basis, Alice measuring that
-(conjugated) basis does the same, because <b|B_i^dag B_j|b> =
-Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
+closed form off one cyclic diagonal of E^dag B3^dag B2 E (D = I if it is
+rounding), and Bob is left three orthogonal states on every outcome.  For
+k orthogonal states whose pairwise products share a common unbiased basis,
+Alice measuring that (conjugated) basis does the same, because
+<b|B_i^dag B_j|b> = Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
 ``synthesize_cub_protocol`` is the one entry point for the latter; given no
-basis it scans the default candidates itself.  It tests each candidate by
-that condition directly: all k(k-1)/2 pairwise products are formed by one
-stacked product, and a candidate is kept when every <b|B_i^dag B_j|b> over
-its columns and all pairs, computed in one stacked product, vanishes.  No
-eigensystem is taken (the prime-n candidates are closed-form MUBs); a cheap
-normality test on the same stack keeps the products orthogonally diagonalizable.
+basis it scans the default candidates itself.  It keeps a candidate whose
+``locc._zero_diagonal_residual`` vanishes on the stack of all k(k-1)/2
+pairwise products, formed by one stacked product.  No eigensystem is taken
+(the prime-n candidates are closed-form MUBs); a cheap normality test on
+the same stack keeps the products orthogonally diagonalizable.
 ``pairwise_product_eigenbases`` and ``find_cub`` state the construction in
 terms of eigenbases and stay as its reference; a family of eigenbases is a
 plain read-only (pairs, n, n) array.
@@ -42,11 +41,11 @@ from .ensembles import (
 )
 from .errors import DomainError, ToleranceError
 from .locc import OneWayProtocolSpec
-from .qstate import EIGEN_TOL, as_matrix, frozen_array, is_unitary, normal_eigensystem
+from .qstate import EIGEN_TOL, ROUNDING_ZERO, as_matrix, frozen_array, is_unitary, normal_eigensystem
 
 def _checked_one_way(ensemble: StateEnsemble, alice_basis) -> OneWayProtocolSpec:
     """The one-way spec for ``alice_basis``, refused unless Bob's vectors are orthogonal to EIGEN_TOL."""
-    spec = locc.one_way_protocol(ensemble.states, alice_basis)
+    spec = locc.one_way_protocol(ensemble.amplitude_matrices(), alice_basis)
     worst = spec.max_bob_overlap()
     if worst > EIGEN_TOL:
         raise ToleranceError(f"Bob discriminators not orthogonal (max overlap {worst:.3e})")
@@ -67,11 +66,11 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
     shift s with cyclic diagonal a_i = A[i, i+s], the sums of
     z_i = a_i d_{i+s} / d_i and of l_{i+s} z_i both vanish exactly when z is
     parallel to (1, 1, 1) x (l_{i+s}), whose entry i is l_{i+s+2} - l_{i+s+1}.
-    The phases are read off the shift whose smallest |a_i| is larger, with
-    no threshold: the error in each z_i scales with |a_i|, so products that
-    nearly commute are handled too.  Commuting products accept any D (D = I
-    when that diagonal holds an exact zero).  The other shift follows by the
-    theorem, and ``_checked_one_way`` verifies Bob's states.
+    The phases are read off the shift whose smallest |a_i| is larger: the
+    error in each z_i scales with |a_i|, so nearly commuting products are
+    handled too.  Commuting ones accept any D and take D = I once that |a_i|
+    is rounding (within ``ROUNDING_ZERO`` of A's largest entry).  The other
+    shift follows by the theorem, and ``_checked_one_way`` verifies Bob's states.
     """
     if ensemble.k != 3:
         raise DomainError(f"need exactly 3 states, got {ensemble.k}")
@@ -89,7 +88,7 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
     s = max((1, 2), key=lambda s: np.abs(a[i, (i + s) % 3]).min())
     a_s = a[i, (i + s) % 3]
     d = np.ones(3, dtype=complex)
-    if np.abs(a_s).min() > 0:
+    if np.abs(a_s).min() > ROUNDING_ZERO * np.abs(a).max():
         w = (l[(i + s + 2) % 3] - l[(i + s + 1) % 3]) * a_s.conj()
         w /= np.abs(w)
         w /= np.prod(w) ** (1 / 3)
@@ -133,11 +132,11 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
 
     Alice measures the conjugated columns of ``cub``; after outcome b Bob's
     states are pairwise orthogonal iff <b|B_i^dag B_j|b> = 0 for all i < j.
-    That zero-diagonal condition is the test, for all pairs and columns in
-    one stacked product.  Every product must be normal (max |M M^dag -
-    M^dag M| within 1e-8).  With ``cub=None`` the first of
-    :func:`default_cub_candidates` that passes is used; an explicit ``cub``
-    that fails names the first failing pair.
+    That zero-diagonal condition, ``locc._zero_diagonal_residual``, is the
+    test, for all pairs and columns in one stacked product.  Every product
+    must be normal (max |M M^dag - M^dag M| within 1e-8).  With ``cub=None``
+    the first of :func:`default_cub_candidates` that passes is used; an
+    explicit ``cub`` that fails names the first failing pair.
     """
     if ensemble.dim_a != ensemble.dim_b:
         raise DomainError("construction needs equal local dimensions")
@@ -154,13 +153,9 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
             f"max |M M^dag - M^dag M| = {skew[bad[0]]:.3e}"
         )
 
-    def defects(c):
-        """Per pair, the largest |<b|B_i^dag B_j|b>| over the columns b of ``c``."""
-        return np.abs(np.einsum("ax,pax->px", c.conj(), products @ c)).max(axis=1, initial=0.0)
-
     if cub is None:
-        fits = (c for c in default_cub_candidates(ensemble.dim_a) if defects(c).max(initial=0.0) <= EIGEN_TOL)
-        cub = next(fits, None)
+        candidates = default_cub_candidates(ensemble.dim_a)
+        cub = next((c for c in candidates if locc._zero_diagonal_residual(products, c).max(initial=0.0) <= EIGEN_TOL), None)
         if cub is None:
             raise DomainError("no common unbiased basis among the default candidates")
     else:
@@ -169,7 +164,7 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
             raise DomainError("basis dimension does not match the ensemble")
         if not is_unitary(cub):
             raise DomainError("candidate basis is not orthonormal")
-        bad = np.flatnonzero(defects(cub) > EIGEN_TOL)
+        bad = np.flatnonzero(locc._zero_diagonal_residual(products, cub) > EIGEN_TOL)
         if bad.size:
             raise DomainError(f"basis leaves Bob's states of pair {pairs[bad[0]]} non-orthogonal")
 

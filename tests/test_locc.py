@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -40,6 +41,7 @@ from loccdisc.locc import (
     projective_povm,
 )
 
+from loccdisc.qstate import ROUNDING_ZERO
 from loccdisc.synth import default_cub_candidates
 
 from conftest import (
@@ -146,7 +148,8 @@ def _reference_zero_diagonal_basis(mat, tol=1e-9):
     coordinates, the m x m working matrix and basis rotated in place and never shrunk."""
     m = mat.shape[0]
     w = np.eye(m, dtype=complex)
-    if np.any(np.diag(mat).imag):
+    scale = float(np.max(np.abs(mat)))
+    if np.max(np.abs(np.diag(mat).imag)) > ROUNDING_ZERO * scale:
         w = np.linalg.eigh((mat - mat.conj().T) / 2j)[1] @ fourier_matrix(m)
     b = w.conj().T @ mat @ w
     live, cols = list(range(m)), []
@@ -156,7 +159,7 @@ def _reference_zero_diagonal_basis(mat, tol=1e-9):
         if abs(d[q]) > tol:
             q = min((i for i in live if d[i] > 0), key=d.get)
             pair = [q, max((i for i in live if d[i] < 0), key=d.get)]
-            c0, c1 = locc._solve_compression(b[np.ix_(pair, pair)])
+            c0, c1 = locc._solve_compression(b[np.ix_(pair, pair)], scale)
             g = np.array([[c0, -np.conj(c1)], [c1, np.conj(c0)]])
             b[:, pair] = b[:, pair] @ g
             b[pair] = g.conj().T @ b[pair]
@@ -170,6 +173,9 @@ def _traceless(rng, m, kind):
     a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     if kind == "hermitian":
         a = a + a.conj().T
+    elif kind == "hermitian-rounding":
+        # Hermitian up to anti-Hermitian noise far below the rounding cut, so its diagonal is complex
+        a = a + a.conj().T + 1e-17 * (a - a.conj().T)
     elif kind == "anti-hermitian":
         a = a - a.conj().T
     elif kind == "near-diagonal":
@@ -977,8 +983,9 @@ class TestEvaluatorGolden:
     ``three-qutrit-*`` and ``discard-bell3-*`` entries, whose protocols come from
     ``synthesize_three_qutrit_protocol``, were recorded from its one-eigensystem
     form, and ``two-state-random-2x3`` and ``discard-bell2-keep2of4``, whose
-    protocols come from ``two_state_protocol``, from its real-diagonal
-    deflation.
+    protocols come from ``two_state_protocol``, from its real 2x2 step that
+    reads rounding-level values as zero (the Bell pair's diagonal is real up
+    to rounding, so it now takes no eigensystem).
     """
 
     BELL = {
@@ -1031,14 +1038,14 @@ class TestEvaluatorGolden:
         "cub-7-k4": ("0x1.ffffffffffffdp-1", "0x1.fffffffffffffp+0", "600f108b11565aea"),
         "cub-7-k3": ("0x1.0000000000000p+0", "0x1.95c01a39fbd66p+0", "0a6d80f7640960b3"),
         "discard-bell2-keep2of3": ("0x1.5555555555555p-1", "0x1.d62adf1ea257ap-1", "8995c31f80094091"),
-        "discard-bell2-keep2of4": ("0x1.ffffffffffffep-2", "0x1.0000000000000p+0", "925cf3b4abfe9fdf"),
+        "discard-bell2-keep2of4": ("0x1.0000000000000p-1", "0x1.0000000000000p+0", "f144ba7805d8c301"),
         "discard-bell3-keep3of4": ("0x1.8000000000003p-1", "0x1.7ffffffffffffp+0", "b940187a4e45bb82"),
         "discard-bell3-keep3of5": ("0x1.3333333333336p-1", "0x1.859d146267a15p+0", "9d9e29f45f75817b"),
         "discard-bell3-keep3of7": ("0x1.b6db6db6db6dep-2", "0x1.8e810dd1a6e08p+0", "7dcf29f19e200320"),
         "discard-bell3-keep3of9": ("0x1.5555555555557p-2", "0x1.95c01a39fbd68p+0", "46b360824b799ea1"),
         "two-state-bell2": ("0x1.0000000000000p+0", "0x1.0000000000000p+0", "8a0595c09fe0a94e"),
         "two-state-product": ("0x1.0000000000000p+0", "0x1.fffffffffffffp-1", "bcb7c465dee890ca"),
-        "two-state-random-2x3": ("0x1.ffffffffffffcp-1", "0x1.0000000000001p+0", "6cb355e662b279c4"),
+        "two-state-random-2x3": ("0x1.ffffffffffffep-1", "0x1.0000000000001p+0", "b88790e0ba44bb45"),
         "blind-guess-bell2": ("0x1.0000000000000p-2", "0x0.0p+0", "f3bf06b8f1c12eb9"),
         "blind-guess-prod23": ("0x1.5555555555556p-3", "0x0.0p+0", "4e4afabe10905076"),
         "product-basis-2x2": ("0x1.0000000000000p+0", "0x1.0000000000000p+1", "094441bf7cf37b2f"),
@@ -1207,15 +1214,15 @@ class TestOneWayBatching:
             ref = one_way_groups_per_vector(ens.states, basis)
             if max(map(len, ref)) > ens.dim_b:  # such a spec cannot exist, nor be expanded
                 with pytest.raises(DomainError, match="more vectors than the dimension allows"):
-                    locc.one_way_protocol(ens.states, basis)
+                    locc.one_way_protocol(ens.amplitude_matrices(), basis)
                 continue
-            spec = locc.one_way_protocol(ens.states, basis)
+            spec = locc.one_way_protocol(ens.amplitude_matrices(), basis)
             assert [list(labs) for labs in spec.labels] == [[lab for lab, _ in g] for g in ref]
             assert np.array_equal(spec.vectors, np.array([v for g in ref for _, v in g]).reshape(-1, ens.dim_b))
             assert spec.max_bob_overlap() == max_overlap_per_pair(ref)
 
     def test_vectors_read_only_and_fill_bob(self):
-        spec = locc.one_way_protocol(bell_subset(3, [(0, 0), (1, 0), (2, 1)]).states, np.eye(3, dtype=complex))
+        spec = locc.one_way_protocol(bell_subset(3, [(0, 0), (1, 0), (2, 1)]).amplitude_matrices(), np.eye(3, dtype=complex))
         assert spec.vectors.shape == (9, 3) and not spec.vectors.flags.writeable
         filled = np.arange(spec._bob.shape[1]) < np.array([len(labs) for labs in spec.labels])[:, None]
         assert np.array_equal(spec._bob[filled], spec.vectors)
@@ -1272,7 +1279,7 @@ class TestZeroValueScan:
     """The deflation's search for a zero diagonal entry or a sign pair: the basis of a dense loop
     reference, at most one eigensystem, and a zero diagonal on structured and large inputs."""
 
-    KINDS = ("generic", "hermitian", "near-diagonal", "anti-hermitian", "jordan", "zero", "rotated-clock")
+    KINDS = ("generic", "hermitian", "near-diagonal", "anti-hermitian", "jordan", "zero", "rotated-clock", "hermitian-rounding")
 
     @staticmethod
     def _assert_zero_diagonal(mat, w, tol):
@@ -1282,24 +1289,33 @@ class TestZeroValueScan:
 
     @pytest.mark.parametrize("m", range(2, 25))
     def test_matches_loop_reference(self, m):
-        """Hermitian inputs are left out of the comparison: every phase of c1 solves a Hermitian
-        compression, so rounding, which differs between the two forms, picks it."""
         rng = np.random.default_rng(500 + m)
         for kind in self.KINDS:
             mat = _traceless(rng, m, kind)
             w = locc._zero_diagonal_basis(mat)
-            if kind != "hermitian":
-                np.testing.assert_allclose(w, _reference_zero_diagonal_basis(mat), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(w, _reference_zero_diagonal_basis(mat), rtol=0, atol=1e-12)
             self._assert_zero_diagonal(mat, w, 1e-9)
 
+    @pytest.mark.parametrize("m", range(2, 25))
+    def test_hermitian_basis_ignores_rounding(self, m):
+        """Every phase of c1 solves a Hermitian compression; c1 is real there, so anti-Hermitian
+        noise far below the rounding cut, of either sign, leaves the basis where it was."""
+        rng = np.random.default_rng(700 + m)
+        for _ in range(3):
+            mat = _traceless(rng, m, "hermitian")
+            noise = 1e-17 * _traceless(rng, m, "anti-hermitian")
+            w = locc._zero_diagonal_basis(mat)
+            for sign in (1.0, -1.0):
+                np.testing.assert_allclose(locc._zero_diagonal_basis(mat + sign * noise), w, rtol=0, atol=1e-12)
+
     def test_fallback_reached_and_zero_diagonal(self, monkeypatch):
-        """A diagonal with any imaginary part takes one eigensystem, an exactly real one none."""
+        """A diagonal with imaginary parts above rounding takes one eigensystem, a real one none."""
         calls = []
         eigh = np.linalg.eigh
         monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
         rng = np.random.default_rng(77)
         for m in range(3, 25):
-            for kind, expected in (("generic", 1), ("anti-hermitian", 1), ("hermitian", 0), ("zero", 0)):
+            for kind, expected in (("generic", 1), ("anti-hermitian", 1), ("hermitian", 0), ("hermitian-rounding", 0), ("zero", 0)):
                 calls.clear()
                 mat = _traceless(rng, m, kind)
                 self._assert_zero_diagonal(mat, locc._zero_diagonal_basis(mat), 1e-9)
@@ -1313,12 +1329,17 @@ class TestZeroValueScan:
                 self._assert_zero_diagonal(mat, locc._zero_diagonal_basis(mat), 1e-11 * float(np.max(np.abs(mat))))
 
     def test_compression_reaches_zero(self, rng):
-        for _ in range(50):
-            b = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-            b[0, 0], b[1, 1] = rng.uniform(1e-9, 2.0), -rng.uniform(1e-9, 2.0)
-            c = np.array(locc._solve_compression(b))
-            assert abs(np.vdot(c, c) - 1.0) <= 1e-15
-            assert abs(np.vdot(c, b @ c)) <= 1e-14
+        """Hermitian compressions, exactly or up to rounding, take c1 real.  A diagonal far below the
+        off-diagonal (top = 1e-6) needs the root in the form that adds terms of one sign."""
+        for kind, top in itertools.product(("generic", "hermitian", "hermitian-rounding"), (2.0, 1e-6)):
+            for _ in range(50):
+                b = _traceless(rng, 2, kind)
+                b[0, 0], b[1, 1] = rng.uniform(1e-9, top), -rng.uniform(1e-9, top)
+                c0, c1 = locc._solve_compression(b, float(np.max(np.abs(b))))
+                c = np.array([c0, c1])
+                assert abs(np.vdot(c, c) - 1.0) <= 1e-15
+                assert abs(np.vdot(c, b @ c)) <= 1e-14
+                assert (np.imag(c1) == 0.0) == (kind != "generic")
 
 
 class TestTwoStateProtocol:
@@ -1553,6 +1574,16 @@ class TestTwoStateDeflation:
         rng = np.random.default_rng(5000 + seed)
         for da, db in ((2, 2), (3, 12), (5, 4)):
             self._assert_basis_and_protocol(*_product_pair(rng, da, db))
+
+    @pytest.mark.parametrize("b01, b10", [(1.0, 1.0), (-1.0, -1.0), (-2.0, 1.0)])
+    def test_small_diagonal_strong_coupling(self, b01, b10):
+        """A diagonal far below the coupling: the tangent's root must not cancel, for either sign of r."""
+        mat = np.array([[1e-8, b01], [b10, -1e-8]], dtype=complex)
+        w = locc._zero_diagonal_basis(mat)
+        assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= 1e-15
+        # the pair (I/sqrt 2, mat^T) has M = conj(S1) S2^T proportional to mat
+        pair = uniform_ensemble([BipartiteState(2, 2, np.eye(2) / np.sqrt(2)), BipartiteState(2, 2, mat.T / np.linalg.norm(mat))])
+        assert evaluate(two_state_protocol(*pair.states), pair).success_probability >= 1 - 1e-12
 
     def test_zero_diagonal_input_needs_no_rotation(self):
         mat = np.diag([0.0, 0.0, 0.0]).astype(complex) + np.triu(np.ones((3, 3)), 1)

@@ -27,8 +27,8 @@ def _library_spec(entry):
         return synthesize_cub_protocol(ens, fourier_matrix(ens.dim_a))
     if entry.name.startswith("three-qutrit-"):
         return synthesize_three_qutrit_protocol(ens)
-    s1, s2 = ens.states
-    return locc.one_way_protocol(ens.states, locc._zero_diagonal_basis(s1.amplitude_matrix.conj() @ s2.amplitude_matrix.T).conj())
+    s1, s2 = ens.amplitude_matrices()
+    return locc.one_way_protocol(ens.amplitude_matrices(), locc._zero_diagonal_basis(s1.conj() @ s2.T).conj())
 
 
 _SPEC_ENTRIES = [e for e in build_library() if e.name.startswith(("cub-", "simdiag-", "three-qutrit-", "two-state-"))]
