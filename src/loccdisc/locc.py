@@ -20,11 +20,13 @@ over the stacked (leaves, k) weights; the leaf paths are kept per block,
 and the joint table's row tuples are built only when first read.
 The Monte-Carlo runs take the same weights: per-state trial counts are
 drawn from the priors, and each state's correct trials are one binomial
-draw with its exact success, so the tree is walked once, by the evaluator.
+draw with its exact success, so the tree is walked once, by the evaluator
+(after :meth:`LoccProtocol.validate`, whose walk takes one call per node).
 
 Computational-basis measurements and identity rounds stack the identity
-(:attr:`Povm.is_identity`).  A step whose run shares one such POVM takes
-its input as the product, a view with no copy and no matmul.  The bits are
+(:attr:`Povm.is_identity`).  A step whose every POVM is the identity (one
+shared object, or distinct ones, as a parsed tree holds) takes its input
+as the product, a view with no copy and no matmul.  The bits are
 the product's: each entry of a product with a 0/1 row is 1 x plus exact
 zeros, so it equals x up to the sign of a zero, which the squares drop;
 and the sums over the summed-away axis run in the product's order.  The
@@ -37,8 +39,7 @@ summed axis becomes innermost, summed pairwise, while a view of a Bob
 parent's product, whose states are innermost, would sum it in sequence,
 so such a step keeps the product.  A view aliases memory the step does
 not own (the parent's product, the ensemble's read-only stack), so it is
-squared out of place.  Dense POVMs, and runs that stack distinct POVM
-objects, keep the product.
+squared out of place.  A run with a dense member keeps the product.
 
 Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
@@ -59,7 +60,7 @@ positive and a negative diagonal entry's coordinates in real closed form;
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, repeat
 
 import numpy as np
 
@@ -142,11 +143,13 @@ class Povm:
     def is_identity(self) -> bool:
         """Whether ``stacked`` is the identity, so a walk step may take its input as the product.
 
-        Found on first use, so a POVM that no walk steps on pays nothing.
+        Found on first use (a completeness check or a walk step), then kept.
         """
         return np.array_equal(self.stacked, np.eye(self.input_dim))
 
     def completeness_defect(self) -> float:
+        if self.is_identity:  # I^dag I - I is exactly 0
+            return 0.0
         gram = self.stacked.conj().T @ self.stacked
         return float(np.max(np.abs(gram - np.eye(self.input_dim))))
 
@@ -187,12 +190,16 @@ class LoccProtocol:
 
         One depth-first walk visits nodes and leaves alike, children in
         outcome order, so the first fault on that order is the one reported.
+        A node checks its leaf children's guesses in its own loop and steps
+        into a leaf only to word a fault, so a valid tree costs one call per
+        node, not per leaf.
         """
         complete = set()  # ids of Povm objects already checked; nodes may share one
+        k_max = math.inf if k is None else k
 
         def walk(node, da, db, prev_actor):
             if isinstance(node, Leaf):
-                if node.guess < 0 or (k is not None and node.guess >= k):
+                if not 0 <= node.guess < k_max:
                     raise DomainError(f"leaf guess {node.guess} out of range")
                 return
             if node.actor == prev_actor:
@@ -209,7 +216,8 @@ class LoccProtocol:
                     raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
                 complete.add(id(node.povm))
             for m, child in zip(node.povm.elements, node.children):
-                walk(child, m.shape[0] if alice else da, db if alice else m.shape[0], node.actor)
+                if not (isinstance(child, Leaf) and 0 <= child.guess < k_max):
+                    walk(child, m.shape[0] if alice else da, db if alice else m.shape[0], node.actor)
 
         walk(self.root, self.dim_a, self.dim_b, None)
 
@@ -407,8 +415,9 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
     weighs all its outcomes at once: for a projective POVM (one row per
     outcome) the squared row norms are the weights, otherwise one
     ``np.add.reduceat`` over the POVM's row offsets sums them; each run of
-    consecutive leaf children takes its rows as one block.  Each path block
-    is a pair (prefixes, suffixes) standing for the leaf paths
+    consecutive leaf children takes its rows as one block, and a tree with
+    one block takes it as the weights with no concatenation.  Each path
+    block is a pair (prefixes, suffixes) standing for the leaf paths
     prefix + suffix, prefixes outer.
     """
     b = ensemble.b_matrices()
@@ -417,7 +426,7 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
         return [([()], ((),))], [protocol.root.guess], w
     paths, guesses, blocks = [], [], []
     _collect_leaves((protocol.root,), b, [()], paths, guesses, blocks)
-    w = np.concatenate(blocks)
+    w = np.concatenate(blocks) if len(blocks) > 1 else np.ascontiguousarray(blocks[0])
     w /= protocol.dim_a
     return paths, guesses, w
 
@@ -434,7 +443,7 @@ def _run_key(pair):
     child, op = pair
     if isinstance(child, Leaf):
         return Leaf
-    if not all(isinstance(leaf, Leaf) for leaf in child.children):
+    if not all(map(isinstance, child.children, repeat(Leaf))):
         return object()
     return op.shape[0], child.povm.stacked.shape, child.povm.offsets.tobytes()
 
@@ -479,11 +488,10 @@ def _collect_leaves(run, y, prefixes, paths, guesses, blocks):
     run would not: BLAS rounding depends on the matrix sizes); the sums
     over e and over POVM rows also run along the same axes, so a run's
     weights are bitwise those of its nodes stepped one by one.  The product
-    is viewed with the states leading, so squares that must leave it
-    intact go in blocks of states (:func:`_squared_norms`).
+    is viewed with the states leading (:func:`_squared_norms`).
 
-    A run that shares an identity POVM takes the reshaped Y itself as its
-    product, but for Alice with one coordinate (c = 1); the module
+    A run whose every POVM is the identity takes the reshaped Y itself as
+    its product, but for Alice with one coordinate (c = 1); the module
     docstring says why the bits hold.
 
     Of the :func:`_child_groups`, each group of leaves gives one block,
@@ -495,9 +503,9 @@ def _collect_leaves(run, y, prefixes, paths, guesses, blocks):
     alive until the next garbage collection.
     """
     m, k, node = len(run), y.shape[0], run[0]
-    stack, children = _run_stack(run), node.children
-    alice = node.actor == ALICE
-    view = stack is node.povm.stacked and node.povm.is_identity and not (alice and y.shape[2] == 1)
+    children, alice = node.children, node.actor == ALICE
+    view = all(member.povm.is_identity for member in run) and not (alice and y.shape[2] == 1)
+    stack = None if view else _run_stack(run)
     if alice:  # Y_j S_j^T on each (k e, c) block: (k, m, e, rows) over memory (m, k, e, rows)
         e = y.shape[1] // m
         z = y.reshape(k, m, e, -1)
@@ -545,8 +553,22 @@ def _squared_norms(z, axis, in_place):
     place, a z larger than ``_SQUARES_BLOCK_BYTES`` is squared in blocks of
     its leading axis, each a copy squared in place, so no buffer the size
     of z is allocated.  A length-1 axis is dropped without a pass, so the
-    result may view z.
+    result may view z.  Out of place over a length-1 axis nothing is summed,
+    so the layout is free: the blocks are copied with the leading (states)
+    axis moved last, as the walk's weight blocks lie, and their pair sums
+    written into one array, which the result views with the states leading
+    again; so a leaf block sliced from it needs no transposing copy.
     """
+    if not in_place and z.shape[axis] == 1:
+        x = z.squeeze(axis)
+        x = x.transpose(*range(1, x.ndim), 0)
+        out = np.empty(x.shape)
+        step = max(1, _SQUARES_BLOCK_BYTES * len(x) // max(x.nbytes, 1))
+        for i in range(0, len(x), step):
+            v = np.array(x[i : i + step], order="C").view(float)
+            np.multiply(v, v, out=v)
+            np.add(v[..., 0::2], v[..., 1::2], out=out[i : i + step])
+        return out.transpose(-1, *range(out.ndim - 1))
     step = max(1, _SQUARES_BLOCK_BYTES * z.shape[0] // max(z.nbytes, 1))
     if not in_place and step < z.shape[0]:
         return np.concatenate([_squared_norms(z[i : i + step].copy(), axis, True) for i in range(0, z.shape[0], step)])
@@ -616,7 +638,12 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     :attr:`ProtocolEvaluation.per_state_success` no row is pruned, so a rare
     state keeps its success.  A column whose weight all sits on hits gives
     s_i = 1 exactly (the two sums add the same terms in the same order), and
-    a binomial draw with p = 0 or 1 consumes no randomness.
+    a binomial draw with p = 0 or 1 consumes no randomness.  The numerators
+    are one gather: ``np.bincount`` adds each leaf's weight in its guess's
+    column in leaf order, as numpy's axis-0 sum of the dense (leaves, k)
+    hit mask does for k > 1, so bit for bit.  With k = 1 every leaf is a
+    hit and that column is contiguous, which numpy sums pairwise, so the
+    numerator is the column sum itself.
     """
     trials = as_int(trials, "trials")
     if not 1 <= trials <= 2**63 - 1:
@@ -630,8 +657,9 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     rng = np.random.default_rng(seed)
     per_state = rng.multinomial(trials, ensemble.priors)
     _, guesses, w = _leaf_weights(protocol, ensemble)
-    hit = np.array(guesses)[:, None] == np.arange(ensemble.k)
-    s = np.clip((w * hit).sum(axis=0) / w.sum(axis=0), 0.0, 1.0)
+    g = np.array(guesses)
+    hits = w.sum(axis=0) if ensemble.k == 1 else np.bincount(g, weights=w[np.arange(len(g)), g], minlength=ensemble.k)
+    s = np.clip(hits / w.sum(axis=0), 0.0, 1.0)
     return int(rng.binomial(per_state, s).sum()) / trials
 
 

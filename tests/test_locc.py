@@ -641,10 +641,11 @@ def _identity_tree(name):
 
 
 # The products the squared steps of each ``_identity_tree`` take.  Dense rounds take the
-# product, and so do the padding rounds below leaves (each its own identity POVM, so a run of
-# them stacks distinct objects); an identity node whose children are all nodes squares nothing.
+# product; the padding rounds below leaves (each its own identity POVM) view their input as a
+# run of distinct identities, but for Alice left with one coordinate, which keeps the product;
+# an identity node whose children are all nodes squares nothing.
 IDENTITY_TREES = {
-    "padded-coarse-split": {"product"},
+    "padded-coarse-split": {"product", "view"},
     "identity-over-dense": {"product"},
     "dense-over-identity": {"view"},
     "std-3": {"view"},
@@ -844,6 +845,165 @@ class TestBatchedSampler:
         # numpy's binomial refuses p > 1, so an unnormalized success would escape as ValueError
         protocol, ens = overweight_perfect_case()
         assert simulate(protocol, ens, trials=100_000, seed=0) == 1.0
+
+
+def _fault_cases():
+    """(protocol, ensemble) pairs that ``validate`` refuses, each fault class at least once."""
+    ens2 = bell_basis(2)
+    comp = projective_povm(np.eye(2, dtype=complex))
+    half = Povm((np.eye(2, dtype=complex) / 2,))
+    yield pytest.param(LoccProtocol(2, 2, ProtocolNode(ALICE, half, (Leaf(0),))), ens2, id="incomplete")
+    shared = ProtocolNode(BOB, half, (Leaf(0),))
+    yield pytest.param(LoccProtocol(2, 2, ProtocolNode(ALICE, comp, (shared, shared))), ens2, id="shared-incomplete")
+    # Alice twice, dimensions chained, so only the alternation rule is broken
+    inner = ProtocolNode(ALICE, comp, (Leaf(0), Leaf(1)))
+    yield pytest.param(LoccProtocol(2, 2, ProtocolNode(ALICE, identity_round(2), (inner,))), ens2, id="not-alternating")
+    # Alice keeps one coordinate on her first outcome, where a two-outcome Alice round waits
+    keep1 = Povm((np.eye(2, dtype=complex)[:1], np.eye(2, dtype=complex)[1:]))
+    bob = ProtocolNode(BOB, comp, (ProtocolNode(ALICE, comp, (Leaf(0), Leaf(1))), Leaf(2)))
+    yield pytest.param(LoccProtocol(2, 2, ProtocolNode(ALICE, keep1, (bob, Leaf(3)))), ens2, id="input-dim")
+    bob3 = ProtocolNode(BOB, projective_povm(np.eye(3, dtype=complex)), (Leaf(0), Leaf(1), Leaf(2)))
+    yield pytest.param(LoccProtocol(2, 2, ProtocolNode(ALICE, comp, (Leaf(0), bob3))), ens2, id="input-dim-bob")
+    for name in ("leaf-root", "mixed-children", "dead-outcomes"):
+        for guess in (-1, 4):
+            protocol, ens = _edge_case(name)
+            bad = protocol.map_leaves(lambda leaf: Leaf(guess) if leaf.guess == 3 or name == "leaf-root" else leaf)
+            yield pytest.param(bad, ens, id=f"guess-{guess}-{name}")
+    # two faults: a leaf guess in the first subtree, an incomplete POVM in the second; depth-first
+    # order reports the guess, though a node's loop checks its leaves without a call per leaf
+    first = ProtocolNode(BOB, comp, (Leaf(0), Leaf(7)))
+    yield pytest.param(LoccProtocol(2, 2, ProtocolNode(ALICE, comp, (first, shared))), ens2, id="guess-before-povm")
+    # and an actor fault deep in the first subtree before a dimension fault at the second child
+    deep = ProtocolNode(BOB, identity_round(2), (ProtocolNode(BOB, comp, (Leaf(0), Leaf(1))),))
+    yield pytest.param(LoccProtocol(2, 2, ProtocolNode(ALICE, comp, (deep, bob3))), ens2, id="actor-before-dim")
+
+
+class TestFaultParity:
+    """``evaluate`` and ``simulate`` refuse a faulty tree with ``validate``'s own message."""
+
+    @pytest.mark.parametrize("protocol, ens", _fault_cases())
+    def test_same_fault_as_validate(self, protocol, ens):
+        with pytest.raises(DomainError) as expected:
+            protocol.validate(k=ens.k)
+        with pytest.raises(DomainError) as exact:
+            evaluate(protocol, ens)
+        with pytest.raises(DomainError) as sampled:
+            simulate(protocol, ens, trials=100, seed=0)
+        assert str(exact.value) == str(sampled.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("guess-before-povm", "leaf guess 7 out of range"), ("actor-before-dim", "actors must alternate along every path")],
+    )
+    def test_two_faults_report_the_first_in_depth_first_order(self, name, message):
+        protocol, ens = next(param.values for param in _fault_cases() if param.id == name)
+        for run in (lambda: evaluate(protocol, ens), lambda: simulate(protocol, ens, trials=100, seed=0)):
+            with pytest.raises(DomainError) as info:
+                run()
+            assert str(info.value) == message
+
+    def test_completeness_at_the_callers_tol(self):
+        # every leaf weight is about 8e-11 heavy: inside the default 1e-10, outside 1e-11
+        protocol, ens = overweight_perfect_case()
+        assert evaluate(protocol, ens).success_probability == pytest.approx(1.0, abs=1e-9)
+        with pytest.raises(DomainError) as expected:
+            protocol.validate(k=ens.k, tol=1e-11)
+        with pytest.raises(DomainError) as got:
+            evaluate(protocol, ens, tol=1e-11)
+        assert str(got.value) == str(expected.value)
+
+
+class TestDistinctIdentityRuns:
+    """A run of distinct identity ``Povm`` objects, as a parsed tree holds, views its input too."""
+
+    def test_parsed_bell_tree_takes_no_matmul(self, monkeypatch):
+        protocol = serial.protocol_from_json(serial.protocol_to_json(standard_bell_protocol(12)))
+        ens = bell_basis(12)
+        assert len({id(node.povm) for node in protocol.root.children}) == 12
+        stacked = []  # every matmul multiplies by the step's _run_stack
+        run_stack = locc._run_stack
+        monkeypatch.setattr(locc, "_run_stack", lambda run: stacked.append(len(run)) or run_stack(run))
+        _, _, w = locc._leaf_weights(protocol, ens)
+        assert stacked == []
+        _no_views(monkeypatch)
+        _, _, product = locc._leaf_weights(protocol, ens)
+        assert stacked == [1, 12]
+        assert w.tobytes() == product.tobytes()
+
+    def test_first_dense_member_keeps_the_product(self, monkeypatch):
+        # one dense POVM among identities of one shape: the whole run takes the product, bit for bit alike
+        ens = _skewed_ensemble(5)
+        eye = np.eye(3, dtype=complex)
+        pov = [projective_povm(eye), projective_povm(haar_unitary(3, np.random.default_rng(5))), projective_povm(eye)]
+        bob = tuple(ProtocolNode(BOB, p, (Leaf(0), Leaf(i + 1), Leaf(4))) for i, p in enumerate(pov))
+        protocol = LoccProtocol(3, 3, ProtocolNode(ALICE, projective_povm(eye), bob))
+        kinds = _spy_views(monkeypatch)
+        fast = _walk_outputs(protocol, ens)
+        assert kinds == ["product"] * 4
+        _no_views(monkeypatch)
+        assert _walk_outputs(protocol, ens) == fast
+
+
+def _simulated_success(monkeypatch, protocol, ens):
+    """The per-state success s that ``simulate`` hands its binomial draw."""
+    seen, make = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def multinomial(self, n, p):
+            return self.rng.multinomial(n, p)
+
+        def binomial(self, n, p):
+            seen.append(p)
+            return self.rng.binomial(n, p)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    simulate(protocol, ens, trials=1000, seed=0)
+    (s,) = seen
+    return s
+
+
+# Seeds whose one-state weights sum to other last bits in leaf order than numpy's pairwise sum
+ONE_STATE_SEEDS = (5, 10, 11, 13)
+
+
+def _one_state_case(seed):
+    """One seeded state on 5 x 5 under the Bell tree with every guess 0: k = 1, 25 leaves."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    ens = StateEnsemble((BipartiteState(5, 5, v / np.linalg.norm(v)),))
+    return standard_bell_protocol(5).map_leaves(lambda leaf: Leaf(0)), ens
+
+
+class TestHitSums:
+    """``simulate``'s per-state hits are one gather, bit for bit the dense (leaves, k) mask sum."""
+
+    @pytest.mark.parametrize(
+        "protocol, ens",
+        [*_run_trees(), *(pytest.param(*_one_state_case(seed), id=f"one-state-{seed}") for seed in ONE_STATE_SEEDS)],
+    )
+    def test_gather_equals_mask_sum(self, protocol, ens, monkeypatch):
+        _, guesses, w = locc._leaf_weights(protocol, ens)
+        dense = (w * (np.array(guesses)[:, None] == np.arange(ens.k))).sum(axis=0)
+        s = _simulated_success(monkeypatch, protocol, ens)
+        assert s.tobytes() == np.clip(dense / w.sum(axis=0), 0.0, 1.0).tobytes()
+
+    @pytest.mark.parametrize("seed", ONE_STATE_SEEDS)
+    def test_one_state_hits_exactly_one(self, seed, monkeypatch):
+        # with k = 1 the hit column is contiguous, which numpy sums pairwise, not in leaf order
+        protocol, ens = _one_state_case(seed)
+        _, _, w = locc._leaf_weights(protocol, ens)
+        in_order = np.bincount(np.zeros(len(w), dtype=int), weights=w[:, 0])
+        assert in_order.tobytes() != w.sum(axis=0).tobytes()
+        assert _simulated_success(monkeypatch, protocol, ens).tolist() == [1.0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_perfect_one_way_protocol_hits_exactly_one(self, seed, monkeypatch):
+        ens = random_orthogonal_me_triple(3, seed)
+        s = _simulated_success(monkeypatch, synthesize_three_qutrit_protocol(ens).as_protocol(), ens)
+        assert s.tolist() == [1.0] * ens.k
 
 
 class TestSamplerStream:
