@@ -10,11 +10,13 @@ are capped at (that party's dimension)/k, and any uniform ensemble is
 capped by lambda_max * m * n / k, lambda_max the largest Schmidt
 coefficient present.
 
-The witnesses share one spectral pass over the ensemble's stacked matrices:
-one batched SVD (cached on the ensemble) for the Schmidt coefficients, and
-batched Gram products and ``eigvalsh`` for the unilateral and entropy tests.
-Bob's Gram stack B_i^dag B_i is the ensemble's cached ``b_grams``, shared
-with ``is_maximally_entangled``.
+The witnesses share one spectral pass over the ensemble's checked stack of
+amplitude matrices, cached on the ensemble: one batched SVD for the Schmidt
+coefficients, and one stack of the reduced states rho_A^i with one batched
+``eigvalsh`` of it.  The SVD is cross-checked against that spectrum, and the
+entropy cap's conditional term reads it and its prior mean the same rho_A^i,
+so a verdict makes one SVD and one reduced spectrum.  Bob's Gram stack B_i^dag B_i is the ensemble's cached
+``b_grams``, shared with ``is_maximally_entangled``.
 """
 
 import math
@@ -25,6 +27,7 @@ import numpy as np
 from . import locc, synth
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
+from .qstate import reduced_spectrum
 
 VERDICT_POSSIBLE = "PerfectPossible"
 VERDICT_IMPOSSIBLE = "PerfectImpossible"
@@ -150,26 +153,38 @@ def schmidt_bound(ensemble: StateEnsemble) -> float:
     return min(1.0, float(lam * ensemble.dim_a * ensemble.dim_b / ensemble.k))
 
 
-def von_neumann_entropy_bits(rho):
-    """S(rho) = -Tr rho log2 rho, with eigenvalues up to ``EIGENVALUE_CLIP`` dropped.
-
-    A (..., d, d) stack of matrices gives one entropy per matrix.
-    """
-    rho = np.asarray(rho)
-    vals = np.linalg.eigvalsh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
+def _spectrum_entropy_bits(vals):
+    """-sum v log2 v over the last axis, with eigenvalues up to ``EIGENVALUE_CLIP`` dropped."""
     vals = np.where(vals > EIGENVALUE_CLIP, vals, 1.0)  # log2(1) = 0: dropped eigenvalues add nothing
     ent = 0.0 - np.sum(vals * np.log2(vals), axis=-1)  # 0.0 - x, not -x: a pure state gives +0.0
     return float(ent) if ent.ndim == 0 else ent
 
 
+def von_neumann_entropy_bits(rho):
+    """S(rho) = -Tr rho log2 rho, with eigenvalues up to ``EIGENVALUE_CLIP`` dropped.
+
+    A (..., d, d) stack of matrices gives one entropy per matrix.
+    """
+    return _spectrum_entropy_bits(reduced_spectrum(np.asarray(rho)))
+
+
+def _prior_mean(p, rho):
+    """sum_i p_i rho_i for a (k, d, d) stack: the one ``dot`` that ``np.tensordot(p, rho, 1)`` runs."""
+    return np.dot(p.reshape(1, len(p)), rho.reshape(len(p), -1)).reshape(rho.shape[1:])
+
+
 def entropy_bound_bits(ensemble: StateEnsemble) -> float:
-    """Accessible-information cap S(rho_A) + S(rho_B) - sum_i p_i S(rho_A^i), in bits."""
+    """Accessible-information cap S(rho_A) + S(rho_B) - sum_i p_i S(rho_A^i), in bits.
+
+    rho_A^i and the conditional term's spectra are the ensemble's cached
+    ``reduced_states`` and ``reduced_spectra``.
+    """
     s = ensemble.amplitude_matrices()
-    rho_a = s @ s.conj().transpose(0, 2, 1)  # rho_A^i = S_i S_i^dag
+    rho_a = ensemble.reduced_states  # rho_A^i = S_i S_i^dag
     rho_b = s.transpose(0, 2, 1) @ s.conj()  # rho_B^i = S_i^T conj(S_i)
     p = ensemble.priors
-    cond = float(p @ von_neumann_entropy_bits(rho_a))
-    return von_neumann_entropy_bits(np.tensordot(p, rho_a, 1)) + von_neumann_entropy_bits(np.tensordot(p, rho_b, 1)) - cond
+    cond = float(p @ _spectrum_entropy_bits(ensemble.reduced_spectra))
+    return von_neumann_entropy_bits(_prior_mean(p, rho_a)) + von_neumann_entropy_bits(_prior_mean(p, rho_b)) - cond
 
 
 def g_bounds_bits(k: int, n: int) -> tuple[float, float]:

@@ -1,5 +1,12 @@
 """Named state families: generalized Bell bases, MUBs, and seeded test ensembles.
 
+Every ensemble holds its states as one read-only (k, dim_a, dim_b) stack of
+amplitude matrices.  The named families make that stack in one piece and
+check it once (:func:`loccdisc.qstate.normalized_amplitudes`), and the
+ensemble adopts it without a copy; its states are views of the stack's rows.
+An ensemble of given states, explicit descriptors included, stacks their
+checked amplitudes.
+
 A family of bases of C^n is a plain read-only (members, n, n) array, each
 basis stored column-wise: :func:`mub_prime` returns one and
 :func:`common_unbiased_basis_check` takes one.
@@ -16,13 +23,16 @@ from .qstate import (
     ALGEBRAIC_TOL,
     EIGEN_TOL,
     STRUCTURAL_TOL,
+    BipartiteState,
     as_int,
     as_matrix,
     frozen_array,
     generalized_pauli,
     is_unitary,
+    normalized_amplitudes,
+    reduced_spectrum,
+    reduced_state,
     schmidt_coefficients,
-    state_from_matrix,
 )
 
 
@@ -42,11 +52,27 @@ class StateEnsemble:
         dims = {(s.dim_a, s.dim_b) for s in states}
         if len(dims) != 1:
             raise DomainError(f"states live in different spaces: {sorted(dims)}")
-        if self.priors is None:
-            priors = np.full(len(states), 1.0 / len(states))
-        else:
-            priors = np.asarray(self.priors, dtype=float).reshape(-1)
-        if priors.size != len(states):
+        object.__setattr__(self, "states", states)
+        self._adopt(frozen_array([s.amplitude_matrix for s in states]), self.priors)
+
+    @classmethod
+    def _from_unit_stack(cls, amps: np.ndarray, priors=None) -> "StateEnsemble":
+        """An ensemble around ``amps``, a read-only C-ordered (k, dim_a, dim_b) stack of checked unit amplitudes.
+
+        The stack is adopted, not copied, and each state is a view of its row.
+        """
+        k, dim_a, dim_b = amps.shape
+        ens = object.__new__(cls)
+        rows = amps.reshape(k, -1)
+        object.__setattr__(ens, "states", tuple(BipartiteState._from_unit_amplitudes(dim_a, dim_b, row) for row in rows))
+        ens._adopt(amps, priors)
+        return ens
+
+    def _adopt(self, amps: np.ndarray, priors) -> None:
+        """Check ``priors`` (uniform when None) against the k states of ``amps`` and set the stacks."""
+        k = len(amps)
+        priors = np.full(k, 1.0 / k) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
+        if priors.size != k:
             raise DomainError("priors length must match number of states")
         if not np.all(np.isfinite(priors)):
             raise DomainError("priors must be finite")
@@ -54,9 +80,8 @@ class StateEnsemble:
             raise DomainError("priors must be nonnegative")
         if abs(float(priors.sum()) - 1.0) > 1e-12:
             raise DomainError("priors must sum to 1 within 1e-12")
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "priors", frozen_array(np.clip(priors, 0.0, None), dtype=float))
-        amps = frozen_array([s.amplitude_matrix for s in states])
+        priors = frozen_array(np.clip(priors, 0.0, None), dtype=float)
+        object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "_amps", amps)
         object.__setattr__(self, "_b_stack", frozen_array(np.sqrt(amps.shape[1]) * amps.transpose(0, 2, 1)))
 
@@ -89,12 +114,30 @@ class StateEnsemble:
         return grams
 
     @cached_property
+    def reduced_states(self) -> np.ndarray:
+        """Read-only (k, dim_a, dim_a) stack of the reduced states rho_A^i = S_i S_i^dag, built on first use."""
+        rho = reduced_state(self._amps)
+        rho.setflags(write=False)
+        return rho
+
+    @cached_property
+    def reduced_spectra(self) -> np.ndarray:
+        """Read-only (k, dim_a) eigenvalues, ascending, of each reduced state in :attr:`reduced_states`.
+
+        One batched ``eigvalsh`` (:func:`loccdisc.qstate.reduced_spectrum`) on first use.
+        """
+        vals = reduced_spectrum(self.reduced_states)
+        vals.setflags(write=False)
+        return vals
+
+    @cached_property
     def schmidt_coefficients(self) -> np.ndarray:
         """Read-only (k, min(dim_a, dim_b)) Schmidt coefficients, one row per state.
 
-        One batched SVD (:func:`loccdisc.qstate.schmidt_coefficients`) on first use.
+        One batched SVD (:func:`loccdisc.qstate.schmidt_coefficients`) on
+        first use, cross-checked against :attr:`reduced_spectra`.
         """
-        return frozen_array(schmidt_coefficients(self._amps), dtype=float)
+        return frozen_array(schmidt_coefficients(self._amps, self.reduced_spectra), dtype=float)
 
     def gram(self) -> np.ndarray:
         """Gram matrix of amplitude inner products <psi_i|psi_j>."""
@@ -158,7 +201,7 @@ def bell_basis(n: int) -> StateEnsemble:
         raise DomainError("Bell basis needs dimension >= 2")
     j = np.arange(n)
     stack = _bell_unitaries(n, j[:, None], j[None, :])  # (m, l, n, n), broadcast without copies
-    return uniform_ensemble([state_from_matrix(u, n) for u in stack.reshape(-1, n, n)])
+    return StateEnsemble._from_unit_stack(normalized_amplitudes(stack.reshape(-1, n, n)))
 
 
 def _bell_labels(n: int, labels) -> list[tuple[int, int]]:
@@ -177,7 +220,7 @@ def _bell_labels(n: int, labels) -> list[tuple[int, int]]:
 def bell_subset(n: int, labels) -> StateEnsemble:
     """Uniform ensemble of the generalized Bell states with the given (m, l) labels."""
     ms, ls = np.array(_bell_labels(n, labels)).T
-    return uniform_ensemble([state_from_matrix(u, n) for u in _bell_unitaries(n, ms, ls)])
+    return StateEnsemble._from_unit_stack(normalized_amplitudes(_bell_unitaries(n, ms, ls)))
 
 
 def is_prime(n: int) -> bool:
@@ -256,18 +299,15 @@ def random_orthogonal_me_triple(n: int, seed: int) -> StateEnsemble:
     labels = rng.choice(n * n, size=3, replace=False)
     u = haar_unitary(n, rng)
     w = haar_unitary(n, rng)
-    states = [
-        state_from_matrix(u @ bell_unitary(n, lab // n, lab % n) @ w, n)
-        for lab in labels
-    ]
-    return uniform_ensemble(states)
+    return StateEnsemble._from_unit_stack(normalized_amplitudes(u @ _bell_unitaries(n, labels // n, labels % n) @ w))
 
 
 def simultaneously_diagonal_ensemble(u) -> StateEnsemble:
     """The n orthogonal states phi_i = sum_j u[i, j] |j>|j> for a unitary u.
 
     Their matrices are B_i = sqrt(n) diag(u[i, :]), all diagonal in the same
-    basis, hence every pairwise product is diagonal too.
+    basis, hence every pairwise product is diagonal too.  The stack fills a
+    zero array's diagonals, as ``np.diag`` does, so its zeros keep their sign.
     """
     mat = as_matrix(u)
     if mat.shape[0] != mat.shape[1]:
@@ -275,8 +315,10 @@ def simultaneously_diagonal_ensemble(u) -> StateEnsemble:
     if not is_unitary(mat, STRUCTURAL_TOL):
         raise DomainError("coefficient matrix must be unitary within 1e-10")
     n = mat.shape[0]
-    states = [state_from_matrix(np.sqrt(n) * np.diag(mat[i, :]), n) for i in range(n)]
-    return uniform_ensemble(states)
+    j = np.arange(n)
+    diags = np.zeros((n, n, n), dtype=complex)
+    diags[:, j, j] = mat
+    return StateEnsemble._from_unit_stack(normalized_amplitudes(np.sqrt(n) * diags))
 
 
 def from_descriptor(descriptor: dict) -> StateEnsemble:

@@ -10,9 +10,17 @@ matrix S (shape m x n, S[a, b] = amplitude of |a>|b>) is S = B^T / sqrt(m),
 inner products become <psi1|psi2> = Tr(B1^dag B2)/m, and |psi> is maximally
 entangled iff B is unitary (requires m = n).
 
+States are checked as one (k, dim_a, dim_b) stack of amplitude matrices:
+:func:`normalized_amplitudes` normalizes a stack of matrices B_i with one
+finite scan and one norm product for the whole stack.  A single state, from
+:class:`BipartiteState` (given unit amplitudes) or :func:`state_from_matrix`,
+is the k = 1 case of the same check.
+
 Schmidt data are plain read-only arrays: :func:`schmidt` returns
 ``(coefficients, left, right)`` for one state, and
-:func:`schmidt_coefficients` gives the coefficients of a whole stack.
+:func:`schmidt_coefficients` gives the coefficients of a whole stack.  Both
+cross-check the SVD against the spectrum of the reduced state
+rho_A = S S^dag (:func:`reduced_state`, :func:`reduced_spectrum`).
 """
 
 from dataclasses import dataclass
@@ -78,20 +86,14 @@ class BipartiteState:
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
             raise DomainError("dimensions must be positive")
-        amps = np.asarray(self.amplitudes, dtype=complex).reshape(-1)
+        amps = np.array(self.amplitudes, dtype=complex, order="C").reshape(-1)
         if amps.size != self.dim_a * self.dim_b:
             raise DomainError(
                 f"amplitude count {amps.size} != dim_a*dim_b = {self.dim_a * self.dim_b}"
             )
-        if not np.all(np.isfinite(amps)):
-            raise DomainError("amplitudes contain non-finite entries")
-        with np.errstate(over="ignore"):  # an overflowing norm is reported below, not warned about
-            nrm = float(np.linalg.norm(amps))
-        if nrm == np.inf:
-            raise DomainError("state norm overflows; amplitudes too large for a state")
-        if abs(nrm - 1.0) > 1e-12:
-            raise DomainError(f"state norm {nrm} deviates from 1 by more than 1e-12")
-        object.__setattr__(self, "amplitudes", frozen_array(amps))
+        _checked_norms(amps[None], unit=True)
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
     def _from_unit_amplitudes(cls, dim_a: int, dim_b: int, amps: np.ndarray) -> "BipartiteState":
@@ -121,26 +123,72 @@ def me_state(n: int) -> BipartiteState:
     return BipartiteState(n, n, amps)
 
 
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Norms of the rows of a (k, d) complex array, each bit for bit ``np.linalg.norm`` of its row.
+
+    One product of vector-shaped operands on the real and imaginary parts
+    runs the same dot per row as the norm does.
+    """
+    re, im = rows.real[:, None, :], rows.imag[:, None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # a faulty norm is reported by the caller, not warned about
+        return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
+
+
+def _checked_norms(rows: np.ndarray, unit: bool) -> np.ndarray:
+    """Norms of a (k, d) stack of states' entries, refused at the first faulty state in stack order.
+
+    One finite scan and one norm product cover the stack.  Each state is
+    checked in the order one state alone is: finite entries first, then a
+    ``unit`` amplitude vector's norm must neither overflow nor miss 1 by more
+    than 1e-12, and a matrix's norm must be neither zero nor overflowing.
+    The first faulty state is refused with its first failed check's message.
+    """
+    finite = np.isfinite(rows).all(axis=1)
+    nrm = _row_norms(rows)
+    ok = finite & (np.abs(nrm - 1.0) <= 1e-12) if unit else finite & (nrm > 1e-15) & (nrm < np.inf)
+    if ok.all():
+        return nrm
+    i = int(np.argmin(ok))
+    if unit:
+        if not finite[i]:
+            raise DomainError("amplitudes contain non-finite entries")
+        if nrm[i] == np.inf:
+            raise DomainError("state norm overflows; amplitudes too large for a state")
+        raise DomainError(f"state norm {float(nrm[i])} deviates from 1 by more than 1e-12")
+    if not finite[i]:
+        raise DomainError("matrix contains non-finite entries")
+    if nrm[i] <= 1e-15:
+        raise DomainError("zero matrix does not correspond to a state")
+    raise DomainError("matrix norm overflows; entries too large for a state")
+
+
+def normalized_amplitudes(b: np.ndarray) -> np.ndarray:
+    """Read-only (k, dim_a, dim_b) amplitudes of the states (I (x) B_i)|ME_dim_a> for a (k, dim_b, dim_a) stack of B_i.
+
+    Each B_i is divided by its norm, bit for bit :func:`state_from_matrix`,
+    which sums a C- or F-ordered matrix in memory order.  A non-finite, zero
+    or overflowing B_i is refused, the first in stack order, with the message
+    :func:`state_from_matrix` gives it alone.
+    """
+    k, rows, cols = b.shape
+    nrm = _checked_norms(b.reshape(k, -1, order="A"), unit=False)
+    amps = np.divide(b.transpose(0, 2, 1), nrm[:, None, None], out=np.empty((k, cols, rows), dtype=complex))
+    amps.setflags(write=False)
+    return amps
+
+
 def state_from_matrix(b, dim_a: int) -> BipartiteState:
     """Build the normalized state (I (x) B)|ME_dim_a> from a matrix with dim_a columns.
 
-    The matrix is scanned for non-finite entries and its norm taken once; the
-    normalized amplitudes are not checked again.
+    The k = 1 case of :func:`normalized_amplitudes`, whose one norm
+    normalizes the matrix; the normalized amplitudes are not checked again.
     """
     mat = as_matrix(b)
     if dim_a < 1:
         raise DomainError("dim_a must be positive")
     if mat.shape[1] != dim_a:
         raise DomainError(f"matrix has {mat.shape[1]} columns, expected dim_a = {dim_a}")
-    with np.errstate(over="ignore"):  # an overflowing norm is reported below, not warned about
-        nrm = float(np.linalg.norm(mat))
-    if nrm <= 1e-15:
-        raise DomainError("zero matrix does not correspond to a state")
-    if nrm == np.inf:
-        raise DomainError("matrix norm overflows; entries too large for a state")
-    amps = (mat.T / nrm).reshape(-1)
-    amps.setflags(write=False)
-    return BipartiteState._from_unit_amplitudes(dim_a, mat.shape[0], amps)
+    return BipartiteState._from_unit_amplitudes(dim_a, mat.shape[0], normalized_amplitudes(mat[None]).reshape(-1))
 
 
 def transpose_identity_check(a) -> float:
@@ -166,9 +214,23 @@ def _check_coefficients(coeffs) -> None:
         raise DomainError("Schmidt coefficients must be nonincreasing")
 
 
-def _check_operator_norm(b, coeffs) -> None:
-    """Cross-check ||B^dag B||_inf = dim_a * lambda_max to 1e-10 for one B or a stack of them."""
-    opnorm = np.linalg.eigvalsh(np.swapaxes(b.conj(), -1, -2) @ b)[..., -1] / b.shape[-1]
+def reduced_state(amplitudes) -> np.ndarray:
+    """rho_A = S S^dag for one amplitude matrix S or a stack of them."""
+    return amplitudes @ np.swapaxes(amplitudes.conj(), -1, -2)
+
+
+def reduced_spectrum(rho) -> np.ndarray:
+    """Eigenvalues, ascending, of a density matrix or a stack of them: one ``eigvalsh`` of (rho + rho^dag)/2."""
+    return np.linalg.eigvalsh((rho + np.swapaxes(rho.conj(), -1, -2)) / 2.0)
+
+
+def _check_operator_norm(spectrum, coeffs) -> None:
+    """Cross-check ||rho_A||_inf = lambda_max to 1e-10, eigvalsh against SVD, for one state or a stack.
+
+    ``spectrum`` is :func:`reduced_spectrum` of rho_A; since B^dag B = dim_a
+    conj(rho_A), this is the identity ||B^dag B||_inf = dim_a * lambda_max.
+    """
+    opnorm = spectrum[..., -1]
     dev = np.abs(opnorm - coeffs[..., 0])
     w = np.unravel_index(np.argmax(dev), dev.shape)
     if dev[w] > 1e-10:
@@ -187,21 +249,22 @@ def schmidt(psi: BipartiteState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     u, s, vh = np.linalg.svd(psi.amplitude_matrix, full_matrices=False)
     coeffs = s * s
-    _check_operator_norm(psi.b_matrix, coeffs)
+    _check_operator_norm(reduced_spectrum(reduced_state(psi.amplitude_matrix)), coeffs)
     _check_coefficients(coeffs)
     return frozen_array(coeffs, dtype=float), frozen_array(u), frozen_array(vh.T)
 
 
-def schmidt_coefficients(amplitudes) -> np.ndarray:
+def schmidt_coefficients(amplitudes, spectrum) -> np.ndarray:
     """Schmidt coefficients of a (k, dim_a, dim_b) stack of amplitude matrices, one row per state.
 
     The batched counterpart of :func:`schmidt`: one SVD of the whole stack,
-    singular values only, with the same operator-norm cross-check and
+    singular values only, with the same operator-norm cross-check against
+    ``spectrum``, the stack's reduced-state spectra, and the same
     coefficient checks.
     """
     s = np.linalg.svd(amplitudes, compute_uv=False)
     coeffs = s * s
-    _check_operator_norm(np.sqrt(amplitudes.shape[-2]) * np.swapaxes(amplitudes, -1, -2), coeffs)
+    _check_operator_norm(spectrum, coeffs)
     _check_coefficients(coeffs)
     return coeffs
 

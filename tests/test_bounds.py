@@ -369,6 +369,39 @@ class TestWitnessPass:
         with pytest.raises(ToleranceError, match="operator-norm identity"):
             verdict(bell_subset(3, [(0, 0), (0, 1), (1, 0), (2, 2)]))
 
+    def test_perturbed_eigvalsh_fails_operator_norm_check(self, monkeypatch):
+        eigvalsh = np.linalg.eigvalsh
+
+        def perturbed(a, *args, **kwargs):
+            return eigvalsh(a, *args, **kwargs) * (1.0 + 1e-6)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", perturbed)
+        with pytest.raises(ToleranceError, match="operator-norm identity"):
+            verdict(bell_subset(3, [(0, 0), (0, 1), (1, 0), (2, 2)]))
+
+    @pytest.mark.parametrize(
+        "ens",
+        [
+            bell_subset(3, [(0, 0), (1, 0), (0, 1)]),
+            bell_subset(3, [(0, 0), (0, 1), (1, 0), (2, 2)]),
+            uniform_ensemble(random_orthogonal_pair(np.random.default_rng(3), 3, 12)),
+        ],
+        ids=["bell3-k3", "bell3-k4", "pair-3x12"],
+    )
+    def test_verdict_makes_one_batched_eigvalsh(self, monkeypatch, ens):
+        # the operator-norm cross-check and the entropy cap's conditional term share one reduced spectrum
+        eigvalsh = np.linalg.eigvalsh
+        stacks = []
+
+        def counting(a, *args, **kwargs):
+            if np.ndim(a) == 3:
+                stacks.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        verdict(ens)
+        assert stacks == [(ens.k, ens.dim_a, ens.dim_a)]
+
     @pytest.mark.parametrize("labels", [[(0, 0), (1, 0), (0, 1)], [(0, 0), (0, 1), (1, 0), (2, 2)]])
     def test_verdict_makes_one_batched_svd(self, monkeypatch, labels):
         svd = np.linalg.svd

@@ -23,9 +23,11 @@ from loccdisc.ensembles import (
     mub_prime,
     mub_prime_bases,
 )
-from loccdisc.qstate import generalized_pauli, normal_eigensystem
+from loccdisc.library import build_library
+from loccdisc.qstate import frozen_array, generalized_pauli, normal_eigensystem
+from loccdisc.serial import ensemble_to_json, state_from_json
 
-from conftest import random_state
+from conftest import random_orthogonal_pair, random_state
 
 
 def _gram_direct(ensemble):
@@ -339,12 +341,12 @@ def _bell_reference(n, m, l):
     return np.linalg.matrix_power(x, m % n) @ np.linalg.matrix_power(z, l % n)
 
 
+def _same_bits(a, b):
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
+
+
 class TestBellStack:
     """The stacked Bell unitaries equal the per-label product bit for bit, signed zeros included."""
-
-    @staticmethod
-    def _same_bits(a, b):
-        return np.array_equal(np.ascontiguousarray(a).view(np.uint64), np.ascontiguousarray(b).view(np.uint64))
 
     @pytest.mark.parametrize("n", range(2, 18))
     def test_full_stack_matches_per_label_product(self, n):
@@ -355,11 +357,11 @@ class TestBellStack:
         for (m, l), u in zip(itertools.product(range(n), range(n)), stack):
             ref = _bell_reference(n, m, l)
             assert np.array_equal(u, ref)
-            assert self._same_bits(u, ref)
-            assert self._same_bits(bell_unitary(n, m, l), ref)
+            assert _same_bits(u, ref)
+            assert _same_bits(bell_unitary(n, m, l), ref)
 
     def test_labels_reduced_mod_n(self):
-        assert self._same_bits(bell_unitary(5, 7, -1), _bell_reference(5, 2, 4))
+        assert _same_bits(bell_unitary(5, 7, -1), _bell_reference(5, 2, 4))
 
     @pytest.mark.parametrize("n", [2, 5, 8, 17])
     def test_ensembles_match_per_state_build(self, n):
@@ -369,7 +371,124 @@ class TestBellStack:
         for ens, labs in ((bell_basis(n), list(itertools.product(range(n), range(n)))), (bell_subset(n, labels), labels)):
             assert ens.k == len(labs)
             for psi, (m, l) in zip(ens.states, labs):
-                assert self._same_bits(psi.amplitudes, state_from_matrix(_bell_reference(n, m, l), n).amplitudes)
+                assert _same_bits(psi.amplitudes, state_from_matrix(_bell_reference(n, m, l), n).amplitudes)
+
+
+def _assert_stack_matches(ens, refs):
+    """``ens`` holds the states ``refs`` bit for bit: its stack, its state views and its B stack."""
+    amps = frozen_array([psi.amplitude_matrix for psi in refs])
+    assert ens.k == len(refs)
+    assert _same_bits(ens.amplitude_matrices(), amps)
+    assert _same_bits(ens.b_matrices(), np.sqrt(ens.dim_a) * amps.transpose(0, 2, 1))
+    for psi, ref in zip(ens.states, refs):
+        assert (psi.dim_a, psi.dim_b) == (ref.dim_a, ref.dim_b)
+        assert _same_bits(psi.amplitudes, ref.amplitudes)
+
+
+class TestStackedBuilders:
+    """Each builder's one checked stack equals the per-state ``state_from_matrix`` build bit for bit."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_me_triple_matches_per_state_build(self, n, seed):
+        from loccdisc import state_from_matrix
+
+        rng = np.random.default_rng(seed)
+        labels = rng.choice(n * n, size=3, replace=False)
+        u = haar_unitary(n, rng)
+        w = haar_unitary(n, rng)
+        refs = [state_from_matrix(u @ bell_unitary(n, lab // n, lab % n) @ w, n) for lab in labels]
+        _assert_stack_matches(random_orthogonal_me_triple(n, seed), refs)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_simdiag_matches_per_state_build(self, n):
+        from loccdisc import state_from_matrix
+
+        # -I carries -0.0 in every zero, and the Haar columns are turned to negative real parts
+        u_haar = haar_unitary(n, np.random.default_rng(n))
+        u_haar = u_haar * -np.sign(u_haar[0].real)
+        for u in (-np.eye(n, dtype=complex), u_haar):
+            assert np.any(u.real < 0)
+            refs = [state_from_matrix(np.sqrt(n) * np.diag(u[i, :]), n) for i in range(n)]
+            _assert_stack_matches(simultaneously_diagonal_ensemble(u), refs)
+        # the per-state build gives -I's states negative zeros, which the stack keeps
+        assert np.any(np.signbit(simultaneously_diagonal_ensemble(-np.eye(n, dtype=complex)).amplitude_matrices().imag))
+
+    @pytest.mark.parametrize(
+        "ens",
+        [e.ensemble for e in build_library()] + [uniform_ensemble(random_orthogonal_pair(np.random.default_rng(d), d, d)) for d in (8, 16, 24)],
+        ids=[e.name for e in build_library()] + ["pair-8x8", "pair-16x16", "pair-24x24"],
+    )
+    def test_explicit_matches_per_state_build(self, ens):
+        payload = ensemble_to_json(ens)
+        refs = [state_from_json(s) for s in payload["states"]]
+        with_priors = from_descriptor(payload)
+        _assert_stack_matches(with_priors, refs)
+        assert _same_bits(with_priors.priors, StateEnsemble(tuple(refs), np.asarray(payload["priors"])).priors)
+        without = from_descriptor({"kind": "explicit", "states": payload["states"]})
+        _assert_stack_matches(without, refs)
+        assert _same_bits(without.priors, uniform_ensemble(refs).priors)
+
+    def test_stack_adopted_without_copy(self):
+        ens = bell_subset(3, [(0, 0), (1, 2)])
+        amps = ens.amplitude_matrices()
+        assert amps.flags.c_contiguous and not amps.flags.writeable
+        for i, psi in enumerate(ens.states):
+            assert not psi.amplitudes.flags.writeable
+            assert np.shares_memory(psi.amplitudes, amps[i])
+        b = ens.b_matrices()
+        assert b.flags.c_contiguous and b.flags.owndata and not b.flags.writeable
+        assert ens.is_uniform() is True
+        assert StateEnsemble(ens.states, [0.75, 0.25]).is_uniform() is False
+
+
+def _state(dim_a, dim_b, amps):
+    return {"dim_a": dim_a, "dim_b": dim_b, "amplitudes": [[re, im] for re, im in amps]}
+
+
+_BELL = _state(2, 2, [(2**-0.5, 0), (0, 0), (0, 0), (2**-0.5, 0)])
+
+
+class TestExplicitFaults:
+    """A faulty explicit payload is refused for its first faulty state, with the message that state gets alone."""
+
+    @pytest.mark.parametrize(
+        "states, message",
+        [
+            # a bad norm in state 0 is reported before state 1's wrong amplitude count
+            ([_state(2, 2, [(1, 0), (0, 0), (0, 0), (1, 0)]), _state(2, 2, [(1, 0), (0, 0), (0, 0)])],
+             "state norm 1.4142135623730951 deviates from 1 by more than 1e-12"),
+            ([_state(2, 2, [(1, 0), (0, 0), (0, 0)]), _state(2, 2, [(1, 0), (0, 0), (0, 0), (1, 0)])],
+             "amplitude count 3 != dim_a*dim_b = 4"),
+            ([_BELL, _state(1, 4, [(1, 0), (0, 0), (0, 0), (0, 0)])],
+             "states live in different spaces: [(1, 4), (2, 2)]"),
+            ([_BELL, _state(1, 4, [(1, 0), (0, 0), (0, 0), (0, 0)]), _state(2, 2, [(2, 0), (0, 0), (0, 0), (0, 0)])],
+             "state norm 2.0 deviates from 1 by more than 1e-12"),
+            ([_BELL, _state(2, 2, [(float("nan"), 0), (0, 0), (0, 0), (0, 0)])],
+             "amplitudes contain non-finite entries"),
+            ([_BELL, _state(2, 2, [(1, float("inf")), (0, 0), (0, 0), (0, 0)]), _state(2, 2, [(3, 0), (0, 0), (0, 0), (0, 0)])],
+             "amplitudes contain non-finite entries"),
+            ([_state(2, 2, [(0.5, 0), (0, 0), (0, 0), (0, 0)]), _state(2, 2, [(float("nan"), 0), (0, 0), (0, 0), (0, 0)])],
+             "state norm 0.5 deviates from 1 by more than 1e-12"),
+            ([_BELL, _state(2, 2, [(1e200, 0), (1e200, 0), (0, 0), (0, 0)])],
+             "state norm overflows; amplitudes too large for a state"),
+            ([_BELL, _state(1, 2, [(1e200, 0), (0, 0)])],
+             "state norm overflows; amplitudes too large for a state"),
+            ([_state(2, 2, [(1, 0), (0, 0), (0, 0), (1, 0)]), _state(2, 2, [(1, 0), (0, "x"), (0, 0), (1, 0)])],
+             "state norm 1.4142135623730951 deviates from 1 by more than 1e-12"),
+            ([], "ensemble needs at least one state"),
+        ],
+        ids=["norm0-size1", "size0-norm1", "mixed-dims", "mixed-dims-norm2", "nan1", "inf1-norm2",
+             "norm0-nan1", "overflow1", "overflow1-mixed", "norm0-parse1", "empty"],
+    )
+    @pytest.mark.parametrize("priors", [None, [0.5, 0.5]])
+    def test_first_faulty_state_reported(self, states, message, priors):
+        descriptor = {"kind": "explicit", "states": states}
+        if priors is not None:
+            descriptor["priors"] = priors
+        with pytest.raises(DomainError) as info:
+            from_descriptor(descriptor)
+        assert str(info.value) == message
 
 
 class TestBasisFamilyStack:

@@ -289,6 +289,38 @@ class TestStateValidation:
         with pytest.raises(DomainError):
             state_from_matrix(bad, dim_a)
 
+    def test_from_matrix_norm_sums_in_memory_order(self, rng):
+        # np.linalg.norm sums an F-ordered matrix column by column; the stacked norm does too
+        for m, n in rng.integers(1, 12, size=(40, 2)):
+            mat = np.asfortranarray(_rand_complex(rng, (n, m)))
+            want = (mat.T / np.linalg.norm(mat)).reshape(-1)
+            assert np.array_equal(state_from_matrix(mat, m).amplitudes.view(float), want.view(float))
+
+    def test_normalized_stack_matches_per_state_build(self, rng):
+        from loccdisc.qstate import normalized_amplitudes
+
+        for rows, cols in ((1, 1), (3, 12), (8, 8), (16, 16), (24, 24)):
+            b = _rand_complex(rng, (5, rows, cols))
+            amps = normalized_amplitudes(b)
+            for mat, got in zip(b, amps):
+                want = state_from_matrix(mat, cols).amplitudes
+                assert np.array_equal(got.reshape(-1).view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "stack, message",
+        [
+            ([np.eye(2), np.zeros((2, 2)), np.full((2, 2), np.nan)], "zero matrix does not correspond to a state"),
+            ([np.eye(2), np.full((2, 2), np.nan), np.zeros((2, 2))], "matrix contains non-finite entries"),
+            ([np.eye(2), np.full((2, 2), 1e200), np.zeros((2, 2))], "matrix norm overflows; entries too large for a state"),
+        ],
+        ids=["zero-then-nan", "nan-then-zero", "overflow-then-zero"],
+    )
+    def test_normalized_stack_refused_at_first_faulty_state(self, stack, message):
+        from loccdisc.qstate import normalized_amplitudes
+
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            normalized_amplitudes(np.array(stack, dtype=complex))
+
     def test_from_matrix_rejects_overflowing_norm(self):
         # finite entries whose norm overflows would normalize to an all-zero state
         with pytest.raises(DomainError, match="overflows"):
