@@ -10,13 +10,13 @@ are capped at (that party's dimension)/k, and any uniform ensemble is
 capped by lambda_max * m * n / k, lambda_max the largest Schmidt
 coefficient present.
 
-The witnesses share one spectral pass over the ensemble's checked stack of
-amplitude matrices, cached on the ensemble: one batched SVD for the Schmidt
-coefficients, and one stack of the reduced states rho_A^i with one batched
-``eigvalsh`` of it.  The SVD is cross-checked against that spectrum, and the
-entropy cap's conditional term reads it and its prior mean the same rho_A^i,
-so a verdict makes one SVD and one reduced spectrum.  Bob's Gram stack B_i^dag B_i is the ensemble's cached
-``b_grams``, shared with ``is_maximally_entangled``.
+The witnesses share what the ensemble caches of its checked amplitude
+stack: one batched SVD for the Schmidt coefficients, one reduced-state
+stack per party, rho_A^i (``reduced_states``) and rho_B^i
+(``bob_reduced_states``), and one batched ``eigvalsh`` of the rho_A^i, which
+the SVD is cross-checked against and the entropy cap's conditional term
+reads.  The entropy cap's prior means, the unilateral caps and
+``is_maximally_entangled`` read the two stacks.
 """
 
 import math
@@ -35,8 +35,9 @@ VERDICT_UNKNOWN = "Unknown"
 
 # Density-matrix eigenvalues below this count as zero in entropies.
 EIGENVALUE_CLIP = 1e-15
-# How closely the Gram matrices S_i^dag S_i (or B_i^dag B_i) must agree for
-# one party to map every state to every other unilaterally.
+# How closely the other party's reduced states (Bob's side: dim_a rho_A^i,
+# the scale of B_i^dag B_i) must agree for one party to map every state to
+# every other unilaterally.
 UNILATERAL_TOL = 1e-8
 
 
@@ -149,8 +150,7 @@ def schmidt_bound(ensemble: StateEnsemble) -> float:
     """Success cap lambda_max * m * n / k for equally probable states (clipped at 1)."""
     if not ensemble.is_uniform():
         raise DomainError("this bound assumes equally probable states; priors are not uniform")
-    lam = ensemble.schmidt_coefficients[:, 0].max()
-    return min(1.0, float(lam * ensemble.dim_a * ensemble.dim_b / ensemble.k))
+    return min(1.0, lambda_max(ensemble) * ensemble.dim_a * ensemble.dim_b / ensemble.k)
 
 
 def _spectrum_entropy_bits(vals):
@@ -168,23 +168,16 @@ def von_neumann_entropy_bits(rho):
     return _spectrum_entropy_bits(reduced_spectrum(np.asarray(rho)))
 
 
-def _prior_mean(p, rho):
-    """sum_i p_i rho_i for a (k, d, d) stack: the one ``dot`` that ``np.tensordot(p, rho, 1)`` runs."""
-    return np.dot(p.reshape(1, len(p)), rho.reshape(len(p), -1)).reshape(rho.shape[1:])
-
-
 def entropy_bound_bits(ensemble: StateEnsemble) -> float:
     """Accessible-information cap S(rho_A) + S(rho_B) - sum_i p_i S(rho_A^i), in bits.
 
-    rho_A^i and the conditional term's spectra are the ensemble's cached
-    ``reduced_states`` and ``reduced_spectra``.
+    rho_A^i, rho_B^i and the conditional term's spectra are the ensemble's
+    cached ``reduced_states``, ``bob_reduced_states`` and ``reduced_spectra``.
     """
-    s = ensemble.amplitude_matrices()
-    rho_a = ensemble.reduced_states  # rho_A^i = S_i S_i^dag
-    rho_b = s.transpose(0, 2, 1) @ s.conj()  # rho_B^i = S_i^T conj(S_i)
     p = ensemble.priors
     cond = float(p @ _spectrum_entropy_bits(ensemble.reduced_spectra))
-    return von_neumann_entropy_bits(_prior_mean(p, rho_a)) + von_neumann_entropy_bits(_prior_mean(p, rho_b)) - cond
+    s_a = von_neumann_entropy_bits(np.tensordot(p, ensemble.reduced_states, 1))
+    return s_a + von_neumann_entropy_bits(np.tensordot(p, ensemble.bob_reduced_states, 1)) - cond
 
 
 def g_bounds_bits(k: int, n: int) -> tuple[float, float]:
@@ -196,15 +189,15 @@ def g_bounds_bits(k: int, n: int) -> tuple[float, float]:
 def _unilateral_sides(ensemble: StateEnsemble):
     """Which parties can unilaterally map state 1 to every other state.
 
-    Bob can iff all B_i^dag B_i agree; Alice can iff all S_i^dag S_i agree
-    (S the amplitude matrices).  Maximally entangled ensembles satisfy both.
+    A party can iff the other party's reduced states all agree: Alice iff
+    the rho_B^i do, Bob iff the rho_A^i do, tested on dim_a rho_A^i, the
+    scale of B_i^dag B_i.  Maximally entangled ensembles satisfy both.
     """
 
-    def agree(g):
-        return float(np.max(np.abs(g - g[0]))) <= UNILATERAL_TOL
+    def agree(rho):
+        return float(np.max(np.abs(rho - rho[0]))) <= UNILATERAL_TOL
 
-    s = ensemble.amplitude_matrices()
-    return agree(s.conj().transpose(0, 2, 1) @ s), agree(ensemble.b_grams)
+    return agree(ensemble.bob_reduced_states), agree(ensemble.dim_a * ensemble.reduced_states)
 
 
 def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:

@@ -106,17 +106,16 @@ class StateEnsemble:
         return self._b_stack
 
     @cached_property
-    def b_grams(self) -> np.ndarray:
-        """Read-only (k, dim_a, dim_a) stack of the products B_i^dag B_i, one stacked product on first use."""
-        b = self._b_stack
-        grams = b.conj().transpose(0, 2, 1) @ b
-        grams.setflags(write=False)
-        return grams
+    def reduced_states(self) -> np.ndarray:
+        """Read-only (k, dim_a, dim_a) stack of Alice's reduced states rho_A^i = S_i S_i^dag, built on first use."""
+        rho = reduced_state(self._amps)
+        rho.setflags(write=False)
+        return rho
 
     @cached_property
-    def reduced_states(self) -> np.ndarray:
-        """Read-only (k, dim_a, dim_a) stack of the reduced states rho_A^i = S_i S_i^dag, built on first use."""
-        rho = reduced_state(self._amps)
+    def bob_reduced_states(self) -> np.ndarray:
+        """Read-only (k, dim_b, dim_b) stack of Bob's reduced states rho_B^i, :func:`reduced_state` of the S_i^T."""
+        rho = reduced_state(self._amps.transpose(0, 2, 1))
         rho.setflags(write=False)
         return rho
 
@@ -152,7 +151,7 @@ class StateEnsemble:
     def is_maximally_entangled(self, tol: float = STRUCTURAL_TOL) -> bool:
         if self.dim_a != self.dim_b:
             return False
-        dev = self.b_grams - np.eye(self.dim_b)
+        dev = self.dim_a * self.reduced_states - np.eye(self.dim_a)
         return float(np.max(np.abs(dev))) <= tol
 
     def is_uniform(self) -> bool:

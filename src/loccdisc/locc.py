@@ -188,48 +188,49 @@ class LoccProtocol:
     def validate(self, k: int | None = None, tol: float = 1e-10) -> None:
         """Check alternation, operator shape chaining, completeness, leaf labels.
 
-        One depth-first walk visits nodes and leaves alike, children in
-        outcome order, so the first fault on that order is the one reported.
-        A node checks its leaf children's guesses in its own loop and steps
-        into a leaf only to word a fault, so a valid tree costs one call per
-        node, not per leaf.
+        One depth-first walk (:func:`_check_node`) visits nodes and leaves
+        alike, children in outcome order, so the first fault on that order
+        is the one reported.  A node checks its leaf children's guesses in
+        its own loop and steps into a leaf only to word a fault, so a valid
+        tree costs one call per node, not per leaf.
         """
-        complete = set()  # ids of Povm objects already checked; nodes may share one
-        k_max = math.inf if k is None else k
-
-        def walk(node, da, db, prev_actor):
-            if isinstance(node, Leaf):
-                if not 0 <= node.guess < k_max:
-                    raise DomainError(f"leaf guess {node.guess} out of range")
-                return
-            if node.actor == prev_actor:
-                raise DomainError("actors must alternate along every path")
-            alice = node.actor == ALICE
-            cur = da if alice else db
-            if node.povm.input_dim != cur:
-                raise DomainError(
-                    f"{node.actor} POVM input dim {node.povm.input_dim} != current dim {cur}"
-                )
-            if id(node.povm) not in complete:
-                defect = node.povm.completeness_defect()
-                if defect > tol:
-                    raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
-                complete.add(id(node.povm))
-            for m, child in zip(node.povm.elements, node.children):
-                if not (isinstance(child, Leaf) and 0 <= child.guess < k_max):
-                    walk(child, m.shape[0] if alice else da, db if alice else m.shape[0], node.actor)
-
-        walk(self.root, self.dim_a, self.dim_b, None)
+        _check_node(self.root, self.dim_a, self.dim_b, None, math.inf if k is None else k, tol, set())
 
     def map_leaves(self, fn) -> "LoccProtocol":
         """New protocol with every Leaf replaced by fn(leaf)."""
+        return LoccProtocol(self.dim_a, self.dim_b, _map_node(self.root, fn))
 
-        def walk(node):
-            if isinstance(node, Leaf):
-                return fn(node)
-            return ProtocolNode(node.actor, node.povm, tuple(walk(c) for c in node.children))
 
-        return LoccProtocol(self.dim_a, self.dim_b, walk(self.root))
+def _check_node(node, da, db, prev_actor, k_max, tol, complete) -> None:
+    """:meth:`LoccProtocol.validate`'s walk from ``node`` on a (da, db) input; ``complete`` holds checked Povm ids.
+
+    Module-level, as is :func:`_map_node`: a recursive closure would be a reference cycle left to the collector.
+    """
+    if isinstance(node, Leaf):
+        if not 0 <= node.guess < k_max:
+            raise DomainError(f"leaf guess {node.guess} out of range")
+        return
+    if node.actor == prev_actor:
+        raise DomainError("actors must alternate along every path")
+    alice = node.actor == ALICE
+    cur = da if alice else db
+    if node.povm.input_dim != cur:
+        raise DomainError(f"{node.actor} POVM input dim {node.povm.input_dim} != current dim {cur}")
+    if id(node.povm) not in complete:
+        defect = node.povm.completeness_defect()
+        if defect > tol:
+            raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
+        complete.add(id(node.povm))
+    for m, child in zip(node.povm.elements, node.children):
+        if not (isinstance(child, Leaf) and 0 <= child.guess < k_max):
+            _check_node(child, m.shape[0] if alice else da, db if alice else m.shape[0], node.actor, k_max, tol, complete)
+
+
+def _map_node(node, fn):
+    """``node`` with every Leaf below it replaced by fn(leaf), in depth-first order."""
+    if isinstance(node, Leaf):
+        return fn(node)
+    return ProtocolNode(node.actor, node.povm, tuple(_map_node(c, fn) for c in node.children))
 
 
 @dataclass(frozen=True, eq=False)

@@ -402,6 +402,33 @@ class TestWitnessPass:
         verdict(ens)
         assert stacks == [(ens.k, ens.dim_a, ens.dim_a)]
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: bell_subset(3, [(0, 0), (1, 0), (0, 1)]),
+            lambda: bell_subset(3, [(0, 0), (0, 1), (1, 0), (2, 2)]),
+            lambda: uniform_ensemble(random_orthogonal_pair(np.random.default_rng(3), 3, 12)),
+        ],
+        ids=["bell3-k3", "bell3-k4", "pair-3x12"],
+    )
+    def test_verdict_builds_one_reduced_state_stack_per_party(self, monkeypatch, build):
+        # the witnesses and is_maximally_entangled share rho_A^i, and the unilateral and entropy caps rho_B^i;
+        # a builder, not an ensemble, so the spy counts the first, cache-filling verdict of a fresh ensemble
+        ens = build()
+        from loccdisc import ensembles, qstate
+
+        reduced_state = qstate.reduced_state
+        operands = []
+
+        def counting(amplitudes):
+            operands.append(np.shape(amplitudes))
+            return reduced_state(amplitudes)
+
+        monkeypatch.setattr(qstate, "reduced_state", counting)
+        monkeypatch.setattr(ensembles, "reduced_state", counting)
+        verdict(ens)
+        assert operands == [(ens.k, ens.dim_a, ens.dim_b), (ens.k, ens.dim_b, ens.dim_a)]
+
     @pytest.mark.parametrize("labels", [[(0, 0), (1, 0), (0, 1)], [(0, 0), (0, 1), (1, 0), (2, 2)]])
     def test_verdict_makes_one_batched_svd(self, monkeypatch, labels):
         svd = np.linalg.svd

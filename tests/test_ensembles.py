@@ -24,7 +24,7 @@ from loccdisc.ensembles import (
     mub_prime_bases,
 )
 from loccdisc.library import build_library
-from loccdisc.qstate import frozen_array, generalized_pauli, normal_eigensystem
+from loccdisc.qstate import frozen_array, generalized_pauli, normal_eigensystem, reduced_state
 from loccdisc.serial import ensemble_to_json, state_from_json
 
 from conftest import random_orthogonal_pair, random_state
@@ -217,6 +217,10 @@ class TestSimultaneouslyDiagonal:
         with pytest.raises(DomainError):
             simultaneously_diagonal_ensemble(np.ones((2, 2)))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(DomainError, match="^coefficient matrix must be square$"):
+            simultaneously_diagonal_ensemble(np.ones((2, 3)))
+
 
 class TestEnsembleType:
     def test_priors_must_sum_to_one(self):
@@ -250,29 +254,44 @@ class TestEnsembleType:
             for i, state in enumerate(ens.states):
                 np.testing.assert_array_equal(b[i], state.b_matrix)
 
-    def test_b_grams_cached_read_only(self, rng):
+    def test_reduced_states_cached_read_only(self, rng):
         square = random_orthogonal_me_triple(4, 1)
         rectangular = uniform_ensemble([random_state(rng, 2, 3) for _ in range(4)])
         for ens in (square, rectangular):
-            b = ens.b_matrices()
-            g = ens.b_grams
-            assert g is ens.b_grams
-            assert np.array_equal(g.view(float), (b.conj().transpose(0, 2, 1) @ b).view(float))
-            with pytest.raises(ValueError):
-                g[0, 0, 0] = 0.0
+            s = ens.amplitude_matrices()
+            for name, amps in (("reduced_states", s), ("bob_reduced_states", s.transpose(0, 2, 1))):
+                rho = getattr(ens, name)
+                assert rho is getattr(ens, name)
+                assert rho.shape == (ens.k, amps.shape[1], amps.shape[1])
+                assert np.array_equal(rho.view(float), reduced_state(amps).view(float))
+                with pytest.raises(ValueError):
+                    rho[0, 0, 0] = 0.0
+            # bit for bit the stacked product S_i^T conj(S_i)
+            assert np.array_equal(ens.bob_reduced_states.view(float), (s.transpose(0, 2, 1) @ s.conj()).view(float))
 
-    def test_b_grams_shared_by_predicate_and_bounds(self, monkeypatch):
+    @staticmethod
+    def _patched_row(monkeypatch, ens, name):
+        # a stand-in with one disagreeing row shows the callers read the cached stack
+        odd = getattr(ens, name).copy()
+        odd[1] *= 2.0
+        monkeypatch.setitem(ens.__dict__, name, odd)
+
+    def test_alice_reduced_states_shared_by_predicate_and_bounds(self, monkeypatch):
         from loccdisc import bounds
 
         ens = bell_subset(5, [(0, 0), (1, 0), (0, 1)])
-        assert ens.is_maximally_entangled()
-        grams = ens.__dict__["b_grams"]
-        # a stand-in with one disagreeing Gram shows _unilateral_sides reads the cached stack
-        odd = grams.copy()
-        odd[1] *= 2.0
-        monkeypatch.setitem(ens.__dict__, "b_grams", odd)
+        assert ens.is_maximally_entangled() and bounds._unilateral_sides(ens) == (True, True)
+        self._patched_row(monkeypatch, ens, "reduced_states")
         assert bounds._unilateral_sides(ens) == (True, False)
         assert not ens.is_maximally_entangled()
+
+    def test_bob_reduced_states_decide_alices_side(self, monkeypatch):
+        from loccdisc import bounds
+
+        ens = bell_subset(5, [(0, 0), (1, 0), (0, 1)])
+        self._patched_row(monkeypatch, ens, "bob_reduced_states")
+        assert bounds._unilateral_sides(ens) == (False, True)
+        assert ens.is_maximally_entangled()
 
     def test_uniform_flag(self):
         ens = StateEnsemble((me_state(2), me_state(2)), np.array([0.7, 0.3]))

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import math
@@ -913,6 +914,37 @@ class TestFaultParity:
         assert str(got.value) == str(expected.value)
 
 
+class TestNoReferenceCycles:
+    """A call leaves nothing for the cycle collector: what it made is freed when it returns."""
+
+    @staticmethod
+    def _assert_no_garbage(call):
+        call()  # first-use caches are built outside the counted call
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("name", ["evaluate", "simulate", "validate", "map_leaves"])
+    @pytest.mark.parametrize("tree", [standard_bell_protocol, refined_bell_protocol], ids=["std", "refined"])
+    def test_call_leaves_no_garbage(self, name, tree):
+        protocol, ens = tree(4), bell_basis(4)
+        self._assert_no_garbage(
+            {
+                "evaluate": lambda: evaluate(protocol, ens),
+                "simulate": lambda: simulate(protocol, ens, trials=1000, seed=0),
+                "validate": lambda: protocol.validate(k=ens.k),
+                "map_leaves": lambda: protocol.map_leaves(lambda leaf: Leaf(leaf.guess)),
+            }[name]
+        )
+
+    def test_verdict_leaves_no_garbage(self):
+        self._assert_no_garbage(lambda: verdict(bell_subset(5, [(0, 0), (1, 2), (3, 4)])))
+
+
 class TestDistinctIdentityRuns:
     """A run of distinct identity ``Povm`` objects, as a parsed tree holds, views its input too."""
 
@@ -1396,6 +1428,10 @@ class TestStandardBellProtocol:
         with pytest.raises(DomainError):
             standard_bell_protocol(2, [])
 
+    def test_dimension_below_two_rejected(self):
+        with pytest.raises(DomainError, match="^need dimension >= 2$"):
+            standard_bell_protocol(1)
+
     def test_full_bb2_success(self):
         res = evaluate(standard_bell_protocol(2), bell_basis(2))
         assert abs(res.success_probability - 0.5) < 1e-14
@@ -1433,6 +1469,11 @@ class TestDiscardProtocol:
         for kept in ([0, 1.7], [0, True]):
             with pytest.raises(DomainError, match="kept label must be an integer"):
                 discard_protocol(inner, kept, 3)
+
+    def test_inner_guess_outside_kept_rejected(self):
+        # the inner Bell tree guesses labels 0..3, two of which have no kept state
+        with pytest.raises(DomainError, match="^inner protocol guesses outside the kept set$"):
+            discard_protocol(standard_bell_protocol(2), [0, 1], 4)
 
 
 class TestZeroValueScan:
@@ -1500,6 +1541,10 @@ class TestZeroValueScan:
                 assert abs(np.vdot(c, c) - 1.0) <= 1e-15
                 assert abs(np.vdot(c, b @ c)) <= 1e-14
                 assert (np.imag(c1) == 0.0) == (kind != "generic")
+
+    def test_traced_matrix_rejected(self):
+        with pytest.raises(DomainError, match="^matrix must be traceless$"):
+            locc._zero_diagonal_basis(np.eye(2))
 
 
 class TestTwoStateProtocol:

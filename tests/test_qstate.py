@@ -70,6 +70,10 @@ class TestStateMatrixCorrespondence:
         with pytest.raises(DomainError):
             state_from_matrix(np.eye(3), 2)
 
+    def test_zero_dim_a_rejected(self):
+        with pytest.raises(DomainError, match="^dim_a must be positive$"):
+            state_from_matrix(np.eye(2), 0)
+
     def test_roundtrip_on_random_states(self, rng):
         for _ in range(50):
             m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -202,6 +206,10 @@ class TestPredicatesAndEigensystems:
         with pytest.raises(DomainError):
             normal_eigensystem(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_normal_eigensystem_rejects_non_square(self):
+        with pytest.raises(DomainError, match="^eigensystem requires a square matrix$"):
+            normal_eigensystem(np.ones((2, 3)))
+
 
 def _assert_eigensystem(m, vals, vecs):
     n = m.shape[0]
@@ -250,6 +258,10 @@ class TestStateValidation:
     def test_length_enforced(self):
         with pytest.raises(DomainError):
             BipartiteState(2, 2, [1, 0, 0])
+
+    def test_zero_dimension_rejected(self):
+        with pytest.raises(DomainError, match="^dimensions must be positive$"):
+            BipartiteState(0, 2, [1])
 
     def test_amplitudes_read_only(self):
         psi = me_state(2)

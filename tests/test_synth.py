@@ -10,6 +10,7 @@ from loccdisc import (
     bell_subset,
     evaluate,
     fourier_matrix,
+    me_state,
     random_orthogonal_me_triple,
     simultaneously_diagonal_ensemble,
     state_from_matrix,
@@ -204,6 +205,11 @@ class TestCubProtocol:
         auto = synthesize_cub_protocol(ens)
         np.testing.assert_array_equal(auto.alice_basis, synthesize_cub_protocol(ens, cub).alice_basis)
         assert evaluate(auto.as_protocol(), ens).success_probability > 1 - 1e-9
+
+    def test_non_orthogonal_ensemble_rejected(self):
+        ens = uniform_ensemble([me_state(2), BipartiteState(2, 2, [1, 0, 0, 0])])
+        with pytest.raises(DomainError, match="^states must be pairwise orthogonal$"):
+            synthesize_cub_protocol(ens)
 
     def test_no_default_candidate_raises(self):
         ens = bell_subset(4, [(0, 0), (1, 0), (0, 1)])
