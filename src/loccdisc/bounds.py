@@ -35,9 +35,9 @@ VERDICT_UNKNOWN = "Unknown"
 
 # Density-matrix eigenvalues below this count as zero in entropies.
 EIGENVALUE_CLIP = 1e-15
-# How closely the other party's reduced states (Bob's side: dim_a rho_A^i,
-# the scale of B_i^dag B_i) must agree for one party to map every state to
-# every other unilaterally.
+# How closely the other party's reduced states, each on the scale dim rho
+# (the identity for maximally entangled states), must agree for one party to
+# map every state to every other unilaterally.
 UNILATERAL_TOL = 1e-8
 
 
@@ -190,14 +190,15 @@ def _unilateral_sides(ensemble: StateEnsemble):
     """Which parties can unilaterally map state 1 to every other state.
 
     A party can iff the other party's reduced states all agree: Alice iff
-    the rho_B^i do, Bob iff the rho_A^i do, tested on dim_a rho_A^i, the
-    scale of B_i^dag B_i.  Maximally entangled ensembles satisfy both.
+    the rho_B^i do, Bob iff the rho_A^i do, each on the one scale dim rho
+    (dim_b rho_B^i, dim_a rho_A^i) that is the identity for maximally
+    entangled states, which satisfy both.
     """
 
     def agree(rho):
         return float(np.max(np.abs(rho - rho[0]))) <= UNILATERAL_TOL
 
-    return agree(ensemble.bob_reduced_states), agree(ensemble.dim_a * ensemble.reduced_states)
+    return agree(ensemble.dim_b * ensemble.bob_reduced_states), agree(ensemble.dim_a * ensemble.reduced_states)
 
 
 def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:

@@ -1,11 +1,11 @@
 """Named state families: generalized Bell bases, MUBs, and seeded test ensembles.
 
 Every ensemble holds its states as one read-only (k, dim_a, dim_b) stack of
-amplitude matrices.  The named families make that stack in one piece and
-check it once (:func:`loccdisc.qstate.normalized_amplitudes`), and the
-ensemble adopts it without a copy; its states are views of the stack's rows.
-An ensemble of given states, explicit descriptors included, stacks their
-checked amplitudes.
+amplitude matrices, and its states are views of the stack's rows.  The named
+families make that stack in one piece and check it once
+(:func:`loccdisc.qstate.normalized_amplitudes`); an ensemble of given states,
+explicit descriptors included, stacks their checked amplitudes.  Either way
+the ensemble adopts the stack without a copy.
 
 A family of bases of C^n is a plain read-only (members, n, n) array, each
 basis stored column-wise: :func:`mub_prime` returns one and
@@ -52,25 +52,23 @@ class StateEnsemble:
         dims = {(s.dim_a, s.dim_b) for s in states}
         if len(dims) != 1:
             raise DomainError(f"states live in different spaces: {sorted(dims)}")
-        object.__setattr__(self, "states", states)
         self._adopt(frozen_array([s.amplitude_matrix for s in states]), self.priors)
 
     @classmethod
     def _from_unit_stack(cls, amps: np.ndarray, priors=None) -> "StateEnsemble":
-        """An ensemble around ``amps``, a read-only C-ordered (k, dim_a, dim_b) stack of checked unit amplitudes.
-
-        The stack is adopted, not copied, and each state is a view of its row.
-        """
-        k, dim_a, dim_b = amps.shape
+        """An ensemble around ``amps``, a read-only C-ordered (k, dim_a, dim_b) stack of checked unit amplitudes."""
         ens = object.__new__(cls)
-        rows = amps.reshape(k, -1)
-        object.__setattr__(ens, "states", tuple(BipartiteState._from_unit_amplitudes(dim_a, dim_b, row) for row in rows))
         ens._adopt(amps, priors)
         return ens
 
     def _adopt(self, amps: np.ndarray, priors) -> None:
-        """Check ``priors`` (uniform when None) against the k states of ``amps`` and set the stacks."""
-        k = len(amps)
+        """Check ``priors`` (uniform when None) against the k states of ``amps`` and set the stacks.
+
+        The stack is adopted, not copied, and each state is a view of its row.
+        """
+        k, dim_a, dim_b = amps.shape
+        rows = amps.reshape(k, -1)
+        object.__setattr__(self, "states", tuple(BipartiteState._from_unit_amplitudes(dim_a, dim_b, row) for row in rows))
         priors = np.full(k, 1.0 / k) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
         if priors.size != k:
             raise DomainError("priors length must match number of states")
@@ -83,7 +81,7 @@ class StateEnsemble:
         priors = frozen_array(np.clip(priors, 0.0, None), dtype=float)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "_amps", amps)
-        object.__setattr__(self, "_b_stack", frozen_array(np.sqrt(amps.shape[1]) * amps.transpose(0, 2, 1)))
+        object.__setattr__(self, "_b_stack", frozen_array(np.sqrt(dim_a) * amps.transpose(0, 2, 1)))
 
     @property
     def k(self) -> int:

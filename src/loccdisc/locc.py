@@ -66,7 +66,7 @@ import numpy as np
 
 from .ensembles import StateEnsemble, _bell_labels, fourier_matrix
 from .errors import DomainError, ToleranceError
-from .qstate import ROUNDING_ZERO, BipartiteState, as_int, as_matrix, frozen_array, is_unitary
+from .qstate import ROUNDING_ZERO, BipartiteState, _row_norms, as_int, as_matrix, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -391,17 +391,16 @@ def one_way_protocol(amplitudes, alice_basis) -> OneWayProtocolSpec:
     vector is normalized and labeled i, or dropped when its norm is at most
     1e-12 because state i cannot produce outcome x.  The spec separates the
     states perfectly exactly when every outcome's vectors are orthogonal.
-    All vectors come from one matrix-vector product and all norms from one
-    product of vector-shaped operands on the real and imaginary parts: bit
-    for bit each B_i's own ``B_i @ conj(c_x)`` and ``np.linalg.norm``.
+    All vectors come from one matrix-vector product and all norms from
+    ``_row_norms``: bit for bit each B_i's own ``B_i @ conj(c_x)`` and
+    ``np.linalg.norm``.
     """
     ab = as_matrix(alice_basis)
     b = np.sqrt(amplitudes.shape[1]) * amplitudes.transpose(0, 2, 1)  # laid out as each psi.b_matrix
-    v = b @ ab.conj().T.copy()[:, None, :, None]  # (outcomes, states, dim_b, 1): B_i conj(c_x)
-    re, im = v.real, v.imag
-    nrm = np.sqrt(re.swapaxes(2, 3) @ re + im.swapaxes(2, 3) @ im)[..., 0]  # (outcomes, states, 1)
-    keep = nrm[..., 0] > 1e-12
-    v = np.divide(v[..., 0], nrm, out=np.zeros(v.shape[:3], dtype=complex), where=keep[..., None])
+    v = (b @ ab.conj().T.copy()[:, None, :, None])[..., 0]  # (outcomes, states, dim_b): B_i conj(c_x)
+    nrm = _row_norms(v.reshape(-1, v.shape[2])).reshape(v.shape[:2])
+    keep = nrm > 1e-12
+    v = np.divide(v, nrm[..., None], out=np.zeros(v.shape, dtype=complex), where=keep[..., None])
     return OneWayProtocolSpec(ab, tuple(tuple(np.flatnonzero(kx).tolist()) for kx in keep), v[keep])
 
 

@@ -10,11 +10,12 @@ matrix S (shape m x n, S[a, b] = amplitude of |a>|b>) is S = B^T / sqrt(m),
 inner products become <psi1|psi2> = Tr(B1^dag B2)/m, and |psi> is maximally
 entangled iff B is unitary (requires m = n).
 
-States are checked as one (k, dim_a, dim_b) stack of amplitude matrices:
-:func:`normalized_amplitudes` normalizes a stack of matrices B_i with one
-finite scan and one norm product for the whole stack.  A single state, from
-:class:`BipartiteState` (given unit amplitudes) or :func:`state_from_matrix`,
-is the k = 1 case of the same check.
+Each kind of input has one rule: :class:`BipartiteState` checks its one
+given unit amplitude vector, and :func:`normalized_amplitudes` checks and
+normalizes a (k, dim_b, dim_a) stack of matrices B_i with one finite scan and
+one norm product (:func:`state_from_matrix` is its k = 1 case).  Both rules,
+``locc.one_way_protocol`` and ``serial``'s one-way payload gate take their
+norms from one kernel, ``_row_norms``, bit for bit ``np.linalg.norm`` per row.
 
 Schmidt data are plain read-only arrays: :func:`schmidt` returns
 ``(coefficients, left, right)`` for one state, and
@@ -91,7 +92,13 @@ class BipartiteState:
             raise DomainError(
                 f"amplitude count {amps.size} != dim_a*dim_b = {self.dim_a * self.dim_b}"
             )
-        _checked_norms(amps[None], unit=True)
+        if not np.all(np.isfinite(amps)):
+            raise DomainError("amplitudes contain non-finite entries")
+        nrm = _row_norms(amps[None])[0]
+        if nrm == np.inf:
+            raise DomainError("state norm overflows; amplitudes too large for a state")
+        if abs(nrm - 1.0) > 1e-12:
+            raise DomainError(f"state norm {float(nrm)} deviates from 1 by more than 1e-12")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -134,44 +141,27 @@ def _row_norms(rows: np.ndarray) -> np.ndarray:
         return np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0, 0]
 
 
-def _checked_norms(rows: np.ndarray, unit: bool) -> np.ndarray:
-    """Norms of a (k, d) stack of states' entries, refused at the first faulty state in stack order.
-
-    One finite scan and one norm product cover the stack.  Each state is
-    checked in the order one state alone is: finite entries first, then a
-    ``unit`` amplitude vector's norm must neither overflow nor miss 1 by more
-    than 1e-12, and a matrix's norm must be neither zero nor overflowing.
-    The first faulty state is refused with its first failed check's message.
-    """
-    finite = np.isfinite(rows).all(axis=1)
-    nrm = _row_norms(rows)
-    ok = finite & (np.abs(nrm - 1.0) <= 1e-12) if unit else finite & (nrm > 1e-15) & (nrm < np.inf)
-    if ok.all():
-        return nrm
-    i = int(np.argmin(ok))
-    if unit:
-        if not finite[i]:
-            raise DomainError("amplitudes contain non-finite entries")
-        if nrm[i] == np.inf:
-            raise DomainError("state norm overflows; amplitudes too large for a state")
-        raise DomainError(f"state norm {float(nrm[i])} deviates from 1 by more than 1e-12")
-    if not finite[i]:
-        raise DomainError("matrix contains non-finite entries")
-    if nrm[i] <= 1e-15:
-        raise DomainError("zero matrix does not correspond to a state")
-    raise DomainError("matrix norm overflows; entries too large for a state")
-
-
 def normalized_amplitudes(b: np.ndarray) -> np.ndarray:
     """Read-only (k, dim_a, dim_b) amplitudes of the states (I (x) B_i)|ME_dim_a> for a (k, dim_b, dim_a) stack of B_i.
 
     Each B_i is divided by its norm, bit for bit :func:`state_from_matrix`,
-    which sums a C- or F-ordered matrix in memory order.  A non-finite, zero
-    or overflowing B_i is refused, the first in stack order, with the message
-    :func:`state_from_matrix` gives it alone.
+    which sums a C- or F-ordered matrix in memory order.  One finite scan and
+    one norm product cover the stack.  A non-finite, zero or overflowing B_i
+    is refused, the first in stack order, with the message of its first
+    failed check, the one :func:`state_from_matrix` gives it alone.
     """
     k, rows, cols = b.shape
-    nrm = _checked_norms(b.reshape(k, -1, order="A"), unit=False)
+    flat = b.reshape(k, -1, order="A")
+    finite = np.isfinite(flat).all(axis=1)
+    nrm = _row_norms(flat)
+    ok = finite & (nrm > 1e-15) & (nrm < np.inf)
+    if not ok.all():
+        i = int(np.argmin(ok))
+        if not finite[i]:
+            raise DomainError("matrix contains non-finite entries")
+        if nrm[i] <= 1e-15:
+            raise DomainError("zero matrix does not correspond to a state")
+        raise DomainError("matrix norm overflows; entries too large for a state")
     amps = np.divide(b.transpose(0, 2, 1), nrm[:, None, None], out=np.empty((k, cols, rows), dtype=complex))
     amps.setflags(write=False)
     return amps

@@ -14,7 +14,7 @@ from . import bounds as bounds_mod
 from . import locc
 from .ensembles import StateEnsemble, from_descriptor
 from .errors import DomainError
-from .qstate import EIGEN_TOL, BipartiteState, as_int
+from .qstate import EIGEN_TOL, BipartiteState, _row_norms, as_int
 
 
 def _pair(z: complex) -> list:
@@ -160,7 +160,7 @@ def one_way_spec_from_json(data):
         spec = locc.OneWayProtocolSpec(matrix_from_json(data["alice_basis"]), labels, vectors)
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed one-way spec payload: {exc}") from exc
-    if not np.all(np.abs(np.linalg.norm(spec.vectors, axis=1) - 1.0) <= EIGEN_TOL):
+    if not np.all(np.abs(_row_norms(spec.vectors) - 1.0) <= EIGEN_TOL):
         raise DomainError("Bob vector is not a unit vector")
     worst = spec.max_bob_overlap()
     if worst > EIGEN_TOL:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from collections import Counter
 
@@ -25,7 +27,7 @@ from loccdisc import (
     uniform_ensemble,
     verdict,
 )
-from loccdisc import bounds
+from loccdisc import bounds, serial
 from loccdisc.bounds import VERDICT_IMPOSSIBLE, VERDICT_POSSIBLE, VERDICT_UNKNOWN
 from loccdisc.errors import ToleranceError
 from loccdisc.library import build_library
@@ -302,9 +304,27 @@ def _reference_witnesses(ens):
     def agree(mats):
         return all(np.max(np.abs(x.conj().T @ x - mats[0].conj().T @ mats[0])) <= 1e-8 for x in mats)
 
-    sides = (agree([psi.amplitude_matrix for psi in ens.states]), agree([psi.b_matrix for psi in ens.states]))
+    # both sides on the dim rho scale: sqrt(dim_b) S_i is to Alice what B_i = sqrt(dim_a) S_i^T is to Bob
+    alice = [np.sqrt(ens.dim_b) * psi.amplitude_matrix for psi in ens.states]
+    sides = (agree(alice), agree([psi.b_matrix for psi in ens.states]))
     me = ens.dim_a == ens.dim_b and all(is_unitary(psi.b_matrix, 1e-10) for psi in ens.states)
     return lam, entropy, sides, me
+
+
+class TestUnilateralScale:
+    def test_alice_side_reads_dim_b_rho_b(self):
+        # state 2 is state 1 with Bob's basis turned by theta: its rho_B moves by about theta (p - q) = 7.5e-9,
+        # between 1e-8 / dim_b and 1e-8, and its rho_A only by rounding
+        p, theta = 0.75, 1.5e-8
+        s0 = np.diag([np.sqrt(p), np.sqrt(1.0 - p)])
+        turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        ens = uniform_ensemble([BipartiteState(2, 2, s.reshape(-1)) for s in (s0, s0 @ turn.T)])
+        rho_b = ens.bob_reduced_states
+        assert 1e-8 / ens.dim_b < np.max(np.abs(rho_b[1] - rho_b[0])) < 1e-8
+        assert bounds._unilateral_sides(ens) == (False, True)
+        assert _reference_witnesses(ens)[2] == (False, True)
+        names = [w.name for w in bounds.success_upper_bounds(ens)]
+        assert "unilateral-bob" in names and "unilateral-alice" not in names
 
 
 def _low_rank_state(rng, dim_a, dim_b, rank):
@@ -442,3 +462,55 @@ class TestWitnessPass:
         monkeypatch.setattr(np.linalg, "svd", counting)
         verdict(bell_subset(3, labels))
         assert calls == [(len(labels), 3, 3)]
+
+
+# sha256 of each library entry's `bounds` report, serialized as the CLI prints it.  The digests
+# pin the floating-point output of one numpy/BLAS build.
+LIBRARY_BOUNDS_PINS = {
+    "bell-standard-full-2": "012f2addf2ba9ef47653ee6e24a9c64d4a9817fddc13bafe915db4bc9b54fe88",
+    "bell-standard-full-3": "7d3737085e646e87e7a2edb0d035cfb090166437d226aa01fd7f43440558616a",
+    "bell-standard-full-4": "658ade262db123c2dc1e2fa2e07b859ccda8571292f154d05e79ccf20b79b5ac",
+    "bell-standard-full-5": "0e6964da002ff1f5946388617b368e8082daeb69f729bc4022db7146195d7b85",
+    "bell-standard-sub-3-k4": "809de0eb61a9a95f7c24c1e066204ed69752685834398e4333f88005229ef645",
+    "bell-standard-sub-3-k6": "a13da2f38d9c64f770e581689423cf514be54e43e2d11f001d6881774651f72b",
+    "bell-standard-sub-4-k5": "03d247a2eeb52d1173c462d0c15fd0ba49f02677f27c9899a0f4d7c64ab8e161",
+    "three-qutrit-seed0": "55bc01eb668b1c33d6cb20ce98eb2715bca63d7575ed8c181783bedfa70a50b4",
+    "three-qutrit-seed1": "c782244894c344dc466001f0a3620211ff3626ad5ed6ce81258fdc9e670800ef",
+    "three-qutrit-seed2": "d57bba442b0193600c30e95fe49950d371f4199f48c644e8f140d4be9bd2ca72",
+    "three-qutrit-seed3": "c16913d5c764f235d5362b74b5188060833d30b9f68eb05e641992dfd8b33155",
+    "three-qutrit-seed4": "9d69518d593bafac4b4380a7098350fab442b1bd74731bef77ee37de84c1aea9",
+    "three-qutrit-bell-triple": "a687f6e7115c1cf3af478e3b3cd5be0fe437b268b758b1084022ebea7e7e04cf",
+    "cub-3-k3": "a687f6e7115c1cf3af478e3b3cd5be0fe437b268b758b1084022ebea7e7e04cf",
+    "cub-3-k2": "dd5b21ff70d0f3c4747e04ea4b1bea7a0d68ffc55cbad02c616a17fefd31fbdb",
+    "cub-5-k3": "2053ac5db55833a96460134460c9521fbbd744509eeb7f3877791237af7452e5",
+    "cub-5-k2": "7cca1ba09c4af209a48acc58b8384ddcaf5e2cce605ce65fb7b2b1642b3b14c1",
+    "cub-7-k4": "95a76b59d0a3cbc9d1575f06abcb5b09f167a9d76bf2041bba72481fc9c657c3",
+    "cub-7-k3": "2c9cdce1d68c75022043dc4c7db29fd7308a2a609e0e700e519ff73caa00b70f",
+    "discard-bell2-keep2of3": "ccaebde4d62a60c30337cbd601576e37e534eadd323b64b0e19ebe5413a05271",
+    "discard-bell2-keep2of4": "012f2addf2ba9ef47653ee6e24a9c64d4a9817fddc13bafe915db4bc9b54fe88",
+    "discard-bell3-keep3of4": "809de0eb61a9a95f7c24c1e066204ed69752685834398e4333f88005229ef645",
+    "discard-bell3-keep3of5": "900569c94d535069817427c228f6f927f65dab87236dadf0078208b35e543618",
+    "discard-bell3-keep3of7": "f6991be1f40196111e6d7d6605c3da80c1d861b0c0cbe07f5b15251df74001cb",
+    "discard-bell3-keep3of9": "7d3737085e646e87e7a2edb0d035cfb090166437d226aa01fd7f43440558616a",
+    "two-state-bell2": "4b179640966cc1c5060534a20ae341223e9cf7d4b101fc0f60f15dfc987b8dd2",
+    "two-state-product": "bf55da83e494f0fdb9b2a5392f193d4d17c83d6a845885fa16d0fcb5cbb9a5cc",
+    "two-state-random-2x3": "459e1234eb7a3ae26581e0eeae3351e04b13d8e2d04ccd228f21e4ca7b2ed86b",
+    "blind-guess-bell2": "012f2addf2ba9ef47653ee6e24a9c64d4a9817fddc13bafe915db4bc9b54fe88",
+    "blind-guess-prod23": "eb7a031cd8d64e5941b062a87a266c798b602c7c3da659bca4aa3e996976648b",
+    "product-basis-2x2": "7f0ed1b82222a92bae6b6de0a61ad67af8ef606fb2875c65a3bdf95eb9683160",
+    "product-basis-2x3": "eb7a031cd8d64e5941b062a87a266c798b602c7c3da659bca4aa3e996976648b",
+    "simdiag-fourier3": "a687f6e7115c1cf3af478e3b3cd5be0fe437b268b758b1084022ebea7e7e04cf",
+    "simdiag-haar4": "16b617e321c669bd57e5c53220bd380467a44cec34054521eddb1f6f1cfa8b16",
+    "single-state": "b2106208fcf2e41b8c4fe652122ac1280c9793a163f4551db86db62ec18986a3",
+}
+
+
+class TestLibraryBoundsBytes:
+    def test_every_entry_pinned(self):
+        assert sorted(LIBRARY_BOUNDS_PINS) == sorted(entry.name for entry in build_library())
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda e: e.name)
+    def test_report_bytes(self, entry):
+        doc = serial.bounds_report_to_json(verdict(entry.ensemble))
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == LIBRARY_BOUNDS_PINS[entry.name]

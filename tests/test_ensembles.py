@@ -460,6 +460,20 @@ class TestStackedBuilders:
         assert ens.is_uniform() is True
         assert StateEnsemble(ens.states, [0.75, 0.25]).is_uniform() is False
 
+    @pytest.mark.parametrize("priors", [None, [0.5, 0.25, 0.25]])
+    def test_explicit_states_are_views_of_stack(self, priors):
+        given = random_orthogonal_pair(np.random.default_rng(5), 3, 4) + (random_state(np.random.default_rng(6), 3, 4),)
+        payload = {"kind": "explicit", "states": ensemble_to_json(uniform_ensemble(given))["states"]}
+        if priors is not None:
+            payload["priors"] = priors
+        for ens in (from_descriptor(payload), StateEnsemble(given, priors)):
+            amps = ens.amplitude_matrices()
+            assert amps.flags.c_contiguous and not amps.flags.writeable
+            for i, psi in enumerate(ens.states):
+                assert not psi.amplitudes.flags.writeable
+                assert np.shares_memory(psi.amplitudes, amps[i])
+                assert _same_bits(psi.amplitudes, given[i].amplitudes)
+
 
 def _state(dim_a, dim_b, amps):
     return {"dim_a": dim_a, "dim_b": dim_b, "amplitudes": [[re, im] for re, im in amps]}
