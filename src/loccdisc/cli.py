@@ -15,6 +15,7 @@ import sys
 
 from . import __version__, bounds, locc, serial, synth
 from .errors import DomainError, ToleranceError
+from .qstate import as_tol
 
 
 def _load_json_arg(text: str):
@@ -51,10 +52,7 @@ def _emit(command: str, inputs: dict, report: dict) -> None:
 
 def _read_tol(args) -> float:
     """The ``--tol`` option (default 1e-10), refused unless finite and >= 0."""
-    tol = 1e-10 if args.tol is None else args.tol
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise DomainError(f"--tol must be finite and >= 0, got {tol}")
-    return tol
+    return as_tol(1e-10 if args.tol is None else args.tol, "--tol")
 
 
 def _cmd_ensemble(args) -> int:

@@ -194,6 +194,7 @@ def bell_basis(n: int) -> StateEnsemble:
     States are ordered with m major, l minor, so label m*n + l is the (m, l)
     state.  Pairwise orthogonal and maximally entangled by construction.
     """
+    n = as_int(n, "n")
     if n < 2:
         raise DomainError("Bell basis needs dimension >= 2")
     j = np.arange(n)
@@ -216,6 +217,7 @@ def _bell_labels(n: int, labels) -> list[tuple[int, int]]:
 
 def bell_subset(n: int, labels) -> StateEnsemble:
     """Uniform ensemble of the generalized Bell states with the given (m, l) labels."""
+    n = as_int(n, "n")
     ms, ls = np.array(_bell_labels(n, labels)).T
     return StateEnsemble._from_unit_stack(normalized_amplitudes(_bell_unitaries(n, ms, ls)))
 
@@ -290,8 +292,11 @@ def random_orthogonal_me_triple(n: int, seed: int) -> StateEnsemble:
     unitaries A_i, so trace orthogonality Tr(B_i^dag B_j) = n delta_ij holds
     by construction while the pairwise products B_i^dag B_j stay generic.
     """
+    n, seed = as_int(n, "n"), as_int(seed, "seed")
     if n < 2:
         raise DomainError("need dimension >= 2")
+    if seed < 0:
+        raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)
     labels = rng.choice(n * n, size=3, replace=False)
     u = haar_unitary(n, rng)
@@ -342,11 +347,11 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
         if "priors" in descriptor and kind != "explicit":
             raise TypeError(f"priors apply to kind 'explicit' only, not {kind!r}")
         if kind == "bell":
-            return bell_basis(as_int(descriptor["n"], "n"))
+            return bell_basis(descriptor["n"])
         if kind == "bell_subset":
-            return bell_subset(as_int(descriptor["n"], "n"), descriptor["labels"])
+            return bell_subset(descriptor["n"], descriptor["labels"])
         if kind == "random_me_triple":
-            return random_orthogonal_me_triple(as_int(descriptor["n"], "n"), as_int(descriptor["seed"], "seed"))
+            return random_orthogonal_me_triple(descriptor["n"], descriptor["seed"])
         if kind == "simdiag":
             return simultaneously_diagonal_ensemble(serial.matrix_from_json(descriptor["u"]))
         if kind == "explicit":

@@ -47,9 +47,15 @@ representation of such a protocol: per-outcome label tuples and one array of
 Bob's vectors, outcome by outcome, padded once into a zero-filled block.
 :func:`one_way_protocol` derives all of them from the amplitude stack in
 one product, :func:`product_basis_protocol` from one batched SVD, and
-:meth:`OneWayProtocolSpec.as_protocol` expands a spec into a tree, each
-round's :class:`Povm` built from one stacked array.
-One batched complete QR, :func:`_completed_bases`, completes every basis.
+:meth:`OneWayProtocolSpec.as_protocol` expands a spec into a tree.
+One batched complete QR, :func:`_completed_bases`, completes every basis,
+and Bob's rounds are views of one read-only stack of the conjugated
+bases: one finiteness test, one batched Gram product for every round's
+completeness defect and one comparison for which rounds are the identity.
+Each :class:`Povm` keeps its defect, so :meth:`LoccProtocol.validate`
+compares it with ``tol`` on every call without recomputing it.  A round's
+element views are made only when read: a validation reads none, and the
+walk only those of the first round of a run.
 The two-state separator makes a traceless matrix's diagonal real with one
 Hermitian eigensystem and the Fourier matrix (none if it is real up to
 rounding), then deflates it one zero-value vector at a time, rotating a
@@ -66,7 +72,7 @@ import numpy as np
 
 from .ensembles import StateEnsemble, _bell_labels, fourier_matrix
 from .errors import DomainError, ToleranceError
-from .qstate import ROUNDING_ZERO, BipartiteState, _row_norms, as_int, as_matrix, frozen_array, is_unitary
+from .qstate import ROUNDING_ZERO, BipartiteState, _row_norms, as_int, as_matrix, as_tol, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -98,6 +104,11 @@ class Povm:
     (outcomes, rows, input dim) array, which is checked and copied in one
     piece rather than element by element; both forms give the same
     ``stacked``, ``offsets`` and ``elements``.
+
+    The completeness defect and :attr:`is_identity` are found once, then
+    kept: on first use, or, for the Bob rounds of a one-way tree, whose
+    ``stacked`` arrays are views of one checked stack, when the rounds are
+    built (:class:`_StackedRound`).
     """
 
     elements: tuple
@@ -148,10 +159,59 @@ class Povm:
         return np.array_equal(self.stacked, np.eye(self.input_dim))
 
     def completeness_defect(self) -> float:
+        """The largest entry of |sum_i M_i^dag M_i - I|, found once, then kept."""
+        return self._defect
+
+    @cached_property
+    def _defect(self) -> float:
         if self.is_identity:  # I^dag I - I is exactly 0
             return 0.0
         gram = self.stacked.conj().T @ self.stacked
         return float(np.max(np.abs(gram - np.eye(self.input_dim))))
+
+
+class _StackedRound(Povm):
+    """A projective Bob round of a one-way tree, a view of one checked stack (:meth:`from_bases`).
+
+    Its completeness defect and identity test are kept from the build, and
+    ``elements``, the (1, dim) views of its rows, are made on first read:
+    validating the tree reads none, and the walk only those of the first
+    round of a run.
+    """
+
+    @classmethod
+    def from_bases(cls, bases) -> list:
+        """One round per basis of the (rounds, dim, dim) column-wise stack ``bases``, as :func:`projective_povm` builds it.
+
+        The conjugated bases are written once into one read-only (rounds,
+        dim, dim) stack, tested for finiteness once, and round x's
+        ``stacked`` is its block x, a view; the rounds share one offsets
+        array.  One batched Gram product gives every round's completeness
+        defect (its last bits may differ from a lone product's; an identity's
+        is exactly 0, as every product of 0s and 1s is exact) and one
+        comparison which rounds are the identity.
+        """
+        stack = np.conjugate(bases.transpose(0, 2, 1), out=np.empty(bases.shape, dtype=complex))
+        stack.setflags(write=False)
+        if not np.all(np.isfinite(stack)):
+            raise DomainError("matrix contains non-finite entries")
+        dim = stack.shape[2]
+        identity = (stack == np.eye(dim)).all(axis=(1, 2)).tolist()
+        gram = bases @ stack  # stacked^dag stacked per round: each basis is its block's conjugate transpose, exactly
+        gram.reshape(len(gram), -1)[:, :: dim + 1] -= 1.0  # minus the identity, in place
+        defects = np.abs(gram).max(axis=(1, 2)).tolist()
+        offsets = frozen_array(range(dim), dtype=np.intp)
+        rounds = []
+        for rows, ident, defect in zip(stack, identity, defects):
+            povm = object.__new__(cls)
+            # the kept values go where cached_property would put them
+            povm.__dict__.update(stacked=rows, offsets=offsets, is_identity=ident, _defect=defect)
+            rounds.append(povm)
+        return rounds
+
+    @cached_property
+    def elements(self) -> tuple:
+        return tuple(self.stacked[:, None])
 
 
 @dataclass(frozen=True)
@@ -172,7 +232,7 @@ class ProtocolNode:
         if self.actor not in (ALICE, BOB):
             raise DomainError(f"unknown actor {self.actor!r}")
         children = tuple(self.children)
-        if len(children) != len(self.povm.elements):
+        if len(children) != len(self.povm.offsets):
             raise DomainError("one child per POVM outcome required")
         object.__setattr__(self, "children", children)
 
@@ -192,8 +252,10 @@ class LoccProtocol:
         alike, children in outcome order, so the first fault on that order
         is the one reported.  A node checks its leaf children's guesses in
         its own loop and steps into a leaf only to word a fault, so a valid
-        tree costs one call per node, not per leaf.
+        tree costs one call per node, not per leaf.  ``tol`` must be finite
+        and >= 0.
         """
+        tol = as_tol(tol, "tol")
         _check_node(self.root, self.dim_a, self.dim_b, None, math.inf if k is None else k, tol, set())
 
     def map_leaves(self, fn) -> "LoccProtocol":
@@ -221,9 +283,10 @@ def _check_node(node, da, db, prev_actor, k_max, tol, complete) -> None:
         if defect > tol:
             raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
         complete.add(id(node.povm))
-    for m, child in zip(node.povm.elements, node.children):
+    for i, child in enumerate(node.children):
         if not (isinstance(child, Leaf) and 0 <= child.guess < k_max):
-            _check_node(child, m.shape[0] if alice else da, db if alice else m.shape[0], node.actor, k_max, tol, complete)
+            rows = node.povm.elements[i].shape[0]
+            _check_node(child, rows if alice else da, db if alice else rows, node.actor, k_max, tol, complete)
 
 
 def _map_node(node, fn):
@@ -269,6 +332,9 @@ def projective_povm(basis) -> Povm:
 
 
 def identity_round(dim: int) -> Povm:
+    dim = as_int(dim, "dim")
+    if dim < 1:
+        raise DomainError("need dimension >= 1")
     return Povm((np.eye(dim, dtype=complex),))
 
 
@@ -367,16 +433,18 @@ class OneWayProtocolSpec:
 
         Each outcome's Bob vectors are completed to a full basis by
         :func:`_completed_bases`; completion outcomes guess
-        ``COMPLETION_GUESS``.  Each Bob round is a :class:`Povm` built from
-        its outcome's conjugated basis in one piece, and equal labels share
-        one :class:`Leaf`.
+        ``COMPLETION_GUESS``.  The Bob rounds come from
+        :meth:`_StackedRound.from_bases`, views of one checked stack of the
+        conjugated bases, each bit for bit the :class:`Povm` of its
+        outcome's basis, with its completeness defect and identity test
+        already found; equal labels share one :class:`Leaf`.
         """
         labels, db = self.labels, self.dim_b
         q = _completed_bases(self._bob, [len(labs) for labs in labels])
         leaf = {lab: Leaf(lab) for lab in {COMPLETION_GUESS}.union(*labels)}
         children = tuple(
-            ProtocolNode(BOB, Povm(rows), tuple(map(leaf.get, labs)) + (leaf[COMPLETION_GUESS],) * (db - len(labs)))
-            for rows, labs in zip(q.conj().transpose(0, 2, 1)[:, :, None, :], labels)
+            ProtocolNode(BOB, povm, tuple(map(leaf.get, labs)) + (leaf[COMPLETION_GUESS],) * (db - len(labs)))
+            for povm, labs in zip(_StackedRound.from_bases(q), labels)
         )
         root = ProtocolNode(ALICE, projective_povm(self.alice_basis), children)
         return LoccProtocol(self.dim_a, db, root)
@@ -674,6 +742,7 @@ def standard_bell_protocol(n: int, subset=None) -> LoccProtocol:
     defaults to the full n^2 Bell basis, matching the state order of the
     corresponding ensemble.
     """
+    n = as_int(n, "n")
     if n < 2:
         raise DomainError("need dimension >= 2")
     if subset is None:
@@ -810,6 +879,7 @@ def two_state_protocol(psi1: BipartiteState, psi2: BipartiteState) -> LoccProtoc
 
 def blind_guess_protocol(dim_a: int, dim_b: int, guess: int = 0) -> LoccProtocol:
     """Measure nothing (trivial rounds) and always output ``guess``."""
+    dim_a, dim_b = as_int(dim_a, "dim_a"), as_int(dim_b, "dim_b")
     root = ProtocolNode(
         ALICE,
         identity_round(dim_a),

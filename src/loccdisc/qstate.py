@@ -24,6 +24,7 @@ cross-check the SVD against the spectrum of the reduced state
 rho_A = S S^dag (:func:`reduced_state`, :func:`reduced_spectrum`).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +66,13 @@ def as_int(value, name: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
+def as_tol(value, name: str) -> float:
+    """``value`` as a tolerance: refused unless finite and >= 0 (a NaN would pass every ``x > tol`` test)."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    return value
 
 
 def is_unitary(matrix, tol: float = STRUCTURAL_TOL) -> bool:

@@ -194,6 +194,12 @@ class TestRandomTriples:
         assert ens.is_orthogonal(1e-12)
         assert ens.is_maximally_entangled(1e-12)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(DomainError, match="^seed must be >= 0$"):
+            random_orthogonal_me_triple(3, -1)
+        with pytest.raises(DomainError, match="^seed must be >= 0$"):
+            from_descriptor({"kind": "random_me_triple", "n": 3, "seed": -1})
+
 
 class TestSimultaneouslyDiagonal:
     def test_identity_gives_product_states(self):

@@ -323,6 +323,18 @@ class TestProtocolStructure:
         with pytest.raises(DomainError, match="incomplete POVM"):
             tree.validate()
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_tol_must_be_finite_and_nonnegative(self, tol):
+        # with tol = nan every "defect > tol" test is false, so the half POVM would pass
+        half = Povm((np.eye(2, dtype=complex) / 2,))
+        tree = LoccProtocol(2, 2, ProtocolNode(ALICE, half, (Leaf(0),)))
+        message = f"^tol must be finite and >= 0, got {tol}$"
+        with pytest.raises(DomainError, match=message):
+            tree.validate(tol=tol)
+        with pytest.raises(DomainError, match=message):
+            evaluate(standard_bell_protocol(2), bell_basis(2), tol=tol)
+        tree.validate(tol=0.75)  # the defect is 0.75, not above it
+
     def test_projective_povm_complete(self):
         assert projective_povm(np.eye(5, dtype=complex)).completeness_defect() < 1e-14
 
@@ -1421,6 +1433,136 @@ class TestOneWayBatching:
         assert not spec._bob[~filled].any() and not spec._bob.flags.writeable
 
 
+def _batched_specs():
+    """(name, spec) for every spec of ``_BATCHING_CASES`` whose vectors complete to bases (``as_protocol`` expands it).
+
+    Two specs with empty outcome groups, whose rounds are the identity, come first.
+    """
+    specs = [
+        ("empty-group", OneWayProtocolSpec(np.eye(2, dtype=complex), ((), (1,)), [np.array([0.0, 1.0, 0.0])])),
+        ("all-groups-empty", OneWayProtocolSpec(np.eye(2, dtype=complex), ((), ()), [])),
+    ]
+    for name, ens, bases in _BATCHING_CASES:
+        for i, basis in enumerate(bases):
+            if max(map(len, one_way_groups_per_vector(ens.states, basis))) > ens.dim_b:
+                continue
+            spec = locc.one_way_protocol(ens.amplitude_matrices(), basis)
+            try:
+                locc._completed_bases(spec._bob, [len(labs) for labs in spec.labels])
+            except DomainError:  # dependent vectors: no tree, on either path
+                continue
+            specs.append((f"{name}-{i}", spec))
+    return specs
+
+
+_BATCHED_SPECS = _batched_specs()
+
+
+def _assert_round_matches(povm, ref):
+    """``povm`` holds ``ref``'s operators bit for bit, its identity test, and a defect within 1e-15 of ``ref``'s."""
+    assert np.array_equal(povm.stacked, ref.stacked) and not povm.stacked.flags.writeable
+    assert np.array_equal(povm.offsets, ref.offsets) and povm.offsets.dtype == ref.offsets.dtype
+    assert len(povm.elements) == len(ref.elements)
+    for a, b in zip(povm.elements, ref.elements):
+        assert np.array_equal(a, b) and a.shape == b.shape and not a.flags.writeable
+    assert povm.is_identity is ref.is_identity
+    assert abs(povm.completeness_defect() - ref.completeness_defect()) <= 1e-15
+    assert not povm.is_identity or povm.completeness_defect() == 0.0
+
+
+class TestBobRoundStack:
+    """``as_protocol``'s Bob rounds are views of one checked stack, each equal to the per-round ``Povm(rows)``."""
+
+    @pytest.mark.parametrize("name, spec", _BATCHED_SPECS, ids=[case[0] for case in _BATCHED_SPECS])
+    def test_rounds_match_per_round_povms(self, name, spec):
+        q = locc._completed_bases(spec._bob, [len(labs) for labs in spec.labels])
+        protocol = spec.as_protocol()
+        protocol.validate()
+        nodes = protocol.root.children
+        assert not any("elements" in vars(node.povm) for node in nodes)  # made on first read, and validate reads none
+        assert len(nodes) == len(q)
+        for node, rows in zip(nodes, q.conj().transpose(0, 2, 1)[:, :, None, :]):
+            _assert_round_matches(node.povm, Povm(rows))
+            assert node.povm.stacked.base is nodes[0].povm.stacked.base is not None  # views of one stack
+
+    def test_cases_hold_identity_rounds(self):
+        """Empty outcome groups complete to the identity, so the identity branch is exercised above."""
+        assert sum(node.povm.is_identity for _, spec in _BATCHED_SPECS for node in spec.as_protocol().root.children) == 3
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda e: e.name)
+    def test_library_rounds_match_per_round_povms(self, entry):
+        """Every POVM of every library tree against one rebuilt from copies of its elements."""
+        stack = [entry.protocol.root]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, Leaf):
+                continue
+            _assert_round_matches(node.povm, Povm(tuple(np.array(m) for m in node.povm.elements)))
+            stack.extend(node.children)
+
+    def test_library_has_one_way_trees(self):
+        shared = [
+            entry.name
+            for entry in build_library()
+            if not isinstance(entry.protocol.root, Leaf)
+            and len(entry.protocol.root.children) > 1
+            and all(isinstance(c, ProtocolNode) for c in entry.protocol.root.children)
+            and len({id(c.povm) for c in entry.protocol.root.children}) > 1
+            and len({id(c.povm.stacked.base) for c in entry.protocol.root.children}) == 1
+        ]
+        assert len(shared) >= 20
+
+    def test_scaled_round_refused_in_first_fault_order(self, monkeypatch):
+        """Rounds 2 and 5 scaled: the tree is refused for round 2, with the message the per-round tree gives."""
+        spec = dict(_BATCHED_SPECS)["pair-8x8-0"]
+        completed = locc._completed_bases
+
+        def scaled(rows, counts):
+            q = completed(rows, counts)
+            q[2] *= 1 + 1e-6
+            q[5] *= 1 + 2e-6
+            return q
+
+        monkeypatch.setattr(locc, "_completed_bases", scaled)
+        protocol = spec.as_protocol()
+        q = scaled(spec._bob, [len(labs) for labs in spec.labels])
+        per_round = LoccProtocol(
+            protocol.dim_a,
+            protocol.dim_b,
+            ProtocolNode(
+                ALICE,
+                protocol.root.povm,
+                tuple(
+                    ProtocolNode(BOB, Povm(rows), node.children)
+                    for node, rows in zip(protocol.root.children, q.conj().transpose(0, 2, 1)[:, :, None, :])
+                ),
+            ),
+        )
+        messages = []
+        for tree in (protocol, per_round):
+            with pytest.raises(DomainError, match=r"incomplete POVM \(defect 2\.000e-06 > 1e-10\)") as err:
+                tree.validate()
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        # the kept defect is compared with tol on every call: a looser tol passes the same tree
+        protocol.validate(tol=1e-5)
+        with pytest.raises(DomainError, match=r"defect 4\.000e-06 > 3e-06"):
+            protocol.validate(tol=3e-6)
+
+    def test_nan_refused_when_built(self, monkeypatch):
+        spec = dict(_BATCHED_SPECS)["pair-8x8-0"]
+        completed = locc._completed_bases
+
+        def poisoned(rows, counts):
+            q = completed(rows, counts)
+            q[3, 1, 4] = np.nan
+            return q
+
+        monkeypatch.setattr(locc, "_completed_bases", poisoned)
+        with pytest.raises(DomainError, match="non-finite"):
+            spec.as_protocol()
+
+
 class TestStandardBellProtocol:
     def test_bad_subset_rejected(self):
         with pytest.raises(DomainError):
@@ -1435,6 +1577,36 @@ class TestStandardBellProtocol:
     def test_full_bb2_success(self):
         res = evaluate(standard_bell_protocol(2), bell_basis(2))
         assert abs(res.success_probability - 0.5) < 1e-14
+
+
+def _built(obj):
+    """What a builder's result holds, for comparing two builds."""
+    if isinstance(obj, StateEnsemble):
+        return obj.amplitude_matrices().tolist()
+    if isinstance(obj, LoccProtocol):
+        assert type(obj.dim_a) is int and type(obj.dim_b) is int
+        return serial.protocol_to_json(obj)
+    return obj.stacked.tolist()
+
+
+_INTEGER_ARGUMENTS = [
+    ("bell_basis", lambda x: bell_basis(x)),
+    ("bell_subset", lambda x: bell_subset(x, [(0, 0), (1, 2)])),
+    ("standard_bell_protocol", lambda x: standard_bell_protocol(x)),
+    ("blind_guess_protocol-dim_a", lambda x: blind_guess_protocol(x, 2)),
+    ("blind_guess_protocol-dim_b", lambda x: blind_guess_protocol(2, x)),
+    ("identity_round", lambda x: identity_round(x)),
+    ("random_orthogonal_me_triple-n", lambda x: random_orthogonal_me_triple(x, 1)),
+    ("random_orthogonal_me_triple-seed", lambda x: random_orthogonal_me_triple(3, x)),
+]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _INTEGER_ARGUMENTS], ids=[n for n, _ in _INTEGER_ARGUMENTS])
+def test_builders_take_integer_valued_sizes_and_seeds(build):
+    assert _built(build(3.0)) == _built(build(np.int64(3))) == _built(build(3))
+    for bad in (2.5, True, "3"):
+        with pytest.raises(DomainError, match="must be an integer"):
+            build(bad)
 
 
 class TestDiscardProtocol:
