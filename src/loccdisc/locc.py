@@ -171,9 +171,8 @@ class Povm:
 
 
 class _StackedRound(Povm):
-    """A projective Bob round of a one-way tree, a view of one checked stack (:meth:`from_bases`).
+    """A projective Bob round of a one-way tree whose ``stacked`` is a view of one checked stack.
 
-    Its completeness defect and identity test are kept from the build, and
     ``elements``, the (1, dim) views of its rows, are made on first read:
     validating the tree reads none, and the walk only those of the first
     round of a run.
@@ -183,13 +182,12 @@ class _StackedRound(Povm):
     def from_bases(cls, bases) -> list:
         """One round per basis of the (rounds, dim, dim) column-wise stack ``bases``, as :func:`projective_povm` builds it.
 
-        The conjugated bases are written once into one read-only (rounds,
-        dim, dim) stack, tested for finiteness once, and round x's
-        ``stacked`` is its block x, a view; the rounds share one offsets
-        array.  One batched Gram product gives every round's completeness
-        defect (its last bits may differ from a lone product's; an identity's
-        is exactly 0, as every product of 0s and 1s is exact) and one
-        comparison which rounds are the identity.
+        The conjugated bases are written once into one read-only stack,
+        tested for finiteness once; the rounds share one offsets array.  One
+        batched Gram product gives every round's completeness defect (its
+        last bits may differ from a lone product's; an identity's is exactly
+        0, as every product of 0s and 1s is exact) and one comparison which
+        rounds are the identity, and each round keeps both.
         """
         stack = np.conjugate(bases.transpose(0, 2, 1), out=np.empty(bases.shape, dtype=complex))
         stack.setflags(write=False)
@@ -433,11 +431,9 @@ class OneWayProtocolSpec:
 
         Each outcome's Bob vectors are completed to a full basis by
         :func:`_completed_bases`; completion outcomes guess
-        ``COMPLETION_GUESS``.  The Bob rounds come from
-        :meth:`_StackedRound.from_bases`, views of one checked stack of the
-        conjugated bases, each bit for bit the :class:`Povm` of its
-        outcome's basis, with its completeness defect and identity test
-        already found; equal labels share one :class:`Leaf`.
+        ``COMPLETION_GUESS``.  The Bob rounds are :class:`_StackedRound`
+        views of one checked stack, each bit for bit the :class:`Povm` of its
+        outcome's basis; equal labels share one :class:`Leaf`.
         """
         labels, db = self.labels, self.dim_b
         q = _completed_bases(self._bob, [len(labs) for labs in labels])
