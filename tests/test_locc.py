@@ -1492,25 +1492,19 @@ class TestBobRoundStack:
     @pytest.mark.parametrize("entry", build_library(), ids=lambda e: e.name)
     def test_library_rounds_match_per_round_povms(self, entry):
         """Every POVM of every library tree against one rebuilt from copies of its elements."""
-        stack = [entry.protocol.root]
-        while stack:
-            node = stack.pop()
+        todo = [entry.protocol.root]
+        while todo:
+            node = todo.pop()
             if isinstance(node, Leaf):
                 continue
             _assert_round_matches(node.povm, Povm(tuple(np.array(m) for m in node.povm.elements)))
-            stack.extend(node.children)
+            todo.extend(node.children)
 
-    def test_library_has_one_way_trees(self):
-        shared = [
-            entry.name
-            for entry in build_library()
-            if not isinstance(entry.protocol.root, Leaf)
-            and len(entry.protocol.root.children) > 1
-            and all(isinstance(c, ProtocolNode) for c in entry.protocol.root.children)
-            and len({id(c.povm) for c in entry.protocol.root.children}) > 1
-            and len({id(c.povm.stacked.base) for c in entry.protocol.root.children}) == 1
-        ]
-        assert len(shared) >= 20
+    def test_library_holds_stacked_rounds(self):
+        """The library test above covers one-way trees: most entries hold rounds built by ``as_protocol``."""
+        roots = [entry.protocol.root for entry in build_library() if not isinstance(entry.protocol.root, Leaf)]
+        stacked = [any(isinstance(getattr(c, "povm", None), locc._StackedRound) for c in root.children) for root in roots]
+        assert sum(stacked) >= 20
 
     def test_scaled_round_refused_in_first_fault_order(self, monkeypatch):
         """Rounds 2 and 5 scaled: the tree is refused for round 2, with the message the per-round tree gives."""
