@@ -55,18 +55,18 @@ completeness defect and one comparison for which rounds are the identity.
 Each :class:`Povm` keeps its defect, so :meth:`LoccProtocol.validate`
 compares it with ``tol`` on every call without recomputing it.  A round's
 element views are made only when read: a validation reads none, and the
-walk only those of the first round of a run.
+walk only those of the first round of a run, which takes the stack's slice.
 The two-state separator makes a traceless matrix's diagonal real with one
 Hermitian eigensystem and the Fourier matrix (none if it is real up to
-rounding), then deflates it one zero-value vector at a time, rotating a
-positive and a negative diagonal entry's coordinates in real closed form;
-:func:`_zero_diagonal_residual`, the CUB screen's test, checks its basis.
+rounding), then deflates it one zero-value vector at a time, rotating two
+live vectors (rows beside their images) in real closed form; the basis is
+formed once, and :func:`_zero_diagonal_residual`, the CUB screen's test, checks it.
 """
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat
 
 import numpy as np
 
@@ -200,10 +200,10 @@ class _StackedRound(Povm):
         defects = np.abs(gram).max(axis=(1, 2)).tolist()
         offsets = frozen_array(range(dim), dtype=np.intp)
         rounds = []
-        for rows, ident, defect in zip(stack, identity, defects):
+        for index, (rows, ident, defect) in enumerate(zip(stack, identity, defects)):
             povm = object.__new__(cls)
-            # the kept values go where cached_property would put them
-            povm.__dict__.update(stacked=rows, offsets=offsets, is_identity=ident, _defect=defect)
+            # the kept values go where cached_property would put them; the round is the stack's slice _index
+            povm.__dict__.update(stacked=rows, offsets=offsets, is_identity=ident, _defect=defect, _index=index)
             rounds.append(povm)
         return rounds
 
@@ -383,7 +383,9 @@ class OneWayProtocolSpec:
             raise DomainError("Alice basis is not orthonormal")
         if len(self.labels) != ab.shape[1]:
             raise DomainError("need one Bob group per Alice outcome")
-        labels = tuple(tuple(as_int(lab, "label") for lab in group) for group in self.labels)
+        labels = tuple(map(tuple, self.labels))
+        if not {*map(type, chain.from_iterable(labels))} <= {int}:  # Python ints, as one_way_protocol's, are labels
+            labels = tuple(tuple(as_int(lab, "label") for lab in group) for group in labels)
         sizes = np.array([len(group) for group in labels])
         vecs = self.vectors
         if len(vecs) != sizes.sum():
@@ -532,11 +534,17 @@ def _child_groups(node):
 
 
 def _run_stack(run):
-    """A step's operators: the run's one shared stacked POVM, or its nodes' POVMs stacked, (nodes, rows, input dim)."""
+    """A step's operators, (nodes, rows, input dim): the run's one shared stacked POVM; the slice of one
+    checked stack when the run holds its consecutive :class:`_StackedRound` rounds (the same bits); or the
+    nodes' POVMs stacked."""
     first = run[0].povm
-    if any(node.povm is not first for node in run):
-        return np.stack([node.povm.stacked for node in run])
-    return first.stacked
+    if all(node.povm is first for node in run):
+        return first.stacked
+    povms, whole = [node.povm for node in run], first.stacked.base
+    if all(isinstance(p, _StackedRound) and p.stacked.base is whole and p._index == first._index + j
+           for j, p in enumerate(povms)):
+        return whole[first._index : first._index + len(run)]
+    return np.stack([p.stacked for p in povms])
 
 
 def _collect_leaves(run, y, prefixes, paths, guesses, blocks):
@@ -805,51 +813,53 @@ def _solve_compression(b2, scale):
 
 
 def _zero_diagonal_basis(mat) -> np.ndarray:
-    """Orthonormal basis in which the traceless matrix ``mat`` has zero diagonal.
+    """Orthonormal basis in which the traceless, finite matrix ``mat`` has zero diagonal.
 
     First the diagonal is made real: with K = (M - M^dag)/2i Hermitian, E its
     eigenbasis and F the Fourier matrix, every diagonal entry of K in the
     basis E F is Tr K / m = Im Tr M / m = 0, so M's diagonal there is real.
     One real up to rounding (``ROUNDING_ZERO`` of M's largest entry) keeps
-    the computational basis.  Then deflation: the real diagonal sums to
-    Tr M = 0, so unless an entry is zero (that vector is peeled off as it
-    is), the smallest positive entry and the negative entry closest to zero
-    bracket it (pairing the two extremes instead lets rounding grow over the
-    steps).  The 2x2 compression onto those two vectors reaches zero in
-    closed form (:func:`_solve_compression`) at a unit x; the rotation
-    [[c0, -conj(c1)], [c1, c0]] of the two coordinates puts x in the first
-    and, in the second, the vector orthogonal to x in that plane, whose
-    value is the compression's trace, real again.  x is peeled off and the
-    compression to the rest, traceless and real on its diagonal, goes on.
+    the computational basis.  Then deflation over live vectors u, each a row
+    of one (m, 2m) array beside the row (M u)^T, M in that basis, with the
+    real diagonal kept as Python floats.  It sums to Tr M = 0, so unless an
+    entry is zero (its u is peeled off as it is), the smallest positive entry
+    p and the negative entry n closest to zero bracket it (ties go to the
+    first u; pairing the extremes lets rounding grow over the steps).  The
+    2x2 compression onto the two, its off-diagonal entries two dot products,
+    reaches zero in closed form (:func:`_solve_compression`) at a unit x; one
+    product on the two rows rotates them by [[c0, -conj(c1)], [c1, c0]] into
+    x, peeled off, and the vector orthogonal to x in their plane, of value
+    p + n.  The basis is formed once from the rows in peeling order.
     """
     m = mat.shape[0]
+    if not np.all(np.isfinite(mat)):
+        raise DomainError("matrix contains non-finite entries")
     if abs(np.trace(mat)) > 1e-9:
         raise DomainError("matrix must be traceless")
-    mk = np.array(mat, dtype=complex)  # compression to the working basis
-    iso = np.eye(m, dtype=complex)  # the working basis, column-wise
+    mk = np.array(mat, dtype=complex)  # M in the first stage's basis
+    iso = None  # that basis, column-wise, when it is not the computational one
     scale = float(np.max(np.abs(mk)))
     if np.max(np.abs(np.diag(mk).imag)) > ROUNDING_ZERO * scale:
         iso = np.linalg.eigh((mk - mk.conj().T) / 2j)[1] @ fourier_matrix(m)
         mk = iso.conj().T @ mk @ iso
-    cols = []
+    rows = np.concatenate([np.eye(m, dtype=complex), mk.T], axis=1)  # row i: u_i, then (M u_i)^T
+    d = mk.diagonal().real.tolist()
+    live, order = list(range(m)), []
     for _ in range(m - 1):
-        d = np.diag(mk).real
-        q = int(np.argmin(np.abs(d)))
-        if abs(d[q]) > ZERO_DIAGONAL_TOL:
-            q = int(np.argmin(np.where(d > 0.0, d, np.inf)))
-            pair = [q, int(np.argmax(np.where(d < 0.0, d, -np.inf)))]
-            c0, c1 = _solve_compression(mk[np.ix_(pair, pair)], scale)
-            rot = np.array([[c0, -c1.conjugate()], [c1, c0]])
-            mk[:, pair] = mk[:, pair] @ rot
-            mk[pair] = rot.conj().T @ mk[pair]
-            iso[:, pair] = iso[:, pair] @ rot
-        cols.append(iso[:, q])
-        keep = np.arange(mk.shape[0]) != q
-        mk = mk[keep][:, keep]
-        iso = iso[:, keep]
-    cols.append(iso[:, 0])
-    w = np.column_stack(cols)
-    if _zero_diagonal_residual(mat[None], w)[0] > ZERO_DIAGONAL_TOL or not is_unitary(w, ZERO_DIAGONAL_TOL):
+        q = n = min(live, key=lambda i: abs(d[i]))
+        if abs(d[q]) > ZERO_DIAGONAL_TOL:  # with one sign left there is no pair: q is peeled, the final gate fails
+            q = min((i for i in live if d[i] > 0.0), key=d.__getitem__, default=q)
+            n = max((i for i in live if d[i] < 0.0), key=d.__getitem__, default=q)
+        if n != q:
+            b01, b10 = np.vdot(rows[q, :m], rows[n, m:]), np.vdot(rows[n, :m], rows[q, m:])
+            c0, c1 = _solve_compression(np.array([[d[q], b01], [b10, d[n]]]), scale)
+            rows[[q, n]] = np.array([[c0, c1], [-c1.conjugate(), c0]]) @ rows[[q, n]]
+            d[n] += d[q]
+        order.append(q)
+        live.remove(q)
+    w = rows[order + live, :m].T
+    w = w if iso is None else iso @ w
+    if not (_zero_diagonal_residual(mat[None], w)[0] <= ZERO_DIAGONAL_TOL and is_unitary(w, ZERO_DIAGONAL_TOL)):
         raise ToleranceError("zero-diagonal basis construction failed tolerance")
     return w
 

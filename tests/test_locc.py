@@ -14,6 +14,7 @@ from loccdisc import (
     Povm,
     ProtocolNode,
     StateEnsemble,
+    ToleranceError,
     bell_basis,
     bell_subset,
     blind_guess_protocol,
@@ -1355,6 +1356,20 @@ class TestOneWayExpansion:
         with pytest.raises(DomainError, match="vector length does not match dimension"):
             OneWayProtocolSpec(np.eye(2, dtype=complex), ((0,), (1,)), vecs)
 
+    @pytest.mark.parametrize("label", [2.5, True, "3", None])
+    def test_non_integer_label_refused(self, label):
+        """Refused by the constructor and in a payload alike, never truncated or read as 1."""
+        with pytest.raises(DomainError, match="^label must be an integer"):
+            OneWayProtocolSpec(np.eye(2, dtype=complex), ((0, label), ()), np.eye(2))
+        payload = serial.one_way_spec_to_json(OneWayProtocolSpec(np.eye(2, dtype=complex), ((0, 1), ()), np.eye(2)))
+        payload["bob_discriminators"][0][1]["label"] = label
+        with pytest.raises(DomainError, match="^label must be an integer"):
+            serial.one_way_spec_from_json(payload)
+
+    def test_integer_valued_labels_become_ints(self):
+        spec = OneWayProtocolSpec(np.eye(2, dtype=complex), [[np.int64(1), 2.0], []], np.eye(2))
+        assert spec.labels == ((1, 2), ()) and all(type(lab) is int for lab in spec.labels[0])
+
     @pytest.mark.parametrize("count", [1, 3])
     def test_vector_count_checked(self, count):
         vecs = np.eye(3, dtype=complex)[:count]
@@ -1484,6 +1499,27 @@ class TestBobRoundStack:
         for node, rows in zip(nodes, q.conj().transpose(0, 2, 1)[:, :, None, :]):
             _assert_round_matches(node.povm, Povm(rows))
             assert node.povm.stacked.base is nodes[0].povm.stacked.base is not None  # views of one stack
+
+    @pytest.mark.parametrize("name, spec", _BATCHED_SPECS, ids=[case[0] for case in _BATCHED_SPECS])
+    def test_run_steps_on_the_stack_slice(self, name, spec):
+        """A run of consecutive rounds of one stack steps on its slice, with no copy; any other run
+        stacks copies; and the walk's bits are those of the tree rebuilt from per-round copies."""
+        protocol = spec.as_protocol()
+        nodes = protocol.root.children
+        whole = nodes[0].povm.stacked.base
+        copied = tuple(ProtocolNode(BOB, Povm(np.array(node.povm.stacked)[:, None]), node.children) for node in nodes)
+        other = spec.as_protocol().root.children  # rounds of another stack
+        runs = [(nodes, True), (nodes[1:], True), (nodes[::-1], False), (nodes[::2], False)]
+        for run, sliced in runs + [([nodes[0], other[1]], False), ([nodes[0], copied[1]], False)]:
+            if len(run) > 1:
+                got = locc._run_stack(run)
+                assert (got.base is whole) == sliced
+                assert got.tobytes() == np.stack([node.povm.stacked for node in run]).tobytes()
+        rng = np.random.default_rng(len(nodes))
+        v = rng.standard_normal((1 + max(itertools.chain(*spec.labels), default=0), spec.dim_a * spec.dim_b, 2)) @ [1, 1j]
+        ens = uniform_ensemble([BipartiteState(spec.dim_a, spec.dim_b, x / np.linalg.norm(x)) for x in v])
+        per_round = LoccProtocol(protocol.dim_a, protocol.dim_b, ProtocolNode(ALICE, protocol.root.povm, copied))
+        assert _walk_outputs(protocol, ens) == _walk_outputs(per_round, ens)
 
     def test_cases_hold_identity_rounds(self):
         """Empty outcome groups complete to the identity, so the identity branch is exercised above."""
@@ -1654,7 +1690,7 @@ class TestZeroValueScan:
         assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= tol
         assert float(np.max(np.abs(w.conj().T @ w - np.eye(m)))) <= 1e-12
 
-    @pytest.mark.parametrize("m", range(2, 25))
+    @pytest.mark.parametrize("m", range(2, 41))
     def test_matches_loop_reference(self, m):
         rng = np.random.default_rng(500 + m)
         for kind in self.KINDS:
@@ -1711,6 +1747,50 @@ class TestZeroValueScan:
     def test_traced_matrix_rejected(self):
         with pytest.raises(DomainError, match="^matrix must be traceless$"):
             locc._zero_diagonal_basis(np.eye(2))
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(3, 12), (8, 8), (16, 16), (24, 24)])
+    def test_pair_shapes_match_loop_reference(self, dim_a, dim_b):
+        """The two-state separator's inputs conj(S1) S2^T for random orthogonal pairs of these shapes."""
+        rng = np.random.default_rng(8300 + dim_a)
+        for _ in range(4):
+            v = rng.standard_normal((dim_a * dim_b, 2)) + 1j * rng.standard_normal((dim_a * dim_b, 2))
+            s1, s2 = np.linalg.qr(v)[0].T.reshape(2, dim_a, dim_b)
+            mat = s1.conj() @ s2.T
+            w = locc._zero_diagonal_basis(mat)
+            np.testing.assert_allclose(w, _reference_zero_diagonal_basis(mat), rtol=0, atol=1e-12)
+            self._assert_zero_diagonal(mat, w, 1e-9)
+
+    def test_one_signed_diagonal_fails_the_gate(self):
+        """Peeling the entries within the tolerance can leave live entries of one sign, which no rotation
+        brackets: the basis is refused by the final gate, not by a failed search for a pair."""
+        mat = np.diag([-0.99e-9, -0.99e-9, 1.1e-9, 1.1e-9]).astype(complex)
+        mat[0, 3] = 1.0
+        with pytest.raises(ToleranceError, match="zero-diagonal basis construction failed tolerance"):
+            locc._zero_diagonal_basis(mat)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_non_finite_matrix_rejected(self, bad):
+        mat = np.zeros((3, 3), dtype=complex)
+        mat[1, 2] = bad
+        with pytest.raises(DomainError, match="^matrix contains non-finite entries$"):
+            locc._zero_diagonal_basis(mat)
+        with pytest.raises(DomainError, match="^matrix contains non-finite entries$"):
+            locc._zero_diagonal_basis(np.full((3, 3), bad))
+
+    @pytest.mark.parametrize("gate", ["both", "residual", "unitarity"])
+    def test_nan_basis_fails_each_gate(self, monkeypatch, gate):
+        """A basis with NaN entries is refused by either final gate alone (NaN > tol is False, so a gate
+        must not be written that way); the unitarity gate's ``is_unitary`` refuses a non-finite matrix."""
+        mat = _traceless(np.random.default_rng(9), 4, "generic")
+        monkeypatch.setattr(locc, "_solve_compression", lambda b2, scale: (math.nan, complex(math.nan, math.nan)))
+        error = ToleranceError
+        if gate == "residual":
+            monkeypatch.setattr(locc, "is_unitary", lambda w, tol: True)
+        elif gate == "unitarity":
+            monkeypatch.setattr(locc, "_zero_diagonal_residual", lambda products, basis: np.zeros(1))
+            error = DomainError
+        with pytest.raises(error):
+            locc._zero_diagonal_basis(mat)
 
 
 class TestTwoStateProtocol:
