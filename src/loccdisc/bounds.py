@@ -10,13 +10,13 @@ are capped at (that party's dimension)/k, and any uniform ensemble is
 capped by lambda_max * m * n / k, lambda_max the largest Schmidt
 coefficient present.
 
-The witnesses share what the ensemble caches of its checked amplitude
-stack: one batched SVD for the Schmidt coefficients, one reduced-state
-stack per party, rho_A^i (``reduced_states``) and rho_B^i
-(``bob_reduced_states``), and one batched ``eigvalsh`` of the rho_A^i, which
-the SVD is cross-checked against and the entropy cap's conditional term
-reads.  The entropy cap's prior means, the unilateral caps and
-``is_maximally_entangled`` read the two stacks.
+The witnesses read the spectral pass each ensemble caches: one ``eigvalsh``
+of the reduced states rho_A^i and the prior means of the rho_A^i and rho_B^i
+(``reduced_states``, ``bob_reduced_states``), and one batched SVD for the
+Schmidt coefficients, cross-checked against it.  The unilateral caps and
+``is_maximally_entangled`` read the two stacks.  ``verdict`` asks
+``is_orthogonal`` first, so no SVD or ``eigvalsh`` runs on a non-orthogonal
+ensemble.
 """
 
 import math
@@ -142,8 +142,8 @@ def f_mixed_dims_bounds(k: int, m: int, n: int) -> tuple[float, float]:
 
 
 def lambda_max(ensemble: StateEnsemble) -> float:
-    """Largest Schmidt coefficient over all states of the ensemble."""
-    return float(ensemble.schmidt_coefficients[:, 0].max())
+    """Largest Schmidt coefficient over all states of the ensemble, read from its witness pass."""
+    return ensemble._witness_pass[3]
 
 
 def schmidt_bound(ensemble: StateEnsemble) -> float:
@@ -156,7 +156,7 @@ def schmidt_bound(ensemble: StateEnsemble) -> float:
 def _spectrum_entropy_bits(vals):
     """-sum v log2 v over the last axis, with eigenvalues up to ``EIGENVALUE_CLIP`` dropped."""
     vals = np.where(vals > EIGENVALUE_CLIP, vals, 1.0)  # log2(1) = 0: dropped eigenvalues add nothing
-    ent = 0.0 - np.sum(vals * np.log2(vals), axis=-1)  # 0.0 - x, not -x: a pure state gives +0.0
+    ent = 0.0 - (vals * np.log2(vals)).sum(axis=-1)  # 0.0 - x, not -x: a pure state gives +0.0
     return float(ent) if ent.ndim == 0 else ent
 
 
@@ -171,13 +171,15 @@ def von_neumann_entropy_bits(rho):
 def entropy_bound_bits(ensemble: StateEnsemble) -> float:
     """Accessible-information cap S(rho_A) + S(rho_B) - sum_i p_i S(rho_A^i), in bits.
 
-    rho_A^i, rho_B^i and the conditional term's spectra are the ensemble's
-    cached ``reduced_states``, ``bob_reduced_states`` and ``reduced_spectra``.
+    rho_A and rho_B are the prior means.  Every spectrum is read from the
+    ensemble's witness pass, and one entropy call covers its rows: the
+    rho_A^i, mean rho_A and, when it has the same size, mean rho_B.
     """
-    p = ensemble.priors
-    cond = float(p @ _spectrum_entropy_bits(ensemble.reduced_spectra))
-    s_a = von_neumann_entropy_bits(np.tensordot(p, ensemble.reduced_states, 1))
-    return s_a + von_neumann_entropy_bits(np.tensordot(p, ensemble.bob_reduced_states, 1)) - cond
+    spectra, mean_b, _, _ = ensemble._witness_pass
+    k = ensemble.k
+    ent = _spectrum_entropy_bits(spectra)
+    s_b = ent[k + 1] if ent.size > k + 1 else _spectrum_entropy_bits(mean_b)
+    return float(ent[k] + s_b - float(ensemble.priors @ ent[:k]))
 
 
 def g_bounds_bits(k: int, n: int) -> tuple[float, float]:
@@ -196,7 +198,7 @@ def _unilateral_sides(ensemble: StateEnsemble):
     """
 
     def agree(rho):
-        return float(np.max(np.abs(rho - rho[0]))) <= UNILATERAL_TOL
+        return float(np.abs(rho - rho[0]).max()) <= UNILATERAL_TOL
 
     return agree(ensemble.dim_b * ensemble.bob_reduced_states), agree(ensemble.dim_a * ensemble.reduced_states)
 

@@ -3,9 +3,11 @@
 Every ensemble holds its states as one read-only (k, dim_a, dim_b) stack of
 amplitude matrices, and its states are views of the stack's rows.  The named
 families make that stack in one piece and check it once
-(:func:`loccdisc.qstate.normalized_amplitudes`); an ensemble of given states,
-explicit descriptors included, stacks their checked amplitudes.  Either way
-the ensemble adopts the stack without a copy.
+(:func:`loccdisc.qstate.normalized_amplitudes`), an explicit descriptor's
+states are checked as one stack, and an ensemble of given states stacks
+their checked amplitudes.  Either way the ensemble adopts the stack without
+a copy.  The largest pairwise overlap, uniformity and the witnesses' one
+spectral pass are cached on first use.
 
 A family of bases of C^n is a plain read-only (members, n, n) array, each
 basis stored column-wise: :func:`mub_prime` returns one and
@@ -26,6 +28,7 @@ from .qstate import (
     BipartiteState,
     as_int,
     as_matrix,
+    as_tol,
     frozen_array,
     generalized_pauli,
     is_unitary,
@@ -118,42 +121,61 @@ class StateEnsemble:
         return rho
 
     @cached_property
-    def reduced_spectra(self) -> np.ndarray:
-        """Read-only (k, dim_a) eigenvalues, ascending, of each reduced state in :attr:`reduced_states`.
+    def _witness_pass(self) -> tuple:
+        """``(spectra, mean rho_B spectrum, coefficients, lambda_max)``, read-only, built on first use.
 
-        One batched ``eigvalsh`` (:func:`loccdisc.qstate.reduced_spectrum`) on first use.
+        ``spectra`` is one ``eigvalsh`` of the rho_A^i, their prior mean and,
+        when dim_a == dim_b, the prior mean of the rho_B^i, one row each;
+        otherwise that mean takes a second call.  LAPACK runs per matrix, so
+        each row has the bits of a call of its own.  One batched SVD gives the
+        Schmidt coefficients, cross-checked against the rho_A^i rows.
         """
-        vals = reduced_spectrum(self.reduced_states)
-        vals.setflags(write=False)
-        return vals
+        k, m, n = self.k, self.dim_a, self.dim_b
+        rho_a = self.reduced_states
+        mean_a = (self.priors @ rho_a.reshape(k, -1)).reshape(1, m, m)
+        mean_b = (self.priors @ self.bob_reduced_states.reshape(k, -1)).reshape(1, n, n)
+        vals = reduced_spectrum(np.concatenate((rho_a, mean_a, mean_b) if m == n else (rho_a, mean_a)))
+        mean_b_vals = vals[k + 1] if m == n else reduced_spectrum(mean_b)[0]
+        coeffs = schmidt_coefficients(self._amps, vals[:k])
+        for a in (vals, mean_b_vals, coeffs):
+            a.setflags(write=False)
+        return vals, mean_b_vals, coeffs, float(coeffs[:, 0].max())
 
-    @cached_property
+    @property
     def schmidt_coefficients(self) -> np.ndarray:
-        """Read-only (k, min(dim_a, dim_b)) Schmidt coefficients, one row per state.
-
-        One batched SVD (:func:`loccdisc.qstate.schmidt_coefficients`) on
-        first use, cross-checked against :attr:`reduced_spectra`.
-        """
-        return frozen_array(schmidt_coefficients(self._amps, self.reduced_spectra), dtype=float)
+        """Read-only (k, min(dim_a, dim_b)) Schmidt coefficients, one row per state, from the witness pass."""
+        return self._witness_pass[2]
 
     def gram(self) -> np.ndarray:
         """Gram matrix of amplitude inner products <psi_i|psi_j>."""
         amps = self._amps.reshape(self.k, -1)
         return amps.conj() @ amps.T
 
+    @cached_property
+    def _max_overlap(self) -> float:
+        """Largest |<psi_i|psi_j>| over i != j (0.0 for one state), from one Gram product on first use."""
+        overlaps = np.abs(self.gram())
+        np.fill_diagonal(overlaps, 0.0)
+        return float(overlaps.max())
+
     def is_orthogonal(self, tol: float = STRUCTURAL_TOL) -> bool:
-        g = self.gram()
-        off = g - np.diag(np.diag(g))
-        return float(np.max(np.abs(off))) <= tol if self.k > 1 else True
+        """Every |<psi_i|psi_j>|, i != j, within ``tol``; the largest is cached on first use."""
+        return self._max_overlap <= as_tol(tol, "tol")
 
     def is_maximally_entangled(self, tol: float = STRUCTURAL_TOL) -> bool:
+        """Square, with every dim_a rho_A^i the identity within ``tol``; read from :attr:`reduced_states` on each call."""
+        tol = as_tol(tol, "tol")
         if self.dim_a != self.dim_b:
             return False
         dev = self.dim_a * self.reduced_states - np.eye(self.dim_a)
-        return float(np.max(np.abs(dev))) <= tol
+        return float(np.abs(dev).max()) <= tol
+
+    @cached_property
+    def _uniform(self) -> bool:
+        return bool(np.abs(self.priors - 1.0 / self.k).max() <= ALGEBRAIC_TOL)
 
     def is_uniform(self) -> bool:
-        return bool(np.max(np.abs(self.priors - 1.0 / self.k)) <= ALGEBRAIC_TOL)
+        return self._uniform
 
 
 def uniform_ensemble(states) -> StateEnsemble:
@@ -355,14 +377,14 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
         if kind == "simdiag":
             return simultaneously_diagonal_ensemble(serial.matrix_from_json(descriptor["u"]))
         if kind == "explicit":
-            states = [serial.state_from_json(s) for s in descriptor["states"]]
+            states = serial.states_from_json(descriptor["states"])
             priors = descriptor.get("priors")
             if priors is not None:
                 bad = [p for p in priors if isinstance(p, bool) or not isinstance(p, (int, float))]
                 if bad:
                     raise TypeError(f"priors must be JSON numbers, got {bad[0]!r}")
                 priors = np.asarray(priors, float)
-            return StateEnsemble(tuple(states), priors)
+            return StateEnsemble(states, priors) if isinstance(states, tuple) else StateEnsemble._from_unit_stack(states, priors)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed ensemble descriptor: {exc}") from exc
     raise DomainError(f"unknown ensemble kind: {kind!r}")

@@ -204,11 +204,11 @@ def transpose_identity_check(a) -> float:
 
 def _check_coefficients(coeffs) -> None:
     """Each row of ``coeffs`` must be nonnegative, sum to one and be nonincreasing."""
-    if np.any(coeffs < -1e-14):
+    if (coeffs < -1e-14).any():
         raise DomainError("negative Schmidt coefficient")
-    if np.any(np.abs(coeffs.sum(axis=-1) - 1.0) > 1e-12):
+    if (np.abs(coeffs.sum(axis=-1) - 1.0) > 1e-12).any():
         raise DomainError("Schmidt coefficients must sum to 1")
-    if np.any(np.diff(coeffs, axis=-1) > 1e-14):
+    if (coeffs[..., 1:] - coeffs[..., :-1] > 1e-14).any():
         raise DomainError("Schmidt coefficients must be nonincreasing")
 
 
@@ -230,8 +230,8 @@ def _check_operator_norm(spectrum, coeffs) -> None:
     """
     opnorm = spectrum[..., -1]
     dev = np.abs(opnorm - coeffs[..., 0])
-    w = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[w] > 1e-10:
+    if dev.max() > 1e-10:
+        w = np.unravel_index(np.argmax(dev), dev.shape)
         raise ToleranceError(f"operator-norm identity violated: |{opnorm[w]} - {coeffs[..., 0][w]}| > 1e-10")
 
 

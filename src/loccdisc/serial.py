@@ -71,11 +71,41 @@ def state_to_json(state: BipartiteState) -> dict:
     }
 
 
-def state_from_json(data) -> BipartiteState:
+def _read_state(data) -> tuple:
+    """``(dim_a, dim_b, amplitudes)`` of a state payload, parsed but not checked as a state."""
     try:
-        return BipartiteState(as_int(data["dim_a"], "dim_a"), as_int(data["dim_b"], "dim_b"), vector_from_json(data["amplitudes"]))
+        return as_int(data["dim_a"], "dim_a"), as_int(data["dim_b"], "dim_b"), vector_from_json(data["amplitudes"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed state payload: {exc}") from exc
+
+
+def state_from_json(data) -> BipartiteState:
+    return BipartiteState(*_read_state(data))
+
+
+def states_from_json(data):
+    """The states of an explicit descriptor, each parsed as :func:`state_from_json` parses it.
+
+    States of one shape come back as one read-only (k, dim_a, dim_b) stack of
+    checked unit amplitudes: one finite scan and one ``_row_norms``.
+    Otherwise, or on a fault, each state is built alone in order, so the first
+    faulty one raises its own message, and states of different shapes come
+    back as a tuple for the ensemble to refuse.
+    """
+    read = []
+    for payload in data:
+        try:
+            read.append(_read_state(payload))
+        except DomainError:
+            tuple(BipartiteState(*r) for r in read)  # an earlier faulty state is refused first
+            raise
+    if len({(a, b, v.size) for a, b, v in read}) == 1:
+        dim_a, dim_b, _ = read[0]
+        amps = np.array([v for _, _, v in read])
+        if dim_a >= 1 and amps.shape[1] == dim_a * dim_b and np.isfinite(amps).all() and (np.abs(_row_norms(amps) - 1.0) <= 1e-12).all():
+            amps.setflags(write=False)
+            return amps.reshape(-1, dim_a, dim_b)
+    return tuple(BipartiteState(*r) for r in read)
 
 
 def ensemble_to_json(ensemble: StateEnsemble) -> dict:

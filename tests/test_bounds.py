@@ -21,6 +21,7 @@ from loccdisc import (
     f_mixed_dims_bounds,
     fme_bounds,
     g_bounds_bits,
+    haar_unitary,
     me_state,
     random_orthogonal_me_triple,
     schmidt_bound,
@@ -266,6 +267,17 @@ class TestVerdict:
         with pytest.raises(DomainError):
             verdict(ens)
 
+    def test_nonorthogonal_refused_before_any_spectrum(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral call before the orthogonality check")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        ens = uniform_ensemble([me_state(2), me_state(2)])
+        with pytest.raises(DomainError, match="orthogonal ensembles"):
+            verdict(ens)
+        assert "_witness_pass" not in ens.__dict__
+
     def test_report_fields(self):
         rep = verdict(bell_basis(2))
         assert (rep.k, rep.m, rep.n) == (4, 2, 2)
@@ -409,18 +421,19 @@ class TestWitnessPass:
         ids=["bell3-k3", "bell3-k4", "pair-3x12"],
     )
     def test_verdict_makes_one_batched_eigvalsh(self, monkeypatch, ens):
-        # the operator-norm cross-check and the entropy cap's conditional term share one reduced spectrum
+        # every eigvalsh call counts: the rho_A^i and both prior means share one call when dim_a == dim_b,
+        # and mean rho_B takes a second one otherwise
         eigvalsh = np.linalg.eigvalsh
         stacks = []
 
         def counting(a, *args, **kwargs):
-            if np.ndim(a) == 3:
-                stacks.append(np.shape(a))
+            stacks.append(np.shape(a))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         verdict(ens)
-        assert stacks == [(ens.k, ens.dim_a, ens.dim_a)]
+        k, m, n = ens.k, ens.dim_a, ens.dim_b
+        assert stacks == ([(k + 2, m, m)] if m == n else [(k + 1, m, m), (1, n, n)])
 
     @pytest.mark.parametrize(
         "build",
@@ -514,3 +527,102 @@ class TestLibraryBoundsBytes:
         doc = serial.bounds_report_to_json(verdict(entry.ensemble))
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
         assert hashlib.sha256(text.encode()).hexdigest() == LIBRARY_BOUNDS_PINS[entry.name]
+
+
+def _low_rank_pair(seed, dim_a, dim_b, rank):
+    """Two orthogonal states of Schmidt rank ``rank``: their Alice factors span orthogonal subspaces."""
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.standard_normal((dim_a, 2 * rank)) + 1j * rng.standard_normal((dim_a, 2 * rank)))[0]
+    states = []
+    for u in (q[:, :rank], q[:, rank:]):
+        s = u @ (rng.standard_normal((rank, dim_b)) + 1j * rng.standard_normal((rank, dim_b)))
+        states.append(BipartiteState(dim_a, dim_b, s.reshape(-1) / np.linalg.norm(s)))
+    return uniform_ensemble(states)
+
+
+def _rotated_product_basis(seed, dim_a, dim_b):
+    """The product basis u_a (x) w_b for seeded Haar unitaries u and w."""
+    rng = np.random.default_rng(seed)
+    u, w = haar_unitary(dim_a, rng), haar_unitary(dim_b, rng)
+    return uniform_ensemble([BipartiteState(dim_a, dim_b, np.kron(u[:, a], w[:, b])) for a in range(dim_a) for b in range(dim_b)])
+
+
+def _beyond_library_sets():
+    """Sets outside ``LIBRARY_BOUNDS_PINS``: the library under Dirichlet priors, seeded pairs, rotated product bases."""
+    rng = np.random.default_rng(2026)
+    sets = {f"dirichlet-{e.name}": StateEnsemble(e.ensemble.states, rng.dirichlet(np.ones(e.ensemble.k))) for e in build_library()}
+    for seed in range(3):
+        sets[f"pair-3x12-s{seed}"] = uniform_ensemble(random_orthogonal_pair(np.random.default_rng(seed), 3, 12))
+        sets[f"product-3x4-s{seed}"] = _rotated_product_basis(seed, 3, 4)
+        sets[f"product-2x5-s{seed}"] = _rotated_product_basis(seed, 2, 5)
+    for seed, (dim_a, dim_b, rank) in enumerate([(2, 6, 1), (4, 5, 2), (6, 6, 3)]):
+        sets[f"low-rank-{dim_a}x{dim_b}-r{rank}"] = _low_rank_pair(seed, dim_a, dim_b, rank)
+    return sets
+
+
+# sha256 of the `bounds` report of each set, read back from its explicit JSON descriptor and serialized as
+# the CLI prints it; the same numpy/BLAS build as LIBRARY_BOUNDS_PINS.
+BEYOND_LIBRARY_PINS = {
+    "dirichlet-bell-standard-full-2": "d0b119b0a0767b41606b07e2aba688ce6b04e40aa1dfd2d5111e681a356c4f9c",
+    "dirichlet-bell-standard-full-3": "ba2f9fb3f6a09ef94bd51149be399f2386eb7bbe3554230620a4e47b4810c070",
+    "dirichlet-bell-standard-full-4": "1ebce08f3053a58acf9f38699f8c35de2222716d4c3afc79af93da36cfa18256",
+    "dirichlet-bell-standard-full-5": "8c7c15c7acaebe0d74b5bd48a99c6e1359e82567d70809d1e1f31c65e8508103",
+    "dirichlet-bell-standard-sub-3-k4": "c3ae810163ea7691c721f6bce589d6e6a68e559e64fe95ed52dc6fbb20d20a85",
+    "dirichlet-bell-standard-sub-3-k6": "53953702aeda7292545db783a9c54d9026c5667cff0a5721e3688af61bd103f5",
+    "dirichlet-bell-standard-sub-4-k5": "9d32f19edd8d5094329dd0a2341dc34d530fb3a1b927a815744d2ba4f36a4d96",
+    "dirichlet-blind-guess-bell2": "d0b119b0a0767b41606b07e2aba688ce6b04e40aa1dfd2d5111e681a356c4f9c",
+    "dirichlet-blind-guess-prod23": "fef9a6e548359243fa997dd1ba139d03feeb440fbff374f5bb7ecc55ea36e6b8",
+    "dirichlet-cub-3-k2": "6df4258bd4821ab15ad29dbf0a35c16e48d2b446ffa47d7e84408d1f177a53cc",
+    "dirichlet-cub-3-k3": "a5d5108c12aee7863d3e2a0b27f24ac33760099f98ba87813514918fa8f6382c",
+    "dirichlet-cub-5-k2": "6cfeb35e9c51e3033f949155c8d835147ba7daca2812e1a6d687464644903e83",
+    "dirichlet-cub-5-k3": "f6e7bd1ee833d5abf2354cefc2b447aed799c2aa349685d033752177dbf3c8ad",
+    "dirichlet-cub-7-k3": "f4550068933e4b384e8e0ebef7da17e05db08dfcf1a900cfed57e6d87cda9b43",
+    "dirichlet-cub-7-k4": "3b8696e55396324a4d093968aa11433bbed387c876954c8545730035fd4c5642",
+    "dirichlet-discard-bell2-keep2of3": "45ad9cede5c6fb1e6ee246452ec387c4996440fd5159e7c635736f456d9a9a2f",
+    "dirichlet-discard-bell2-keep2of4": "10b49800c5164521e1ecc13c53467fd01dd476b805653bf90047c439f9895455",
+    "dirichlet-discard-bell3-keep3of4": "c3ae810163ea7691c721f6bce589d6e6a68e559e64fe95ed52dc6fbb20d20a85",
+    "dirichlet-discard-bell3-keep3of5": "1a1e7e634a8cf1e30d0bc33263bbdbbae8aff6dc6c2cac073bf8bec8f7c3efe5",
+    "dirichlet-discard-bell3-keep3of7": "48a50ef7f1ca91344bd24b7df96fea411abf02cd74a2b137539161d70f81eec4",
+    "dirichlet-discard-bell3-keep3of9": "ba2f9fb3f6a09ef94bd51149be399f2386eb7bbe3554230620a4e47b4810c070",
+    "dirichlet-product-basis-2x2": "95f2976a90ff12f840100d46de167e2762d1d5cd7cdd106a4117c351a8682706",
+    "dirichlet-product-basis-2x3": "46211b66f323cc3d6c98388ec1ddc9986fa7f29ec330e573515b3b890ad34d13",
+    "dirichlet-simdiag-fourier3": "a5d5108c12aee7863d3e2a0b27f24ac33760099f98ba87813514918fa8f6382c",
+    "dirichlet-simdiag-haar4": "e027015737266f6635698d268fe70a078143655a1d27d03e0dd3e6a67eafdc8c",
+    "dirichlet-single-state": "b2106208fcf2e41b8c4fe652122ac1280c9793a163f4551db86db62ec18986a3",
+    "dirichlet-three-qutrit-bell-triple": "4b1f7d5874d5898d3ecddfff5f7522a11630f8ba774f1c2b3cbb9f4d65dc5b7c",
+    "dirichlet-three-qutrit-seed0": "825ca46713146526061d033241b0cb037a1c60ae5628874fb2e305aef2746a8b",
+    "dirichlet-three-qutrit-seed1": "ad69cee5d2570347dde1b7a714828e3fce7e3f01efe51f1132b98b87d567966f",
+    "dirichlet-three-qutrit-seed2": "c331aa6ad771c6a67d9cabd7a51adb86b8e7e239196038dad7bac6a1ebd0d834",
+    "dirichlet-three-qutrit-seed3": "a5d5108c12aee7863d3e2a0b27f24ac33760099f98ba87813514918fa8f6382c",
+    "dirichlet-three-qutrit-seed4": "825ca46713146526061d033241b0cb037a1c60ae5628874fb2e305aef2746a8b",
+    "dirichlet-two-state-bell2": "be76345930bdda75531cae54611c424789fc49472158f27b2148f3e81ba40a28",
+    "dirichlet-two-state-product": "6de3cbbdc5583aeef0f56fb27638cd598e36e67e8a0bdc3ddb7a1d2f6fa08be2",
+    "dirichlet-two-state-random-2x3": "b98ee3783f8cea6791a4e558a77632177aaaaaca89ee573e44c04321e4c5393a",
+    "low-rank-2x6-r1": "11084fbd1aebfae2905a6514264274ec4727a07aa1c3d49119e697e69ce4ba18",
+    "low-rank-4x5-r2": "8413a469ddae4136240f21efe066bf6389b2fb55d476069c3ca0c694092593b7",
+    "low-rank-6x6-r3": "6011084677e90b2bd12a231eee5341f5dd0961c2fc1f361b3d28a817bd9b63f8",
+    "pair-3x12-s0": "bc3dcc6d4716e333b1ee1e9cd530f3e60a56fe741689473b1ef715f6ffc4f62e",
+    "pair-3x12-s1": "45075fe98f89bb4354df60550bd1146ea1a55355c13351728fecdbaa2f2e4e99",
+    "pair-3x12-s2": "968b007a5c47c4a140450bf7133a529f3c4c68ce48d61764ecec5c2df74277de",
+    "product-2x5-s0": "178c375c16fcdb6dd0972e5e1f6d2bc8b2987ae34637649db455f675f7d205e4",
+    "product-2x5-s1": "949552d01905c733befeb0c5d8f4a661f413512e01ea78bb51279018fe4f3891",
+    "product-2x5-s2": "be446cd87af50a33a6d28f45e414138a7d222dcf19bf4d535521af4f8464e3c4",
+    "product-3x4-s0": "1a235d2769f5abc7e5b66e88639ae6d06ca11dbde1907f1413925269fb743407",
+    "product-3x4-s1": "346757cba0b1f7355bc782664db113ce688c2db3fcc9226d7de2ffe7542821a9",
+    "product-3x4-s2": "d6a56805a1f6c75857664860102000d48613843a78ccac3da04bc69e300a4ba4",
+}
+
+
+BEYOND_LIBRARY_SETS = _beyond_library_sets()
+
+
+class TestBeyondLibraryBoundsBytes:
+    def test_every_set_pinned(self):
+        assert sorted(BEYOND_LIBRARY_PINS) == sorted(BEYOND_LIBRARY_SETS)
+
+    @pytest.mark.parametrize("name", sorted(BEYOND_LIBRARY_SETS))
+    def test_report_bytes(self, name):
+        descriptor = json.loads(json.dumps(serial.ensemble_to_json(BEYOND_LIBRARY_SETS[name])))
+        doc = serial.bounds_report_to_json(verdict(serial.from_descriptor(descriptor)))
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == BEYOND_LIBRARY_PINS[name]

@@ -516,9 +516,17 @@ class TestExplicitFaults:
             ([_state(2, 2, [(1, 0), (0, 0), (0, 0), (1, 0)]), _state(2, 2, [(1, 0), (0, "x"), (0, 0), (1, 0)])],
              "state norm 1.4142135623730951 deviates from 1 by more than 1e-12"),
             ([], "ensemble needs at least one state"),
+            ([_state(2, 2, [(1, 0), (0, True), (0, 0), (0, 0)]), _state(2, 2, [(2, 0), (0, 0), (0, 0), (0, 0)])],
+             "malformed complex vector: [re, im] entries must be JSON numbers, got [0, True]"),
+            ([{"dim_a": 2, "amplitudes": []}, _BELL], "malformed state payload: 'dim_b'"),
+            ([_BELL, {"dim_a": True, "dim_b": 2, "amplitudes": []}], "dim_a must be an integer, got True"),
+            ([_state(0, 2, []), _BELL], "empty complex vector"),
+            ([_state(0, 1, [(1, 0)]), _state(0, 1, [(1, 0)])], "dimensions must be positive"),
+            ([_state(-1, -1, [(1, 0)]), _state(-1, -1, [(1, 0)])], "dimensions must be positive"),
         ],
         ids=["norm0-size1", "size0-norm1", "mixed-dims", "mixed-dims-norm2", "nan1", "inf1-norm2",
-             "norm0-nan1", "overflow1", "overflow1-mixed", "norm0-parse1", "empty"],
+             "norm0-nan1", "overflow1", "overflow1-mixed", "norm0-parse1", "empty",
+             "parse0-norm1", "key0", "bool-dim1", "empty0", "dim0", "negative-dims"],
     )
     @pytest.mark.parametrize("priors", [None, [0.5, 0.5]])
     def test_first_faulty_state_reported(self, states, message, priors):
@@ -528,6 +536,70 @@ class TestExplicitFaults:
         with pytest.raises(DomainError) as info:
             from_descriptor(descriptor)
         assert str(info.value) == message
+
+
+class TestExplicitStack:
+    """An explicit payload of one shape is checked and adopted as one stack."""
+
+    def test_one_stack_bit_for_bit(self, monkeypatch, rng):
+        from loccdisc import serial
+
+        states = [random_state(rng, 3, 4) for _ in range(5)]
+        descriptor = ensemble_to_json(StateEnsemble(tuple(states), rng.dirichlet(np.ones(5))))
+        norms = []
+
+        def counting(rows):
+            norms.append(rows.shape)
+            return row_norms(rows)
+
+        row_norms = serial._row_norms
+        monkeypatch.setattr(serial, "_row_norms", counting)
+        monkeypatch.setattr(serial, "BipartiteState", None)  # the stacked path builds no state on its own
+        ens = from_descriptor(descriptor)
+        assert norms == [(5, 12)]
+        stack = ens.amplitude_matrices()
+        assert not stack.flags.writeable and stack.flags.c_contiguous
+        for state, ref in zip(ens.states, states):
+            assert np.array_equal(state.amplitudes.view(float), ref.amplitudes.view(float))
+            assert np.shares_memory(state.amplitudes, stack)
+        assert np.array_equal(ens.priors, np.asarray(descriptor["priors"]))
+
+    @pytest.mark.parametrize(
+        "second, priors, message",
+        [
+            # the priors' types are checked before the spaces
+            (_state(1, 4, [(1, 0), (0, 0), (0, 0), (0, 0)]), [True, 0.5],
+             "malformed ensemble descriptor: priors must be JSON numbers, got True"),
+            # and their values on the adopted stack
+            (_BELL, [0.5, 0.25], "priors must sum to 1 within 1e-12"),
+        ],
+        ids=["types-before-spaces", "sum-on-stack"],
+    )
+    def test_priors_checked_after_states(self, second, priors, message):
+        with pytest.raises(DomainError) as info:
+            from_descriptor({"kind": "explicit", "states": [_BELL, second], "priors": priors})
+        assert str(info.value) == message
+
+
+class TestCheckedTol:
+    """The predicates refuse a tolerance that is NaN, infinite or negative."""
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_refused(self, tol, k):
+        ens = bell_subset(2, [(0, 0), (1, 1)][:k])
+        for predicate in (ens.is_orthogonal, ens.is_maximally_entangled):
+            with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+                predicate(tol)
+
+    def test_rectangular_refused(self, rng):
+        ens = uniform_ensemble([random_state(rng, 2, 3)])
+        with pytest.raises(DomainError, match="tol must be finite and >= 0"):
+            ens.is_maximally_entangled(float("nan"))
+
+    def test_zero_allowed(self):
+        ens = bell_subset(2, [(0, 0)])
+        assert ens.is_orthogonal(0.0) and ens.is_orthogonal(0)
 
 
 class TestBasisFamilyStack:
