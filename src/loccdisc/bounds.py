@@ -218,21 +218,15 @@ def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:
 
 
 def _try_synthesizers(ensemble: StateEnsemble):
-    """Attempt every shipped perfect-protocol construction; return (name, protocol)."""
-    attempts = []
-    if ensemble.k == 1:
-        attempts.append(("single-state", lambda: locc.blind_guess_protocol(ensemble.dim_a, ensemble.dim_b, 0)))
-    if ensemble.k == 2:
-        attempts.append(("two-state", lambda: locc.two_state_protocol(*ensemble.states)))
-    if ensemble.k == 3 and (ensemble.dim_a, ensemble.dim_b) == (3, 3):
-        attempts.append(("three-qutrit", lambda: synth.synthesize_three_qutrit_protocol(ensemble).as_protocol()))
-    if ensemble.dim_a == ensemble.dim_b and ensemble.k >= 2:
-        attempts.append(("cub", lambda: synth.synthesize_cub_protocol(ensemble).as_protocol()))
-    attempts.append(("product-basis", lambda: locc.product_basis_protocol(ensemble)))
+    """The first rung of ``synth.RUNGS`` whose protocol verifiably succeeds: (name, protocol), else (None, None).
 
-    for name, build in attempts:
+    A rung that raises ``DomainError`` (it does not apply) or
+    ``ToleranceError`` is passed over, as is one whose protocol ``evaluate``
+    scores below 1 - 1e-9.
+    """
+    for name, build in synth.RUNGS.items():
         try:
-            protocol = build()
+            protocol = synth.rung_protocol(build(ensemble))[0]
             result = locc.evaluate(protocol, ensemble)
         except (DomainError, ToleranceError):
             continue

@@ -67,32 +67,31 @@ def _cmd_ensemble(args) -> int:
     return 0
 
 
+# Old ``synthesize --method`` names, kept so their outputs keep their bytes.
+METHOD_ALIASES = {"prop1": "three-qutrit"}
+
+
 def _cmd_synthesize(args) -> int:
+    build = synth.RUNGS[METHOD_ALIASES.get(args.method, args.method)]
+    takes_basis, explicit = build is synth.cub_rung, args.cub_source not in ("", "auto")
+    if explicit and not takes_basis:
+        raise DomainError(f"--cub-source does not apply to --method {args.method}")
     descriptor = _load_json_arg(args.ensemble)
     ens = serial.ensemble_from_json(descriptor)
     inputs = {"ensemble": descriptor, "method": args.method}
-    if args.method == "prop1":
-        spec = synth.synthesize_three_qutrit_protocol(ens)
-    else:
-        explicit = args.cub_source not in ("", "auto")
-        cub = serial.matrix_from_json(_load_json_arg(args.cub_source)) if explicit else None
+    if takes_basis:
         inputs["cub_source"] = "explicit" if explicit else "auto"
-        spec = synth.synthesize_cub_protocol(ens, cub)
-    protocol = spec.as_protocol()
+    basis = (serial.matrix_from_json(_load_json_arg(args.cub_source)),) if explicit else ()
+    protocol, spec = synth.rung_protocol(build(ens, *basis))
     evaluation = locc.evaluate(protocol, ens)
-    overlap = spec.max_bob_overlap()
-    report = {
-        "one_way": serial.one_way_spec_to_json(spec),
-        "protocol": serial.protocol_to_json(protocol),
-        "max_bob_overlap": overlap,
-        "success_probability": evaluation.success_probability,
-    }
+    report = {"protocol": serial.protocol_to_json(protocol), "success_probability": evaluation.success_probability}
+    note = ""
+    if spec is not None:
+        report["one_way"] = serial.one_way_spec_to_json(spec)
+        report["max_bob_overlap"] = spec.max_bob_overlap()
+        note = f", max Bob overlap {report['max_bob_overlap']:.3e}"
     _emit("synthesize", inputs, report)
-    print(
-        f"synthesized {args.method} protocol: success {evaluation.success_probability:.12f}, "
-        f"max Bob overlap {overlap:.3e}",
-        file=sys.stderr,
-    )
+    print(f"synthesized {args.method} protocol: success {evaluation.success_probability:.12f}{note}", file=sys.stderr)
     return 0
 
 
@@ -166,13 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=None, help="predicate tolerance (default 1e-10)")
     p.set_defaults(fn=_cmd_ensemble)
 
-    p = sub.add_parser("synthesize", help="synthesize a one-way protocol")
+    p = sub.add_parser("synthesize", help="build the perfect protocol of one rung of the verdict ladder")
     p.add_argument("--ensemble", required=True, help="ensemble descriptor or payload")
-    p.add_argument("--method", choices=["prop1", "cub"], required=True)
+    p.add_argument("--method", choices=[*synth.RUNGS, *METHOD_ALIASES], required=True)
     p.add_argument(
         "--cub-source",
         default="auto",
-        help="'auto' (default candidates) or an explicit basis matrix (JSON/path)",
+        help="'auto' (default candidates) or an explicit basis matrix (JSON/path), CUB rung only",
     )
     p.set_defaults(fn=_cmd_synthesize)
 

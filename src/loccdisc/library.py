@@ -5,6 +5,8 @@ spans the constructions in this package (standard Bell measurements,
 three-qutrit and common-unbiased-basis synthesis, discard wrappers,
 two-state separations, product-basis measurements, and blind guessing) so
 bound-consistency and Monte-Carlo checks exercise the whole surface.
+An entry named after a rung of ``synth.RUNGS`` (``three-qutrit-seed0``,
+``cub-5-k3``, ``single-state``) holds the protocol that rung's builder makes.
 The product-basis and discard builders are public: :mod:`loccdisc.selftest`
 builds its exact-value and verdict cases with them.
 """
@@ -59,9 +61,10 @@ def _random_orthogonal_pair(dim_a, dim_b, seed) -> StateEnsemble:
     )
 
 
-def _cub_entry(name, n, labels) -> LibraryEntry:
-    ens = bell_subset(n, labels)
-    return LibraryEntry(name, ens, synth.synthesize_cub_protocol(ens).as_protocol())
+def _rung_entry(name, ens) -> LibraryEntry:
+    """An entry whose protocol is built by the rung of ``synth.RUNGS`` that ``name`` starts with."""
+    build = next(build for rung, build in synth.RUNGS.items() if name.startswith(rung))
+    return LibraryEntry(name, ens, synth.rung_protocol(build(ens))[0])
 
 
 def discard_bell2_entry(name, keep_labels, all_labels) -> LibraryEntry:
@@ -100,92 +103,42 @@ def build_library() -> tuple:
         )
 
     for seed in range(5):
-        ens = random_orthogonal_me_triple(3, seed)
-        entries.append(
-            LibraryEntry(
-                f"three-qutrit-seed{seed}",
-                ens,
-                synth.synthesize_three_qutrit_protocol(ens).as_protocol(),
-            )
-        )
-    bell_triple = bell_subset(3, [(0, 0), (1, 0), (1, 1)])
-    entries.append(
-        LibraryEntry(
-            "three-qutrit-bell-triple",
-            bell_triple,
-            synth.synthesize_three_qutrit_protocol(bell_triple).as_protocol(),
-        )
-    )
+        entries.append(_rung_entry(f"three-qutrit-seed{seed}", random_orthogonal_me_triple(3, seed)))
+    entries.append(_rung_entry("three-qutrit-bell-triple", bell_subset(3, [(0, 0), (1, 0), (1, 1)])))
 
-    entries.append(_cub_entry("cub-3-k3", 3, [(0, 0), (1, 0), (1, 1)]))
-    entries.append(_cub_entry("cub-3-k2", 3, [(0, 0), (2, 1)]))
-    entries.append(_cub_entry("cub-5-k3", 5, [(0, 0), (1, 0), (0, 1)]))
-    entries.append(_cub_entry("cub-5-k2", 5, [(1, 2), (3, 4)]))
-    entries.append(_cub_entry("cub-7-k4", 7, [(0, 0), (1, 0), (0, 1), (1, 1)]))
-    entries.append(_cub_entry("cub-7-k3", 7, [(2, 1), (4, 0), (6, 5)]))
+    for name, n, labels in (
+        ("cub-3-k3", 3, [(0, 0), (1, 0), (1, 1)]),
+        ("cub-3-k2", 3, [(0, 0), (2, 1)]),
+        ("cub-5-k3", 5, [(0, 0), (1, 0), (0, 1)]),
+        ("cub-5-k2", 5, [(1, 2), (3, 4)]),
+        ("cub-7-k4", 7, [(0, 0), (1, 0), (0, 1), (1, 1)]),
+        ("cub-7-k3", 7, [(2, 1), (4, 0), (6, 5)]),
+    ):
+        entries.append(_rung_entry(name, bell_subset(n, labels)))
 
-    entries.append(
-        discard_bell2_entry(
-            "discard-bell2-keep2of3", [(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]
-        )
-    )
-    entries.append(
-        discard_bell2_entry(
-            "discard-bell2-keep2of4",
-            [(0, 0), (0, 1)],
-            [(0, 0), (0, 1), (1, 0), (1, 1)],
-        )
-    )
+    entries.append(discard_bell2_entry("discard-bell2-keep2of3", [(0, 0), (1, 0)], [(0, 0), (1, 0), (1, 1)]))
+    entries.append(discard_bell2_entry("discard-bell2-keep2of4", [(0, 0), (0, 1)], [(0, 0), (0, 1), (1, 0), (1, 1)]))
     for k in (4, 5, 7, 9):
         entries.append(discard_bell3_entry(f"discard-bell3-keep3of{k}", k))
 
-    bell2_pair = bell_subset(2, [(0, 0), (1, 1)])
+    entries.append(_rung_entry("two-state-bell2", bell_subset(2, [(0, 0), (1, 1)])))
     entries.append(
-        LibraryEntry("two-state-bell2", bell2_pair, locc.two_state_protocol(*bell2_pair.states))
+        _rung_entry("two-state-product", uniform_ensemble([_product_state(2, 2, 0, 0), _product_state(2, 2, 1, 1)]))
     )
-    prod_pair = uniform_ensemble([_product_state(2, 2, 0, 0), _product_state(2, 2, 1, 1)])
-    entries.append(
-        LibraryEntry("two-state-product", prod_pair, locc.two_state_protocol(*prod_pair.states))
-    )
-    rand_pair = _random_orthogonal_pair(2, 3, seed=11)
-    entries.append(
-        LibraryEntry("two-state-random-2x3", rand_pair, locc.two_state_protocol(*rand_pair.states))
-    )
+    entries.append(_rung_entry("two-state-random-2x3", _random_orthogonal_pair(2, 3, seed=11)))
 
     bb2 = bell_basis(2)
     entries.append(LibraryEntry("blind-guess-bell2", bb2, locc.blind_guess_protocol(2, 2, 0)))
     prod23 = product_basis_ensemble(2, 3)
     entries.append(LibraryEntry("blind-guess-prod23", prod23, locc.blind_guess_protocol(2, 3, 0)))
 
-    entries.append(
-        LibraryEntry(
-            "product-basis-2x2",
-            product_basis_ensemble(2, 2),
-            locc.product_basis_protocol(product_basis_ensemble(2, 2)),
-        )
-    )
-    entries.append(
-        LibraryEntry("product-basis-2x3", prod23, locc.product_basis_protocol(prod23))
-    )
+    entries.append(_rung_entry("product-basis-2x2", product_basis_ensemble(2, 2)))
+    entries.append(_rung_entry("product-basis-2x3", prod23))
 
-    simdiag_f = simultaneously_diagonal_ensemble(fourier_matrix(3))
-    entries.append(
-        LibraryEntry(
-            "simdiag-fourier3",
-            simdiag_f,
-            synth.synthesize_cub_protocol(simdiag_f, fourier_matrix(3)).as_protocol(),
-        )
-    )
-    simdiag_h = simultaneously_diagonal_ensemble(haar_unitary(4, np.random.default_rng(5)))
-    entries.append(
-        LibraryEntry(
-            "simdiag-haar4",
-            simdiag_h,
-            synth.synthesize_cub_protocol(simdiag_h, fourier_matrix(4)).as_protocol(),
-        )
-    )
+    for name, u in (("simdiag-fourier3", fourier_matrix(3)), ("simdiag-haar4", haar_unitary(4, np.random.default_rng(5)))):
+        ens = simultaneously_diagonal_ensemble(u)
+        entries.append(LibraryEntry(name, ens, synth.synthesize_cub_protocol(ens, fourier_matrix(len(u))).as_protocol()))
 
-    single = uniform_ensemble([me_state(2)])
-    entries.append(LibraryEntry("single-state", single, locc.blind_guess_protocol(2, 2, 0)))
+    entries.append(_rung_entry("single-state", uniform_ensemble([me_state(2)])))
 
     return tuple(entries)

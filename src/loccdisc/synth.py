@@ -1,12 +1,20 @@
-"""One-way protocol synthesis for maximally entangled ensembles.
+"""Perfect-protocol synthesis, and the table of every shipped construction.
 
-Two constructions are provided.  For any three orthogonal maximally
-entangled states of C^3 (x) C^3, Alice measures the conjugated Fourier mix
-E D F of the eigenbasis E of B2^dag B1, with a diagonal of phases D read in
-closed form off one cyclic diagonal of E^dag B3^dag B2 E (D = I if it is
-rounding), and Bob is left three orthogonal states on every outcome.  For
-k orthogonal states whose pairwise products share a common unbiased basis,
-Alice measuring that (conjugated) basis does the same, because
+``RUNGS`` lists the constructions behind a ``PerfectPossible`` verdict in
+the order ``bounds.verdict`` tries them: a blind guess for one state, the
+two-state separator of ``locc``, the three-qutrit and common-unbiased-basis
+(CUB) constructions built here, and the product-basis measurement of
+``locc``.  ``synthesize --method`` and the library build from the same
+table.
+
+The two constructions of this module are one-way.  For any three
+orthogonal maximally entangled states of C^3 (x) C^3, Alice measures the
+conjugated Fourier mix E D F of the eigenbasis E of B2^dag B1, with a
+diagonal of phases D read in closed form off one cyclic diagonal of
+E^dag B3^dag B2 E (D = I if it is rounding), and Bob is left three
+orthogonal states on every outcome.  For k orthogonal states whose
+pairwise products share a common unbiased basis, Alice measuring that
+(conjugated) basis does the same, because
 <b|B_i^dag B_j|b> = Tr(B_i^dag B_j)/n = 0 for every unbiased |b>.
 ``synthesize_cub_protocol`` is the one entry point for the latter; given no
 basis it scans the default candidates itself.  It keeps a candidate whose
@@ -18,8 +26,8 @@ the same stack keeps the products orthogonally diagonalizable.
 terms of eigenbases and stay as its reference; a family of eigenbases is a
 plain read-only (pairs, n, n) array.
 
-Both constructions only choose Alice's basis.  ``locc.one_way_protocol``
-derives Bob's vectors (B_i conj(c_x) for Alice column c_x) and returns a
+Both only choose Alice's basis.  ``locc.one_way_protocol`` derives Bob's
+vectors (B_i conj(c_x) for Alice column c_x) and returns a
 :class:`~loccdisc.locc.OneWayProtocolSpec`, which lives in ``locc`` and is
 re-exported here.
 
@@ -193,3 +201,40 @@ def find_cub(family, candidates):
         if common_unbiased_basis_check(cand, family):
             return as_matrix(cand)
     return None
+
+
+def _single_state(ensemble: StateEnsemble) -> locc.LoccProtocol:
+    if ensemble.k != 1:
+        raise DomainError(f"need exactly 1 state, got {ensemble.k}")
+    return locc.blind_guess_protocol(ensemble.dim_a, ensemble.dim_b, 0)
+
+
+def _two_state(ensemble: StateEnsemble) -> locc.LoccProtocol:
+    if ensemble.k != 2:
+        raise DomainError(f"need exactly 2 states, got {ensemble.k}")
+    return locc.two_state_protocol(*ensemble.states)
+
+
+def cub_rung(ensemble: StateEnsemble, basis=None) -> OneWayProtocolSpec:
+    """The CUB rung's builder, the one rung that also takes an explicit ``basis``."""
+    return synthesize_cub_protocol(ensemble, basis)
+
+
+# Rung name -> builder, in verdict's order.  A builder takes an ensemble and
+# returns a LoccProtocol or a OneWayProtocolSpec, or raises DomainError where
+# its rung does not apply.  Builders look their construction up when called,
+# so a patched module attribute is the function that runs.
+RUNGS = {
+    "single-state": _single_state,
+    "two-state": _two_state,
+    "three-qutrit": lambda ensemble: synthesize_three_qutrit_protocol(ensemble),
+    "cub": cub_rung,
+    "product-basis": lambda ensemble: locc.product_basis_protocol(ensemble),
+}
+
+
+def rung_protocol(built) -> tuple:
+    """(protocol, one-way spec or None) from what a rung builder returned."""
+    if isinstance(built, OneWayProtocolSpec):
+        return built.as_protocol(), built
+    return built, None

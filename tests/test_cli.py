@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from loccdisc import bell_subset, standard_bell_protocol, synthesize_three_qutrit_protocol
-from loccdisc.cli import main
+from loccdisc import bell_subset, evaluate, standard_bell_protocol, synthesize_three_qutrit_protocol, verdict
+from loccdisc.cli import build_parser, main
 from loccdisc.ensembles import fourier_matrix, haar_unitary
 from loccdisc.library import build_library
-from loccdisc.serial import ensemble_to_json, matrix_to_json, one_way_spec_to_json, protocol_to_json
+from loccdisc.serial import ensemble_to_json, matrix_to_json, one_way_spec_to_json, protocol_from_json, protocol_to_json
 
 from conftest import near_commuting_triple, overweight_perfect_case, refined_bell_protocol
 
@@ -112,6 +113,57 @@ class TestSynthesizeCommand:
             "--method", "prop1",
         )
         assert code == 2
+
+
+def _synthesize_methods():
+    """The ``--method`` choices of the ``synthesize`` parser."""
+    commands = next(action for action in build_parser()._actions if action.dest == "command")
+    return next(action.choices for action in commands.choices["synthesize"]._actions if action.dest == "method")
+
+
+SYNTHESIZE_METHODS = _synthesize_methods()
+# (entry, possible_via) for every library entry whose verdict is PerfectPossible
+_PERFECT_ENTRIES = [
+    (entry, report.possible_via)
+    for entry in build_library()
+    if (report := verdict(entry.ensemble)).verdict == "PerfectPossible"
+]
+
+
+class TestSynthesizeRungs:
+    def test_every_rung_has_a_perfect_library_entry(self):
+        counts = Counter(via for _, via in _PERFECT_ENTRIES)
+        assert counts == {"three-qutrit": 8, "two-state": 5, "cub": 4, "product-basis": 3, "single-state": 1}
+        assert set(counts) | {"prop1"} == set(SYNTHESIZE_METHODS)
+
+    @pytest.mark.parametrize(("entry", "via"), _PERFECT_ENTRIES, ids=[entry.name for entry, _ in _PERFECT_ENTRIES])
+    def test_possible_via_reproduced(self, capsys, entry, via):
+        """``synthesize --method <possible_via>`` prints a protocol that ``evaluate`` scores perfect."""
+        code, out, err = _run(capsys, "synthesize", "--method", via, "--ensemble", json.dumps(ensemble_to_json(entry.ensemble)))
+        _assert_clean_exit(code, out, err, 0)
+        report = json.loads(out)["report"]
+        assert evaluate(protocol_from_json(report["protocol"]), entry.ensemble).success_probability >= 1 - 1e-9
+        assert report["success_probability"] >= 1 - 1e-9
+        one_way = via in ("three-qutrit", "cub")
+        assert ("one_way" in report) is one_way and ("max_bob_overlap" in report) is one_way
+
+    def test_prop1_is_three_qutrit(self, capsys):
+        ensemble = '{"kind":"random_me_triple","n":3,"seed":4}'
+        docs = [json.loads(_run(capsys, "synthesize", "--method", m, "--ensemble", ensemble)[1]) for m in ("prop1", "three-qutrit")]
+        assert [doc["input"].pop("method") for doc in docs] == ["prop1", "three-qutrit"]
+        assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("method", sorted(set(SYNTHESIZE_METHODS) - {"cub"}))
+    def test_cub_source_with_other_method_exits_2(self, capsys, method):
+        code, out, err = _run(
+            capsys,
+            "synthesize",
+            "--method", method,
+            "--ensemble", '{"kind":"random_me_triple","n":3,"seed":4}',
+            "--cub-source", json.dumps(matrix_to_json(fourier_matrix(3))),
+        )
+        _assert_clean_exit(code, out, err, 2)
+        assert f"--cub-source does not apply to --method {method}" in err
 
 
 class TestEvaluateAndSimulate:
@@ -447,7 +499,7 @@ def _cli_argv(draw):
         return ["ensemble", ensemble]
     if command == "bounds":
         return ["bounds", "--ensemble", ensemble]
-    return ["synthesize", "--method", draw(st.sampled_from(["prop1", "cub"])), "--ensemble", ensemble]
+    return ["synthesize", "--method", draw(st.sampled_from(SYNTHESIZE_METHODS)), "--ensemble", ensemble]
 
 
 class TestFuzzedInputs:
