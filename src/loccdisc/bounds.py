@@ -12,9 +12,10 @@ coefficient present.
 
 The witnesses read the spectral pass each ensemble caches: one ``eigvalsh``
 of the reduced states rho_A^i and the prior means of the rho_A^i and rho_B^i
-(``reduced_states``, ``bob_reduced_states``), and one batched SVD for the
-Schmidt coefficients, cross-checked against it.  The unilateral caps and
-``is_maximally_entangled`` read the two stacks.  ``verdict`` asks
+(the ``reduced_states`` of the ensemble and of its swap), and one batched
+SVD for the Schmidt coefficients, cross-checked against it.  Bob's side of
+an ensemble is Alice's side of ``ensemble.swapped()``.  The unilateral caps
+and ``is_maximally_entangled`` read the two stacks.  ``verdict`` asks
 ``is_orthogonal`` first, so no SVD or ``eigvalsh`` runs on a non-orthogonal
 ensemble.
 """
@@ -192,15 +193,16 @@ def _unilateral_sides(ensemble: StateEnsemble):
     """Which parties can unilaterally map state 1 to every other state.
 
     A party can iff the other party's reduced states all agree: Alice iff
-    the rho_B^i do, Bob iff the rho_A^i do, each on the one scale dim rho
-    (dim_b rho_B^i, dim_a rho_A^i) that is the identity for maximally
-    entangled states, which satisfy both.
+    the rho_B^i do, Bob iff the rho_A^i do.  Each side is one test of the
+    rho_A^i on the scale dim_a rho_A^i (the identity for maximally
+    entangled states, which satisfy both), Alice's on the swapped ensemble.
     """
 
-    def agree(rho):
+    def agree(ens):
+        rho = ens.dim_a * ens.reduced_states
         return float(np.abs(rho - rho[0]).max()) <= UNILATERAL_TOL
 
-    return agree(ensemble.dim_b * ensemble.bob_reduced_states), agree(ensemble.dim_a * ensemble.reduced_states)
+    return agree(ensemble.swapped()), agree(ensemble)
 
 
 def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:
@@ -222,7 +224,10 @@ def _try_synthesizers(ensemble: StateEnsemble):
 
     A rung that raises ``DomainError`` (it does not apply) or
     ``ToleranceError`` is passed over, as is one whose protocol ``evaluate``
-    scores below 1 - 1e-9.
+    scores below 1 - 1e-9 on ``ensemble``.  The ``<rung>/bob-first`` rows
+    come last, so they run only after every Alice-first row has failed, and
+    their swapped-back protocols face the same gate on the original
+    ensemble.
     """
     for name, build in synth.RUNGS.items():
         try:
@@ -248,10 +253,12 @@ def verdict(ensemble: StateEnsemble) -> BoundsReport:
 
     PerfectImpossible requires a violated witness inequality;
     PerfectPossible requires a shipped synthesizer to produce a protocol
-    that verifiably succeeds.  Failed synthesis alone never proves
-    impossibility, so everything else stays Unknown.  The f window holds
-    for C^m (x) C^n in either order, so it takes the smaller of the two
-    local dimensions as :func:`f_mixed_dims_bounds`' m.
+    that verifiably succeeds: a row of ``synth.RUNGS`` with Alice measuring
+    first or, only after every such row has failed, a ``<rung>/bob-first``
+    row.  Failed synthesis alone never proves impossibility, so everything
+    else stays Unknown.  The f window holds for C^m (x) C^n in either
+    order, so it takes the smaller of the two local dimensions as
+    :func:`f_mixed_dims_bounds`' m.
     """
     if not ensemble.is_orthogonal(1e-10):
         raise DomainError("verdict is defined for orthogonal ensembles")

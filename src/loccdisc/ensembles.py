@@ -1,13 +1,15 @@
 """Named state families: generalized Bell bases, MUBs, and seeded test ensembles.
 
 Every ensemble holds its states as one read-only (k, dim_a, dim_b) stack of
-amplitude matrices, and its states are views of the stack's rows.  The named
-families make that stack in one piece and check it once
-(:func:`loccdisc.qstate.normalized_amplitudes`), an explicit descriptor's
-states are checked as one stack, and an ensemble of given states stacks
-their checked amplitudes.  Either way the ensemble adopts the stack without
-a copy.  The largest pairwise overlap, uniformity and the witnesses' one
-spectral pass are cached on first use.
+amplitude matrices, and its states, made on first read, are views of the
+stack's rows.  The named families make that stack in one piece and check it
+once (:func:`loccdisc.qstate.normalized_amplitudes`), an explicit
+descriptor's states are checked as one stack, and an ensemble of given
+states stacks their checked amplitudes.  Either way the ensemble adopts the
+stack without a copy.  The largest pairwise overlap, uniformity, the witnesses' one
+spectral pass and the swap (:meth:`StateEnsemble.swapped`, the same states
+with the parties exchanged, whose Alice side is Bob's side here) are
+cached on first use.
 
 A family of bases of C^n is a plain read-only (members, n, n) array, each
 basis stored column-wise: :func:`mub_prime` returns one and
@@ -39,23 +41,25 @@ from .qstate import (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class StateEnsemble:
-    """States with prior probabilities, all sharing the same bipartite space."""
+    """States with prior probabilities, all sharing the same bipartite space.
 
-    states: tuple
-    priors: np.ndarray = field(default=None)
-    _amps: np.ndarray = field(init=False, repr=False)
-    _b_stack: np.ndarray = field(init=False, repr=False)
+    The sizes are read off the stack's shape, and the per-state objects in
+    ``states`` are made the first time they are read.
+    """
 
-    def __post_init__(self):
-        states = tuple(self.states)
+    priors: np.ndarray
+    _amps: np.ndarray = field(repr=False)
+
+    def __init__(self, states, priors=None):
+        states = tuple(states)
         if not states:
             raise DomainError("ensemble needs at least one state")
         dims = {(s.dim_a, s.dim_b) for s in states}
         if len(dims) != 1:
             raise DomainError(f"states live in different spaces: {sorted(dims)}")
-        self._adopt(frozen_array([s.amplitude_matrix for s in states]), self.priors)
+        self._adopt(frozen_array([s.amplitude_matrix for s in states]), priors)
 
     @classmethod
     def _from_unit_stack(cls, amps: np.ndarray, priors=None) -> "StateEnsemble":
@@ -67,11 +71,9 @@ class StateEnsemble:
     def _adopt(self, amps: np.ndarray, priors) -> None:
         """Check ``priors`` (uniform when None) against the k states of ``amps`` and set the stacks.
 
-        The stack is adopted, not copied, and each state is a view of its row.
+        The stack is adopted, not copied, and the B stack is built from it.
         """
-        k, dim_a, dim_b = amps.shape
-        rows = amps.reshape(k, -1)
-        object.__setattr__(self, "states", tuple(BipartiteState._from_unit_amplitudes(dim_a, dim_b, row) for row in rows))
+        k = amps.shape[0]
         priors = np.full(k, 1.0 / k) if priors is None else np.asarray(priors, dtype=float).reshape(-1)
         if priors.size != k:
             raise DomainError("priors length must match number of states")
@@ -84,27 +86,54 @@ class StateEnsemble:
         priors = frozen_array(np.clip(priors, 0.0, None), dtype=float)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "_amps", amps)
-        object.__setattr__(self, "_b_stack", frozen_array(np.sqrt(dim_a) * amps.transpose(0, 2, 1)))
+        self.b_matrices()  # built now, so the first evaluate finds it built
+
+    @cached_property
+    def states(self) -> tuple:
+        """The states, each a view of its row of the stack, made on first read."""
+        k, dim_a, dim_b = self._amps.shape
+        return tuple(BipartiteState._from_unit_amplitudes(dim_a, dim_b, row) for row in self._amps.reshape(k, -1))
 
     @property
     def k(self) -> int:
-        return len(self.states)
+        return self._amps.shape[0]
 
     @property
     def dim_a(self) -> int:
-        return self.states[0].dim_a
+        return self._amps.shape[1]
 
     @property
     def dim_b(self) -> int:
-        return self.states[0].dim_b
+        return self._amps.shape[2]
+
+    def swapped(self) -> "StateEnsemble":
+        """The same states and priors with the parties exchanged, built once.
+
+        Its stack is the C-ordered copy of the S_i^T, and it shares the
+        checked, read-only priors.  It holds no reference back to this
+        ensemble, so its own swap is a new object.  Its B stack is built on
+        first use, by a Bob-first rung that reads it.
+        """
+        return self._swapped
+
+    @cached_property
+    def _swapped(self) -> "StateEnsemble":
+        swap = object.__new__(StateEnsemble)
+        object.__setattr__(swap, "priors", self.priors)
+        object.__setattr__(swap, "_amps", frozen_array(self._amps.transpose(0, 2, 1)))
+        return swap
 
     def amplitude_matrices(self) -> np.ndarray:
         """Read-only (k, dim_a, dim_b) stack of the states' amplitude matrices S_i, built once."""
         return self._amps
 
     def b_matrices(self) -> np.ndarray:
-        """Read-only (k, dim_b, dim_a) stack of the states' matrices B_i, built once."""
+        """Read-only (k, dim_b, dim_a) stack of the states' matrices B_i, built with the ensemble (a swap's on first use)."""
         return self._b_stack
+
+    @cached_property
+    def _b_stack(self) -> np.ndarray:
+        return frozen_array(np.sqrt(self.dim_a) * self._amps.transpose(0, 2, 1))
 
     @cached_property
     def reduced_states(self) -> np.ndarray:
@@ -114,18 +143,12 @@ class StateEnsemble:
         return rho
 
     @cached_property
-    def bob_reduced_states(self) -> np.ndarray:
-        """Read-only (k, dim_b, dim_b) stack of Bob's reduced states rho_B^i, :func:`reduced_state` of the S_i^T."""
-        rho = reduced_state(self._amps.transpose(0, 2, 1))
-        rho.setflags(write=False)
-        return rho
-
-    @cached_property
     def _witness_pass(self) -> tuple:
         """``(spectra, mean rho_B spectrum, coefficients, lambda_max)``, read-only, built on first use.
 
         ``spectra`` is one ``eigvalsh`` of the rho_A^i, their prior mean and,
-        when dim_a == dim_b, the prior mean of the rho_B^i, one row each;
+        when dim_a == dim_b, the prior mean of the rho_B^i (the swap's
+        :attr:`reduced_states`), one row each;
         otherwise that mean takes a second call.  LAPACK runs per matrix, so
         each row has the bits of a call of its own.  One batched SVD gives the
         Schmidt coefficients, cross-checked against the rho_A^i rows.
@@ -133,7 +156,7 @@ class StateEnsemble:
         k, m, n = self.k, self.dim_a, self.dim_b
         rho_a = self.reduced_states
         mean_a = (self.priors @ rho_a.reshape(k, -1)).reshape(1, m, m)
-        mean_b = (self.priors @ self.bob_reduced_states.reshape(k, -1)).reshape(1, n, n)
+        mean_b = (self.priors @ self.swapped().reduced_states.reshape(k, -1)).reshape(1, n, n)
         vals = reduced_spectrum(np.concatenate((rho_a, mean_a, mean_b) if m == n else (rho_a, mean_a)))
         mean_b_vals = vals[k + 1] if m == n else reduced_spectrum(mean_b)[0]
         coeffs = schmidt_coefficients(self._amps, vals[:k])

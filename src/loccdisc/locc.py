@@ -258,7 +258,16 @@ class LoccProtocol:
 
     def map_leaves(self, fn) -> "LoccProtocol":
         """New protocol with every Leaf replaced by fn(leaf)."""
-        return LoccProtocol(self.dim_a, self.dim_b, _map_node(self.root, fn))
+        return LoccProtocol(self.dim_a, self.dim_b, _map_node(self.root, fn, _SAME_ACTORS))
+
+    def swapped(self) -> "LoccProtocol":
+        """The same tree, leaves and POVM objects with the parties exchanged.
+
+        Every node's actor is the other party's, and dim_a and dim_b trade
+        places, so it scores on :meth:`StateEnsemble.swapped` what this
+        protocol scores on the ensemble.
+        """
+        return LoccProtocol(self.dim_b, self.dim_a, _map_node(self.root, _same_leaf, _SWAPPED_ACTORS))
 
 
 def _check_node(node, da, db, prev_actor, k_max, tol, complete) -> None:
@@ -287,11 +296,19 @@ def _check_node(node, da, db, prev_actor, k_max, tol, complete) -> None:
             _check_node(child, rows if alice else da, db if alice else rows, node.actor, k_max, tol, complete)
 
 
-def _map_node(node, fn):
-    """``node`` with every Leaf below it replaced by fn(leaf), in depth-first order."""
+_SAME_ACTORS = {ALICE: ALICE, BOB: BOB}
+_SWAPPED_ACTORS = {ALICE: BOB, BOB: ALICE}
+
+
+def _same_leaf(leaf: Leaf) -> Leaf:
+    return leaf
+
+
+def _map_node(node, fn, actors):
+    """``node`` with every Leaf below it replaced by fn(leaf), in depth-first order, and each actor by ``actors[actor]``."""
     if isinstance(node, Leaf):
         return fn(node)
-    return ProtocolNode(node.actor, node.povm, tuple(_map_node(c, fn) for c in node.children))
+    return ProtocolNode(actors[node.actor], node.povm, tuple(_map_node(c, fn, actors) for c in node.children))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,10 @@
 the order ``bounds.verdict`` tries them: a blind guess for one state, the
 two-state separator of ``locc``, the three-qutrit and common-unbiased-basis
 (CUB) constructions built here, and the product-basis measurement of
-``locc``.  ``synthesize --method`` and the library build from the same
+``locc``, each with Alice measuring first.  Then the same rungs again as
+``<rung>/bob-first`` rows, each built on the swapped ensemble and its
+protocol swapped back, so they run only after every Alice-first row has
+failed.  ``synthesize --method`` and the library build from the same
 table.
 
 The two constructions of this module are one-way.  For any three
@@ -223,7 +226,10 @@ def cub_rung(ensemble: StateEnsemble, basis=None) -> OneWayProtocolSpec:
 # Rung name -> builder, in verdict's order.  A builder takes an ensemble and
 # returns a LoccProtocol or a OneWayProtocolSpec, or raises DomainError where
 # its rung does not apply.  Builders look their construction up when called,
-# so a patched module attribute is the function that runs.
+# so a patched module attribute is the function that runs.  Every rung has
+# Alice measure first; the "<rung>/bob-first" rows appended below run the
+# same rung on the swapped ensemble and swap its protocol back, so they are
+# tried only after every Alice-first row has failed.
 RUNGS = {
     "single-state": _single_state,
     "two-state": _two_state,
@@ -238,3 +244,11 @@ def rung_protocol(built) -> tuple:
     if isinstance(built, OneWayProtocolSpec):
         return built.as_protocol(), built
     return built, None
+
+
+def _bob_first(rung: str):
+    """The builder of ``rung`` with Bob measuring first: that rung's protocol for the swapped ensemble, swapped back."""
+    return lambda ensemble: rung_protocol(RUNGS[rung](ensemble.swapped()))[0].swapped()
+
+
+RUNGS |= {f"{rung}/bob-first": _bob_first(rung) for rung in RUNGS}

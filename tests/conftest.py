@@ -227,3 +227,16 @@ def near_commuting_triple(delta, seed):
     u_a, u_b = haar(), haar()
     mats = (np.eye(3), lam.conj().T, lam.conj().T @ a.conj().T)
     return uniform_ensemble([state_from_matrix(u_b @ m @ u_a, 3) for m in mats])
+
+
+def bob_first_product_set():
+    """{|00>, |10>, |+1>, |-1>}: Bob's factors are equal or orthogonal, Alice's are not.
+
+    So a product-basis measurement separates the states with Bob first, and
+    not with Alice first.
+    """
+    from loccdisc import BipartiteState, uniform_ensemble
+
+    s = 2**-0.5
+    kets = ([1, 0, 0, 0], [0, 0, 1, 0], [0, s, 0, s], [0, s, 0, -s])
+    return uniform_ensemble([BipartiteState(2, 2, np.array(ket, dtype=complex)) for ket in kets])

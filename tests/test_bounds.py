@@ -28,13 +28,14 @@ from loccdisc import (
     uniform_ensemble,
     verdict,
 )
-from loccdisc import bounds, serial
+from loccdisc import bounds, serial, synth
 from loccdisc.bounds import VERDICT_IMPOSSIBLE, VERDICT_POSSIBLE, VERDICT_UNKNOWN
 from loccdisc.errors import ToleranceError
 from loccdisc.library import build_library
+from loccdisc.locc import BOB
 from loccdisc.qstate import is_unitary, schmidt
 
-from conftest import random_orthogonal_pair, random_state
+from conftest import bob_first_product_set, random_orthogonal_pair, random_state
 
 
 def _product_basis(dim_a, dim_b):
@@ -288,6 +289,78 @@ class TestVerdict:
         assert rep.g_lower_bits == pytest.approx(0.5)
 
 
+def _sweep_2x2_prod2(reps):
+    """The prod-2 sets of the first ``reps`` repetitions of the seeded 2x2 sweep, as (k, ensemble).
+
+    Every kind of each repetition is drawn, in the sweep's order, so the
+    generator stays on the full sweep's stream: haar sets draw one
+    4x4 Haar unitary, and a prod-p set draws ua, ub, p product labels and
+    a 4x(k-p) Gaussian block, keeping the p product columns and the QR
+    completion's next k-p columns.
+    """
+    rng = np.random.default_rng(2026)
+    sets = []
+    for _ in range(reps):
+        for k in (3, 4):
+            for p in (None, 1, 2, 3):
+                if p is None:
+                    haar_unitary(4, rng)
+                    continue
+                ua, ub = haar_unitary(2, rng), haar_unitary(2, rng)
+                idx = rng.choice(4, p, replace=False)
+                g = rng.standard_normal((4, k - p)) + 1j * rng.standard_normal((4, k - p))
+                prod = np.array([np.kron(ua[:, i // 2], ub[:, i % 2]) for i in idx]).T
+                cols = np.concatenate([prod, np.linalg.qr(np.concatenate([prod, g], axis=1))[0][:, p:k]], axis=1)
+                if p == 2:
+                    sets.append((k, uniform_ensemble([BipartiteState(2, 2, c) for c in cols.T])))
+    return sets
+
+
+class TestBobFirst:
+    def test_rows_follow_every_alice_first_row(self):
+        names = list(synth.RUNGS)
+        alice = [name for name in names if not name.endswith("/bob-first")]
+        assert names == alice + [f"{name}/bob-first" for name in alice]
+
+    def test_product_set_settled_bob_first(self):
+        ens = bob_first_product_set()
+        rep = verdict(ens)
+        assert (rep.verdict, rep.possible_via) == (VERDICT_POSSIBLE, "product-basis/bob-first")
+        with pytest.raises(DomainError):
+            synth.RUNGS["product-basis"](ens)
+        via, protocol = bounds._try_synthesizers(ens)
+        assert via == "product-basis/bob-first" and protocol.root.actor == BOB
+        assert evaluate(protocol, ens).success_probability >= 1 - 1e-9
+
+    def test_gate_scores_the_original_ensemble(self, monkeypatch):
+        # the swapped ensemble's perfect protocol, not swapped back, is not perfect on the original one
+        ens = bob_first_product_set()
+        unswapped = lambda e: synth.rung_protocol(synth.RUNGS["product-basis"](e.swapped()))[0]
+        assert evaluate(unswapped(ens), ens.swapped()).success_probability >= 1 - 1e-9
+        assert evaluate(unswapped(ens), ens).success_probability < 1 - 1e-9
+        monkeypatch.setitem(synth.RUNGS, "product-basis/bob-first", unswapped)
+        rep = verdict(ens)
+        assert (rep.verdict, rep.possible_via) == (VERDICT_UNKNOWN, None)
+
+    def test_sweep_prod2_sets(self):
+        # the sweep's 40 repetitions: the 25 sets the Bob-first rows settle, all of them prod-2
+        sets = _sweep_2x2_prod2(40)
+        vias = [bounds._try_synthesizers(ens) for _, ens in sets]
+        counts = Counter((k, via) for (k, _), (via, _) in zip(sets, vias))
+        assert counts == {
+            (3, "product-basis"): 19,
+            (4, "product-basis"): 17,
+            (3, "product-basis/bob-first"): 11,
+            (4, "product-basis/bob-first"): 14,
+            (3, None): 10,
+            (4, None): 9,
+        }
+        for (_, ens), (via, protocol) in zip(sets, vias):
+            if via == "product-basis/bob-first":
+                assert protocol.root.actor == BOB
+                assert evaluate(protocol, ens).success_probability >= 1 - 1e-9
+
+
 class TestConsistencyWithEvaluate:
     def test_achieved_success_below_caps(self):
         # value-level restatement of the discard scaling: (j/k) * inner success
@@ -331,7 +404,7 @@ class TestUnilateralScale:
         s0 = np.diag([np.sqrt(p), np.sqrt(1.0 - p)])
         turn = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         ens = uniform_ensemble([BipartiteState(2, 2, s.reshape(-1)) for s in (s0, s0 @ turn.T)])
-        rho_b = ens.bob_reduced_states
+        rho_b = ens.swapped().reduced_states
         assert 1e-8 / ens.dim_b < np.max(np.abs(rho_b[1] - rho_b[0])) < 1e-8
         assert bounds._unilateral_sides(ens) == (False, True)
         assert _reference_witnesses(ens)[2] == (False, True)

@@ -20,7 +20,7 @@ from loccdisc.ensembles import fourier_matrix, haar_unitary
 from loccdisc.library import build_library
 from loccdisc.serial import ensemble_to_json, matrix_to_json, one_way_spec_to_json, protocol_from_json, protocol_to_json
 
-from conftest import near_commuting_triple, overweight_perfect_case, refined_bell_protocol
+from conftest import bob_first_product_set, near_commuting_triple, overweight_perfect_case, refined_bell_protocol
 
 
 def _run(capsys, *argv):
@@ -134,7 +134,8 @@ class TestSynthesizeRungs:
     def test_every_rung_has_a_perfect_library_entry(self):
         counts = Counter(via for _, via in _PERFECT_ENTRIES)
         assert counts == {"three-qutrit": 8, "two-state": 5, "cub": 4, "product-basis": 3, "single-state": 1}
-        assert set(counts) | {"prop1"} == set(SYNTHESIZE_METHODS)
+        # one Bob-first row per rung; no library entry needs one, TestBobFirstThroughCli reaches one
+        assert set(SYNTHESIZE_METHODS) == set(counts) | {"prop1"} | {f"{rung}/bob-first" for rung in counts}
 
     @pytest.mark.parametrize(("entry", "via"), _PERFECT_ENTRIES, ids=[entry.name for entry, _ in _PERFECT_ENTRIES])
     def test_possible_via_reproduced(self, capsys, entry, via):
@@ -164,6 +165,24 @@ class TestSynthesizeRungs:
         )
         _assert_clean_exit(code, out, err, 2)
         assert f"--cub-source does not apply to --method {method}" in err
+
+
+class TestBobFirstThroughCli:
+    """{|00>, |10>, |+1>, |-1>}: only the Bob-first product-basis row settles it."""
+
+    def test_bounds_names_the_bob_first_row(self, capsys):
+        code, out, err = _run(capsys, "bounds", "--ensemble", json.dumps(ensemble_to_json(bob_first_product_set())))
+        _assert_clean_exit(code, out, err, 0)
+        report = json.loads(out)["report"]
+        assert (report["verdict"], report["possible_via"]) == ("PerfectPossible", "product-basis/bob-first")
+
+    def test_synthesize_bob_first_is_perfect(self, capsys):
+        ens = bob_first_product_set()
+        code, out, err = _run(capsys, "synthesize", "--method", "product-basis/bob-first", "--ensemble", json.dumps(ensemble_to_json(ens)))
+        _assert_clean_exit(code, out, err, 0)
+        report = json.loads(out)["report"]
+        assert report["protocol"]["root"]["actor"] == "bob" and "one_way" not in report
+        assert evaluate(protocol_from_json(report["protocol"]), ens).success_probability >= 1 - 1e-9
 
 
 class TestEvaluateAndSimulate:

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from loccdisc import (
     simultaneously_diagonal_ensemble,
     uniform_ensemble,
 )
+from loccdisc.bounds import verdict
 from loccdisc.ensembles import (
     bell_unitary,
     common_unbiased_basis_check,
@@ -265,15 +268,15 @@ class TestEnsembleType:
         rectangular = uniform_ensemble([random_state(rng, 2, 3) for _ in range(4)])
         for ens in (square, rectangular):
             s = ens.amplitude_matrices()
-            for name, amps in (("reduced_states", s), ("bob_reduced_states", s.transpose(0, 2, 1))):
-                rho = getattr(ens, name)
-                assert rho is getattr(ens, name)
+            for side, amps in ((ens, s), (ens.swapped(), s.transpose(0, 2, 1))):
+                rho = side.reduced_states
+                assert rho is side.reduced_states
                 assert rho.shape == (ens.k, amps.shape[1], amps.shape[1])
                 assert np.array_equal(rho.view(float), reduced_state(amps).view(float))
                 with pytest.raises(ValueError):
                     rho[0, 0, 0] = 0.0
-            # bit for bit the stacked product S_i^T conj(S_i)
-            assert np.array_equal(ens.bob_reduced_states.view(float), (s.transpose(0, 2, 1) @ s.conj()).view(float))
+            # Bob's side, bit for bit the stacked product S_i^T conj(S_i) on the transposed view
+            assert np.array_equal(ens.swapped().reduced_states.view(float), (s.transpose(0, 2, 1) @ s.conj()).view(float))
 
     @staticmethod
     def _patched_row(monkeypatch, ens, name):
@@ -295,9 +298,47 @@ class TestEnsembleType:
         from loccdisc import bounds
 
         ens = bell_subset(5, [(0, 0), (1, 0), (0, 1)])
-        self._patched_row(monkeypatch, ens, "bob_reduced_states")
+        self._patched_row(monkeypatch, ens.swapped(), "reduced_states")
         assert bounds._unilateral_sides(ens) == (False, True)
         assert ens.is_maximally_entangled()
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda entry: entry.name)
+    def test_swap_is_an_involution(self, entry):
+        ens = entry.ensemble
+        swap = ens.swapped()
+        assert swap is ens.swapped()
+        assert (swap.k, swap.dim_a, swap.dim_b) == (ens.k, ens.dim_b, ens.dim_a)
+        amps = swap.amplitude_matrices()
+        assert amps.flags.c_contiguous and not amps.flags.writeable
+        assert _same_bits(amps, ens.amplitude_matrices().transpose(0, 2, 1))
+        assert _same_bits(swap.priors, ens.priors)
+        back = swap.swapped()
+        assert back is not ens
+        assert _same_bits(back.amplitude_matrices(), ens.amplitude_matrices())
+        assert _same_bits(back.priors, ens.priors)
+
+    def test_swap_holds_no_reference_back(self):
+        # freed by its reference count alone: the swap is no cycle through the ensemble
+        ens = bell_subset(3, [(0, 0), (1, 2)])
+        ref, swap = weakref.ref(ens), ens.swapped()
+        gc.disable()
+        try:
+            del ens
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert swap.k == 2
+
+    def test_states_built_on_first_read(self):
+        ens = bell_subset(4, [(0, 0), (1, 0), (0, 1)])
+        swap = ens.swapped()
+        verdict(ens)
+        assert "states" not in vars(ens) and "states" not in vars(swap)
+        assert (ens.k, ens.dim_a, ens.dim_b) == (3, 4, 4)
+        states = ens.states
+        assert states is ens.states and len(states) == 3
+        for psi, amps in zip(swap.states, swap.amplitude_matrices()):
+            assert np.shares_memory(psi.amplitudes, amps)
 
     def test_uniform_flag(self):
         ens = StateEnsemble((me_state(2), me_state(2)), np.array([0.7, 0.3]))

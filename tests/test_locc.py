@@ -47,6 +47,7 @@ from loccdisc.qstate import ROUNDING_ZERO
 from loccdisc.synth import default_cub_candidates
 
 from conftest import (
+    bob_first_product_set,
     max_overlap_per_pair,
     one_way_groups_per_vector,
     orthonormal_completion,
@@ -927,6 +928,58 @@ class TestFaultParity:
         assert str(got.value) == str(expected.value)
 
 
+def _nodes_in_step(a, b):
+    """The nodes and leaves of two trees of one shape, pairwise, depth first."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        yield x, y
+        if isinstance(x, ProtocolNode):
+            assert isinstance(y, ProtocolNode) and len(x.children) == len(y.children)
+            stack.extend(zip(x.children, y.children))
+
+
+class TestPartySwap:
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda entry: entry.name)
+    def test_swap_is_an_involution(self, entry):
+        protocol = entry.protocol
+        swap = protocol.swapped()
+        assert (swap.dim_a, swap.dim_b) == (protocol.dim_b, protocol.dim_a)
+        back = swap.swapped()
+        assert (back.dim_a, back.dim_b) == (protocol.dim_a, protocol.dim_b)
+        for (node, swapped), (_, restored) in zip(_nodes_in_step(protocol.root, swap.root), _nodes_in_step(protocol.root, back.root)):
+            if isinstance(node, Leaf):
+                assert swapped is node and restored is node
+            else:
+                assert swapped.actor == {ALICE: BOB, BOB: ALICE}[node.actor] and restored.actor == node.actor
+                assert swapped.povm is node.povm and restored.povm is node.povm
+
+    @pytest.mark.parametrize("entry", build_library(), ids=lambda entry: entry.name)
+    def test_swapped_evaluation_agrees(self, entry):
+        ref = evaluate(entry.protocol, entry.ensemble)
+        got = evaluate(entry.protocol.swapped(), entry.ensemble.swapped())
+        assert abs(got.success_probability - ref.success_probability) <= 1e-14
+        assert abs(got.mutual_information_bits - ref.mutual_information_bits) <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_swapped_kraus_tree_agrees(self, seed):
+        # rectangular rounds, either party at the root, Dirichlet priors
+        protocol, ens = random_kraus_case(seed)
+        protocol.swapped().validate(k=ens.k)
+        ref = evaluate(protocol, ens)
+        got = evaluate(protocol.swapped(), ens.swapped())
+        assert abs(got.success_probability - ref.success_probability) <= 1e-14
+        assert abs(got.mutual_information_bits - ref.mutual_information_bits) <= 1e-14
+
+    def test_bob_first_tree_round_trips(self):
+        ens = bob_first_product_set()
+        protocol = product_basis_protocol(ens.swapped()).swapped()
+        assert protocol.root.actor == BOB
+        parsed = serial.protocol_from_json(serial.protocol_to_json(protocol))
+        assert parsed.root.actor == BOB
+        assert evaluate(parsed, ens).success_probability == evaluate(protocol, ens).success_probability >= 1 - 1e-12
+
+
 class TestNoReferenceCycles:
     """A call leaves nothing for the cycle collector: what it made is freed when it returns."""
 
@@ -941,7 +994,7 @@ class TestNoReferenceCycles:
         finally:
             gc.enable()
 
-    @pytest.mark.parametrize("name", ["evaluate", "simulate", "validate", "map_leaves"])
+    @pytest.mark.parametrize("name", ["evaluate", "simulate", "validate", "map_leaves", "swapped"])
     @pytest.mark.parametrize("tree", [standard_bell_protocol, refined_bell_protocol], ids=["std", "refined"])
     def test_call_leaves_no_garbage(self, name, tree):
         protocol, ens = tree(4), bell_basis(4)
@@ -951,11 +1004,15 @@ class TestNoReferenceCycles:
                 "simulate": lambda: simulate(protocol, ens, trials=1000, seed=0),
                 "validate": lambda: protocol.validate(k=ens.k),
                 "map_leaves": lambda: protocol.map_leaves(lambda leaf: Leaf(leaf.guess)),
+                "swapped": protocol.swapped,
             }[name]
         )
 
     def test_verdict_leaves_no_garbage(self):
         self._assert_no_garbage(lambda: verdict(bell_subset(5, [(0, 0), (1, 2), (3, 4)])))
+
+    def test_bob_first_verdict_leaves_no_garbage(self):
+        self._assert_no_garbage(lambda: verdict(bob_first_product_set()))
 
 
 class TestDistinctIdentityRuns:
