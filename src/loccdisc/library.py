@@ -70,8 +70,7 @@ def _rung_entry(name, ens) -> LibraryEntry:
 def discard_bell2_entry(name, keep_labels, all_labels) -> LibraryEntry:
     ens = bell_subset(2, all_labels)
     kept_idx = [all_labels.index(lab) for lab in keep_labels]
-    inner_states = [ens.states[i] for i in kept_idx]
-    inner = locc.two_state_protocol(*inner_states)
+    inner = locc.two_state_protocol(uniform_ensemble([ens.states[i] for i in kept_idx])).as_protocol()
     return LibraryEntry(name, ens, locc.discard_protocol(inner, kept_idx, ens.k))
 
 

@@ -45,7 +45,8 @@ Every synthesized protocol is one-way: Alice measures a basis, then Bob
 separates his conditional states.  :class:`OneWayProtocolSpec` is the single
 representation of such a protocol: per-outcome label tuples and one array of
 Bob's vectors, outcome by outcome, padded once into a zero-filled block.
-:func:`one_way_protocol` derives all of them from the amplitude stack in
+Every one-way construction takes the ensemble and returns its spec:
+:func:`one_way_protocol` derives Bob's vectors from the amplitude stack in
 one product, :func:`product_basis_protocol` from one batched SVD, and
 :meth:`OneWayProtocolSpec.as_protocol` expands a spec into a tree.
 One batched complete QR, :func:`_completed_bases`, completes every basis,
@@ -72,7 +73,7 @@ import numpy as np
 
 from .ensembles import StateEnsemble, _bell_labels, fourier_matrix
 from .errors import DomainError, ToleranceError
-from .qstate import ROUNDING_ZERO, BipartiteState, _row_norms, as_int, as_matrix, as_tol, frozen_array, is_unitary
+from .qstate import ROUNDING_ZERO, _row_norms, as_int, as_matrix, as_tol, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -881,23 +882,24 @@ def _zero_diagonal_basis(mat) -> np.ndarray:
     return w
 
 
-def two_state_protocol(psi1: BipartiteState, psi2: BipartiteState) -> LoccProtocol:
-    """Perfect one-way protocol for any two orthogonal bipartite pure states.
+def two_state_protocol(ensemble: StateEnsemble) -> OneWayProtocolSpec:
+    """Perfect one-way spec for an ensemble of two orthogonal bipartite pure states.
 
     Alice measures in a basis chosen so Bob's conditional states are
     orthogonal for every outcome: with amplitude matrices S1, S2 the matrix
     M = conj(S1) S2^T is traceless, and any basis W giving M a zero diagonal
     works.  Alice measures the columns of conj(W); outcome x leaves Bob with
     states proportional to S_i^T w_x, whose overlap is <w_x|M|w_x> = 0, and
-    Bob separates them projectively.
+    Bob separates them projectively.  ``DomainError`` unless the ensemble
+    holds exactly two states, orthogonal within 1e-10.
     """
-    if (psi1.dim_a, psi1.dim_b) != (psi2.dim_a, psi2.dim_b):
-        raise DomainError("states live in different spaces")
-    overlap = abs(np.vdot(psi1.amplitudes, psi2.amplitudes))
+    if ensemble.k != 2:
+        raise DomainError(f"need exactly 2 states, got {ensemble.k}")
+    amps = ensemble.amplitude_matrices()
+    overlap = abs(np.vdot(amps[0], amps[1]))
     if overlap > 1e-10:
         raise DomainError(f"states are not orthogonal (|<1|2>| = {overlap:.3e})")
-    amps = np.array([psi1.amplitude_matrix, psi2.amplitude_matrix])
-    return one_way_protocol(amps, _zero_diagonal_basis(amps[0].conj() @ amps[1].T).conj()).as_protocol()
+    return one_way_protocol(amps, _zero_diagonal_basis(amps[0].conj() @ amps[1].T).conj())
 
 
 def blind_guess_protocol(dim_a: int, dim_b: int, guess: int = 0) -> LoccProtocol:
@@ -911,22 +913,23 @@ def blind_guess_protocol(dim_a: int, dim_b: int, guess: int = 0) -> LoccProtocol
     return LoccProtocol(dim_a, dim_b, root)
 
 
-def product_basis_protocol(ensemble: StateEnsemble) -> LoccProtocol:
-    """Perfect local protocol for a locally clustered orthogonal product set.
+def product_basis_protocol(ensemble: StateEnsemble) -> OneWayProtocolSpec:
+    """Perfect one-way spec for a locally clustered orthogonal product set.
 
     Requires every state to be a product a_i (x) b_i whose Alice factors form
     groups of pairwise-equal rays, distinct groups orthogonal, with the Bob
     factors orthogonal inside each group (true for any basis of the form
     {|a> (x) |b>}).  Alice measures the group rays, Bob the group's local
-    vectors.  The product test reads the ensemble's cached Schmidt
-    coefficients; one batched SVD then gives every state's factors, and one
-    Gram matrix of the Alice factors gives the groups (each state joins its
-    first state with the same ray) and the equal-or-orthogonal check.
+    vectors.  One batched SVD gives every state's factors and, squared, its
+    leading singular value for the product test (``DomainError`` names the
+    first state that fails it), and one Gram matrix of the Alice factors
+    gives the groups (each state joins its first state with the same ray)
+    and the equal-or-orthogonal check.
     """
-    bad = np.flatnonzero(ensemble.schmidt_coefficients[:, 0] < 1.0 - 1e-10)
+    u, s, vh = np.linalg.svd(ensemble.amplitude_matrices(), full_matrices=False)
+    bad = np.flatnonzero(s[:, 0] * s[:, 0] < 1.0 - 1e-10)
     if bad.size:
         raise DomainError(f"state {bad[0]} is not a product state")
-    u, _, vh = np.linalg.svd(ensemble.amplitude_matrices(), full_matrices=False)
     a = u[:, :, 0]  # Alice factors, one row per state
     ov = np.abs(a.conj() @ a.T)
     same = ov > 1.0 - 1e-8
@@ -941,4 +944,4 @@ def product_basis_protocol(ensemble: StateEnsemble) -> LoccProtocol:
     spec = OneWayProtocolSpec(alice_basis, tuple(labels), vh[order, 0])
     if spec.max_bob_overlap() > 1e-8:
         raise DomainError("Bob factors within a group are not orthogonal")
-    return spec.as_protocol()
+    return spec

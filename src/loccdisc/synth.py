@@ -212,12 +212,6 @@ def _single_state(ensemble: StateEnsemble) -> locc.LoccProtocol:
     return locc.blind_guess_protocol(ensemble.dim_a, ensemble.dim_b, 0)
 
 
-def _two_state(ensemble: StateEnsemble) -> locc.LoccProtocol:
-    if ensemble.k != 2:
-        raise DomainError(f"need exactly 2 states, got {ensemble.k}")
-    return locc.two_state_protocol(*ensemble.states)
-
-
 def cub_rung(ensemble: StateEnsemble, basis=None) -> OneWayProtocolSpec:
     """The CUB rung's builder, the one rung that also takes an explicit ``basis``."""
     return synthesize_cub_protocol(ensemble, basis)
@@ -232,7 +226,7 @@ def cub_rung(ensemble: StateEnsemble, basis=None) -> OneWayProtocolSpec:
 # tried only after every Alice-first row has failed.
 RUNGS = {
     "single-state": _single_state,
-    "two-state": _two_state,
+    "two-state": lambda ensemble: locc.two_state_protocol(ensemble),
     "three-qutrit": lambda ensemble: synthesize_three_qutrit_protocol(ensemble),
     "cub": cub_rung,
     "product-basis": lambda ensemble: locc.product_basis_protocol(ensemble),

@@ -84,7 +84,7 @@ def max_overlap_per_pair(groups) -> float:
 
 
 def product_basis_per_state(ensemble):
-    """``product_basis_protocol`` one state at a time: an SVD per state, then grouping against representatives.
+    """``product_basis_protocol``'s spec, one state at a time: an SVD per state, then grouping against representatives.
 
     The reference for the batched factoring and grouping.  Each state joins
     the first representative whose Alice ray it shares, or becomes one.
@@ -114,7 +114,7 @@ def product_basis_per_state(ensemble):
     spec = OneWayProtocolSpec(orthonormal_completion(reps, ensemble.dim_a), labels, vectors)
     if spec.max_bob_overlap() > 1e-8:
         raise DomainError("Bob factors within a group are not orthogonal")
-    return spec.as_protocol()
+    return spec
 
 
 def _isometry_povm(rng, dim_in):
@@ -166,10 +166,10 @@ def overweight_perfect_case():
     """
     from loccdisc import LoccProtocol, Povm, ProtocolNode, bell_basis, two_state_protocol, uniform_ensemble
 
-    s1, s2 = bell_basis(2).states[:2]
-    root = two_state_protocol(s1, s2).root
+    ens = uniform_ensemble(bell_basis(2).states[:2])
+    root = two_state_protocol(ens).as_protocol().root
     scaled = Povm(tuple(m * (1 + 4e-11) for m in root.povm.elements))
-    return LoccProtocol(2, 2, ProtocolNode(root.actor, scaled, root.children)), uniform_ensemble([s1, s2])
+    return LoccProtocol(2, 2, ProtocolNode(root.actor, scaled, root.children)), ens
 
 
 def refined_bell_protocol(n):

@@ -367,7 +367,7 @@ class TestConsistencyWithEvaluate:
         from loccdisc import discard_protocol, two_state_protocol
 
         ens = bell_basis(2)
-        inner = two_state_protocol(ens.states[0], ens.states[1])
+        inner = two_state_protocol(uniform_ensemble(ens.states[:2])).as_protocol()
         res = evaluate(discard_protocol(inner, [0, 1], 4), ens)
         assert res.success_probability <= schmidt_bound(ens) + 1e-9
         assert res.mutual_information_bits <= entropy_bound_bits(ens) + 1e-9

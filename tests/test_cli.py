@@ -145,8 +145,21 @@ class TestSynthesizeRungs:
         report = json.loads(out)["report"]
         assert evaluate(protocol_from_json(report["protocol"]), entry.ensemble).success_probability >= 1 - 1e-9
         assert report["success_probability"] >= 1 - 1e-9
-        one_way = via in ("three-qutrit", "cub")
+        # every Alice-first one-way rung prints its spec; the blind guess has none
+        one_way = via != "single-state"
         assert ("one_way" in report) is one_way and ("max_bob_overlap" in report) is one_way
+        if one_way:
+            assert report["max_bob_overlap"] <= 1e-8
+            assert evaluate(protocol_from_json(report["one_way"]), entry.ensemble).success_probability >= 1 - 1e-9
+
+    @pytest.mark.parametrize(("entry", "via"), _PERFECT_ENTRIES, ids=[entry.name for entry, _ in _PERFECT_ENTRIES])
+    def test_bob_first_rows_print_no_spec(self, capsys, entry, via):
+        """A ``/bob-first`` row prints its swapped-back tree, which no one-way spec (Alice first) represents."""
+        code, out, err = _run(capsys, "synthesize", "--method", f"{via}/bob-first", "--ensemble", json.dumps(ensemble_to_json(entry.ensemble)))
+        _assert_clean_exit(code, out, err, 0)
+        report = json.loads(out)["report"]
+        assert "one_way" not in report and "max_bob_overlap" not in report
+        assert report["success_probability"] >= 1 - 1e-9
 
     def test_prop1_is_three_qutrit(self, capsys):
         ensemble = '{"kind":"random_me_triple","n":3,"seed":4}'
@@ -360,6 +373,17 @@ PROP1_PINS = {
 }
 
 
+# The pair CI's "Bounds twice" step calls EXPLICIT, and the sha256 of `synthesize --method two-state`
+# stdout on it, recorded when the report held only the tree and its success: without the spec's
+# two fields the report must print those bytes.
+EXPLICIT_PAIR = (
+    '{"kind":"explicit","priors":[0.25,0.75],"states":['
+    '{"dim_a":2,"dim_b":2,"amplitudes":[[0.7071067811865476,0],[0,0],[0,0],[0.7071067811865476,0]]},'
+    '{"dim_a":2,"dim_b":2,"amplitudes":[[0,0],[0.7071067811865476,0],[0,-0.7071067811865476],[0,0]]}]}'
+)
+TWO_STATE_TREE_PIN = "a91c0ad1cbfaecaef352e8488c02d66a0c9d29ca349e0bfa3cd60aad79dc0f9b"
+
+
 def _library_case(name):
     entry = next(entry for entry in build_library() if entry.name == name)
     return protocol_to_json(entry.protocol), ensemble_to_json(entry.ensemble)
@@ -407,6 +431,14 @@ class TestBytePins:
         code, out, err = _run(capsys, "synthesize", "--method", "prop1", "--ensemble", json.dumps(descriptor))
         assert code == 0, err
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_synthesize_two_state_tree_stdout(self, capsys):
+        code, out, err = _run(capsys, "synthesize", "--method", "two-state", "--ensemble", EXPLICIT_PAIR)
+        assert code == 0, err
+        doc = json.loads(out)
+        del doc["report"]["one_way"], doc["report"]["max_bob_overlap"]
+        text = json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == TWO_STATE_TREE_PIN
 
     @pytest.mark.parametrize("name", sorted(WALK_PINS))
     def test_evaluate_and_simulate_stdout(self, capsys, name):

@@ -31,7 +31,7 @@ from loccdisc import (
     uniform_ensemble,
 )
 from loccdisc import locc, serial
-from loccdisc.bounds import VERDICT_POSSIBLE, verdict
+from loccdisc.bounds import VERDICT_POSSIBLE, VERDICT_UNKNOWN, verdict
 from loccdisc.ensembles import fourier_matrix, haar_unitary
 from loccdisc.library import build_library
 from loccdisc.locc import (
@@ -86,7 +86,7 @@ def _low_rank_orthogonal_pair(rng, dim_a, dim_b, r1, r2):
 
 def _assert_perfect_pair(s1, s2):
     ens = uniform_ensemble([s1, s2])
-    res = evaluate(two_state_protocol(s1, s2), ens)
+    res = evaluate(two_state_protocol(ens).as_protocol(), ens)
     assert res.success_probability >= 1 - 1e-9
     assert verdict(ens).verdict == VERDICT_POSSIBLE
 
@@ -809,7 +809,7 @@ class TestBatchedSampler:
         states = tuple(_product_state(2, 2, a, b) for a in range(2) for b in range(2))
         ens = StateEnsemble(states, np.array([0.25, 0.0, 0.5, 0.25]))
         perm = [0, 2, 1, 3]
-        proto = product_basis_protocol(ens).map_leaves(lambda leaf: Leaf(perm[leaf.guess]))
+        proto = product_basis_protocol(ens).as_protocol().map_leaves(lambda leaf: Leaf(perm[leaf.guess]))
         counts = np.random.default_rng(seed).multinomial(5000, ens.priors)
         assert simulate(proto, ens, trials=5000, seed=seed) == (counts[0] + counts[3]) / 5000
 
@@ -852,7 +852,7 @@ class TestBatchedSampler:
         # prunes its rows (prior x weight 1e-15 < PRUNE_TOL), so its per-state success reads 0
         states = bell_basis(2).states[:2]
         ens = StateEnsemble(states, np.array([1.0 - 1e-15, 1e-15]))
-        protocol = two_state_protocol(*states).map_leaves(lambda leaf: Leaf(1))
+        protocol = two_state_protocol(uniform_ensemble(states)).as_protocol().map_leaves(lambda leaf: Leaf(1))
         assert evaluate(protocol, ens).per_state_success == (0.0, 0.0)
         assert simulate(protocol, ens, trials=2**62, seed=0) > 0.0
 
@@ -973,7 +973,7 @@ class TestPartySwap:
 
     def test_bob_first_tree_round_trips(self):
         ens = bob_first_product_set()
-        protocol = product_basis_protocol(ens.swapped()).swapped()
+        protocol = product_basis_protocol(ens.swapped()).as_protocol().swapped()
         assert protocol.root.actor == BOB
         parsed = serial.protocol_from_json(serial.protocol_to_json(protocol))
         assert parsed.root.actor == BOB
@@ -1699,7 +1699,7 @@ def test_builders_take_integer_valued_sizes_and_seeds(build):
 class TestDiscardProtocol:
     def test_keep_two_of_four(self):
         ens = bell_basis(2)
-        inner = two_state_protocol(ens.states[0], ens.states[1])
+        inner = two_state_protocol(uniform_ensemble(ens.states[:2])).as_protocol()
         res = evaluate(discard_protocol(inner, [0, 1], 4), ens)
         assert abs(res.success_probability - 0.5) < 1e-12
 
@@ -1713,7 +1713,7 @@ class TestDiscardProtocol:
 
     def test_keep_all(self):
         ens = bell_subset(2, [(0, 0), (1, 0)])
-        inner = two_state_protocol(*ens.states)
+        inner = two_state_protocol(ens).as_protocol()
         res = evaluate(discard_protocol(inner, [0, 1], 2), ens)
         assert res.success_probability > 1 - 1e-9
 
@@ -1853,14 +1853,13 @@ class TestZeroValueScan:
 class TestTwoStateProtocol:
     def test_bell_pair(self):
         ens = bell_subset(2, [(0, 0), (1, 1)])
-        res = evaluate(two_state_protocol(*ens.states), ens)
+        res = evaluate(two_state_protocol(ens).as_protocol(), ens)
         assert res.success_probability > 1 - 1e-9
 
     def test_computational_product_pair(self):
-        s1 = _product_state(2, 2, 0, 0)
-        s2 = _product_state(2, 2, 1, 1)
-        proto = two_state_protocol(s1, s2)
-        res = evaluate(proto, uniform_ensemble([s1, s2]))
+        ens = uniform_ensemble([_product_state(2, 2, 0, 0), _product_state(2, 2, 1, 1)])
+        proto = two_state_protocol(ens).as_protocol()
+        res = evaluate(proto, ens)
         assert res.success_probability > 1 - 1e-9
         # Alice's round is (up to phases) the computational measurement
         alice_ops = proto.root.povm.elements
@@ -1874,7 +1873,7 @@ class TestTwoStateProtocol:
         da, db = dims[seed % len(dims)]
         s1, s2 = random_orthogonal_pair(rng, da, db)
         ens = uniform_ensemble([s1, s2])
-        res = evaluate(two_state_protocol(s1, s2), ens)
+        res = evaluate(two_state_protocol(ens).as_protocol(), ens)
         assert res.success_probability > 1 - 1e-9
 
     @pytest.mark.parametrize("n", range(2, 9))
@@ -1893,12 +1892,25 @@ class TestTwoStateProtocol:
         _assert_perfect_pair(*_low_rank_orthogonal_pair(rng, da, db, r1, r2))
 
     def test_nonorthogonal_rejected(self):
-        with pytest.raises(DomainError):
-            two_state_protocol(me_state(2), me_state(2))
+        with pytest.raises(DomainError, match=r"states are not orthogonal \(\|<1\|2>\| = 1\.000e\+00\)"):
+            two_state_protocol(uniform_ensemble([me_state(2), me_state(2)]))
 
     def test_dim_mismatch_rejected(self):
-        with pytest.raises(DomainError):
-            two_state_protocol(me_state(2), me_state(3))
+        # states of two spaces never form an ensemble to hand the construction
+        with pytest.raises(DomainError, match="states live in different spaces"):
+            uniform_ensemble([me_state(2), me_state(3)])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_state_count_rejected(self, k):
+        with pytest.raises(DomainError, match=f"need exactly 2 states, got {k}"):
+            two_state_protocol(bell_subset(2, [(0, 0), (1, 0), (0, 1)][:k]))
+
+    def test_returns_the_separating_spec(self):
+        ens = bell_subset(3, [(0, 0), (1, 2)])
+        spec = two_state_protocol(ens)
+        assert isinstance(spec, OneWayProtocolSpec)
+        assert spec.max_bob_overlap() <= 1e-12
+        assert evaluate(spec.as_protocol(), ens).success_probability >= 1 - 1e-12
 
 
 class TestProductBasisProtocol:
@@ -1906,7 +1918,7 @@ class TestProductBasisProtocol:
         ens = uniform_ensemble(
             [_product_state(2, 2, a, b) for a in range(2) for b in range(2)]
         )
-        res = evaluate(product_basis_protocol(ens), ens)
+        res = evaluate(product_basis_protocol(ens).as_protocol(), ens)
         assert res.success_probability > 1 - 1e-9
         assert abs(res.mutual_information_bits - 2.0) < 1e-10
 
@@ -1921,7 +1933,7 @@ class TestProductBasisProtocol:
                 amps = np.kron(ua[:, a], ub[:, b])
                 states.append(BipartiteState(2, 3, amps))
         ens = uniform_ensemble(states)
-        res = evaluate(product_basis_protocol(ens), ens)
+        res = evaluate(product_basis_protocol(ens).as_protocol(), ens)
         assert res.success_probability > 1 - 1e-9
 
     def test_entangled_state_rejected(self):
@@ -1964,17 +1976,13 @@ class TestProductBasisBatching:
     @pytest.mark.parametrize("name, ens", _PRODUCT_CASES, ids=[case[0] for case in _PRODUCT_CASES])
     def test_matches_per_state_reference(self, name, ens):
         got, ref = product_basis_protocol(ens), product_basis_per_state(ens)
-        assert np.array_equal(got.root.povm.stacked, ref.root.povm.stacked)
-        assert len(got.root.children) == len(ref.root.children)
-        for node, ref_node in zip(got.root.children, ref.root.children):
-            assert np.array_equal(node.povm.stacked, ref_node.povm.stacked)
-            assert [leaf.guess for leaf in node.children] == [leaf.guess for leaf in ref_node.children]
-        assert evaluate(got, ens).success_probability > 1 - 1e-9
+        assert np.array_equal(got.alice_basis, ref.alice_basis)
+        assert got.labels == ref.labels
+        assert np.array_equal(got.vectors, ref.vectors)
+        assert evaluate(got.as_protocol(), ens).success_probability > 1 - 1e-9
 
     def test_interleaved_rays_group_in_first_seen_order(self):
-        protocol = product_basis_protocol(_rotated_product_set(0))
-        guesses = [[leaf.guess for leaf in node.children[:2]] for node in protocol.root.children]
-        assert guesses == [[0, 2], [1, 4], [3, 0]]
+        assert product_basis_protocol(_rotated_product_set(0)).labels == ((0, 2), (1, 4), (3,))
 
     def test_first_non_product_state_named(self):
         entangled = BipartiteState(3, 4, (np.eye(3, 4) / np.sqrt(3)).reshape(-1))
@@ -1983,6 +1991,18 @@ class TestProductBasisBatching:
             product_basis_protocol(uniform_ensemble(states))
         with pytest.raises(DomainError, match="state 3 is not a product state"):
             product_basis_per_state(uniform_ensemble(states))
+
+    def test_near_product_state_refused(self):
+        # leading Schmidt coefficient 1 - 1e-9, read off the construction's own SVD
+        lam = 1.0 - 1e-9
+        state = BipartiteState(2, 2, np.array([np.sqrt(lam), 0.0, 0.0, np.sqrt(1.0 - lam)]))
+        with pytest.raises(DomainError, match="state 0 is not a product state"):
+            product_basis_protocol(uniform_ensemble([state]))
+
+    def test_bob_first_row_builds_no_swapped_witness_pass(self):
+        ens = bell_subset(4, [(0, 0), (1, 0), (0, 1)])
+        assert verdict(ens).verdict == VERDICT_UNKNOWN
+        assert "_witness_pass" not in ens.swapped().__dict__
 
     def test_bob_factors_not_orthogonal_rejected(self):
         plus = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -2061,8 +2081,8 @@ class TestTwoStateDeflation:
         m = mat.shape[0]
         assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= 1e-9
         assert float(np.max(np.abs(w.conj().T @ w - np.eye(m)))) <= 1e-9
-        res = evaluate(two_state_protocol(s1, s2), uniform_ensemble([s1, s2]))
-        assert res.success_probability >= 1 - 1e-9
+        ens = uniform_ensemble([s1, s2])
+        assert evaluate(two_state_protocol(ens).as_protocol(), ens).success_probability >= 1 - 1e-9
 
     @pytest.mark.parametrize("seed", range(10))
     def test_seeded_generic_pairs(self, seed):
@@ -2091,7 +2111,7 @@ class TestTwoStateDeflation:
         assert float(np.max(np.abs(np.diag(w.conj().T @ mat @ w)))) <= 1e-15
         # the pair (I/sqrt 2, mat^T) has M = conj(S1) S2^T proportional to mat
         pair = uniform_ensemble([BipartiteState(2, 2, np.eye(2) / np.sqrt(2)), BipartiteState(2, 2, mat.T / np.linalg.norm(mat))])
-        assert evaluate(two_state_protocol(*pair.states), pair).success_probability >= 1 - 1e-12
+        assert evaluate(two_state_protocol(pair).as_protocol(), pair).success_probability >= 1 - 1e-12
 
     def test_zero_diagonal_input_needs_no_rotation(self):
         mat = np.diag([0.0, 0.0, 0.0]).astype(complex) + np.triu(np.ones((3, 3)), 1)
