@@ -28,7 +28,6 @@ import numpy as np
 from . import locc, synth
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
-from .qstate import reduced_spectrum
 
 VERDICT_POSSIBLE = "PerfectPossible"
 VERDICT_IMPOSSIBLE = "PerfectImpossible"
@@ -144,7 +143,7 @@ def f_mixed_dims_bounds(k: int, m: int, n: int) -> tuple[float, float]:
 
 def lambda_max(ensemble: StateEnsemble) -> float:
     """Largest Schmidt coefficient over all states of the ensemble, read from its witness pass."""
-    return ensemble._witness_pass[3]
+    return ensemble._witness_pass[2]
 
 
 def schmidt_bound(ensemble: StateEnsemble) -> float:
@@ -161,14 +160,6 @@ def _spectrum_entropy_bits(vals):
     return float(ent) if ent.ndim == 0 else ent
 
 
-def von_neumann_entropy_bits(rho):
-    """S(rho) = -Tr rho log2 rho, with eigenvalues up to ``EIGENVALUE_CLIP`` dropped.
-
-    A (..., d, d) stack of matrices gives one entropy per matrix.
-    """
-    return _spectrum_entropy_bits(reduced_spectrum(np.asarray(rho)))
-
-
 def entropy_bound_bits(ensemble: StateEnsemble) -> float:
     """Accessible-information cap S(rho_A) + S(rho_B) - sum_i p_i S(rho_A^i), in bits.
 
@@ -176,7 +167,7 @@ def entropy_bound_bits(ensemble: StateEnsemble) -> float:
     ensemble's witness pass, and one entropy call covers its rows: the
     rho_A^i, mean rho_A and, when it has the same size, mean rho_B.
     """
-    spectra, mean_b, _, _ = ensemble._witness_pass
+    spectra, mean_b, _ = ensemble._witness_pass
     k = ensemble.k
     ent = _spectrum_entropy_bits(spectra)
     s_b = ent[k + 1] if ent.size > k + 1 else _spectrum_entropy_bits(mean_b)

@@ -144,14 +144,14 @@ class StateEnsemble:
 
     @cached_property
     def _witness_pass(self) -> tuple:
-        """``(spectra, mean rho_B spectrum, coefficients, lambda_max)``, read-only, built on first use.
+        """``(spectra, mean rho_B spectrum, lambda_max)``, read-only, built on first use.
 
         ``spectra`` is one ``eigvalsh`` of the rho_A^i, their prior mean and,
         when dim_a == dim_b, the prior mean of the rho_B^i (the swap's
         :attr:`reduced_states`), one row each;
         otherwise that mean takes a second call.  LAPACK runs per matrix, so
-        each row has the bits of a call of its own.  One batched SVD gives the
-        Schmidt coefficients, cross-checked against the rho_A^i rows.
+        each row has the bits of a call of its own.  lambda_max is the largest
+        Schmidt coefficient of one batched SVD, cross-checked against the rho_A^i rows.
         """
         k, m, n = self.k, self.dim_a, self.dim_b
         rho_a = self.reduced_states
@@ -160,14 +160,9 @@ class StateEnsemble:
         vals = reduced_spectrum(np.concatenate((rho_a, mean_a, mean_b) if m == n else (rho_a, mean_a)))
         mean_b_vals = vals[k + 1] if m == n else reduced_spectrum(mean_b)[0]
         coeffs = schmidt_coefficients(self._amps, vals[:k])
-        for a in (vals, mean_b_vals, coeffs):
+        for a in (vals, mean_b_vals):
             a.setflags(write=False)
-        return vals, mean_b_vals, coeffs, float(coeffs[:, 0].max())
-
-    @property
-    def schmidt_coefficients(self) -> np.ndarray:
-        """Read-only (k, min(dim_a, dim_b)) Schmidt coefficients, one row per state, from the witness pass."""
-        return self._witness_pass[2]
+        return vals, mean_b_vals, float(coeffs[:, 0].max())
 
     def gram(self) -> np.ndarray:
         """Gram matrix of amplitude inner products <psi_i|psi_j>."""
@@ -209,11 +204,6 @@ def fourier_matrix(n: int) -> np.ndarray:
     """Unitary Fourier matrix F[j, k] = w^{jk}/sqrt(n), w = exp(2 pi i/n)."""
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
-
-
-def bell_unitary(n: int, m: int, l: int) -> np.ndarray:
-    """X^m Z^l, the unitary labelling the (m, l) generalized Bell state."""
-    return _bell_unitaries(n, [m % n], [l % n])[0]
 
 
 def _bell_unitaries(n: int, ms, ls) -> np.ndarray:

@@ -480,7 +480,7 @@ def one_way_protocol(amplitudes, alice_basis) -> OneWayProtocolSpec:
     ``np.linalg.norm``.
     """
     ab = as_matrix(alice_basis)
-    b = np.sqrt(amplitudes.shape[1]) * amplitudes.transpose(0, 2, 1)  # laid out as each psi.b_matrix
+    b = np.sqrt(amplitudes.shape[1]) * amplitudes.transpose(0, 2, 1)  # laid out as tests/conftest.py's b_matrix(psi)
     v = (b @ ab.conj().T.copy()[:, None, :, None])[..., 0]  # (outcomes, states, dim_b): B_i conj(c_x)
     nrm = _row_norms(v.reshape(-1, v.shape[2])).reshape(v.shape[:2])
     keep = nrm > 1e-12

@@ -124,11 +124,6 @@ class BipartiteState:
         """Amplitudes reshaped to (dim_a, dim_b)."""
         return self.amplitudes.reshape(self.dim_a, self.dim_b)
 
-    @property
-    def b_matrix(self) -> np.ndarray:
-        """The dim_b x dim_a matrix B with |psi> = (I (x) B)|ME_dim_a>."""
-        return np.sqrt(self.dim_a) * self.amplitude_matrix.T
-
 
 def me_state(n: int) -> BipartiteState:
     """Canonical maximally entangled state (1/sqrt(n)) sum_j |j>|j> of C^n (x) C^n."""

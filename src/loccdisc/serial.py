@@ -79,12 +79,8 @@ def _read_state(data) -> tuple:
         raise DomainError(f"malformed state payload: {exc}") from exc
 
 
-def state_from_json(data) -> BipartiteState:
-    return BipartiteState(*_read_state(data))
-
-
 def states_from_json(data):
-    """The states of an explicit descriptor, each parsed as :func:`state_from_json` parses it.
+    """The states of an explicit descriptor, each payload parsed as ``BipartiteState(*_read_state(payload))``.
 
     States of one shape come back as one read-only (k, dim_a, dim_b) stack of
     checked unit amplitudes: one finite scan and one ``_row_norms``.

@@ -17,6 +17,22 @@ def random_state(rng, dim_a, dim_b):
     return BipartiteState(dim_a, dim_b, v / np.linalg.norm(v))
 
 
+def b_matrix(psi) -> np.ndarray:
+    """The dim_b x dim_a matrix B = sqrt(dim_a) S^T with |psi> = (I (x) B)|ME_dim_a>, S the amplitude matrix."""
+    return np.sqrt(psi.dim_a) * psi.amplitude_matrix.T
+
+
+def von_neumann_entropy_bits(rho):
+    """S(rho) = -Tr rho log2 rho, with eigenvalues up to ``bounds.EIGENVALUE_CLIP`` dropped.
+
+    The per-matrix reference for the entropies ``entropy_bound_bits`` reads from the witness pass.
+    """
+    from loccdisc.bounds import _spectrum_entropy_bits
+    from loccdisc.qstate import reduced_spectrum
+
+    return _spectrum_entropy_bits(reduced_spectrum(np.asarray(rho)))
+
+
 def random_orthogonal_pair(rng, dim_a, dim_b):
     from loccdisc import BipartiteState
 
@@ -57,7 +73,7 @@ def one_way_groups_per_vector(states, alice_basis):
     The reference for ``one_way_protocol``'s batched products.
     """
     ab = np.asarray(alice_basis, dtype=complex)
-    b = [psi.b_matrix for psi in states]
+    b = [b_matrix(psi) for psi in states]  # one_way_protocol lays out its B stack the same way
     groups = []
     for col in ab.conj().T.copy():  # row x is conj(c_x)
         group = []

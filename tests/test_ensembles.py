@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loccdisc import (
+    BipartiteState,
     DomainError,
     StateEnsemble,
     bell_basis,
@@ -18,7 +19,7 @@ from loccdisc import (
 )
 from loccdisc.bounds import verdict
 from loccdisc.ensembles import (
-    bell_unitary,
+    _bell_unitaries,
     common_unbiased_basis_check,
     from_descriptor,
     haar_unitary,
@@ -28,9 +29,9 @@ from loccdisc.ensembles import (
 )
 from loccdisc.library import build_library
 from loccdisc.qstate import frozen_array, generalized_pauli, normal_eigensystem, reduced_state
-from loccdisc.serial import ensemble_to_json, state_from_json
+from loccdisc.serial import _read_state, ensemble_to_json
 
-from conftest import random_orthogonal_pair, random_state
+from conftest import b_matrix, random_orthogonal_pair, random_state
 
 
 def _gram_direct(ensemble):
@@ -110,7 +111,7 @@ class TestMubPrime:
         # member t + 1 is an eigenbasis of X Z^t, in that order
         fam = mub_prime(n)
         for t in range(n):
-            d = fam[t + 1].conj().T @ bell_unitary(n, 1, t) @ fam[t + 1]
+            d = fam[t + 1].conj().T @ _bell_unitaries(n, [1], [t])[0] @ fam[t + 1]
             assert np.max(np.abs(d - np.diag(np.diag(d)))) <= 1e-13
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -122,7 +123,7 @@ class TestMubPrime:
             for b in range(n):
                 if (a, b) == (0, 0):
                     continue
-                _, vecs = normal_eigensystem(bell_unitary(n, a, b))
+                _, vecs = normal_eigensystem(_bell_unitaries(n, [a], [b])[0])
                 matched = False
                 for member in fam:
                     ov = np.abs(member.conj().T @ vecs)
@@ -261,7 +262,7 @@ class TestEnsembleType:
             with pytest.raises(ValueError):
                 b[0, 0, 0] = 0.0
             for i, state in enumerate(ens.states):
-                np.testing.assert_array_equal(b[i], state.b_matrix)
+                np.testing.assert_array_equal(b[i], b_matrix(state))
 
     def test_reduced_states_cached_read_only(self, rng):
         square = random_orthogonal_me_triple(4, 1)
@@ -416,18 +417,13 @@ class TestBellStack:
 
     @pytest.mark.parametrize("n", range(2, 18))
     def test_full_stack_matches_per_label_product(self, n):
-        from loccdisc.ensembles import _bell_unitaries
-
         labels = np.arange(n * n)
         stack = _bell_unitaries(n, labels // n, labels % n)
         for (m, l), u in zip(itertools.product(range(n), range(n)), stack):
             ref = _bell_reference(n, m, l)
             assert np.array_equal(u, ref)
             assert _same_bits(u, ref)
-            assert _same_bits(bell_unitary(n, m, l), ref)
-
-    def test_labels_reduced_mod_n(self):
-        assert _same_bits(bell_unitary(5, 7, -1), _bell_reference(5, 2, 4))
+            assert _same_bits(_bell_unitaries(n, [m], [l])[0], ref)
 
     @pytest.mark.parametrize("n", [2, 5, 8, 17])
     def test_ensembles_match_per_state_build(self, n):
@@ -463,7 +459,7 @@ class TestStackedBuilders:
         labels = rng.choice(n * n, size=3, replace=False)
         u = haar_unitary(n, rng)
         w = haar_unitary(n, rng)
-        refs = [state_from_matrix(u @ bell_unitary(n, lab // n, lab % n) @ w, n) for lab in labels]
+        refs = [state_from_matrix(u @ _bell_unitaries(n, [lab // n], [lab % n])[0] @ w, n) for lab in labels]
         _assert_stack_matches(random_orthogonal_me_triple(n, seed), refs)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -487,7 +483,7 @@ class TestStackedBuilders:
     )
     def test_explicit_matches_per_state_build(self, ens):
         payload = ensemble_to_json(ens)
-        refs = [state_from_json(s) for s in payload["states"]]
+        refs = [BipartiteState(*_read_state(s)) for s in payload["states"]]
         with_priors = from_descriptor(payload)
         _assert_stack_matches(with_priors, refs)
         assert _same_bits(with_priors.priors, StateEnsemble(tuple(refs), np.asarray(payload["priors"])).priors)

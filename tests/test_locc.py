@@ -1458,9 +1458,8 @@ def _pair_cases():
     rng = np.random.default_rng(24)
     cases = []
     for da, db in ((3, 12), (8, 8), (16, 16), (24, 24)):
-        psi1, psi2 = random_orthogonal_pair(rng, da, db)
-        w = locc._zero_diagonal_basis(psi1.amplitude_matrix.conj() @ psi2.amplitude_matrix.T)
-        cases.append((f"pair-{da}x{db}", uniform_ensemble([psi1, psi2]), [w.conj()]))
+        ens = uniform_ensemble(random_orthogonal_pair(rng, da, db))
+        cases.append((f"pair-{da}x{db}", ens, [two_state_protocol(ens).alice_basis]))
     return cases
 
 

@@ -13,9 +13,10 @@ from loccdisc import (
     state_from_matrix,
     transpose_identity_check,
 )
-from loccdisc.qstate import normal_eigensystem, schmidt
+from loccdisc.bounds import lambda_max
+from loccdisc.qstate import normal_eigensystem, reduced_spectrum, schmidt, schmidt_coefficients
 
-from conftest import random_state
+from conftest import b_matrix, random_state
 
 OMEGA3 = np.exp(2j * np.pi / 3)
 
@@ -38,7 +39,7 @@ class TestMeState:
         np.testing.assert_allclose(coeffs, [1 / 3] * 3, atol=1e-14)
 
     def test_me_b_matrix_is_identity(self):
-        np.testing.assert_allclose(me_state(4).b_matrix, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(b_matrix(me_state(4)), np.eye(4), atol=1e-14)
 
     def test_zero_dim_rejected(self):
         with pytest.raises(DomainError):
@@ -78,12 +79,12 @@ class TestStateMatrixCorrespondence:
         for _ in range(50):
             m, n = int(rng.integers(1, 5)), int(rng.integers(1, 5))
             psi = random_state(rng, m, n)
-            back = state_from_matrix(psi.b_matrix, m)
+            back = state_from_matrix(b_matrix(psi), m)
             assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-12
 
     def test_normalization_convention(self, rng):
         psi = random_state(rng, 3, 4)
-        b = psi.b_matrix
+        b = b_matrix(psi)
         assert abs(np.trace(b.conj().T @ b) - 3) < 1e-12
 
 
@@ -140,7 +141,7 @@ class TestSchmidt:
         for _ in range(25):
             m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             psi = random_state(rng, m, n)
-            b = psi.b_matrix
+            b = b_matrix(psi)
             opnorm = np.linalg.eigvalsh(b.conj().T @ b)[-1]
             assert abs(opnorm / m - schmidt(psi)[0][0]) < 1e-10
 
@@ -154,12 +155,14 @@ class TestSchmidt:
         assert schmidt(me_state(3))[0][0] < 1 - 1e-10
 
     def test_matches_ensemble_coefficients(self, rng):
-        # the per-state oracle and the batched SVD behind StateEnsemble agree row by row
+        # the per-state oracle and the batched SVD behind StateEnsemble's witness pass agree row by row
         for _ in range(10):
             m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
             ens = StateEnsemble(tuple(random_state(rng, m, n) for _ in range(int(rng.integers(1, 5)))))
-            for psi, row in zip(ens.states, ens.schmidt_coefficients):
+            rows = schmidt_coefficients(ens.amplitude_matrices(), reduced_spectrum(ens.reduced_states))
+            for psi, row in zip(ens.states, rows):
                 np.testing.assert_allclose(schmidt(psi)[0], row, rtol=0, atol=1e-14)
+            assert lambda_max(ens) == float(rows[:, 0].max())
 
 
 class TestGeneralizedPauli:

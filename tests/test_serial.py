@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loccdisc import (
+    BipartiteState,
     DomainError,
     bell_basis,
     bell_subset,
@@ -107,7 +108,7 @@ class TestMatrixJson:
 class TestStateAndEnsembleJson:
     def test_state_roundtrip(self):
         psi = me_state(3)
-        back = serial.state_from_json(serial.state_to_json(psi))
+        back = BipartiteState(*serial._read_state(serial.state_to_json(psi)))
         np.testing.assert_allclose(back.amplitudes, psi.amplitudes, atol=0)
 
     def test_ensemble_roundtrip(self):

@@ -2,8 +2,10 @@
 name it lists must still resolve, the package's ``__all__`` must list exactly what it exports, and the
 README must name every public call that takes a tolerance.  The benchmark's refined Bell trees must be
 the ones the evaluator and ``simulate`` pins in ``test_locc.py`` cover.  Loading the CLI must not load
-``numpy.random``, which only seeded commands need, and loading the package must not load scipy.  Every code name the README cites must exist."""
+``numpy.random``, which only seeded commands need, and loading the package must not load scipy.  Every code name the README cites must exist,
+and every public function the package defines must be reached by its own code, its exports or the tracer."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -13,6 +15,7 @@ import re
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -172,3 +175,39 @@ def test_readme_names_resolve():
     cited = [name for name in _readme_code_names() if name not in README_NOTATION and not name.startswith("numpy.")]
     assert cited
     assert [name for name in cited if not _resolves(name, roots, members)] == []
+
+
+def _named(tree) -> Counter:
+    """How often each identifier appears in ``tree``: ``Name`` ids, ``Attribute`` attrs and import aliases."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.asname or node.name] += 1
+    return names
+
+
+def test_every_public_function_is_reached():
+    """Each public function and method defined under ``src/loccdisc`` is named by the package's own code
+    outside its own ``def``, exported by ``loccdisc.__all__``, or traced by ``bench/spans.py``.
+
+    Names are matched by identifier alone, so a method that shares its name with a function the package
+    calls counts as reached: a property ``StateEnsemble.schmidt_coefficients`` read only by tests would
+    pass, because ``qstate.schmidt_coefficients`` is called under the same name."""
+    package = ROOT / "src" / "loccdisc"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))}
+    named = sum((_named(tree) for tree in trees.values()), Counter())
+    unreached = []
+    for module, tree in trees.items():
+        defs = [(f"{module}.{node.name}", node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            defs += [(f"{module}.{cls.name}.{node.name}", node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+        for target, node in defs:
+            if node.name.startswith("_") or node.name in loccdisc.__all__ or target in spans.TARGETS:
+                continue
+            if named[node.name] <= _named(node)[node.name]:
+                unreached.append(target)
+    assert unreached == []
