@@ -72,8 +72,8 @@ METHOD_ALIASES = {"prop1": "three-qutrit"}
 
 
 def _cmd_synthesize(args) -> int:
-    build = synth.RUNGS[METHOD_ALIASES.get(args.method, args.method)]
-    takes_basis, explicit = build is synth.cub_rung, args.cub_source not in ("", "auto")
+    rung = METHOD_ALIASES.get(args.method, args.method)
+    takes_basis, explicit = rung == "cub", args.cub_source not in ("", "auto")
     if explicit and not takes_basis:
         raise DomainError(f"--cub-source does not apply to --method {args.method}")
     descriptor = _load_json_arg(args.ensemble)
@@ -82,7 +82,7 @@ def _cmd_synthesize(args) -> int:
     if takes_basis:
         inputs["cub_source"] = "explicit" if explicit else "auto"
     basis = (serial.matrix_from_json(_load_json_arg(args.cub_source)),) if explicit else ()
-    protocol, spec = synth.rung_protocol(build(ens, *basis))
+    protocol, spec = synth.rung_protocol(synth.RUNGS[rung](ens, *basis))
     evaluation = locc.evaluate(protocol, ens)
     report = {"protocol": serial.protocol_to_json(protocol), "success_probability": evaluation.success_probability}
     note = ""

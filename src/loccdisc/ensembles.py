@@ -202,6 +202,9 @@ def uniform_ensemble(states) -> StateEnsemble:
 
 def fourier_matrix(n: int) -> np.ndarray:
     """Unitary Fourier matrix F[j, k] = w^{jk}/sqrt(n), w = exp(2 pi i/n)."""
+    n = as_int(n, "n")
+    if n < 1:
+        raise DomainError("need dimension >= 1")
     j = np.arange(n)
     return np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
 
@@ -314,6 +317,7 @@ def common_unbiased_basis_check(candidate, family) -> bool:
 
 def haar_unitary(n: int, rng: "np.random.Generator") -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix, R-diagonal phases absorbed."""
+    n = as_int(n, "n")
     z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2)
     q, r = np.linalg.qr(z)
     d = np.diag(r)

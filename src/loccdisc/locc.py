@@ -49,14 +49,17 @@ Every one-way construction takes the ensemble and returns its spec:
 :func:`one_way_protocol` derives Bob's vectors from the amplitude stack in
 one product, :func:`product_basis_protocol` from one batched SVD, and
 :meth:`OneWayProtocolSpec.as_protocol` expands a spec into a tree.
-One batched complete QR, :func:`_completed_bases`, completes every basis,
-and Bob's rounds are views of one read-only stack of the conjugated
-bases: one finiteness test, one batched Gram product for every round's
-completeness defect and one comparison for which rounds are the identity.
-Each :class:`Povm` keeps its defect, so :meth:`LoccProtocol.validate`
-compares it with ``tol`` on every call without recomputing it.  A round's
-element views are made only when read: a validation reads none, and the
-walk only those of the first round of a run, which takes the stack's slice.
+One batched complete QR, :func:`_completed_bases`, completes every basis.
+One builder, :func:`_projective_rounds`, makes every projective round,
+Bob's rounds of a one-way tree as views of one read-only stack of the
+conjugated bases: one finiteness test, one batched Gram product for every
+round's completeness defect and one comparison for which rounds are the
+identity.  Each round keeps its defect and its index in the stack, so
+:meth:`LoccProtocol.validate` compares the defect with ``tol`` on every
+call without recomputing it, and a walk step on consecutive rounds takes
+the stack's slice.  Every :class:`Povm` makes its element views only when
+they are read: validating leaf-only children reads none, and the walk only
+those of the first round of a run.
 The two-state separator makes a traceless matrix's diagonal real with one
 Hermitian eigensystem and the Fourier matrix (none if it is real up to
 rounding), then deflates it one zero-value vector at a time, rotating two
@@ -94,58 +97,47 @@ COMPLETION_GUESS = 0
 ZERO_DIAGONAL_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Povm:
     """One measurement round: operators M_i with sum_i M_i^dag M_i = I.
 
-    The operators are stored once, stacked row-wise into the read-only
-    (sum of output dims, input dim) array ``stacked``; element i is the row
-    block starting at ``offsets[i]``, and ``elements`` holds read-only views
-    of those blocks.  ``elements`` may be a sequence of matrices or one
-    (outcomes, rows, input dim) array, which is checked and copied in one
-    piece rather than element by element; both forms give the same
-    ``stacked``, ``offsets`` and ``elements``.
+    ``elements`` is any sequence of 2-D matrices (a 3-D array is one such
+    sequence).  The operators are stored once, stacked row-wise into the
+    read-only (sum of output dims, input dim) array ``stacked``; element i
+    is the row block starting at ``offsets[i]``, and ``elements`` holds
+    read-only views of those blocks, made on first read.
 
     The completeness defect and :attr:`is_identity` are found once, then
-    kept: on first use, or, for the Bob rounds of a one-way tree, whose
-    ``stacked`` arrays are views of one checked stack, when the rounds are
-    built (:class:`_StackedRound`).
+    kept: on first use, or, for a projective round, when
+    :func:`_projective_rounds` builds it, with the index of its ``stacked``
+    in the stack it views.
     """
 
-    elements: tuple
-    stacked: np.ndarray = field(init=False, repr=False)
-    offsets: np.ndarray = field(init=False, repr=False)
+    stacked: np.ndarray
+    offsets: np.ndarray = field(repr=False)
 
-    def __post_init__(self):
-        elements = self.elements
-        if isinstance(elements, np.ndarray) and elements.ndim == 3:
-            # an (outcomes, rows, input dim) stack, taken in one piece
-            count, rows, dim = elements.shape
-            if rows == 0 or dim == 0:
-                raise DomainError(f"expected a nonempty 2-D matrix, got shape {(rows, dim)}")
-            if not count:
-                raise DomainError("POVM needs at least one element")
-            stacked = frozen_array(elements.reshape(-1, dim))
-            starts = range(0, count * rows, rows)
-            elements = tuple(stacked.reshape(count, rows, dim))
-        else:
-            blocks = [np.asarray(m, dtype=complex) for m in elements]
-            for m in blocks:
-                if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
-                    raise DomainError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
-            if not blocks:
-                raise DomainError("POVM needs at least one element")
-            if len({m.shape[1] for m in blocks}) != 1:
-                raise DomainError("POVM elements disagree on input dimension")
-            stacked = frozen_array(np.concatenate(blocks))
-            ends = list(accumulate(m.shape[0] for m in blocks))
-            starts = [0, *ends[:-1]]
-            elements = tuple(stacked[a:b] for a, b in zip(starts, ends))
+    # the index of ``stacked`` in the stack of projective rounds it views, else None
+    _index = None
+
+    def __init__(self, elements):
+        blocks = [np.asarray(m, dtype=complex) for m in elements]
+        for m in blocks:
+            if m.ndim != 2 or m.shape[0] == 0 or m.shape[1] == 0:
+                raise DomainError(f"expected a nonempty 2-D matrix, got shape {m.shape}")
+        if not blocks:
+            raise DomainError("POVM needs at least one element")
+        if len({m.shape[1] for m in blocks}) != 1:
+            raise DomainError("POVM elements disagree on input dimension")
+        stacked = frozen_array(np.concatenate(blocks))
         if not np.all(np.isfinite(stacked)):
             raise DomainError("matrix contains non-finite entries")
         object.__setattr__(self, "stacked", stacked)
-        object.__setattr__(self, "offsets", frozen_array(starts, dtype=np.intp))
-        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "offsets", frozen_array([0, *accumulate(len(m) for m in blocks[:-1])], dtype=np.intp))
+
+    @cached_property
+    def elements(self) -> tuple:
+        bounds = [*self.offsets.tolist(), len(self.stacked)]
+        return tuple(self.stacked[a:b] for a, b in zip(bounds, bounds[1:]))
 
     @property
     def input_dim(self) -> int:
@@ -171,46 +163,34 @@ class Povm:
         return float(np.max(np.abs(gram - np.eye(self.input_dim))))
 
 
-class _StackedRound(Povm):
-    """A projective Bob round of a one-way tree whose ``stacked`` is a view of one checked stack.
+def _projective_rounds(bases) -> list:
+    """One rank-1 round per column set of the (rounds, d, r) stack ``bases``: outcome j projects onto column j.
 
-    ``elements``, the (1, dim) views of its rows, are made on first read:
-    validating the tree reads none, and the walk only those of the first
-    round of a run.
+    The conjugated columns are written once into one read-only (rounds, r, d)
+    stack, tested for finiteness once; each round's ``stacked`` is its slice,
+    and the rounds share one offsets array.  One batched Gram product gives
+    every round's completeness defect (its last bits may differ from a lone
+    product's; an identity's is exactly 0, as every product of 0s and 1s is
+    exact) and, when r == d, one comparison which rounds are the identity.
+    Each round keeps both and its index in the stack.
     """
-
-    @classmethod
-    def from_bases(cls, bases) -> list:
-        """One round per basis of the (rounds, dim, dim) column-wise stack ``bases``, as :func:`projective_povm` builds it.
-
-        The conjugated bases are written once into one read-only stack,
-        tested for finiteness once; the rounds share one offsets array.  One
-        batched Gram product gives every round's completeness defect (its
-        last bits may differ from a lone product's; an identity's is exactly
-        0, as every product of 0s and 1s is exact) and one comparison which
-        rounds are the identity, and each round keeps both.
-        """
-        stack = np.conjugate(bases.transpose(0, 2, 1), out=np.empty(bases.shape, dtype=complex))
-        stack.setflags(write=False)
-        if not np.all(np.isfinite(stack)):
-            raise DomainError("matrix contains non-finite entries")
-        dim = stack.shape[2]
-        identity = (stack == np.eye(dim)).all(axis=(1, 2)).tolist()
-        gram = bases @ stack  # stacked^dag stacked per round: each basis is its block's conjugate transpose, exactly
-        gram.reshape(len(gram), -1)[:, :: dim + 1] -= 1.0  # minus the identity, in place
-        defects = np.abs(gram).max(axis=(1, 2)).tolist()
-        offsets = frozen_array(range(dim), dtype=np.intp)
-        rounds = []
-        for index, (rows, ident, defect) in enumerate(zip(stack, identity, defects)):
-            povm = object.__new__(cls)
-            # the kept values go where cached_property would put them; the round is the stack's slice _index
-            povm.__dict__.update(stacked=rows, offsets=offsets, is_identity=ident, _defect=defect, _index=index)
-            rounds.append(povm)
-        return rounds
-
-    @cached_property
-    def elements(self) -> tuple:
-        return tuple(self.stacked[:, None])
+    rounds, d, r = bases.shape
+    stack = np.conjugate(bases.transpose(0, 2, 1), out=np.empty((rounds, r, d), dtype=complex))
+    stack.setflags(write=False)
+    if not np.all(np.isfinite(stack)):
+        raise DomainError("matrix contains non-finite entries")
+    identity = (stack == np.eye(d)).all(axis=(1, 2)).tolist() if r == d else [False] * rounds
+    gram = bases @ stack  # stacked^dag stacked per round: each column set is its block's conjugate transpose, exactly
+    gram.reshape(rounds, -1)[:, :: d + 1] -= 1.0  # minus the identity, in place
+    defects = np.abs(gram).max(axis=(1, 2)).tolist()
+    offsets = frozen_array(range(r), dtype=np.intp)
+    povms = []
+    for index, (rows, ident, defect) in enumerate(zip(stack, identity, defects)):
+        povm = object.__new__(Povm)
+        # the kept values go where cached_property would put them
+        povm.__dict__.update(stacked=rows, offsets=offsets, is_identity=ident, _defect=defect, _index=index)
+        povms.append(povm)
+    return povms
 
 
 @dataclass(frozen=True)
@@ -342,9 +322,8 @@ class ProtocolEvaluation:
 
 
 def projective_povm(basis) -> Povm:
-    """Rank-1 row-vector POVM measuring in the columns of ``basis``."""
-    b = as_matrix(basis)
-    return Povm(b.conj().T[:, None, :])
+    """Rank-1 row-vector POVM measuring in the columns of ``basis``, built by :func:`_projective_rounds`."""
+    return _projective_rounds(as_matrix(basis)[None])[0]
 
 
 def identity_round(dim: int) -> Povm:
@@ -451,16 +430,17 @@ class OneWayProtocolSpec:
 
         Each outcome's Bob vectors are completed to a full basis by
         :func:`_completed_bases`; completion outcomes guess
-        ``COMPLETION_GUESS``.  The Bob rounds are :class:`_StackedRound`
-        views of one checked stack, each bit for bit the :class:`Povm` of its
-        outcome's basis; equal labels share one :class:`Leaf`.
+        ``COMPLETION_GUESS``.  The Bob rounds come from one call of
+        :func:`_projective_rounds`, views of one checked stack, each bit for
+        bit the :class:`Povm` of its outcome's basis; equal labels share one
+        :class:`Leaf`.
         """
         labels, db = self.labels, self.dim_b
         q = _completed_bases(self._bob, [len(labs) for labs in labels])
         leaf = {lab: Leaf(lab) for lab in {COMPLETION_GUESS}.union(*labels)}
         children = tuple(
             ProtocolNode(BOB, povm, tuple(map(leaf.get, labs)) + (leaf[COMPLETION_GUESS],) * (db - len(labs)))
-            for povm, labs in zip(_StackedRound.from_bases(q), labels)
+            for povm, labs in zip(_projective_rounds(q), labels)
         )
         root = ProtocolNode(ALICE, projective_povm(self.alice_basis), children)
         return LoccProtocol(self.dim_a, db, root)
@@ -553,15 +533,14 @@ def _child_groups(node):
 
 def _run_stack(run):
     """A step's operators, (nodes, rows, input dim): the run's one shared stacked POVM; the slice of one
-    checked stack when the run holds its consecutive :class:`_StackedRound` rounds (the same bits); or the
-    nodes' POVMs stacked."""
+    stack of :func:`_projective_rounds` when the run holds its consecutive rounds, as their kept indices
+    show (the same bits); or the nodes' POVMs stacked."""
     first = run[0].povm
     if all(node.povm is first for node in run):
         return first.stacked
-    povms, whole = [node.povm for node in run], first.stacked.base
-    if all(isinstance(p, _StackedRound) and p.stacked.base is whole and p._index == first._index + j
-           for j, p in enumerate(povms)):
-        return whole[first._index : first._index + len(run)]
+    povms, whole, i = [node.povm for node in run], first.stacked.base, first._index
+    if i is not None and all(p.stacked.base is whole and p._index == i + j for j, p in enumerate(povms)):
+        return whole[i : i + len(run)]
     return np.stack([p.stacked for p in povms])
 
 
@@ -791,7 +770,7 @@ def discard_protocol(inner: LoccProtocol, kept, k: int) -> LoccProtocol:
     never guessed, so on a uniform ensemble the overall success is
     (len(kept)/k) times the inner success on the kept states.
     """
-    kept = [as_int(x, "kept label") for x in kept]
+    kept, k = [as_int(x, "kept label") for x in kept], as_int(k, "k")
     if not kept:
         raise DomainError("kept labels must be nonempty")
     if len(set(kept)) != len(kept):

@@ -93,8 +93,11 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
+        dim_a, dim_b = as_int(self.dim_a, "dim_a"), as_int(self.dim_b, "dim_b")
+        if dim_a < 1 or dim_b < 1:
             raise DomainError("dimensions must be positive")
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
         amps = np.array(self.amplitudes, dtype=complex, order="C").reshape(-1)
         if amps.size != self.dim_a * self.dim_b:
             raise DomainError(
@@ -127,6 +130,7 @@ class BipartiteState:
 
 def me_state(n: int) -> BipartiteState:
     """Canonical maximally entangled state (1/sqrt(n)) sum_j |j>|j> of C^n (x) C^n."""
+    n = as_int(n, "n")
     if n < 1:
         raise DomainError("dimension must be >= 1")
     amps = (np.eye(n, dtype=complex) / np.sqrt(n)).reshape(-1)
@@ -267,6 +271,7 @@ def generalized_pauli(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     Both are unitary, X^n = Z^n = I, and X Z = w Z X with w = exp(2 pi i/n).
     """
+    n = as_int(n, "n")
     if n < 2:
         raise DomainError("generalized Pauli matrices need dimension >= 2")
     x = np.zeros((n, n), dtype=complex)

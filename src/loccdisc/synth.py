@@ -212,23 +212,19 @@ def _single_state(ensemble: StateEnsemble) -> locc.LoccProtocol:
     return locc.blind_guess_protocol(ensemble.dim_a, ensemble.dim_b, 0)
 
 
-def cub_rung(ensemble: StateEnsemble, basis=None) -> OneWayProtocolSpec:
-    """The CUB rung's builder, the one rung that also takes an explicit ``basis``."""
-    return synthesize_cub_protocol(ensemble, basis)
-
-
 # Rung name -> builder, in verdict's order.  A builder takes an ensemble and
 # returns a LoccProtocol or a OneWayProtocolSpec, or raises DomainError where
-# its rung does not apply.  Builders look their construction up when called,
-# so a patched module attribute is the function that runs.  Every rung has
-# Alice measure first; the "<rung>/bob-first" rows appended below run the
-# same rung on the swapped ensemble and swap its protocol back, so they are
-# tried only after every Alice-first row has failed.
+# its rung does not apply; the CUB rung's also takes an explicit ``basis``.
+# Builders look their construction up when called, so a patched module
+# attribute is the function that runs.  Every rung has Alice measure first;
+# the "<rung>/bob-first" rows appended below run the same rung on the
+# swapped ensemble and swap its protocol back, so they are tried only after
+# every Alice-first row has failed.
 RUNGS = {
     "single-state": _single_state,
     "two-state": lambda ensemble: locc.two_state_protocol(ensemble),
     "three-qutrit": lambda ensemble: synthesize_three_qutrit_protocol(ensemble),
-    "cub": cub_rung,
+    "cub": lambda ensemble, basis=None: synthesize_cub_protocol(ensemble, basis),
     "product-basis": lambda ensemble: locc.product_basis_protocol(ensemble),
 }
 

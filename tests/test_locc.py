@@ -43,7 +43,7 @@ from loccdisc.locc import (
     projective_povm,
 )
 
-from loccdisc.qstate import ROUNDING_ZERO
+from loccdisc.qstate import ROUNDING_ZERO, generalized_pauli
 from loccdisc.synth import default_cub_candidates
 
 from conftest import (
@@ -1593,10 +1593,11 @@ class TestBobRoundStack:
             todo.extend(node.children)
 
     def test_library_holds_stacked_rounds(self):
-        """The library test above covers one-way trees: most entries hold rounds built by ``as_protocol``."""
+        """The library test above covers one-way trees: most entries hold rounds built by ``as_protocol``,
+        consecutive rounds of one stack, as their kept stack indices show."""
         roots = [entry.protocol.root for entry in build_library() if not isinstance(entry.protocol.root, Leaf)]
-        stacked = [any(isinstance(getattr(c, "povm", None), locc._StackedRound) for c in root.children) for root in roots]
-        assert sum(stacked) >= 20
+        indices = [[getattr(getattr(c, "povm", None), "_index", None) for c in root.children] for root in roots]
+        assert sum(len(x) > 1 and x == list(range(len(x))) for x in indices) >= 20
 
     def test_scaled_round_refused_in_first_fault_order(self, monkeypatch):
         """Rounds 2 and 5 scaled: the tree is refused for round 2, with the message the per-round tree gives."""
@@ -1672,7 +1673,12 @@ def _built(obj):
     if isinstance(obj, LoccProtocol):
         assert type(obj.dim_a) is int and type(obj.dim_b) is int
         return serial.protocol_to_json(obj)
-    return obj.stacked.tolist()
+    if isinstance(obj, BipartiteState):
+        assert type(obj.dim_a) is int and type(obj.dim_b) is int
+        return _built(uniform_ensemble([obj]))
+    if isinstance(obj, tuple):
+        return [_built(x) for x in obj]
+    return getattr(obj, "stacked", obj).tolist()
 
 
 _INTEGER_ARGUMENTS = [
@@ -1682,6 +1688,13 @@ _INTEGER_ARGUMENTS = [
     ("blind_guess_protocol-dim_a", lambda x: blind_guess_protocol(x, 2)),
     ("blind_guess_protocol-dim_b", lambda x: blind_guess_protocol(2, x)),
     ("identity_round", lambda x: identity_round(x)),
+    ("fourier_matrix", lambda x: fourier_matrix(x)),
+    ("me_state", lambda x: me_state(x)),
+    ("generalized_pauli", lambda x: generalized_pauli(x)),
+    ("haar_unitary", lambda x: haar_unitary(x, np.random.default_rng(0))),
+    ("BipartiteState-dim_a", lambda x: BipartiteState(x, 2, np.full(6, 6**-0.5))),
+    ("BipartiteState-dim_b", lambda x: BipartiteState(2, x, np.full(6, 6**-0.5))),
+    ("discard_protocol-k", lambda x: discard_protocol(blind_guess_protocol(2, 2), [0], x)),
     ("random_orthogonal_me_triple-n", lambda x: random_orthogonal_me_triple(x, 1)),
     ("random_orthogonal_me_triple-seed", lambda x: random_orthogonal_me_triple(3, x)),
 ]
@@ -1693,6 +1706,12 @@ def test_builders_take_integer_valued_sizes_and_seeds(build):
     for bad in (2.5, True, "3"):
         with pytest.raises(DomainError, match="must be an integer"):
             build(bad)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_fourier_matrix_refuses_size_below_one(n):
+    with pytest.raises(DomainError, match="^need dimension >= 1$"):
+        fourier_matrix(n)
 
 
 class TestDiscardProtocol:
@@ -2049,6 +2068,27 @@ class TestStackedPovm:
         bad[1, 0, 1] = np.nan
         with pytest.raises(DomainError, match="non-finite"):
             Povm(bad)
+
+    def test_trine_frame_is_a_complete_three_outcome_round(self):
+        """Three columns in C^2 with orthonormal rows: a frame, not a basis, so never the identity."""
+        t = 2 * np.pi * np.arange(3) / 3
+        trine = np.sqrt(2 / 3) * np.array([np.cos(t), np.sin(t)])
+        povm = projective_povm(trine)
+        assert povm.stacked.shape == (3, 2) and povm.offsets.tolist() == [0, 1, 2]
+        assert povm.is_identity is False
+        assert povm.completeness_defect() < 1e-15
+        _assert_round_matches(povm, Povm(tuple(trine.conj().T[:, None, :])))
+
+    def test_elements_made_on_first_read(self):
+        """A round holds no element views until they are read; validating leaf-only children reads none."""
+        povm = Povm((np.eye(3)[:1], np.eye(3)[1:]))
+        assert "elements" not in vars(povm) and "elements" not in vars(projective_povm(np.eye(3)))
+        assert [m.shape for m in povm.elements] == [(1, 3), (2, 3)] and "elements" in vars(povm)
+        pair = uniform_ensemble(random_orthogonal_pair(np.random.default_rng(1), 3, 3))
+        parsed = serial.protocol_from_json(serial.protocol_to_json(two_state_protocol(pair).as_protocol()))
+        assert not any("elements" in vars(node.povm) for node in (parsed.root, *parsed.root.children))
+        parsed.validate()
+        assert not any("elements" in vars(node.povm) for node in parsed.root.children)
 
 
 def _product_pair(rng, dim_a, dim_b):
