@@ -28,6 +28,7 @@ import numpy as np
 from . import locc, synth
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
+from .qstate import as_int
 
 VERDICT_POSSIBLE = "PerfectPossible"
 VERDICT_IMPOSSIBLE = "PerfectImpossible"
@@ -84,12 +85,14 @@ class BoundsReport:
             raise ToleranceError("impossibility verdict without a violated witness")
 
 
-def _check_square(k: int, n: int) -> None:
-    """The domain of the square-case windows: n >= 2 and 2 <= k <= n^2."""
+def _check_square(k: int, n: int) -> tuple[int, int]:
+    """(k, n) as integers, in the domain of the square-case windows: n >= 2 and 2 <= k <= n^2."""
+    k, n = as_int(k, "k"), as_int(n, "n")
     if n < 2:
         raise DomainError("need n >= 2")
     if k < 2 or k > n * n:
         raise DomainError(f"need 2 <= k <= n^2, got k = {k}, n = {n}")
+    return k, n
 
 
 def fme_bounds(k: int, n: int) -> tuple[float, float]:
@@ -100,7 +103,7 @@ def fme_bounds(k: int, n: int) -> tuple[float, float]:
     Otherwise (2/k, n/k) for n <= k, widening to an upper bound of 1 when
     k < n where no better general value is known.
     """
-    _check_square(k, n)
+    k, n = _check_square(k, n)
     if k == 2:
         return (1.0, 1.0)
     if n == 3:
@@ -117,7 +120,7 @@ def f_bounds(k: int, n: int) -> tuple[float, float]:
     the worst case squeezes the states into the smallest space that holds
     them, independent of n.
     """
-    _check_square(k, n)
+    k, n = _check_square(k, n)
     return (2.0 / k, math.ceil(math.sqrt(k)) / k)
 
 
@@ -129,6 +132,7 @@ def f_mixed_dims_bounds(k: int, m: int, n: int) -> tuple[float, float]:
     square-case upper bound at dimension m when k <= m^2 and n/k when
     m^2 < k <= mn.
     """
+    k, m, n = as_int(k, "k"), as_int(m, "m"), as_int(n, "n")
     if m < 2 or n < m:
         raise DomainError("need 2 <= m <= n")
     if k < 2 or k > m * n:
@@ -176,7 +180,7 @@ def entropy_bound_bits(ensemble: StateEnsemble) -> float:
 
 def g_bounds_bits(k: int, n: int) -> tuple[float, float]:
     """Bounds ((2/k) bits, log2 ceil(sqrt(k))) on worst-case mutual information."""
-    _check_square(k, n)
+    k, n = _check_square(k, n)
     return (2.0 / k, math.log2(math.ceil(math.sqrt(k))))
 
 

@@ -54,12 +54,13 @@ One builder, :func:`_projective_rounds`, makes every projective round,
 Bob's rounds of a one-way tree as views of one read-only stack of the
 conjugated bases: one finiteness test, one batched Gram product for every
 round's completeness defect and one comparison for which rounds are the
-identity.  Each round keeps its defect and its index in the stack, so
-:meth:`LoccProtocol.validate` compares the defect with ``tol`` on every
-call without recomputing it, and a walk step on consecutive rounds takes
-the stack's slice.  Every :class:`Povm` makes its element views only when
-they are read: validating leaf-only children reads none, and the walk only
-those of the first round of a run.
+identity.  Every :class:`Povm` keeps its defect, so
+:meth:`LoccProtocol.validate` compares it with ``tol`` at every node on
+every call without recomputing it, and a walk step on a run of distinct
+rounds stacks them, in a built tree as in a parsed one.  Every
+:class:`Povm` makes its element views only when they are read: validating
+leaf-only children reads none, and the walk only those of the first round
+of a run.
 The two-state separator makes a traceless matrix's diagonal real with one
 Hermitian eigensystem and the Fourier matrix (none if it is real up to
 rounding), then deflates it one zero-value vector at a time, rotating two
@@ -109,15 +110,11 @@ class Povm:
 
     The completeness defect and :attr:`is_identity` are found once, then
     kept: on first use, or, for a projective round, when
-    :func:`_projective_rounds` builds it, with the index of its ``stacked``
-    in the stack it views.
+    :func:`_projective_rounds` builds it.
     """
 
     stacked: np.ndarray
     offsets: np.ndarray = field(repr=False)
-
-    # the index of ``stacked`` in the stack of projective rounds it views, else None
-    _index = None
 
     def __init__(self, elements):
         blocks = [np.asarray(m, dtype=complex) for m in elements]
@@ -172,7 +169,7 @@ def _projective_rounds(bases) -> list:
     every round's completeness defect (its last bits may differ from a lone
     product's; an identity's is exactly 0, as every product of 0s and 1s is
     exact) and, when r == d, one comparison which rounds are the identity.
-    Each round keeps both and its index in the stack.
+    Each round keeps both.
     """
     rounds, d, r = bases.shape
     stack = np.conjugate(bases.transpose(0, 2, 1), out=np.empty((rounds, r, d), dtype=complex))
@@ -185,10 +182,10 @@ def _projective_rounds(bases) -> list:
     defects = np.abs(gram).max(axis=(1, 2)).tolist()
     offsets = frozen_array(range(r), dtype=np.intp)
     povms = []
-    for index, (rows, ident, defect) in enumerate(zip(stack, identity, defects)):
+    for rows, ident, defect in zip(stack, identity, defects):
         povm = object.__new__(Povm)
         # the kept values go where cached_property would put them
-        povm.__dict__.update(stacked=rows, offsets=offsets, is_identity=ident, _defect=defect, _index=index)
+        povm.__dict__.update(stacked=rows, offsets=offsets, is_identity=ident, _defect=defect)
         povms.append(povm)
     return povms
 
@@ -235,7 +232,7 @@ class LoccProtocol:
         and >= 0.
         """
         tol = as_tol(tol, "tol")
-        _check_node(self.root, self.dim_a, self.dim_b, None, math.inf if k is None else k, tol, set())
+        _check_node(self.root, self.dim_a, self.dim_b, None, math.inf if k is None else k, tol)
 
     def map_leaves(self, fn) -> "LoccProtocol":
         """New protocol with every Leaf replaced by fn(leaf)."""
@@ -251,8 +248,8 @@ class LoccProtocol:
         return LoccProtocol(self.dim_b, self.dim_a, _map_node(self.root, _same_leaf, _SWAPPED_ACTORS))
 
 
-def _check_node(node, da, db, prev_actor, k_max, tol, complete) -> None:
-    """:meth:`LoccProtocol.validate`'s walk from ``node`` on a (da, db) input; ``complete`` holds checked Povm ids.
+def _check_node(node, da, db, prev_actor, k_max, tol) -> None:
+    """:meth:`LoccProtocol.validate`'s walk from ``node`` on a (da, db) input; each node compares its POVM's kept defect.
 
     Module-level, as is :func:`_map_node`: a recursive closure would be a reference cycle left to the collector.
     """
@@ -266,15 +263,13 @@ def _check_node(node, da, db, prev_actor, k_max, tol, complete) -> None:
     cur = da if alice else db
     if node.povm.input_dim != cur:
         raise DomainError(f"{node.actor} POVM input dim {node.povm.input_dim} != current dim {cur}")
-    if id(node.povm) not in complete:
-        defect = node.povm.completeness_defect()
-        if defect > tol:
-            raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
-        complete.add(id(node.povm))
+    defect = node.povm.completeness_defect()
+    if defect > tol:
+        raise DomainError(f"incomplete POVM (defect {defect:.3e} > {tol:g})")
     for i, child in enumerate(node.children):
         if not (isinstance(child, Leaf) and 0 <= child.guess < k_max):
             rows = node.povm.elements[i].shape[0]
-            _check_node(child, rows if alice else da, db if alice else rows, node.actor, k_max, tol, complete)
+            _check_node(child, rows if alice else da, db if alice else rows, node.actor, k_max, tol)
 
 
 _SAME_ACTORS = {ALICE: ALICE, BOB: BOB}
@@ -532,16 +527,11 @@ def _child_groups(node):
 
 
 def _run_stack(run):
-    """A step's operators, (nodes, rows, input dim): the run's one shared stacked POVM; the slice of one
-    stack of :func:`_projective_rounds` when the run holds its consecutive rounds, as their kept indices
-    show (the same bits); or the nodes' POVMs stacked."""
+    """A step's operators, (nodes, rows, input dim): the run's one shared stacked POVM, or the nodes' POVMs stacked."""
     first = run[0].povm
     if all(node.povm is first for node in run):
         return first.stacked
-    povms, whole, i = [node.povm for node in run], first.stacked.base, first._index
-    if i is not None and all(p.stacked.base is whole and p._index == i + j for j, p in enumerate(povms)):
-        return whole[i : i + len(run)]
-    return np.stack([p.stacked for p in povms])
+    return np.stack([node.povm.stacked for node in run])
 
 
 def _collect_leaves(run, y, prefixes, paths, guesses, blocks):

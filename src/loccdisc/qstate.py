@@ -25,6 +25,7 @@ rho_A = S S^dag (:func:`reduced_state`, :func:`reduced_spectrum`).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,14 +70,15 @@ def as_int(value, name: str) -> int:
 
 
 def as_tol(value, name: str) -> float:
-    """``value`` as a tolerance: refused unless finite and >= 0 (a NaN would pass every ``x > tol`` test)."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be finite and >= 0, got {value}")
+    """``value`` as a tolerance: a real number (no bool), finite and >= 0, as a NaN would pass every ``x > tol`` test."""
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
     return value
 
 
 def is_unitary(matrix, tol: float = STRUCTURAL_TOL) -> bool:
-    """True when ``M^dag M = I`` entrywise within ``tol`` (square input only)."""
+    """True when ``M^dag M = I`` entrywise within ``tol`` (square input only); ``tol`` must be finite and >= 0."""
+    tol = as_tol(tol, "tol")
     m = as_matrix(matrix)
     if m.shape[0] != m.shape[1]:
         return False

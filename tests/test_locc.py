@@ -2,6 +2,8 @@ import gc
 import hashlib
 import itertools
 import math
+import re
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -31,7 +33,15 @@ from loccdisc import (
     uniform_ensemble,
 )
 from loccdisc import locc, serial
-from loccdisc.bounds import VERDICT_POSSIBLE, VERDICT_UNKNOWN, verdict
+from loccdisc.bounds import (
+    VERDICT_POSSIBLE,
+    VERDICT_UNKNOWN,
+    f_bounds,
+    f_mixed_dims_bounds,
+    fme_bounds,
+    g_bounds_bits,
+    verdict,
+)
 from loccdisc.ensembles import fourier_matrix, haar_unitary
 from loccdisc.library import build_library
 from loccdisc.locc import (
@@ -43,7 +53,7 @@ from loccdisc.locc import (
     projective_povm,
 )
 
-from loccdisc.qstate import ROUNDING_ZERO, generalized_pauli
+from loccdisc.qstate import ROUNDING_ZERO, generalized_pauli, is_unitary
 from loccdisc.synth import default_cub_candidates
 
 from conftest import (
@@ -299,23 +309,26 @@ class TestProtocolStructure:
             tree.validate()
 
     def test_shared_povm_checked_once(self, monkeypatch):
-        calls = []
-        original = Povm.completeness_defect
-
-        def counting(povm):
-            calls.append(id(povm))
-            return original(povm)
-
-        monkeypatch.setattr(Povm, "completeness_defect", counting)
-        comp = projective_povm(np.eye(2, dtype=complex))
-        bob = ProtocolNode(BOB, comp, (Leaf(0), Leaf(1)))
-        tree = LoccProtocol(2, 2, ProtocolNode(ALICE, comp, (bob, bob)))
+        """Every node reads its POVM's kept defect: a shared POVM finds its Gram product once."""
+        grams, reads = [], []
+        gram = Povm._defect.func
+        counting = cached_property(lambda povm: grams.append(id(povm)) or gram(povm))
+        counting.__set_name__(Povm, "_defect")
+        monkeypatch.setattr(Povm, "_defect", counting)
+        read = Povm.completeness_defect
+        monkeypatch.setattr(Povm, "completeness_defect", lambda povm: reads.append(id(povm)) or read(povm))
+        rows = Povm(fourier_matrix(2)[:, None])  # built by Povm(...): its defect is found on first use
+        bob = ProtocolNode(BOB, rows, (Leaf(0), Leaf(1)))
+        tree = LoccProtocol(2, 2, ProtocolNode(ALICE, rows, (bob, bob)))
         tree.validate()
-        assert calls == [id(comp)]
-        calls.clear()
-        # one Povm object at the root and at all 16 Bob nodes
-        standard_bell_protocol(16).validate()
-        assert len(calls) == 1
+        tree.validate()
+        assert grams == [id(rows)] and reads == [id(rows)] * 6
+        grams.clear()
+        reads.clear()
+        # one Povm object at the root and at all 16 Bob nodes, its defect kept when built
+        protocol = standard_bell_protocol(16)
+        protocol.validate()
+        assert grams == [] and reads == [id(protocol.root.povm)] * 17
 
     def test_shared_incomplete_povm_still_rejected(self):
         half = Povm((np.eye(2, dtype=complex) / 2,))
@@ -325,16 +338,23 @@ class TestProtocolStructure:
         with pytest.raises(DomainError, match="incomplete POVM"):
             tree.validate()
 
-    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf, True, "1e-10"])
     def test_tol_must_be_finite_and_nonnegative(self, tol):
-        # with tol = nan every "defect > tol" test is false, so the half POVM would pass
+        # with tol = nan every "defect > tol" test is false, so the half POVM would pass;
+        # True would pass as tol 1, and inf would call diag(1, 2) unitary
         half = Povm((np.eye(2, dtype=complex) / 2,))
         tree = LoccProtocol(2, 2, ProtocolNode(ALICE, half, (Leaf(0),)))
-        message = f"^tol must be finite and >= 0, got {tol}$"
-        with pytest.raises(DomainError, match=message):
-            tree.validate(tol=tol)
-        with pytest.raises(DomainError, match=message):
-            evaluate(standard_bell_protocol(2), bell_basis(2), tol=tol)
+        ens = bell_basis(2)
+        calls = (
+            lambda: tree.validate(tol=tol),
+            lambda: evaluate(standard_bell_protocol(2), ens, tol=tol),
+            lambda: ens.is_orthogonal(tol),
+            lambda: ens.is_maximally_entangled(tol),
+            lambda: is_unitary(np.diag([1.0, 2.0]), tol),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match=f"^tol must be finite and >= 0, got {re.escape(repr(tol))}$"):
+                call()
         tree.validate(tol=0.75)  # the defect is 0.75, not above it
 
     def test_projective_povm_complete(self):
@@ -1558,18 +1578,15 @@ class TestBobRoundStack:
 
     @pytest.mark.parametrize("name, spec", _BATCHED_SPECS, ids=[case[0] for case in _BATCHED_SPECS])
     def test_run_steps_on_the_stack_slice(self, name, spec):
-        """A run of consecutive rounds of one stack steps on its slice, with no copy; any other run
-        stacks copies; and the walk's bits are those of the tree rebuilt from per-round copies."""
+        """A run of distinct rounds steps on their stack, wherever the rounds were built, byte for byte
+        ``np.stack`` of its rounds; and the walk's bits are those of the tree rebuilt from per-round copies."""
         protocol = spec.as_protocol()
         nodes = protocol.root.children
-        whole = nodes[0].povm.stacked.base
         copied = tuple(ProtocolNode(BOB, Povm(np.array(node.povm.stacked)[:, None]), node.children) for node in nodes)
         other = spec.as_protocol().root.children  # rounds of another stack
-        runs = [(nodes, True), (nodes[1:], True), (nodes[::-1], False), (nodes[::2], False)]
-        for run, sliced in runs + [([nodes[0], other[1]], False), ([nodes[0], copied[1]], False)]:
+        for run in (nodes, nodes[1:], nodes[::-1], nodes[::2], [nodes[0], other[1]], [nodes[0], copied[1]]):
             if len(run) > 1:
                 got = locc._run_stack(run)
-                assert (got.base is whole) == sliced
                 assert got.tobytes() == np.stack([node.povm.stacked for node in run]).tobytes()
         rng = np.random.default_rng(len(nodes))
         v = rng.standard_normal((1 + max(itertools.chain(*spec.labels), default=0), spec.dim_a * spec.dim_b, 2)) @ [1, 1j]
@@ -1594,10 +1611,16 @@ class TestBobRoundStack:
 
     def test_library_holds_stacked_rounds(self):
         """The library test above covers one-way trees: most entries hold rounds built by ``as_protocol``,
-        consecutive rounds of one stack, as their kept stack indices show."""
+        distinct rounds that view one stack, as their shared ``stacked.base`` shows."""
         roots = [entry.protocol.root for entry in build_library() if not isinstance(entry.protocol.root, Leaf)]
-        indices = [[getattr(getattr(c, "povm", None), "_index", None) for c in root.children] for root in roots]
-        assert sum(len(x) > 1 and x == list(range(len(x))) for x in indices) >= 20
+        povms = [[getattr(c, "povm", None) for c in root.children] for root in roots]
+        assert sum(
+            len(x) > 1
+            and None not in x
+            and len({*map(id, x)}) == len(x)
+            and all(p.stacked.base is x[0].stacked.base is not None for p in x)
+            for x in povms
+        ) >= 20
 
     def test_scaled_round_refused_in_first_fault_order(self, monkeypatch):
         """Rounds 2 and 5 scaled: the tree is refused for round 2, with the message the per-round tree gives."""
@@ -1678,6 +1701,8 @@ def _built(obj):
         return _built(uniform_ensemble([obj]))
     if isinstance(obj, tuple):
         return [_built(x) for x in obj]
+    if isinstance(obj, float):
+        return obj
     return getattr(obj, "stacked", obj).tolist()
 
 
@@ -1697,6 +1722,15 @@ _INTEGER_ARGUMENTS = [
     ("discard_protocol-k", lambda x: discard_protocol(blind_guess_protocol(2, 2), [0], x)),
     ("random_orthogonal_me_triple-n", lambda x: random_orthogonal_me_triple(x, 1)),
     ("random_orthogonal_me_triple-seed", lambda x: random_orthogonal_me_triple(3, x)),
+    ("fme_bounds-k", lambda x: fme_bounds(x, 3)),
+    ("fme_bounds-n", lambda x: fme_bounds(2, x)),
+    ("f_bounds-k", lambda x: f_bounds(x, 3)),
+    ("f_bounds-n", lambda x: f_bounds(4, x)),
+    ("g_bounds_bits-k", lambda x: g_bounds_bits(x, 3)),
+    ("g_bounds_bits-n", lambda x: g_bounds_bits(4, x)),
+    ("f_mixed_dims_bounds-k", lambda x: f_mixed_dims_bounds(x, 2, 3)),
+    ("f_mixed_dims_bounds-m", lambda x: f_mixed_dims_bounds(5, x, 3)),
+    ("f_mixed_dims_bounds-n", lambda x: f_mixed_dims_bounds(5, 2, x)),
 ]
 
 

@@ -12,6 +12,7 @@ from loccdisc import (
     evaluate,
     me_state,
     random_orthogonal_me_triple,
+    simulate,
     standard_bell_protocol,
     synthesize_three_qutrit_protocol,
     verdict,
@@ -129,13 +130,17 @@ class TestStateAndEnsembleJson:
 
 class TestProtocolJson:
     def test_tree_roundtrip_evaluates_identically(self):
-        ens = bell_basis(3)
-        proto = standard_bell_protocol(3)
-        back = serial.protocol_from_json(serial.protocol_to_json(proto))
-        r1 = evaluate(proto, ens)
-        r2 = evaluate(back, ens)
-        assert r1.success_probability == r2.success_probability
-        assert r1.mutual_information_bits == r2.mutual_information_bits
+        """Every library tree read back from JSON reports the bits of the tree as built, one-way trees included."""
+
+        def report(protocol, ens):
+            r = evaluate(protocol, ens)
+            values = (r.success_probability, r.mutual_information_bits, *r.per_state_success)
+            joint = [(v, path, g, p.hex()) for v, path, g, p in r.joint]
+            return [x.hex() for x in values], joint, [simulate(protocol, ens, trials=20_000, seed=s) for s in range(2)]
+
+        for entry in build_library():
+            back = serial.protocol_from_json(serial.protocol_to_json(entry.protocol))
+            assert report(back, entry.ensemble) == report(entry.protocol, entry.ensemble), entry.name
 
     def test_one_way_spec_accepted(self):
         ens = random_orthogonal_me_triple(3, 2)
