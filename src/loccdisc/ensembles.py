@@ -226,15 +226,21 @@ def _bell_unitaries(n: int, ms, ls) -> np.ndarray:
     return x_pow[ms] @ z_pow[ls]
 
 
+def _bell_dimension(n) -> int:
+    """The local dimension ``n`` of a Bell construction as an int, refused below 2."""
+    n = as_int(n, "n")
+    if n < 2:
+        raise DomainError("need dimension >= 2")
+    return n
+
+
 def bell_basis(n: int) -> StateEnsemble:
     """All n^2 generalized Bell states (I (x) X^m Z^l)|ME_n>, uniform priors.
 
     States are ordered with m major, l minor, so label m*n + l is the (m, l)
     state.  Pairwise orthogonal and maximally entangled by construction.
     """
-    n = as_int(n, "n")
-    if n < 2:
-        raise DomainError("Bell basis needs dimension >= 2")
+    n = _bell_dimension(n)
     j = np.arange(n)
     stack = _bell_unitaries(n, j[:, None], j[None, :])  # (m, l, n, n), broadcast without copies
     return StateEnsemble._from_unit_stack(normalized_amplitudes(stack.reshape(-1, n, n)))
@@ -255,7 +261,7 @@ def _bell_labels(n: int, labels) -> list[tuple[int, int]]:
 
 def bell_subset(n: int, labels) -> StateEnsemble:
     """Uniform ensemble of the generalized Bell states with the given (m, l) labels."""
-    n = as_int(n, "n")
+    n = _bell_dimension(n)
     ms, ls = np.array(_bell_labels(n, labels)).T
     return StateEnsemble._from_unit_stack(normalized_amplitudes(_bell_unitaries(n, ms, ls)))
 
@@ -331,9 +337,7 @@ def random_orthogonal_me_triple(n: int, seed: int) -> StateEnsemble:
     unitaries A_i, so trace orthogonality Tr(B_i^dag B_j) = n delta_ij holds
     by construction while the pairwise products B_i^dag B_j stay generic.
     """
-    n, seed = as_int(n, "n"), as_int(seed, "seed")
-    if n < 2:
-        raise DomainError("need dimension >= 2")
+    n, seed = _bell_dimension(n), as_int(seed, "seed")
     if seed < 0:
         raise DomainError("seed must be >= 0")
     rng = np.random.default_rng(seed)

@@ -20,8 +20,10 @@ over the stacked (leaves, k) weights; the leaf paths are kept per block,
 and the joint table's row tuples are built only when first read.
 The Monte-Carlo runs take the same weights: per-state trial counts are
 drawn from the priors, and each state's correct trials are one binomial
-draw with its exact success, so the tree is walked once, by the evaluator
-(after :meth:`LoccProtocol.validate`, whose walk takes one call per node).
+draw with its exact success, so the tree is walked once, by the evaluator.
+A tree meets an ensemble only in :func:`_leaf_weights`, which checks their
+dimensions and runs :meth:`LoccProtocol.validate` (one call per node)
+before the walk, so both scorers refuse a fault with one message.
 
 Computational-basis measurements and identity rounds stack the identity
 (:attr:`Povm.is_identity`).  A step whose every POVM is the identity (one
@@ -75,9 +77,9 @@ from itertools import accumulate, chain, groupby, repeat
 
 import numpy as np
 
-from .ensembles import StateEnsemble, _bell_labels, fourier_matrix
+from .ensembles import StateEnsemble, _bell_dimension, _bell_labels, fourier_matrix
 from .errors import DomainError, ToleranceError
-from .qstate import ROUNDING_ZERO, _row_norms, as_int, as_matrix, as_tol, frozen_array, is_unitary
+from .qstate import ROUNDING_ZERO, _positive_dims, _row_norms, as_int, as_matrix, as_tol, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -220,6 +222,11 @@ class LoccProtocol:
     dim_a: int
     dim_b: int
     root: ProtocolNode
+
+    def __post_init__(self):
+        dim_a, dim_b = _positive_dims(self.dim_a, self.dim_b)
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
 
     def validate(self, k: int | None = None, tol: float = 1e-10) -> None:
         """Check alternation, operator shape chaining, completeness, leaf labels.
@@ -463,8 +470,13 @@ def one_way_protocol(amplitudes, alice_basis) -> OneWayProtocolSpec:
     return OneWayProtocolSpec(ab, tuple(tuple(np.flatnonzero(kx).tolist()) for kx in keep), v[keep])
 
 
-def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
+def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10):
     """Leaf path blocks and guesses in depth-first order, and their (leaves, k) weights.
+
+    The one place a tree meets an ensemble: ``DomainError`` unless their
+    dimensions agree and :meth:`LoccProtocol.validate` passes the tree for
+    the ensemble's k at ``tol``, so :func:`evaluate` and :func:`simulate`
+    refuse a fault with one message.
 
     The whole ensemble travels down the tree as one stacked array Y of
     matrices E B_i X^T, and each step of :func:`_collect_leaves` applies
@@ -479,6 +491,9 @@ def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble):
     block is a pair (prefixes, suffixes) standing for the leaf paths
     prefix + suffix, prefixes outer.
     """
+    if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
+        raise DomainError("protocol and ensemble dimensions disagree")
+    protocol.validate(k=ensemble.k, tol=tol)
     b = ensemble.b_matrices()
     if isinstance(protocol.root, Leaf):
         w = np.einsum("kij,kij->k", b.conj(), b).real[None] / protocol.dim_a
@@ -651,12 +666,10 @@ def evaluate(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10
     (leaf, state) entries, found as flat indices into the weights.  A row is
     kept when its probability is at least ``PRUNE_TOL``, so zero-probability
     rows are never listed.  The joint table's rows are built only when
-    ``joint`` is first read.
+    ``joint`` is first read.  What :func:`_leaf_weights` refuses at ``tol``
+    (dimensions that disagree, a tree ``validate`` refuses) raises its error.
     """
-    if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
-        raise DomainError("protocol and ensemble dimensions disagree")
-    protocol.validate(k=ensemble.k, tol=tol)
-    paths, guesses, w = _leaf_weights(protocol, ensemble)
+    paths, guesses, w = _leaf_weights(protocol, ensemble, tol)
 
     dev = float(np.max(np.abs(w.sum(axis=0) - 1.0)))
     if dev > 1e-9:
@@ -702,7 +715,9 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     column in leaf order, as numpy's axis-0 sum of the dense (leaves, k)
     hit mask does for k > 1, so bit for bit.  With k = 1 every leaf is a
     hit and that column is contiguous, which numpy sums pairwise, so the
-    numerator is the column sum itself.
+    numerator is the column sum itself.  ``trials`` and ``seed`` are
+    checked first, then the tree and ensemble by :func:`_leaf_weights` at
+    its default ``tol``; the walk draws nothing, so the stream is the seed's.
     """
     trials = as_int(trials, "trials")
     if not 1 <= trials <= 2**63 - 1:
@@ -710,12 +725,9 @@ def simulate(protocol: LoccProtocol, ensemble: StateEnsemble, trials: int, seed:
     seed = as_int(seed, "seed")
     if seed < 0:
         raise DomainError("seed must be >= 0")
-    if (protocol.dim_a, protocol.dim_b) != (ensemble.dim_a, ensemble.dim_b):
-        raise DomainError("protocol and ensemble dimensions disagree")
-    protocol.validate(k=ensemble.k)
+    _, guesses, w = _leaf_weights(protocol, ensemble)
     rng = np.random.default_rng(seed)
     per_state = rng.multinomial(trials, ensemble.priors)
-    _, guesses, w = _leaf_weights(protocol, ensemble)
     g = np.array(guesses)
     hits = w.sum(axis=0) if ensemble.k == 1 else np.bincount(g, weights=w[np.arange(len(g)), g], minlength=ensemble.k)
     s = np.clip(hits / w.sum(axis=0), 0.0, 1.0)
@@ -733,9 +745,7 @@ def standard_bell_protocol(n: int, subset=None) -> LoccProtocol:
     defaults to the full n^2 Bell basis, matching the state order of the
     corresponding ensemble.
     """
-    n = as_int(n, "n")
-    if n < 2:
-        raise DomainError("need dimension >= 2")
+    n = _bell_dimension(n)
     if subset is None:
         subset = [(m, l) for m in range(n) for l in range(n)]
     labels = _bell_labels(n, subset)

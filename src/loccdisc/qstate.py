@@ -69,6 +69,14 @@ def as_int(value, name: str) -> int:
     raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
+def _positive_dims(dim_a, dim_b) -> tuple[int, int]:
+    """A bipartite space's local dimensions as ints, each refused below 1."""
+    dims = as_int(dim_a, "dim_a"), as_int(dim_b, "dim_b")
+    if min(dims) < 1:
+        raise DomainError("dimensions must be positive")
+    return dims
+
+
 def as_tol(value, name: str) -> float:
     """``value`` as a tolerance: a real number (no bool), finite and >= 0, as a NaN would pass every ``x > tol`` test."""
     if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
@@ -95,9 +103,7 @@ class BipartiteState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        dim_a, dim_b = as_int(self.dim_a, "dim_a"), as_int(self.dim_b, "dim_b")
-        if dim_a < 1 or dim_b < 1:
-            raise DomainError("dimensions must be positive")
+        dim_a, dim_b = _positive_dims(self.dim_a, self.dim_b)
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_b", dim_b)
         amps = np.array(self.amplitudes, dtype=complex, order="C").reshape(-1)
@@ -276,9 +282,7 @@ def generalized_pauli(n: int) -> tuple[np.ndarray, np.ndarray]:
     n = as_int(n, "n")
     if n < 2:
         raise DomainError("generalized Pauli matrices need dimension >= 2")
-    x = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        x[j, (j + 1) % n] = 1.0
+    x = np.eye(n, dtype=complex)[(np.arange(n) + 1) % n]
     z = np.diag(np.exp(2j * np.pi * np.arange(n) / n))
     return x, z
 

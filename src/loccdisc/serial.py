@@ -160,7 +160,7 @@ def protocol_from_json(data) -> locc.LoccProtocol:
     if "alice_basis" in data:
         return one_way_spec_from_json(data).as_protocol()
     try:
-        return locc.LoccProtocol(as_int(data["dim_a"], "dim_a"), as_int(data["dim_b"], "dim_b"), _node_from_json(data["root"]))
+        return locc.LoccProtocol(data["dim_a"], data["dim_b"], _node_from_json(data["root"]))
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed protocol payload: {exc}") from exc
 

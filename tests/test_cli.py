@@ -2,8 +2,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -618,6 +620,7 @@ _REFUSALS = {
         ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", '{"dim_a":2,"dim_b":2,"root":[1]}'),
         "protocol node must be a JSON object",
     ),
+    "bell-subset-dim": (("ensemble", '{"kind":"bell_subset","n":1,"labels":[[0,0]]}'), "need dimension >= 2"),
     "simulate-dims": (
         ("simulate", "--ensemble", '{"kind":"bell","n":3}', "--trials", "10",
          "--protocol", json.dumps(protocol_to_json(standard_bell_protocol(2)))),
@@ -810,6 +813,36 @@ class TestOutputBoundary:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.startswith("error: ") and "Warning" not in done.stderr
+
+
+def _readme_cli_commands():
+    """The command lines of README's fenced block under ``## CLI``: continuations joined, comments dropped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0].split("```\n")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip() and not line.lstrip().startswith("#")]
+
+
+def test_readme_cli_walkthrough_runs(capsys, monkeypatch, tmp_path):
+    """Each ``loccdisc`` line runs through ``main`` (its ``> file`` written), the ``python3 -c`` line as written."""
+    monkeypatch.chdir(tmp_path)
+    reports = {}
+    for argv in _readme_cli_commands():
+        if argv[0] != "loccdisc":
+            assert argv[:2] == ["python3", "-c"]
+            subprocess.run([sys.executable, *argv[1:]], check=True, timeout=60)
+            continue
+        target = argv[argv.index(">") + 1] if ">" in argv else None
+        argv = argv[1 : argv.index(">")] if target else argv[1:]
+        code, out, err = _run(capsys, *argv)
+        _assert_clean_exit(code, out, err, 0)
+        if target:
+            Path(target).write_text(out, encoding="utf-8")
+        reports[argv[0]] = json.loads(out)["report"]
+    assert set(reports) == {"ensemble", "synthesize", "evaluate", "simulate", "bounds"}
+    assert reports["bounds"]["verdict"] == "PerfectImpossible"
+    p, sim = reports["evaluate"]["success_probability"], reports["simulate"]
+    assert abs(sim["empirical_success_rate"] - p) <= 5 * math.sqrt(p * (1 - p) / sim["trials"])
 
 
 class TestDependencies:

@@ -937,6 +937,33 @@ class TestFaultParity:
                 run()
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("protocol, ens", _fault_cases())
+    def test_leaf_weights_refuses_with_validates_message(self, protocol, ens):
+        with pytest.raises(DomainError) as expected:
+            protocol.validate(k=ens.k)
+        with pytest.raises(DomainError) as got:
+            locc._leaf_weights(protocol, ens)
+        assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize(
+        "protocol, ens",
+        [
+            pytest.param(standard_bell_protocol(2), bell_basis(3), id="smaller"),
+            pytest.param(blind_guess_protocol(2, 3), uniform_ensemble([BipartiteState(3, 2, np.eye(6)[0])]), id="parties-swapped"),
+            # a tree validate would refuse is refused for its dimensions first
+            pytest.param(next(iter(_fault_cases())).values[0], bell_basis(3), id="faulty-tree"),
+        ],
+    )
+    def test_dimension_mismatch_refused_alike(self, protocol, ens):
+        runs = [
+            lambda: evaluate(protocol, ens),
+            lambda: simulate(protocol, ens, trials=100, seed=0),
+            lambda: locc._leaf_weights(protocol, ens),
+        ]
+        for run in runs:
+            with pytest.raises(DomainError, match="^protocol and ensemble dimensions disagree$"):
+                run()
+
     def test_completeness_at_the_callers_tol(self):
         # every leaf weight is about 8e-11 heavy: inside the default 1e-10, outside 1e-11
         protocol, ens = overweight_perfect_case()
@@ -1719,6 +1746,8 @@ _INTEGER_ARGUMENTS = [
     ("haar_unitary", lambda x: haar_unitary(x, np.random.default_rng(0))),
     ("BipartiteState-dim_a", lambda x: BipartiteState(x, 2, np.full(6, 6**-0.5))),
     ("BipartiteState-dim_b", lambda x: BipartiteState(2, x, np.full(6, 6**-0.5))),
+    ("LoccProtocol-dim_a", lambda x: LoccProtocol(x, 2, blind_guess_protocol(3, 2).root)),
+    ("LoccProtocol-dim_b", lambda x: LoccProtocol(2, x, blind_guess_protocol(2, 3).root)),
     ("discard_protocol-k", lambda x: discard_protocol(blind_guess_protocol(2, 2), [0], x)),
     ("random_orthogonal_me_triple-n", lambda x: random_orthogonal_me_triple(x, 1)),
     ("random_orthogonal_me_triple-seed", lambda x: random_orthogonal_me_triple(3, x)),
@@ -1746,6 +1775,28 @@ def test_builders_take_integer_valued_sizes_and_seeds(build):
 def test_fourier_matrix_refuses_size_below_one(n):
     with pytest.raises(DomainError, match="^need dimension >= 1$"):
         fourier_matrix(n)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: bell_basis(n),
+        lambda n: bell_subset(n, [(0, 0)]),
+        lambda n: random_orthogonal_me_triple(n, 1),
+        lambda n: standard_bell_protocol(n),
+    ],
+    ids=["bell_basis", "bell_subset", "random_orthogonal_me_triple", "standard_bell_protocol"],
+)
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_bell_builders_refuse_dimension_below_two(build, n):
+    with pytest.raises(DomainError, match="^need dimension >= 2$"):
+        build(n)
+
+
+@pytest.mark.parametrize("dims", [(0, 2), (2, 0), (-1, 2)])
+def test_protocol_refuses_dimension_below_one(dims):
+    with pytest.raises(DomainError, match="^dimensions must be positive$"):
+        LoccProtocol(*dims, blind_guess_protocol(2, 2).root)
 
 
 class TestDiscardProtocol:

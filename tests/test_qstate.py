@@ -198,6 +198,14 @@ class TestGeneralizedPauli:
         with pytest.raises(DomainError):
             generalized_pauli(1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_shift_is_the_defining_sum(self, n):
+        # reference: X = sum_j |j><j+1| written entry by entry
+        ref = np.zeros((n, n), dtype=complex)
+        for j in range(n):
+            ref[j, (j + 1) % n] = 1.0
+        assert np.array_equal(generalized_pauli(n)[0], ref)
+
 
 class TestPredicatesAndEigensystems:
     def test_is_unitary(self, rng):
