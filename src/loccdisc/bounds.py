@@ -28,7 +28,7 @@ import numpy as np
 from . import locc, synth
 from .ensembles import StateEnsemble
 from .errors import DomainError, ToleranceError
-from .qstate import as_int
+from .qstate import ALGEBRAIC_TOL, EIGEN_TOL, as_int
 
 VERDICT_POSSIBLE = "PerfectPossible"
 VERDICT_IMPOSSIBLE = "PerfectImpossible"
@@ -39,7 +39,9 @@ EIGENVALUE_CLIP = 1e-15
 # How closely the other party's reduced states, each on the scale dim rho
 # (the identity for maximally entangled states), must agree for one party to
 # map every state to every other unilaterally.
-UNILATERAL_TOL = 1e-8
+UNILATERAL_TOL = EIGEN_TOL
+# The exact success a synthesized protocol must reach for a PerfectPossible verdict.
+PERFECT_SUCCESS = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class BoundsReport:
 
     def __post_init__(self):
         for lo, hi in ((self.f_lower, self.f_upper), (self.fme_lower, self.fme_upper), (self.g_lower_bits, self.g_upper_bits)):
-            if lo is not None and hi is not None and lo > hi + 1e-12:
+            if lo is not None and hi is not None and lo > hi + ALGEBRAIC_TOL:
                 raise ToleranceError(f"lower bound {lo} exceeds upper bound {hi}")
         if self.verdict == VERDICT_IMPOSSIBLE and not any(w.violated for w in self.witnesses):
             raise ToleranceError("impossibility verdict without a violated witness")
@@ -211,7 +213,7 @@ def success_upper_bounds(ensemble: StateEnsemble) -> list[Witness]:
         caps.append(("unilateral-bob", n / k))
     if alice and m <= k <= m * n:
         caps.append(("unilateral-alice", m / k))
-    return [Witness(name, "success", cap, 1.0, cap < 1.0 - 1e-12) for name, cap in caps]
+    return [Witness(name, "success", cap, 1.0, cap < 1.0 - ALGEBRAIC_TOL) for name, cap in caps]
 
 
 def _try_synthesizers(ensemble: StateEnsemble):
@@ -219,7 +221,7 @@ def _try_synthesizers(ensemble: StateEnsemble):
 
     A rung that raises ``DomainError`` (it does not apply) or
     ``ToleranceError`` is passed over, as is one whose protocol ``evaluate``
-    scores below 1 - 1e-9 on ``ensemble``.  The ``<rung>/bob-first`` rows
+    scores below ``PERFECT_SUCCESS`` on ``ensemble``.  The ``<rung>/bob-first`` rows
     come last, so they run only after every Alice-first row has failed, and
     their swapped-back protocols face the same gate on the original
     ensemble.
@@ -230,7 +232,7 @@ def _try_synthesizers(ensemble: StateEnsemble):
             result = locc.evaluate(protocol, ensemble)
         except (DomainError, ToleranceError):
             continue
-        if result.success_probability >= 1.0 - 1e-9:
+        if result.success_probability >= PERFECT_SUCCESS:
             return name, protocol
     return None, None
 
@@ -255,11 +257,11 @@ def verdict(ensemble: StateEnsemble) -> BoundsReport:
     order, so it takes the smaller of the two local dimensions as
     :func:`f_mixed_dims_bounds`' m.
     """
-    if not ensemble.is_orthogonal(1e-10):
+    if not ensemble.is_orthogonal():
         raise DomainError("verdict is defined for orthogonal ensembles")
     k, m, n = ensemble.k, ensemble.dim_a, ensemble.dim_b
     lam = lambda_max(ensemble)
-    me = ensemble.is_maximally_entangled(1e-10)
+    me = ensemble.is_maximally_entangled()
 
     witnesses = list(success_upper_bounds(ensemble))
     entropy_bits = entropy_bound_bits(ensemble)

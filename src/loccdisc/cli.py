@@ -15,7 +15,7 @@ import sys
 
 from . import __version__, bounds, locc, serial, synth
 from .errors import DomainError, ToleranceError
-from .qstate import as_tol
+from .qstate import STRUCTURAL_TOL, as_tol
 
 
 def _load_json_arg(text: str):
@@ -50,13 +50,8 @@ def _emit(command: str, inputs: dict, report: dict) -> None:
     sys.stdout.flush()
 
 
-def _read_tol(args) -> float:
-    """The ``--tol`` option (default 1e-10), refused unless finite and >= 0."""
-    return as_tol(1e-10 if args.tol is None else args.tol, "--tol")
-
-
 def _cmd_ensemble(args) -> int:
-    tol = _read_tol(args)
+    tol = as_tol(args.tol, "--tol")
     descriptor = _load_json_arg(args.descriptor)
     ens = serial.ensemble_from_json(descriptor)
     report = serial.ensemble_to_json(ens)
@@ -96,7 +91,7 @@ def _cmd_synthesize(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    tol = _read_tol(args)
+    tol = as_tol(args.tol, "--tol")
     proto_doc = _load_json_arg(args.protocol)
     ens_doc = _load_json_arg(args.ensemble)
     protocol = serial.protocol_from_json(proto_doc)
@@ -162,7 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="build an ensemble and report its predicates")
     p.add_argument("descriptor", help="descriptor JSON (inline, path, or '-')")
-    p.add_argument("--tol", type=float, default=None, help="predicate tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=STRUCTURAL_TOL, help=f"predicate tolerance (default {STRUCTURAL_TOL:g})")
     p.set_defaults(fn=_cmd_ensemble)
 
     p = sub.add_parser("synthesize", help="build the perfect protocol of one rung of the verdict ladder")
@@ -178,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="exact evaluation of a protocol on an ensemble")
     p.add_argument("--protocol", required=True, help="protocol tree or one-way spec (JSON/path)")
     p.add_argument("--ensemble", required=True)
-    p.add_argument("--tol", type=float, default=None, help="POVM completeness tolerance (default 1e-10)")
+    p.add_argument("--tol", type=float, default=STRUCTURAL_TOL, help=f"POVM completeness tolerance (default {STRUCTURAL_TOL:g})")
     p.set_defaults(fn=_cmd_evaluate)
 
     p = sub.add_parser("simulate", help="Monte-Carlo runs of a protocol")

@@ -81,8 +81,8 @@ class StateEnsemble:
             raise DomainError("priors must be finite")
         if np.any(priors < -1e-15):
             raise DomainError("priors must be nonnegative")
-        if abs(float(priors.sum()) - 1.0) > 1e-12:
-            raise DomainError("priors must sum to 1 within 1e-12")
+        if abs(float(priors.sum()) - 1.0) > ALGEBRAIC_TOL:
+            raise DomainError(f"priors must sum to 1 within {ALGEBRAIC_TOL:g}")
         priors = frozen_array(np.clip(priors, 0.0, None), dtype=float)
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "_amps", amps)
@@ -311,7 +311,7 @@ def common_unbiased_basis_check(candidate, family) -> bool:
     tested by one product of the candidate against the whole stack.
     """
     cand = as_matrix(candidate)
-    if not is_unitary(cand, STRUCTURAL_TOL):
+    if not is_unitary(cand):
         raise DomainError("candidate basis is not orthonormal")
     n = cand.shape[0]
     family = np.asarray(family, dtype=complex)
@@ -357,13 +357,24 @@ def simultaneously_diagonal_ensemble(u) -> StateEnsemble:
     mat = as_matrix(u)
     if mat.shape[0] != mat.shape[1]:
         raise DomainError("coefficient matrix must be square")
-    if not is_unitary(mat, STRUCTURAL_TOL):
-        raise DomainError("coefficient matrix must be unitary within 1e-10")
+    if not is_unitary(mat):
+        raise DomainError(f"coefficient matrix must be unitary within {STRUCTURAL_TOL:g}")
     n = mat.shape[0]
     j = np.arange(n)
     diags = np.zeros((n, n, n), dtype=complex)
     diags[:, j, j] = mat
     return StateEnsemble._from_unit_stack(normalized_amplitudes(np.sqrt(n) * diags))
+
+
+# The fields each descriptor kind reads beside "kind".  An explicit descriptor also takes
+# the fields that ``serial.ensemble_to_json`` and the ``ensemble`` report write, so a report reads back.
+_DESCRIPTOR_FIELDS = {
+    "bell": {"n"},
+    "bell_subset": {"n", "labels"},
+    "random_me_triple": {"n", "seed"},
+    "simdiag": {"u"},
+    "explicit": {"states", "priors", "dim_a", "dim_b", "k", "is_orthogonal", "is_maximally_entangled"},
+}
 
 
 def from_descriptor(descriptor: dict) -> StateEnsemble:
@@ -376,7 +387,9 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
       {"kind": "simdiag", "u": <matrix>}
       {"kind": "explicit", "states": [<state>...], "priors": [...]}
     A descriptor with "states" but no "kind" is read as "explicit".  Priors
-    are optional, numbers only, and refused on any other kind.
+    are optional and numbers only.  A field its kind does not read is
+    refused; an explicit descriptor may also carry the fields its report
+    echoes (``_DESCRIPTOR_FIELDS``), which are not read.
     Matrix/state payload encodings live in :mod:`loccdisc.serial`.
     """
     from . import serial  # deferred: serial imports this module's types
@@ -386,9 +399,13 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
     if "kind" not in descriptor and "states" not in descriptor:
         raise DomainError("ensemble payload needs a 'kind' or a 'states' field")
     kind = descriptor.get("kind", "explicit")
+    fields = _DESCRIPTOR_FIELDS.get(kind) if isinstance(kind, str) else None
+    if fields is None:
+        raise DomainError(f"unknown ensemble kind: {kind!r}")
+    extra = [name for name in descriptor if name != "kind" and name not in fields]
+    if extra:
+        raise DomainError(f"malformed ensemble descriptor: kind {kind!r} takes no field {extra[0]!r}")
     try:
-        if "priors" in descriptor and kind != "explicit":
-            raise TypeError(f"priors apply to kind 'explicit' only, not {kind!r}")
         if kind == "bell":
             return bell_basis(descriptor["n"])
         if kind == "bell_subset":
@@ -397,15 +414,13 @@ def from_descriptor(descriptor: dict) -> StateEnsemble:
             return random_orthogonal_me_triple(descriptor["n"], descriptor["seed"])
         if kind == "simdiag":
             return simultaneously_diagonal_ensemble(serial.matrix_from_json(descriptor["u"]))
-        if kind == "explicit":
-            states = serial.states_from_json(descriptor["states"])
-            priors = descriptor.get("priors")
-            if priors is not None:
-                bad = [p for p in priors if isinstance(p, bool) or not isinstance(p, (int, float))]
-                if bad:
-                    raise TypeError(f"priors must be JSON numbers, got {bad[0]!r}")
-                priors = np.asarray(priors, float)
-            return StateEnsemble(states, priors) if isinstance(states, tuple) else StateEnsemble._from_unit_stack(states, priors)
+        states = serial.states_from_json(descriptor["states"])
+        priors = descriptor.get("priors")
+        if priors is not None:
+            bad = [p for p in priors if isinstance(p, bool) or not isinstance(p, (int, float))]
+            if bad:
+                raise TypeError(f"priors must be JSON numbers, got {bad[0]!r}")
+            priors = np.asarray(priors, float)
+        return StateEnsemble(states, priors) if isinstance(states, tuple) else StateEnsemble._from_unit_stack(states, priors)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed ensemble descriptor: {exc}") from exc
-    raise DomainError(f"unknown ensemble kind: {kind!r}")

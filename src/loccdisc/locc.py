@@ -79,7 +79,7 @@ import numpy as np
 
 from .ensembles import StateEnsemble, _bell_dimension, _bell_labels, fourier_matrix
 from .errors import DomainError, ToleranceError
-from .qstate import ROUNDING_ZERO, _positive_dims, _row_norms, as_int, as_matrix, as_tol, frozen_array, is_unitary
+from .qstate import ALGEBRAIC_TOL, EIGEN_TOL, ROUNDING_ZERO, STRUCTURAL_TOL, _positive_dims, _row_norms, as_int, as_matrix, as_tol, frozen_array, is_unitary
 
 ALICE = "alice"
 BOB = "bob"
@@ -228,7 +228,7 @@ class LoccProtocol:
         object.__setattr__(self, "dim_a", dim_a)
         object.__setattr__(self, "dim_b", dim_b)
 
-    def validate(self, k: int | None = None, tol: float = 1e-10) -> None:
+    def validate(self, k: int | None = None, tol: float = STRUCTURAL_TOL) -> None:
         """Check alternation, operator shape chaining, completeness, leaf labels.
 
         One depth-first walk (:func:`_check_node`) visits nodes and leaves
@@ -378,7 +378,7 @@ class OneWayProtocolSpec:
 
     def __post_init__(self):
         ab = frozen_array(as_matrix(self.alice_basis))
-        if not is_unitary(ab, 1e-10):
+        if not is_unitary(ab):
             raise DomainError("Alice basis is not orthonormal")
         if len(self.labels) != ab.shape[1]:
             raise DomainError("need one Bob group per Alice outcome")
@@ -465,12 +465,12 @@ def one_way_protocol(amplitudes, alice_basis) -> OneWayProtocolSpec:
     b = np.sqrt(amplitudes.shape[1]) * amplitudes.transpose(0, 2, 1)  # laid out as tests/conftest.py's b_matrix(psi)
     v = (b @ ab.conj().T.copy()[:, None, :, None])[..., 0]  # (outcomes, states, dim_b): B_i conj(c_x)
     nrm = _row_norms(v.reshape(-1, v.shape[2])).reshape(v.shape[:2])
-    keep = nrm > 1e-12
+    keep = nrm > ALGEBRAIC_TOL
     v = np.divide(v, nrm[..., None], out=np.zeros(v.shape, dtype=complex), where=keep[..., None])
     return OneWayProtocolSpec(ab, tuple(tuple(np.flatnonzero(kx).tolist()) for kx in keep), v[keep])
 
 
-def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10):
+def _leaf_weights(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = STRUCTURAL_TOL):
     """Leaf path blocks and guesses in depth-first order, and their (leaves, k) weights.
 
     The one place a tree meets an ensemble: ``DomainError`` unless their
@@ -654,7 +654,7 @@ def _squared_norms(z, axis, in_place):
     return sq.sum(axis=axis) if sq.shape[axis] > 1 else sq.squeeze(axis)
 
 
-def evaluate(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = 1e-10) -> ProtocolEvaluation:
+def evaluate(protocol: LoccProtocol, ensemble: StateEnsemble, tol: float = STRUCTURAL_TOL) -> ProtocolEvaluation:
     """Exact branch-sum evaluation of a protocol on an ensemble.
 
     Computes the full joint distribution over (state, outcome path), the
@@ -874,10 +874,9 @@ def two_state_protocol(ensemble: StateEnsemble) -> OneWayProtocolSpec:
     """
     if ensemble.k != 2:
         raise DomainError(f"need exactly 2 states, got {ensemble.k}")
+    if not ensemble.is_orthogonal():
+        raise DomainError(f"states are not orthogonal (|<1|2>| = {ensemble._max_overlap:.3e})")
     amps = ensemble.amplitude_matrices()
-    overlap = abs(np.vdot(amps[0], amps[1]))
-    if overlap > 1e-10:
-        raise DomainError(f"states are not orthogonal (|<1|2>| = {overlap:.3e})")
     return one_way_protocol(amps, _zero_diagonal_basis(amps[0].conj() @ amps[1].T).conj())
 
 
@@ -906,13 +905,13 @@ def product_basis_protocol(ensemble: StateEnsemble) -> OneWayProtocolSpec:
     and the equal-or-orthogonal check.
     """
     u, s, vh = np.linalg.svd(ensemble.amplitude_matrices(), full_matrices=False)
-    bad = np.flatnonzero(s[:, 0] * s[:, 0] < 1.0 - 1e-10)
+    bad = np.flatnonzero(s[:, 0] * s[:, 0] < 1.0 - STRUCTURAL_TOL)
     if bad.size:
         raise DomainError(f"state {bad[0]} is not a product state")
     a = u[:, :, 0]  # Alice factors, one row per state
     ov = np.abs(a.conj() @ a.T)
-    same = ov > 1.0 - 1e-8
-    if np.any(~same & (ov > 1e-8)):
+    same = ov > 1.0 - EIGEN_TOL
+    if np.any(~same & (ov > EIGEN_TOL)):
         raise DomainError("Alice factors are neither equal nor orthogonal")
     first = same.argmax(axis=0)
     order = np.argsort(first, kind="stable")  # the states group by group, each in label order
@@ -921,6 +920,6 @@ def product_basis_protocol(ensemble: StateEnsemble) -> OneWayProtocolSpec:
     labels += [()] * (ensemble.dim_a - len(reps))
     alice_basis = _completed_bases(a[reps][None], [len(reps)])[0]
     spec = OneWayProtocolSpec(alice_basis, tuple(labels), vh[order, 0])
-    if spec.max_bob_overlap() > 1e-8:
+    if spec.max_bob_overlap() > EIGEN_TOL:
         raise DomainError("Bob factors within a group are not orthogonal")
     return spec

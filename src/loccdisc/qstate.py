@@ -116,8 +116,8 @@ class BipartiteState:
         nrm = _row_norms(amps[None])[0]
         if nrm == np.inf:
             raise DomainError("state norm overflows; amplitudes too large for a state")
-        if abs(nrm - 1.0) > 1e-12:
-            raise DomainError(f"state norm {float(nrm)} deviates from 1 by more than 1e-12")
+        if abs(nrm - 1.0) > ALGEBRAIC_TOL:
+            raise DomainError(f"state norm {float(nrm)} deviates from 1 by more than {ALGEBRAIC_TOL:g}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -213,7 +213,7 @@ def _check_coefficients(coeffs) -> None:
     """Each row of ``coeffs`` must be nonnegative, sum to one and be nonincreasing."""
     if (coeffs < -1e-14).any():
         raise DomainError("negative Schmidt coefficient")
-    if (np.abs(coeffs.sum(axis=-1) - 1.0) > 1e-12).any():
+    if (np.abs(coeffs.sum(axis=-1) - 1.0) > ALGEBRAIC_TOL).any():
         raise DomainError("Schmidt coefficients must sum to 1")
     if (coeffs[..., 1:] - coeffs[..., :-1] > 1e-14).any():
         raise DomainError("Schmidt coefficients must be nonincreasing")
@@ -237,9 +237,9 @@ def _check_operator_norm(spectrum, coeffs) -> None:
     """
     opnorm = spectrum[..., -1]
     dev = np.abs(opnorm - coeffs[..., 0])
-    if dev.max() > 1e-10:
+    if dev.max() > STRUCTURAL_TOL:
         w = np.unravel_index(np.argmax(dev), dev.shape)
-        raise ToleranceError(f"operator-norm identity violated: |{opnorm[w]} - {coeffs[..., 0][w]}| > 1e-10")
+        raise ToleranceError(f"operator-norm identity violated: |{opnorm[w]} - {coeffs[..., 0][w]}| > {STRUCTURAL_TOL:g}")
 
 
 def schmidt(psi: BipartiteState) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

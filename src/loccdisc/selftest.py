@@ -33,7 +33,7 @@ def criterion_three_qutrit_end_to_end() -> tuple[bool, str]:
         spec = synth.synthesize_three_qutrit_protocol(ens)
         res = locc.evaluate(spec.as_protocol(), ens)
         worst = min(worst, res.success_probability)
-    return worst >= 1.0 - 1e-9, f"min success over 200 seeds = {worst:.12f}"
+    return worst >= bounds.PERFECT_SUCCESS, f"min success over 200 seeds = {worst:.12f}"
 
 
 def criterion_unbiased_bell_subsets() -> tuple[bool, str]:
@@ -58,7 +58,7 @@ def criterion_unbiased_bell_subsets() -> tuple[bool, str]:
             res = locc.evaluate(spec.as_protocol(), ens)
             worst = min(worst, res.success_probability)
             count += 1
-    return worst >= 1.0 - 1e-9, f"min success over {count} subsets = {worst:.12f}"
+    return worst >= bounds.PERFECT_SUCCESS, f"min success over {count} subsets = {worst:.12f}"
 
 
 def criterion_bell_saturation() -> tuple[bool, str]:

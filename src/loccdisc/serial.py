@@ -14,7 +14,7 @@ from . import bounds as bounds_mod
 from . import locc
 from .ensembles import StateEnsemble, from_descriptor
 from .errors import DomainError
-from .qstate import EIGEN_TOL, BipartiteState, _row_norms, as_int
+from .qstate import ALGEBRAIC_TOL, EIGEN_TOL, BipartiteState, _row_norms, as_int
 
 
 def _pair(z: complex) -> list:
@@ -98,7 +98,7 @@ def states_from_json(data):
     if len({(a, b, v.size) for a, b, v in read}) == 1:
         dim_a, dim_b, _ = read[0]
         amps = np.array([v for _, _, v in read])
-        if dim_a >= 1 and amps.shape[1] == dim_a * dim_b and np.isfinite(amps).all() and (np.abs(_row_norms(amps) - 1.0) <= 1e-12).all():
+        if dim_a >= 1 and amps.shape[1] == dim_a * dim_b and np.isfinite(amps).all() and (np.abs(_row_norms(amps) - 1.0) <= ALGEBRAIC_TOL).all():
             amps.setflags(write=False)
             return amps.reshape(-1, dim_a, dim_b)
     return tuple(BipartiteState(*r) for r in read)
@@ -141,15 +141,18 @@ def protocol_to_json(protocol: locc.LoccProtocol) -> dict:
 
 
 def _node_from_json(data):
+    """A leaf from exactly {"guess"}, a round from exactly {"actor", "povm", "children"}, the two sets ``_node_to_json`` writes."""
     if not isinstance(data, dict):
         raise DomainError("protocol node must be a JSON object")
-    if "guess" in data:
+    if data.keys() == {"guess"}:
         return locc.Leaf(data["guess"])
+    if data.keys() != {"actor", "povm", "children"}:
+        raise DomainError(f"malformed protocol node: fields {sorted(map(str, data))}, not ['guess'] or ['actor', 'children', 'povm']")
     try:
         povm = locc.Povm(tuple(matrix_from_json(m) for m in data["povm"]))
         children = tuple(_node_from_json(c) for c in data["children"])
         return locc.ProtocolNode(str(data["actor"]), povm, children)
-    except (KeyError, TypeError) as exc:
+    except TypeError as exc:
         raise DomainError(f"malformed protocol node: {exc}") from exc
 
 

@@ -87,9 +87,9 @@ def synthesize_three_qutrit_protocol(ensemble: StateEnsemble) -> OneWayProtocolS
         raise DomainError(f"need exactly 3 states, got {ensemble.k}")
     if (ensemble.dim_a, ensemble.dim_b) != (3, 3):
         raise DomainError("states must live in C^3 (x) C^3")
-    if not ensemble.is_maximally_entangled(1e-10):
+    if not ensemble.is_maximally_entangled():
         raise DomainError("states must be maximally entangled")
-    if not ensemble.is_orthogonal(1e-10):
+    if not ensemble.is_orthogonal():
         raise DomainError("states must be pairwise orthogonal")
 
     b = ensemble.b_matrices()
@@ -151,7 +151,7 @@ def synthesize_cub_protocol(ensemble: StateEnsemble, cub=None) -> OneWayProtocol
     """
     if ensemble.dim_a != ensemble.dim_b:
         raise DomainError("construction needs equal local dimensions")
-    if not ensemble.is_orthogonal(1e-10):
+    if not ensemble.is_orthogonal():
         raise DomainError("states must be pairwise orthogonal")
 
     pairs, products = _pairwise_products(ensemble)

@@ -641,6 +641,20 @@ _REFUSALS = {
         "priors length must match number of states",
     ),
     "stdin": (("ensemble", "-"), "invalid JSON: "),
+    # a kind takes its own fields only: a misspelt "priors" or a seed on a kind that has none is refused, not dropped
+    "explicit-prior": (
+        ("ensemble", json.dumps({"kind": "explicit", "prior": [0.9, 0.1], "states": _explicit(1, 2, 2, False)["states"]})),
+        "malformed ensemble descriptor: kind 'explicit' takes no field 'prior'",
+    ),
+    "bell-seed": (("ensemble", '{"kind":"bell","n":2,"seed":5}'), "malformed ensemble descriptor: kind 'bell' takes no field 'seed'"),
+    "kind-not-string": (("ensemble", '{"kind":[]}'), "unknown ensemble kind: []"),
+    # a node is a leaf or a round, never both: the round is not dropped for the guess
+    "node-guess-and-round": (
+        ("evaluate", "--ensemble", _BELL2_DOC, "--protocol", json.dumps({"dim_a": 2, "dim_b": 2, "root": {
+            "guess": 1, "actor": "alice", "povm": [matrix_to_json(np.diag([1.0, 0.0])), matrix_to_json(np.diag([0.0, 1.0]))],
+            "children": [{"guess": 0}, {"guess": 1}]}})),
+        "malformed protocol node: fields ['actor', 'children', 'guess', 'povm']",
+    ),
 }
 
 
@@ -688,7 +702,7 @@ class TestOutputBoundary:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("ensemble", '{"kind":"bell","n":2,"note":1e400}'),
+            ("ensemble", '{"kind":"explicit","k":1e400,"states":[{"dim_a":1,"dim_b":1,"amplitudes":[[1,0]]}]}'),
             ("ensemble", '{"kind":"bell","n":2}', "--tol", "nan"),
         ],
     )

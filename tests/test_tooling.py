@@ -3,7 +3,8 @@ name it lists must still resolve, the package's ``__all__`` must list exactly wh
 README must name every public call that takes a tolerance.  The benchmark's refined Bell trees must be
 the ones the evaluator and ``simulate`` pins in ``test_locc.py`` cover.  Loading the CLI must not load
 ``numpy.random``, which only seeded commands need, and loading the package must not load scipy.  Every code name the README cites must exist,
-and every public function the package defines must be reached by its own code, its exports or the tracer."""
+and every public function the package defines must be reached by its own code, its exports or the tracer.
+Each documented tolerance and the PerfectPossible threshold must be written once, as a named constant."""
 
 import ast
 import dataclasses
@@ -211,3 +212,42 @@ def test_every_public_function_is_reached():
             if named[node.name] <= _named(node)[node.name]:
                 unreached.append(target)
     assert unreached == []
+
+
+# The documented tolerances, each written once, as ``qstate``'s constant of that name
+DOCUMENTED_TOLERANCES = {"ALGEBRAIC_TOL": 1e-12, "STRUCTURAL_TOL": 1e-10, "EIGEN_TOL": 1e-8}
+
+
+def test_documented_tolerances_are_written_once():
+    """Under ``src/loccdisc``, outside ``selftest`` (whose criteria state their tolerances inline), a float
+    literal equal to a documented tolerance appears only as the value of ``qstate``'s constant of that name."""
+    package = ROOT / "src" / "loccdisc"
+    definitions = {}
+    sites = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "selftest":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem == "qstate":
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and len(node.targets) == 1 and getattr(node.targets[0], "id", None) in DOCUMENTED_TOLERANCES:
+                    definitions[node.targets[0].id] = node.value
+        defined = {id(value) for value in definitions.values()}
+        sites += [
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and node.value in DOCUMENTED_TOLERANCES.values() and id(node) not in defined
+        ]
+    assert {name: getattr(value, "value", None) for name, value in definitions.items()} == DOCUMENTED_TOLERANCES
+    assert not sites, f"documented tolerances written as literals at {', '.join(sites)}"
+
+
+def test_perfect_possible_threshold_is_one_constant():
+    """The verdict's gate and both selftest criteria that check synthesized protocols read ``bounds.PERFECT_SUCCESS``."""
+    from loccdisc import bounds, selftest
+
+    assert bounds.PERFECT_SUCCESS == 1.0 - 1e-9
+    for fn in (bounds._try_synthesizers, selftest.criterion_three_qutrit_end_to_end, selftest.criterion_unbiased_bell_subsets):
+        tree = ast.parse(inspect.getsource(fn).lstrip())
+        assert _named(tree)["PERFECT_SUCCESS"] == 1, fn.__name__
+        assert 1e-9 not in {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}, fn.__name__
